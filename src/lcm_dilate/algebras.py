@@ -75,15 +75,22 @@ class BaseAlgebra:
     def zero(self) -> np.ndarray:
         return np.zeros((self.dim, self.dim), dtype=Complex)
 
+    def unit_positions(self) -> list[tuple[int, int]]:
+        """(row, column) of every matrix unit, block-major then row-major."""
+        return [
+            (i, j)
+            for sl in self.block_slices()
+            for i in range(sl.start, sl.stop)
+            for j in range(sl.start, sl.stop)
+        ]
+
     def basis(self) -> list[np.ndarray]:
-        """Matrix units of every block, ordered block-major then row-major."""
+        """Matrix units of every block, in the order of ``unit_positions``."""
         out = []
-        for sl in self.block_slices():
-            for i in range(sl.start, sl.stop):
-                for j in range(sl.start, sl.stop):
-                    e = self.zero()
-                    e[i, j] = 1.0
-                    out.append(e)
+        for i, j in self.unit_positions():
+            e = self.zero()
+            e[i, j] = 1.0
+            out.append(e)
         return out
 
     def basis_labels(self) -> list[str]:
@@ -116,7 +123,13 @@ class BaseAlgebra:
 
 
 def operator_norm(mat: np.ndarray) -> float:
-    return float(np.linalg.norm(mat, 2)) if mat.size else 0.0
+    """Spectral norm; infinite when an entry is not finite, so that every
+    ``norm <= tol`` test fails on it instead of LAPACK raising."""
+    if not mat.size:
+        return 0.0
+    if not np.isfinite(mat).all():
+        return float("inf")
+    return float(np.linalg.norm(mat, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -474,10 +487,6 @@ class LevelledElement:
         if not self.coeffs:
             return 0.0
         return max(operator_norm(v) for v in self.coeffs.values())
-
-    def prune(self, tol: float = 0.0) -> "LevelledElement":
-        kept = {a: v for a, v in self.coeffs.items() if np.abs(v).max() > tol}
-        return LevelledElement(self.model, self.base, self.depth, kept)
 
     def allclose(self, other: "LevelledElement", tol: float = 1e-10) -> bool:
         return (self - other).norm() <= tol

@@ -50,13 +50,13 @@ from .errors import (
     SchemaError,
     SpecMismatchError,
 )
+from .kernel import DEFAULT_MAX_GRAM_DIM as DEFAULT_MAX_DIM
 from .persist import result_payload, verify_result
 from .semigroup import semigroup_from_json
 from .serialize import decode_matrix, load_json, report_hash, sha256_of
 from .systems import build_system
 
 REPORT_FORMAT = "lcm-dilate-report-v1"
-DEFAULT_MAX_DIM = 4096
 
 PHI_KINDS = ("from_contractions", "base_values", "state", "diagonal", "transpose")
 MODEL_KINDS = ("toeplitz_abelian", "toeplitz_free", "boundary_free", "matrix", "stage")

@@ -96,7 +96,8 @@ class DilationResult:
         self.embedding = embedding      # (rank, h), isometric
         self.interiors = interiors
         self.report = report
-        self._pos = {(idx.q, idx.pos): i for i, idx in enumerate(assembly.catalog)}
+        self._rows = _catalog_rows(assembly)
+        self._depth = self.sys.model.normalize_depth(self.degree)
         self._v_cache: dict[Element, np.ndarray] = {}
         self._pi_cache: dict[bytes, np.ndarray] = {}
         self._domain_pinv: dict[int, np.ndarray] = {}
@@ -114,17 +115,19 @@ class DilationResult:
     def interior_basis(self, level: int) -> np.ndarray:
         return self.interiors[level].basis
 
-    def _expand_scalar(self, q: Element, elem: LevelledElement) -> np.ndarray:
-        """Expansion of (q, elem) over the catalog, as a scalar column."""
-        corner = self.assembly.corners[tuple(q)]
-        coeff, resid = corner.coefficients(elem)
-        if resid > self.tolerances.corner:
+    def _check_corner(self, q: Element, resid: float) -> None:
+        if not resid <= self.tolerances.corner:
             raise SpecMismatchError(
                 f"index ({q}, .) leaves the truncation catalog (residual {resid:.2e})"
             )
+
+    def _expand_scalar(self, q: Element, elem: LevelledElement) -> np.ndarray:
+        """Expansion of (q, elem) over the catalog, as a scalar column."""
+        q = tuple(q)
+        coeff, resid = self.assembly.corners[q].coefficients(elem)
+        self._check_corner(q, resid)
         col = np.zeros(len(self.assembly.catalog), dtype=np.complex128)
-        for pos, c in enumerate(coeff):
-            col[self._pos[(tuple(q), pos)]] = c
+        col[self._rows[q]] = coeff
         return col
 
     def _lift(self, m: np.ndarray) -> np.ndarray:
@@ -134,19 +137,35 @@ class DilationResult:
 
     def pi(self, a: LevelledElement) -> np.ndarray:
         """The representation matrix of an algebra element (exact on the
-        whole truncated space as long as products stay inside the catalog)."""
-        key = a.vec(
-            self.sys.model.join_depth(
-                a.depth, self.sys.model.normalize_depth(self.degree)
-            )
-        ).tobytes()
+        whole truncated space as long as products stay inside the catalog).
+
+        Column j is a (atom (x) e_cd) = atom (x) (a[atom] e_cd): column c of
+        the atom value of a, placed at the keys (atom, i, d) of corner q_j.
+        """
+        ar = a.refine_to(self._depth)
+        key = ar.vec().tobytes()
         hit = self._pi_cache.get(key)
         if hit is not None:
             return hit
+        corners = self.assembly.corners
         n = len(self.assembly.catalog)
         m = np.zeros((n, n), dtype=np.complex128)
         for j, idx in enumerate(self.assembly.catalog):
-            m[:, j] = self._expand_scalar(idx.q, a * idx.element)
+            atom, c, d = idx.key
+            v = ar.coeffs.get(atom)
+            if v is None:
+                continue
+            index, rows = corners[idx.q].index, self._rows[idx.q]
+            outside = 0.0
+            for i, z in enumerate(v[:, c].tolist()):
+                k = index.get((atom, i, d))
+                if k is not None:
+                    m[rows[k], j] = z
+                else:
+                    outside += abs(z) ** 2
+            if outside:
+                total = float(np.linalg.norm(v[:, c])) ** 2
+                self._check_corner(idx.q, (outside / max(1.0, total)) ** 0.5)
         out = self.factor @ self._lift(m) @ self.cofactor
         self._pi_cache[key] = out
         return out
@@ -195,10 +214,6 @@ class DilationResult:
     def compress_v(self, p: Element) -> np.ndarray:
         return self.embedding.conj().T @ self.v_word(p) @ self.embedding
 
-    def gram_dot(self, x: np.ndarray, y: np.ndarray) -> complex:
-        """Inner product <x, y> of raw catalog vectors (antilinear in y)."""
-        return complex(y.conj() @ (self.assembly.gram @ x))
-
     def element_depth(self, x: LevelledElement) -> int:
         return self.sys.model.depth_max(x.depth)
 
@@ -213,6 +228,14 @@ def _orth_columns(mat: np.ndarray, rcond: float) -> np.ndarray:
     return u[:, :keep]
 
 
+def _catalog_rows(assembly: GramAssembly) -> dict:
+    """Catalog row of every corner element, as one index array per word q."""
+    rows = {q: np.empty(len(c), dtype=np.intp) for q, c in assembly.corners.items()}
+    for i, idx in enumerate(assembly.catalog):
+        rows[idx.q][idx.pos] = i
+    return rows
+
+
 def _interiors_for(
     assembly: GramAssembly, factor: np.ndarray, tols: Tolerances
 ) -> dict[int, Interior]:
@@ -220,7 +243,7 @@ def _interiors_for(
     sg = sys_.semigroup
     rank = factor.shape[0]
     h = assembly.h
-    pos = {(idx.q, idx.pos): i for i, idx in enumerate(assembly.catalog)}
+    rows = _catalog_rows(assembly)
     n = len(assembly.catalog)
     out: dict[int, Interior] = {}
     for level in range(assembly.degree + 1):
@@ -241,8 +264,7 @@ def _interiors_for(
             for j, elem in enumerate(corner.elements):
                 coeff, _ = full.coefficients(elem)
                 col = np.zeros(n, dtype=np.complex128)
-                for p_, c in enumerate(coeff):
-                    col[pos[(tuple(q), p_)]] = c
+                col[rows[tuple(q)]] = coeff
                 columns.append((tuple(q), j))
                 elements.append(elem)
                 cols.append(col)
@@ -279,8 +301,10 @@ def naimark_dilate(
 
     w, u = np.linalg.eigh(assembly.gram)
     scale = max(1.0, float(np.abs(w).max()) if w.size else 0.0)
-    min_eig = float(w[0]) if w.size else 0.0
-    if min_eig < -tols.psd * scale:
+    # eigh returns NaN eigenvalues without raising and in no order, so the
+    # minimum is taken over all of them and the test fails on NaN
+    min_eig = float(w.min()) if w.size else 0.0
+    if not min_eig >= -tols.psd * scale:
         raise GramNotPositiveError(min_eig, scale, witness=u[:, 0])
     report.add("gram.psd", True, min_eig, -tols.psd * scale)
     report.add("gram.hermitian_assembly",
@@ -657,14 +681,11 @@ def uniqueness_probe(
 
 def _permuted_assembly(assembly: GramAssembly, seed: int) -> GramAssembly:
     rng = np.random.default_rng(seed)
-    n = len(assembly.catalog)
-    perm = rng.permutation(n)
+    h = assembly.h
+    perm = rng.permutation(len(assembly.catalog))
     catalog = [assembly.catalog[i] for i in perm]
-    sel = np.zeros((n, n))
-    for new, old in enumerate(perm):
-        sel[new, old] = 1.0
-    lift = np.kron(sel, np.eye(assembly.h))
-    gram = lift @ assembly.gram @ lift.T
+    rows = (perm[:, None] * h + np.arange(h)).reshape(-1)
+    gram = assembly.gram[np.ix_(rows, rows)]
     return GramAssembly(
         assembly.kernel, assembly.degree, catalog, assembly.corners, gram,
         assembly.hermiticity_defect,

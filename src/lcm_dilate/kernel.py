@@ -14,6 +14,7 @@ dilation construction.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,11 +66,12 @@ class KernelSystem:
     # -- construction checks ---------------------------------------------------
 
     def validate_covariance(self, tol: float = COVARIANCE_TOL) -> float:
+        # written as `not (x <= tol)` so that NaN and inf fail
         ud = self.phi.unital_defect()
-        if ud > tol:
+        if not ud <= tol:
             raise CovarianceError(ud, tol, "phi is not unital")
         sd = self.phi.selfadjoint_defect()
-        if sd > tol:
+        if not sd <= tol:
             raise CovarianceError(sd, tol, "phi is not *-preserving")
         worst = 0.0
         for g, gen in enumerate(self.sys.semigroup.generators, start=1):
@@ -77,7 +79,7 @@ class KernelSystem:
                 lhs = self.T(gen) @ self.phi.value(b) @ self.T(gen).conj().T
                 rhs = self.phi.value(self.sys.apply_endo(gen, b))
                 worst = max(worst, operator_norm(lhs - rhs))
-        if worst > tol:
+        if not worst <= tol:
             raise CovarianceError(worst, tol, "covariance on the algebra basis")
         return worst
 
@@ -134,22 +136,12 @@ class KernelSystem:
                     raise CornerMembershipError(a.norm(), corner_rtol)
                 return np.zeros((self.h, self.h), dtype=np.complex128)
             _, resid = corner.coefficients(a)
-            if resid > corner_rtol:
+            if not resid <= corner_rtol:
                 raise CornerMembershipError(resid, corner_rtol)
         stripped = self.sys.alpha_inverse(r, a)
         d1 = sg.left_divide(p, r)
         d2 = sg.left_divide(q, r)
         return self.T(d1) @ self.phi.value(stripped) @ self.T(d2).conj().T
-
-
-def kernel_from_pair(
-    sys: LcmSystem,
-    phi: OperatorMap,
-    T: ContractionFamily,
-    validate: bool = True,
-    tol: float = COVARIANCE_TOL,
-) -> KernelSystem:
-    return KernelSystem(sys, phi, T, validate=validate, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +154,7 @@ class GramIndex:
     q: Element
     pos: int
     element: LevelledElement
+    key: tuple            # (atom, i, j): the element is atom (x) e_ij
 
     @property
     def label(self) -> str:
@@ -173,7 +166,7 @@ class GramAssembly:
     """The Gram operator of the truncated index catalog.
 
     ``catalog[i]`` describes block i; entry (i, j) of the block matrix is
-    K(q_i, a_i* a_j, q_j).  ``corners[q]`` is the orthonormal corner basis of
+    K(q_i, a_i* a_j, q_j).  ``corners[q]`` is the matrix-unit corner basis of
     A . E_q at the truncation depth, shared by every index at q.
     """
 
@@ -195,9 +188,6 @@ class GramAssembly:
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.gram)
 
-    def offsets_for(self, q: Element) -> list[int]:
-        return [i for i, idx in enumerate(self.catalog) if idx.q == tuple(q)]
-
     def payload(self) -> dict:
         """Dense export with the index catalog, for reproducibility."""
         from .serialize import encode_matrix
@@ -218,40 +208,52 @@ def assemble_gram(
     """Assemble the Gram operator at truncation degree ``degree``.
 
     The index set runs over semigroup elements of length at most the degree,
-    each carrying the orthonormal corner basis of A . E_q computed at the
+    each carrying the matrix-unit corner basis of A . E_q computed at the
     uniform truncation depth, so every entry stays inside the depth catalog.
+    For a_i = atom (x) e_ab and a_j = atom' (x) e_cd the product a_i* a_j
+    vanishes unless atom = atom' and a = c, so only blocks inside one
+    (atom, row) group are evaluated; the others are exactly zero.
     """
     sys_ = kernel.sys
     sg = sys_.semigroup
-    elements = sg.enumerate_up_to(degree)
     catalog: list[GramIndex] = []
     corners: dict = {}
-    for q in elements:
+    for q in sg.enumerate_up_to(degree):
         corner = sys_.corner_basis(sg.identity, q, degree)
         corners[q] = corner
-        for j, elem in enumerate(corner.elements):
-            catalog.append(GramIndex(q, j, elem))
+        for j, (key, elem) in enumerate(zip(corner.keys, corner.elements)):
+            catalog.append(GramIndex(q, j, elem, key))
     n = len(catalog)
     h = kernel.h
     if n * h > max_dim:
         raise ResourceCapError(
             f"Gram operator of size {n * h} exceeds cap {max_dim}"
         )
+    groups: dict = defaultdict(list)
+    for i, idx in enumerate(catalog):
+        groups[idx.key[:2]].append(i)
     gram = np.zeros((n * h, n * h), dtype=np.complex128)
     herm_defect = 0.0
-    for i in range(n):
-        ai = catalog[i].element.star()
-        for j in range(i, n):
-            val = kernel.evaluate(
-                catalog[i].q, ai * catalog[j].element, catalog[j].q,
-                check_corner=False,
-            )
-            if i == j:
-                herm_defect = max(herm_defect, operator_norm(val - val.conj().T))
-                val = (val + val.conj().T) / 2.0
-            gram[i * h: (i + 1) * h, j * h: (j + 1) * h] = val
-            if j > i:
-                gram[j * h: (j + 1) * h, i * h: (i + 1) * h] = val.conj().T
+    for members in groups.values():
+        for s, i in enumerate(members):
+            ai = catalog[i].element.star()
+            for j in members[s:]:
+                val = kernel.evaluate(
+                    catalog[i].q, ai * catalog[j].element, catalog[j].q,
+                    check_corner=False,
+                )
+                if not np.isfinite(val).all():
+                    raise SpecMismatchError(
+                        f"non-finite Gram block ({catalog[i].label}, "
+                        f"{catalog[j].label}) at (q_i, q_j) = "
+                        f"({catalog[i].q}, {catalog[j].q})"
+                    )
+                if i == j:
+                    herm_defect = max(herm_defect, operator_norm(val - val.conj().T))
+                    val = (val + val.conj().T) / 2.0
+                gram[i * h: (i + 1) * h, j * h: (j + 1) * h] = val
+                if j > i:
+                    gram[j * h: (j + 1) * h, i * h: (i + 1) * h] = val.conj().T
     return GramAssembly(kernel, degree, catalog, corners, gram, herm_defect)
 
 

@@ -36,6 +36,7 @@ from .semigroup import Element, FreeAbelian, FreeMonoid, Semigroup
 IDEAL_RTOL = 1e-9     # residual after projection onto the image subspace
 RANK_CUT = 1e-10      # relative singular-value cut for rank decisions
 CHECK_TOL = 1e-8
+PROJECTION_TOL = 1e-10  # atom values of range projections: 0 or the unit
 
 
 # ---------------------------------------------------------------------------
@@ -120,26 +121,41 @@ class SystemValidationError(ValueError):
 
 @dataclass
 class CornerBasis:
-    """Orthonormal spanning set of a compressed subspace E_p . A . E_q.
+    """Matrix-unit basis of a compressed subspace E_p . A . E_q.
 
-    ``vectors`` holds the orthonormal rows in the fixed vectorization at
-    ``depth``; ``elements`` are the same vectors as algebra elements.
+    Element k is the single-atom element atom (x) e_ij named by
+    ``keys[k] = (atom, i, j)``, at ``depth``.  The elements are orthonormal in
+    the fixed vectorization, so coordinates are entries looked up by key.
     """
 
     depth: object
-    vectors: np.ndarray          # (n, vec_dim), orthonormal rows
+    keys: list[tuple]
     elements: list[LevelledElement]
 
-    def __len__(self) -> int:
-        return self.vectors.shape[0]
+    def __post_init__(self):
+        self.index = {key: k for k, key in enumerate(self.keys)}
 
-    def coefficients(self, x: LevelledElement, rtol: float = 1e-8):
-        """Coordinates of x in this basis plus the projection residual."""
-        v = x.vec(self.depth)
-        c = self.vectors.conj() @ v
-        resid = float(np.linalg.norm(v - self.vectors.T @ c))
-        scale = max(1.0, float(np.linalg.norm(v)))
-        return c, resid / scale
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def coefficients(self, x: LevelledElement):
+        """Coordinates of x in this basis plus the relative residual: the
+        norm of the entries outside the corner over max(1, ||x||)."""
+        c = np.zeros(len(self.keys), dtype=Complex)
+        total = outside = 0.0
+        for atom, v in x.refine_to(self.depth).coeffs.items():
+            for i, row in enumerate(np.asarray(v).tolist()):
+                for j, z in enumerate(row):
+                    if z == 0:
+                        continue
+                    w = abs(z) ** 2
+                    total += w
+                    k = self.index.get((atom, i, j))
+                    if k is None:
+                        outside += w
+                    else:
+                        c[k] = z
+        return c, outside ** 0.5 / max(1.0, total ** 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -289,19 +305,19 @@ class LcmSystem:
 
     # -- corners -----------------------------------------------------------------
 
-    def corner_basis(
-        self, p: Element, q: Element, depth, cut: float = RANK_CUT
-    ) -> CornerBasis:
-        """Orthonormal spanning set of E_p . A(depth) . E_q.
+    def corner_basis(self, p: Element, q: Element, depth) -> CornerBasis:
+        """Matrix-unit basis of E_p . A(depth) . E_q.
 
-        Empty when pP and qP do not intersect.  The basis is obtained by
-        compressing the depth catalog and cutting small singular values.
+        Range projections take the value 0 or the unit on every atom, so the
+        corner is spanned by the atoms under both projections tensored with
+        the matrix units of every base block, in atom-major order.  Empty
+        when pP and qP do not intersect.
         """
-        key = (tuple(p), tuple(q), self.model.normalize_depth(depth), cut)
+        d = self.model.normalize_depth(depth)
+        key = (tuple(p), tuple(q), d)
         hit = self._corner_cache.get(key)
         if hit is not None:
             return hit
-        d = self.model.normalize_depth(depth)
         ep = self.unit_projection(p)
         eq = self.unit_projection(q)
         if not (
@@ -310,21 +326,25 @@ class LcmSystem:
             raise SpecMismatchError(
                 f"corner depth {d} cannot host projections at {ep.depth}, {eq.depth}"
             )
-        rows = []
-        for b in self.algebra_basis(d):
-            rows.append((ep * b * eq).vec(d))
-        mat = np.array(rows)
-        if np.abs(mat).max() == 0.0:
-            basis = CornerBasis(d, np.zeros((0, mat.shape[1]), dtype=Complex), [])
-            self._corner_cache[key] = basis
-            return basis
-        _, s, vh = np.linalg.svd(mat, full_matrices=False)
-        rank = int(np.sum(s > cut * s[0]))
-        vectors = vh[:rank]
-        elements = [
-            LevelledElement.from_vec(self.model, self.base, d, v) for v in vectors
-        ]
-        basis = CornerBasis(d, vectors, elements)
+        epq = (ep * eq).refine_to(d)
+        unit = self.base.unit()
+        units = list(zip(self.base.unit_positions(), self.base.basis()))
+        keys, elements = [], []
+        for atom in self.model.atoms(d):
+            v = epq.coeffs.get(atom)
+            if v is None or np.abs(v).max() <= PROJECTION_TOL:
+                continue
+            if not np.abs(v - unit).max() <= PROJECTION_TOL:
+                raise SpecMismatchError(
+                    f"E{tuple(p)} E{tuple(q)} is neither 0 nor the unit at atom "
+                    f"{atom}: the range projections are not sums of atoms"
+                )
+            for (i, j), e in units:
+                keys.append((atom, i, j))
+                elements.append(
+                    LevelledElement.from_atom(self.model, self.base, d, atom, e)
+                )
+        basis = CornerBasis(d, keys, elements)
         self._corner_cache[key] = basis
         return basis
 

@@ -22,13 +22,14 @@ from lcm_dilate.cpmaps import (
 )
 from lcm_dilate.dilation import (
     Tolerances,
+    _permuted_assembly,
     check_boundary_relation,
     covariant_dilate,
     naimark_dilate,
     uniqueness_probe,
 )
 from lcm_dilate.errors import GramNotPositiveError, SpecMismatchError
-from lcm_dilate.kernel import KernelSystem, assemble_gram
+from lcm_dilate.kernel import GramAssembly, KernelSystem, assemble_gram
 from lcm_dilate.semigroup import FreeAbelian, FreeMonoid
 from lcm_dilate.systems import GeneratorMap, LcmSystem
 
@@ -147,6 +148,54 @@ def test_refusal_carries_negative_eigenvalue_witness():
     x = exc.value.witness
     rayleigh = (x.conj() @ g.gram @ x).real
     assert abs(rayleigh - exc.value.min_eigenvalue) <= 1e-8
+
+
+def test_nan_spectrum_fails_gram_psd():
+    # eigh returns NaN eigenvalues without raising, and not in sorted order
+    sys_ = LcmSystem(FA1, PointModel(1), M2,
+                     alphas=[GeneratorMap(unitary=np.eye(2))])
+    T = ContractionFamily(FA1, [np.eye(2)])
+    K = KernelSystem(sys_, BaseOperatorMap(M2, M2.basis()), T)
+    good = assemble_gram(K, 1)
+    gram = np.eye(good.size, dtype=complex)
+    gram[1, 1] = np.nan
+    bad = GramAssembly(K, 1, good.catalog, good.corners, gram, 0.0)
+    w = np.linalg.eigh(gram)[0]
+    assert np.isnan(w[1]) and w[0] == 1.0
+    with pytest.raises(GramNotPositiveError) as exc:
+        naimark_dilate(K, 1, assembly=bad)
+    assert np.isnan(exc.value.min_eigenvalue)
+
+
+def test_abelian_rank2_depth4_rank_invariant():
+    # diagonal commuting pair with h = 2: each eigenline is a scalar pair of
+    # rank (d+1)^2, so the dilation has rank 2(d+1)^2 = 50 on a Gram of 450
+    t1 = np.diag([0.5, -0.3 + 0.2j])
+    t2 = np.diag([0.6j, 0.4])
+    sys_ = LcmSystem(FA2, AbelianToeplitzModel(2), C)
+    T = ContractionFamily(FA2, [t1, t2])
+    ext = extend_phi_T(sys_, T, (4, 4))
+    assert ext.accepted
+    res = covariant_dilate(sys_, ext.map, T, 4)
+    assert res.passed, [c.name for c in res.report.failures()]
+    assert res.assembly.size == 450
+    assert res.rank == 2 * (4 + 1) ** 2 == 50
+
+
+def test_permuted_assembly_matches_dense_selection_product():
+    res = cuntz_dilation(2)
+    base = res.assembly
+    n, h = len(base.catalog), base.h
+    for seed in (0, 1):
+        permuted = _permuted_assembly(base, seed)
+        perm = np.random.default_rng(seed).permutation(n)
+        sel = np.zeros((n, n))
+        sel[np.arange(n), perm] = 1.0
+        lift = np.kron(sel, np.eye(h))
+        assert np.array_equal(permuted.gram, lift @ base.gram @ lift.T)
+        assert [i.label for i in permuted.catalog] == [
+            base.catalog[k].label for k in perm
+        ]
 
 
 def test_cuntz_dilation_identities():

@@ -23,7 +23,11 @@ from lcm_dilate.cpmaps import (
     state_map,
     transpose_map,
 )
-from lcm_dilate.errors import CornerMembershipError, CovarianceError
+from lcm_dilate.errors import (
+    CornerMembershipError,
+    CovarianceError,
+    SpecMismatchError,
+)
 from lcm_dilate.kernel import KernelSystem, assemble_gram, check_kernel_properties
 from lcm_dilate.semigroup import FreeAbelian, FreeMonoid
 from lcm_dilate.systems import GeneratorMap, LcmSystem
@@ -104,6 +108,34 @@ def test_covariance_validated_at_construction():
     with pytest.raises(CovarianceError):
         KernelSystem(sys_, phi, T)
     KernelSystem(sys_, phi, T, validate=False)  # negative controls may opt out
+
+
+def nan_identity_kernel(validate):
+    """The identity map over M2 with one non-finite entry in its values."""
+    values = [u.astype(complex) for u in M2.basis()]
+    values[1][0, 1] = np.nan
+    sys_ = LcmSystem(FA1, PointModel(1), M2,
+                     alphas=[GeneratorMap(unitary=np.eye(2))])
+    T = ContractionFamily(FA1, [np.eye(2)])
+    return KernelSystem(sys_, BaseOperatorMap(M2, values), T, validate=validate)
+
+
+def test_nan_in_phi_fails_covariance_validation():
+    # NaN makes every `x > tol` false; the defects are tested as
+    # `not (x <= tol)` and the norm of a non-finite matrix is infinite
+    with pytest.raises(CovarianceError) as exc:
+        nan_identity_kernel(validate=True)
+    assert exc.value.residual == np.inf
+
+
+def test_nan_in_phi_stops_gram_assembly_at_its_block():
+    K = nan_identity_kernel(validate=False)
+    with pytest.raises(
+        SpecMismatchError,
+        match=r"non-finite Gram block \(\(0,\)#0, \(0,\)#0\) "
+              r"at \(q_i, q_j\) = \(\(0,\), \(0,\)\)",
+    ):
+        assemble_gram(K, 1)
 
 
 def test_scaling_is_exact():
