@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Run the full command pipeline over every bundled fixture and print a
-verdict table.  Exit code is nonzero when any fixture deviates from its
-documented verdict."""
+verdict table; every passing ``dilate`` is followed by ``verify`` of the
+result it persisted.  Exit code is nonzero when any fixture deviates from its
+documented verdict or a persisted result fails to verify."""
 
 import pathlib
 import sys
@@ -28,25 +29,31 @@ PLAN = [
     ("nica_nilpotent.json", "check-nica", 1),
     ("nica_nilpotent.json", "dilate", 1),
     ("uhf_stage_m2.json", "validate", 1),
+    ("uhf_stage_m2.json", "dilate", 1),
 ]
 
 
 def main() -> int:
     bad = 0
-    tmp = tempfile.mkdtemp(prefix="lcm-dilate-")
-    for name, command, expected in PLAN:
-        instance = parse_instance(str(FIXTURES / name))
-        flags = {"depth": None, "max_dim": None, "result": None, "max_f": None,
-                 "output": f"{tmp}/{name}.{command}.result.json"}
-        report = run_command(command, instance, flags)
-        got = report["exit_code"]
-        ok = got == expected
-        bad += 0 if ok else 1
-        extra = ""
-        if command == "dilate" and got == 0:
-            extra = f"rank {report['extra']['rank']}/{report['extra']['space_size']}"
-        print(f"{'ok ' if ok else 'BAD'}  {name:28s} {command:11s} "
-              f"exit {got} (want {expected})  {extra}")
+    with tempfile.TemporaryDirectory(prefix="lcm-dilate-") as tmp:
+        for name, command, expected in PLAN:
+            result = f"{tmp}/{name}.{command}.result.json"
+            flags = {"output": result, "result": result}
+            report = run_command(command, parse_instance(str(FIXTURES / name)),
+                                 flags)
+            got = report["exit_code"]
+            ok = got == expected
+            extra = ""
+            if command == "dilate" and got == 0:
+                verified = run_command("verify",
+                                       parse_instance(str(FIXTURES / name)), flags)
+                ok = ok and verified["exit_code"] == 0
+                extra = (f"rank {report['extra']['rank']}/"
+                         f"{report['extra']['space_size']}, "
+                         f"verify exit {verified['exit_code']}")
+            bad += 0 if ok else 1
+            print(f"{'ok ' if ok else 'BAD'}  {name:28s} {command:11s} "
+                  f"exit {got} (want {expected})  {extra}")
     print(f"\n{len(PLAN) - bad}/{len(PLAN)} fixture verdicts reproduced")
     return 1 if bad else 0
 

@@ -19,12 +19,13 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import platform
 import sys as _sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -54,7 +55,7 @@ from .kernel import DEFAULT_MAX_GRAM_DIM as DEFAULT_MAX_DIM
 from .persist import result_payload, verify_result
 from .semigroup import semigroup_from_json
 from .serialize import decode_matrix, load_json, report_hash, sha256_of
-from .systems import build_system
+from .systems import ValidationReport, build_system
 
 REPORT_FORMAT = "lcm-dilate-report-v1"
 
@@ -97,11 +98,16 @@ def parse_instance(path: str) -> Instance:
         raise SchemaError(str(exc), "/system/semigroup") from None
 
     model_doc = sys_doc.get("model", {"kind": "matrix"})
+    if not isinstance(model_doc, dict):
+        raise SchemaError("model must be an object with a 'kind'", "/system/model")
     kind = model_doc.get("kind")
     if kind not in MODEL_KINDS:
         raise SchemaError(f"unknown model tag {kind!r}", "/system/model/kind")
 
-    blocks = sys_doc.get("base", {}).get("blocks", [1])
+    base_doc = sys_doc.get("base", {})
+    if not isinstance(base_doc, dict):
+        raise SchemaError("base must be an object", "/system/base")
+    blocks = base_doc.get("blocks", [1])
     if not isinstance(blocks, list) or not all(
         isinstance(b, int) and b >= 1 for b in blocks
     ):
@@ -175,11 +181,15 @@ def parse_instance(path: str) -> Instance:
                 )
 
     phi_doc = raw.get("phi", {"kind": "from_contractions"})
+    if not isinstance(phi_doc, dict):
+        raise SchemaError("phi must be an object with a 'kind'", "/phi")
     pk = phi_doc.get("kind")
     if pk not in PHI_KINDS:
         raise SchemaError(f"unknown phi kind {pk!r}", "/phi/kind")
     phi_config = {"kind": pk}
     if pk == "state":
+        if "rho" not in phi_doc:
+            raise SchemaError("phi.state needs 'rho'", "/phi/rho")
         phi_config["rho"] = decode_matrix(phi_doc["rho"], "/phi/rho")
     if pk == "base_values":
         vals = phi_doc.get("values")
@@ -194,23 +204,34 @@ def parse_instance(path: str) -> Instance:
         raise SchemaError("depth must be a natural number", "/depth")
 
     tol_doc = raw.get("tolerances", {})
-    tols = Tolerances(
-        psd=float(tol_doc.get("psd", 1e-8)),
-        rank=float(tol_doc.get("rank", 1e-10)),
-        identity=float(tol_doc.get("identity", 1e-8)),
-        covariance=float(tol_doc.get("covariance", 1e-9)),
-        corner=float(tol_doc.get("corner", 1e-8)),
-    )
-    seed = int(raw.get("seed", 0))
+    if not isinstance(tol_doc, dict):
+        raise SchemaError("tolerances must be an object", "/tolerances")
+    tols = {}
+    for key, default in Tolerances().as_dict().items():
+        try:
+            tols[key] = float(tol_doc.get(key, default))
+        except (TypeError, ValueError):
+            tols[key] = math.nan        # refused with the non-finite ones
+        if not math.isfinite(tols[key]):
+            raise SchemaError("tolerance must be a finite number",
+                              f"/tolerances/{key}")
+    try:
+        seed = int(raw.get("seed", 0))
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError("seed must be an integer", "/seed") from None
+    try:
+        digest = sha256_of(raw)
+    except ValueError:          # a non-finite number the checks above missed
+        raise SchemaError("instance contains a non-finite number", path) from None
     return Instance(
         path=path,
         raw=raw,
-        hash=sha256_of(raw),
+        hash=digest,
         system_config=config,
         phi_config=phi_config,
         t_mats=t_mats,
         degree=degree,
-        tolerances=tols,
+        tolerances=Tolerances(**tols),
         seed=seed,
     )
 
@@ -259,26 +280,6 @@ def build_pair(instance: Instance, degree: Optional[int] = None):
 # ---------------------------------------------------------------------------
 # report plumbing
 # ---------------------------------------------------------------------------
-
-
-def _check_dict(name, passed, value=None, threshold=None, detail="", wall_ms=None):
-    return {
-        "name": name,
-        "passed": bool(passed),
-        "value": None if value is None else float(value),
-        "threshold": None if threshold is None else float(threshold),
-        "detail": str(detail),
-        "wall_ms": wall_ms,
-    }
-
-
-def _records(validation) -> list[dict]:
-    out = []
-    for c in validation.checks:
-        d = c.as_dict()
-        d["wall_ms"] = None
-        out.append(d)
-    return out
 
 
 def make_report(command: str, instance: Instance, checks: list[dict],
@@ -335,59 +336,65 @@ def emit_report(report: dict, fmt: str = "text") -> bytes:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_validate(instance: Instance, flags: dict) -> dict:
-    t0 = time.perf_counter()
-    depth = flags.get("depth") or min(instance.degree, 2) or 1
-    sys_ = build_system(instance.system_config, validate=False)
+@dataclass
+class _Run:
+    """State shared by the stages of one command."""
+
+    instance: Instance
+    flags: dict
+    depth: int
+    report: ValidationReport = field(default_factory=ValidationReport)
+    extra: dict = field(default_factory=dict)
+    sys: object = None
+    phi: object = None
+    T: object = None
+    ext: object = None
+
+
+def _system_checks(run: _Run, depth: int) -> None:
+    sys_ = build_system(run.instance.system_config, validate=False)
     if hasattr(sys_, "basis_images"):          # one inductive stage
         rep = sys_.validate()
     else:
         rep = sys_.validate(depth=max(1, depth))
-    checks = _records(rep)
-    return make_report("validate", instance, checks,
-                       wall_ms=(time.perf_counter() - t0) * 1e3)
+    run.report.checks.extend(rep.checks)
 
 
-def _cmd_check_cp(instance: Instance, flags: dict) -> dict:
-    t0 = time.perf_counter()
-    depth = flags.get("depth") or instance.degree
-    checks: list[dict] = []
-    extra: dict = {}
-    try:
-        sys_, phi, T, ext = build_pair(instance, degree=depth)
-    except CovarianceError as exc:
-        checks.append(_check_dict("pair.covariant", False, exc.residual,
-                                  exc.tol, detail=str(exc)))
-        return make_report("check-cp", instance, checks,
-                           wall_ms=(time.perf_counter() - t0) * 1e3)
+def _pair(run: _Run) -> None:
+    """Build (system, phi, T); a rejected phi extension is a failed check."""
+    run.sys, run.phi, run.T, run.ext = build_pair(run.instance, degree=run.depth)
+    ext = run.ext
     if ext is not None and not ext.accepted:
-        checks.append(_check_dict(
+        run.report.add(
             "phi.extension_accepted", False, ext.min_eigenvalue,
-            -instance.tolerances.psd * ext.scale,
+            -run.instance.tolerances.psd * ext.scale,
             detail=f"violating atoms: {[str(a) for a, _ in ext.violations]}",
-        ))
-        extra["violations"] = ext.as_dict()["violations"]
-    else:
-        if ext is not None:
-            checks.append(_check_dict("phi.extension_accepted", True, 0.0, None))
-        cp = is_completely_positive(phi, rtol=instance.tolerances.psd)
-        checks.append(_check_dict(
-            "phi.completely_positive", cp.is_cp, cp.min_eigenvalue,
-            -instance.tolerances.psd * cp.scale, detail=cp.where,
-        ))
-        extra["min_eigenvalue"] = cp.min_eigenvalue
-    return make_report("check-cp", instance, checks, extra,
-                       wall_ms=(time.perf_counter() - t0) * 1e3)
+        )
 
 
-def _cmd_check_nica(instance: Instance, flags: dict) -> dict:
-    t0 = time.perf_counter()
-    depth = flags.get("depth") or instance.degree
-    max_f = flags.get("max_f") or 4
-    sys_ = build_system(instance.system_config, validate=False)
-    T = ContractionFamily(sys_.semigroup, instance.t_mats)
+def _cp_pair(run: _Run) -> None:
+    """``_pair``; check-cp's report also names the violating atoms."""
+    _pair(run)
+    if not run.report.passed:
+        run.extra["violations"] = run.ext.as_dict()["violations"]
+
+
+def _complete_positivity(run: _Run) -> None:
+    tol = run.instance.tolerances.psd
+    if run.ext is not None:
+        run.report.add("phi.extension_accepted", True, 0.0, None)
+    cp = is_completely_positive(run.phi, rtol=tol)
+    run.report.add("phi.completely_positive", cp.is_cp, cp.min_eigenvalue,
+                   -tol * cp.scale, detail=cp.where)
+    run.extra["min_eigenvalue"] = cp.min_eigenvalue
+
+
+def _nica_defects(run: _Run) -> None:
+    max_f = run.flags.get("max_f") or 4
+    sys_ = build_system(run.instance.system_config, validate=False)
+    T = ContractionFamily(sys_.semigroup, run.instance.t_mats)
     sg = sys_.semigroup
-    pool = [p for p in sg.enumerate_up_to(depth) if sg.length(p) >= 1]
+    pool = [p for p in sg.enumerate_up_to(run.depth) if sg.length(p) >= 1]
     worst = np.inf
     witness = None
     scale = 1.0
@@ -402,123 +409,97 @@ def _cmd_check_nica(instance: Instance, flags: dict) -> dict:
                 worst, witness = float(w[0]), combo
     if not np.isfinite(worst):
         worst = 0.0
-    tol = instance.tolerances.psd
-    passed = worst >= -tol * scale
-    checks = [_check_dict(
-        "nica.defects_psd", passed, worst, -tol * scale,
+    tol = run.instance.tolerances.psd
+    run.report.add(
+        "nica.defects_psd", worst >= -tol * scale, worst, -tol * scale,
         detail=f"{count} subsets; worst F = {list(map(list, witness or []))}",
-    )]
-    extra = {"subsets_checked": count,
-             "worst_F": [list(f) for f in (witness or [])]}
-    return make_report("check-nica", instance, checks, extra,
-                       wall_ms=(time.perf_counter() - t0) * 1e3)
+    )
+    run.extra.update(subsets_checked=count,
+                     worst_F=[list(f) for f in (witness or [])])
 
 
-def _cmd_dilate(instance: Instance, flags: dict) -> dict:
-    t0 = time.perf_counter()
-    degree = flags.get("depth") or instance.degree
-    max_dim = flags.get("max_dim") or _default_max_dim()
-    checks: list[dict] = []
-    extra: dict = {}
-
-    sys_ = build_system(instance.system_config, validate=False)
-    sysrep = sys_.validate(depth=1)
-    checks.extend(_records(sysrep))
-    if not sysrep.passed:
-        return make_report("dilate", instance, checks,
-                           wall_ms=(time.perf_counter() - t0) * 1e3)
-
-    try:
-        sys_, phi, T, ext = build_pair(instance, degree=degree)
-    except CovarianceError as exc:
-        checks.append(_check_dict("pair.covariant", False, exc.residual,
-                                  exc.tol, detail=str(exc)))
-        return make_report("dilate", instance, checks,
-                           wall_ms=(time.perf_counter() - t0) * 1e3)
-    if ext is not None and not ext.accepted:
-        checks.append(_check_dict(
-            "phi.extension_accepted", False, ext.min_eigenvalue,
-            -instance.tolerances.psd * ext.scale,
-            detail=f"violating atoms: {[str(a) for a, _ in ext.violations]}",
-        ))
-        return make_report("dilate", instance, checks,
-                           wall_ms=(time.perf_counter() - t0) * 1e3)
-
-    try:
-        result = covariant_dilate(
-            sys_, phi, T, degree,
-            tolerances=instance.tolerances, max_dim=max_dim,
-        )
-    except GramNotPositiveError as exc:
-        checks.append(_check_dict(
-            "gram.psd", False, exc.min_eigenvalue,
-            -instance.tolerances.psd * exc.scale,
-            detail="dilation refused: Gram operator not positive",
-        ))
-        return make_report("dilate", instance, checks,
-                           wall_ms=(time.perf_counter() - t0) * 1e3)
-    except CovarianceError as exc:
-        checks.append(_check_dict(
-            "pair.covariant", False, exc.residual, exc.tol, detail=str(exc),
-        ))
-        return make_report("dilate", instance, checks,
-                           wall_ms=(time.perf_counter() - t0) * 1e3)
-
-    checks.extend(_records(result.report))
-    extra.update({
+def _dilate(run: _Run) -> None:
+    instance, flags = run.instance, run.flags
+    result = covariant_dilate(
+        run.sys, run.phi, run.T, run.depth, tolerances=instance.tolerances,
+        max_dim=flags.get("max_dim") or _default_max_dim(),
+    )
+    run.report.checks.extend(result.report.checks)
+    out_path = flags.get("output") or instance.path + ".result.json"
+    with open(out_path, "w") as fh:
+        json.dump(result_payload(result, instance.hash), fh, sort_keys=True)
+    run.extra.update({
         "rank": result.rank,
         "space_size": result.assembly.size,
-        "degree": degree,
+        "degree": run.depth,
         "gram_min_eigenvalue": float(result.eigenvalues[0]),
         "gram_max_eigenvalue": float(result.eigenvalues[-1]),
+        "result_path": out_path,
     })
-    out_path = flags.get("output") or instance.path + ".result.json"
-    payload = result_payload(result, instance.hash)
-    with open(out_path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-    extra["result_path"] = out_path
-    return make_report("dilate", instance, checks, extra,
-                       wall_ms=(time.perf_counter() - t0) * 1e3)
 
 
-def _cmd_verify(instance: Instance, flags: dict) -> dict:
-    t0 = time.perf_counter()
-    result_path = flags.get("result") or instance.path + ".result.json"
+def _verify(run: _Run) -> None:
+    instance = run.instance
+    result_path = run.flags.get("result") or instance.path + ".result.json"
     doc = load_json(result_path)
-    if doc.get("instance_hash") != instance.hash:
+    stored = doc.get("instance_hash") if isinstance(doc, dict) else None
+    if stored != instance.hash:
         raise SchemaError(
             "persisted result was produced from a different instance "
-            f"(stored hash {str(doc.get('instance_hash'))[:12]}..., "
+            f"(stored hash {str(stored)[:12]}..., "
             f"instance hash {instance.hash[:12]}...)",
             result_path,
         )
-    sys_, phi, T, ext = build_pair(
+    sys_, phi, T, _ = build_pair(
         instance, degree=int(doc.get("degree", instance.degree))
     )
     if phi is None:
         raise SchemaError("instance's map extension is rejected; nothing to verify",
                           instance.path)
-    rep = verify_result(doc, sys_, phi, T, tol=instance.tolerances.identity)
-    checks = _records(rep)
-    extra = {"result_path": result_path, "rank": doc.get("rank")}
-    return make_report("verify", instance, checks, extra,
-                       wall_ms=(time.perf_counter() - t0) * 1e3)
+    rep = verify_result(doc, sys_, phi, T, instance.tolerances)
+    run.report.checks.extend(rep.checks)
+    run.extra.update(result_path=result_path, rank=doc.get("rank"))
 
 
+# command -> (default depth, stages).  Every stage appends its checks to the
+# run's report; the first stage that leaves a failed check ends the command.
 COMMANDS = {
-    "validate": _cmd_validate,
-    "check-cp": _cmd_check_cp,
-    "check-nica": _cmd_check_nica,
-    "dilate": _cmd_dilate,
-    "verify": _cmd_verify,
+    "validate": (lambda inst: min(inst.degree, 2),
+                 (lambda run: _system_checks(run, run.depth),)),
+    "check-cp": (lambda inst: inst.degree, (_cp_pair, _complete_positivity)),
+    "check-nica": (lambda inst: inst.degree, (_nica_defects,)),
+    "dilate": (lambda inst: inst.degree,
+               (lambda run: _system_checks(run, 1), _pair, _dilate)),
+    "verify": (lambda inst: inst.degree, (_verify,)),
 }
 
 
 def run_command(command: str, instance: Instance, flags: dict) -> dict:
-    """Programmatic entry point used by the CLI and tests."""
+    """Programmatic entry point used by the CLI and tests: run the stages of
+    ``command``, turning a non-covariant pair or a non-positive Gram operator
+    into a failed check, and report once."""
     if command not in COMMANDS:
         raise SchemaError(f"unknown command {command!r}")
-    return COMMANDS[command](instance, flags)
+    t0 = time.perf_counter()
+    default_depth, stages = COMMANDS[command]
+    depth = flags.get("depth")
+    run = _Run(instance, flags, default_depth(instance) if depth is None else depth)
+    tol_psd = instance.tolerances.psd
+    for stage in stages:
+        try:
+            stage(run)
+        except CovarianceError as exc:
+            run.report.add("pair.covariant", False, exc.residual, exc.tol,
+                           detail=str(exc))
+        except GramNotPositiveError as exc:
+            run.report.add("gram.psd", False, exc.min_eigenvalue,
+                           -tol_psd * exc.scale,
+                           detail="dilation refused: Gram operator not positive")
+        if not run.report.passed:
+            break
+    checks = [dict(c.as_dict(), wall_ms=None) for c in run.report.checks]
+    return make_report(command, instance, checks, run.extra,
+                       wall_ms=(time.perf_counter() - t0) * 1e3)
 
 
 def _default_max_dim() -> int:
@@ -533,10 +514,13 @@ def _job(args):
     try:
         instance = parse_instance(path)
         updates = {}
-        if flags.get("tol_psd") is not None:
-            updates["psd"] = flags["tol_psd"]
-        if flags.get("tol_rank") is not None:
-            updates["rank"] = flags["tol_rank"]
+        for key in ("psd", "rank"):
+            value = flags.get(f"tol_{key}")
+            if value is not None and not math.isfinite(value):
+                raise SchemaError("tolerance must be a finite number",
+                                  f"--tol-{key}")
+            if value is not None:
+                updates[key] = value
         if updates:
             d = instance.tolerances.as_dict()
             d.update(updates)

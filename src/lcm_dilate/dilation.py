@@ -109,6 +109,15 @@ class DilationResult:
         return self.factor.shape[0]
 
     @property
+    def pi_depth(self) -> int:
+        """Deepest element depth pi is built for: the whole truncation."""
+        return self.degree
+
+    def word_level(self, p: Element) -> int:
+        """Interior level on which v_word(p) is exact: the length of p."""
+        return self.sys.semigroup.length(p)
+
+    @property
     def passed(self) -> bool:
         return self.report.passed
 
@@ -208,14 +217,8 @@ class DilationResult:
     def generator_isometries(self) -> list[np.ndarray]:
         return [self.v_word(g) for g in self.sys.semigroup.generators]
 
-    def compress_pi(self, a: LevelledElement) -> np.ndarray:
-        return self.embedding.conj().T @ self.pi(a) @ self.embedding
-
     def compress_v(self, p: Element) -> np.ndarray:
         return self.embedding.conj().T @ self.v_word(p) @ self.embedding
-
-    def element_depth(self, x: LevelledElement) -> int:
-        return self.sys.model.depth_max(x.depth)
 
 
 def _orth_columns(mat: np.ndarray, rcond: float) -> np.ndarray:
@@ -332,13 +335,10 @@ def naimark_dilate(
     result.embedding = factor @ np.kron(
         x_e[:, None], np.eye(assembly.h, dtype=np.complex128)
     )
-    edef = operator_norm(
-        result.embedding.conj().T @ result.embedding - np.eye(assembly.h)
-    )
-    report.add("embedding.isometric", edef <= tols.identity, edef, tols.identity)
-
+    _check_embedding(result, report)
     if verify:
-        _verify_core(result)
+        _check_representation(result, report)
+        _check_reproduces_kernel(result, report)
     return result
 
 
@@ -346,13 +346,13 @@ def _sample_words(sg, degree: int, max_len: int = 2) -> list[Element]:
     return [p for p in sg.enumerate_up_to(min(degree, max_len)) if sg.length(p) >= 1]
 
 
-def _pi_basis(result: DilationResult) -> list[tuple[str, LevelledElement]]:
-    sys_ = result.sys
+def _pi_basis(src) -> list[tuple[str, LevelledElement]]:
+    sys_ = src.sys
     labelled = [
         (f"d0:{lbl}", b)
         for lbl, b in zip(sys_.basis_labels(), sys_.algebra_basis())
     ]
-    if result.degree >= 1 and not isinstance(sys_.model, PointModel):
+    if src.degree >= 1 and not isinstance(sys_.model, PointModel):
         labelled += [
             (f"d1:{lbl}", b)
             for lbl, b in zip(sys_.basis_labels(1), sys_.algebra_basis(1))
@@ -360,62 +360,185 @@ def _pi_basis(result: DilationResult) -> list[tuple[str, LevelledElement]]:
     return labelled
 
 
-def _verify_core(result: DilationResult) -> None:
-    """Checks available for any positive kernel: the shifts are isometric on
-    their interiors, they intertwine the representation, and compressing
-    reproduces the kernel."""
-    tols = result.tolerances
-    report = result.report
-    sg = result.sys.semigroup
+# ---------------------------------------------------------------------------
+# the identity suite
+# ---------------------------------------------------------------------------
+#
+# Every identity is checked by one function, over an operator source: a live
+# DilationResult or a persisted persist.StoredDilation.  A source provides
+# pi(a) for elements of depth at most ``pi_depth``, v_word(p), which is exact
+# on the interior of level word_level(p), ``embedding`` and
+# interior_basis(level), plus sys, T, phi, degree, rank and tolerances.  A
+# case whose pi argument is deeper than ``pi_depth``, or whose word needs more
+# headroom than the degree, is skipped; only a stored source, which keeps pi
+# on the depth-0/1 basis and builds V(p) as a product of generator shifts,
+# skips any.
 
-    basis = _pi_basis(result)
-    pis = {lbl: result.pi(b) for lbl, b in basis}
 
-    one = result.pi(result.sys.unit())
-    err = operator_norm(one - np.eye(result.rank))
-    report.add("pi.unital", err <= tols.identity, err, tols.identity)
+def _depth(src, x: LevelledElement) -> int:
+    return src.sys.model.depth_max(x.depth)
+
+
+def identity_suite(src) -> ValidationReport:
+    """Every identity that needs only the operators of ``src``, in the order
+    ``covariant_dilate`` reports them."""
+    report = ValidationReport()
+    for check in (_check_embedding, _check_representation, _check_covariance,
+                  _check_compressions):
+        check(src, report)
+    return report
+
+
+def _check_embedding(src, report: ValidationReport) -> None:
+    tol = src.tolerances.identity
+    emb = src.embedding
+    edef = operator_norm(emb.conj().T @ emb - np.eye(emb.shape[1]))
+    report.add("embedding.isometric", edef <= tol, edef, tol)
+
+
+def _check_representation(src, report: ValidationReport) -> None:
+    """pi is a unital *-homomorphism, the generator shifts are isometric on
+    the first interior, and they intertwine pi with the action."""
+    tol = src.tolerances.identity
+    sg = src.sys.semigroup
+
+    basis = _pi_basis(src)
+    pis = {lbl: src.pi(b) for lbl, b in basis}
+
+    one = src.pi(src.sys.unit())
+    err = operator_norm(one - np.eye(src.rank))
+    report.add("pi.unital", err <= tol, err, tol)
 
     worst = 0.0
     for lbl, b in basis:
-        worst = max(worst, operator_norm(result.pi(b.star()) - pis[lbl].conj().T))
-    report.add("pi.star", worst <= tols.identity, worst, tols.identity)
+        worst = max(worst, operator_norm(src.pi(b.star()) - pis[lbl].conj().T))
+    report.add("pi.star", worst <= tol, worst, tol)
 
     worst = 0.0
     small = basis[: min(len(basis), 8)]
     for (l1, b1), (l2, b2) in itertools.product(small, repeat=2):
         lhs = pis[l1] @ pis[l2]
-        worst = max(worst, operator_norm(lhs - result.pi(b1 * b2)))
-    report.add("pi.multiplicative", worst <= tols.identity, worst, tols.identity)
+        worst = max(worst, operator_norm(lhs - src.pi(b1 * b2)))
+    report.add("pi.multiplicative", worst <= tol, worst, tol)
 
-    if result.degree >= 1:
+    if src.degree >= 1:
         for g, gen in enumerate(sg.generators, start=1):
-            v = result.v_word(gen)
-            q1 = result.interior_basis(1)
+            v = src.v_word(gen)
+            q1 = src.interior_basis(1)
             resid = operator_norm(
                 q1.conj().T @ (v.conj().T @ v) @ q1 - np.eye(q1.shape[1])
             )
-            report.add(f"isometry.V[{g}]", resid <= tols.identity, resid,
-                       tols.identity)
+            report.add(f"isometry.V[{g}]", resid <= tol, resid, tol)
 
     # intertwining V(p) pi(a) = pi(alpha_p(a)) V(p); the interior level must
     # absorb both the word and the depth of a
     worst, wit = 0.0, ""
-    for p in _sample_words(sg, result.degree):
-        level = sg.length(p)
-        vp = result.v_word(p)
+    for p in _sample_words(sg, src.degree):
+        level = src.word_level(p)
+        vp = src.v_word(p)
         for lbl, a in basis:
-            lvl = level + result.element_depth(a)
-            if lvl > result.degree:
+            lvl = level + _depth(src, a)
+            if lvl > src.degree:
                 continue
-            shifted = result.sys.apply_endo(p, a)
-            qb = result.interior_basis(lvl)
-            resid = operator_norm((vp @ pis[lbl] - result.pi(shifted) @ vp) @ qb)
+            shifted = src.sys.apply_endo(p, a)
+            if _depth(src, shifted) > src.pi_depth:
+                continue
+            qb = src.interior_basis(lvl)
+            resid = operator_norm((vp @ pis[lbl] - src.pi(shifted) @ vp) @ qb)
             if resid > worst:
                 worst, wit = resid, f"(p={p}, a={lbl})"
-    report.add("covariance.intertwine", worst <= tols.identity, worst,
-               tols.identity, detail=wit)
+    report.add("covariance.intertwine", worst <= tol, worst, tol, detail=wit)
 
-    # compression reproduces the kernel
+
+def _check_covariance(src, report: ValidationReport) -> None:
+    """phi is completely positive, and the dilated range projections are the
+    represented unit projections and multiply by the Nica rule."""
+    tols = src.tolerances
+    tol = tols.identity
+    sg = src.sys.semigroup
+    degree = src.degree
+
+    cp = is_completely_positive(src.phi, rtol=tols.psd)
+    report.add("phi.completely_positive", cp.is_cp, cp.min_eigenvalue,
+               -tols.psd * cp.scale, detail=cp.where)
+
+    # range projections: V(p)V(p)* = pi(E_p) on the matching interior
+    worst, wit = 0.0, ""
+    for p in _sample_words(sg, degree):
+        level = src.word_level(p)
+        e_p = src.sys.unit_projection(p)
+        if level > degree or _depth(src, e_p) > src.pi_depth:
+            continue
+        vp = src.v_word(p)
+        qb = src.interior_basis(level)
+        resid = operator_norm((vp @ vp.conj().T - src.pi(e_p)) @ qb)
+        if resid > worst:
+            worst, wit = resid, f"p={p}"
+    report.add("covariance.range_projection", worst <= tol, worst, tol,
+               detail=wit)
+
+    # Nica rule for the dilated range projections
+    worst, wit = 0.0, ""
+    for p, q_el in itertools.product(sg.generators, repeat=2):
+        lp, lq = src.word_level(p), src.word_level(q_el)
+        if lp + lq > degree:
+            continue
+        vp, vq = src.v_word(p), src.v_word(q_el)
+        r = sg.lcm(p, q_el)
+        lhs = vp @ vp.conj().T @ vq @ vq.conj().T
+        if r is None:
+            rhs = np.zeros_like(lhs)
+        else:
+            vr = src.v_word(r)
+            rhs = vr @ vr.conj().T
+        qb = src.interior_basis(lp + lq)
+        resid = operator_norm((lhs - rhs) @ qb)
+        if resid > worst:
+            worst, wit = resid, f"(p={p}, q={q_el})"
+    report.add("covariance.nica", worst <= tol, worst, tol, detail=wit)
+
+
+def _check_compressions(src, report: ValidationReport) -> None:
+    """Compressing to the embedded space gives back (phi, T), and that space
+    is co-invariant."""
+    tol = src.tolerances.identity
+    sg = src.sys.semigroup
+    emb = src.embedding
+
+    worst = 0.0
+    for lbl, a in _pi_basis(src):
+        worst = max(worst,
+                    operator_norm(emb.conj().T @ src.pi(a) @ emb - src.phi.value(a)))
+    report.add("compression.phi", worst <= tol, worst, tol)
+    worst = 0.0
+    for p in sg.enumerate_up_to(src.degree):
+        if src.word_level(p) > src.degree:
+            continue
+        worst = max(worst,
+                    operator_norm(emb.conj().T @ src.v_word(p) @ emb - src.T(p)))
+    report.add("compression.T", worst <= tol, worst, tol)
+
+    # co-invariance: P_H V(p) vanishes on the complement of H inside interiors
+    worst = 0.0
+    ph = emb @ emb.conj().T
+    for p in _sample_words(sg, src.degree):
+        level = src.word_level(p)
+        if level > src.degree:
+            continue
+        qb = src.interior_basis(level)
+        resid = operator_norm(
+            emb.conj().T @ src.v_word(p) @ (np.eye(src.rank) - ph) @ qb
+        )
+        worst = max(worst, resid)
+    report.add("covariance.coinvariant", worst <= tol, worst, tol)
+
+
+def _check_reproduces_kernel(result: DilationResult,
+                             report: ValidationReport) -> None:
+    """Compressing V(p)* pi(a) V(q) to the embedded space reproduces the
+    kernel (needs the kernel, so a live result only)."""
+    tols = result.tolerances
+    sg = result.sys.semigroup
     worst, wit = 0.0, ""
     words = _sample_words(sg, result.degree, 1) + [sg.identity]
     for p, q in itertools.product(words, repeat=2):
@@ -464,47 +587,9 @@ def covariant_dilate(
     kernel = KernelSystem(sys, phi, T, validate=True, tol=tols.covariance)
     result = naimark_dilate(kernel, degree, tolerances=tols, max_dim=max_dim)
     report = result.report
-
-    cp = is_completely_positive(phi, rtol=tols.psd)
-    report.add("phi.completely_positive", cp.is_cp, cp.min_eigenvalue,
-               -tols.psd * cp.scale, detail=cp.where)
-
     sg = sys.semigroup
-    words = _sample_words(sg, degree)
 
-    # range projections: V(p)V(p)* = pi(E_p) on the matching interior
-    worst, wit = 0.0, ""
-    for p in words:
-        vp = result.v_word(p)
-        qb = result.interior_basis(sg.length(p))
-        resid = operator_norm(
-            (vp @ vp.conj().T - result.pi(sys.unit_projection(p))) @ qb
-        )
-        if resid > worst:
-            worst, wit = resid, f"p={p}"
-    report.add("covariance.range_projection", worst <= tols.identity, worst,
-               tols.identity, detail=wit)
-
-    # Nica rule for the dilated range projections
-    worst, wit = 0.0, ""
-    for p, q_el in itertools.product(sg.generators, repeat=2):
-        lp, lq = sg.length(p), sg.length(q_el)
-        if lp + lq > degree:
-            continue
-        vp, vq = result.v_word(p), result.v_word(q_el)
-        r = sg.lcm(p, q_el)
-        lhs = vp @ vp.conj().T @ vq @ vq.conj().T
-        if r is None:
-            rhs = np.zeros_like(lhs)
-        else:
-            vr = result.v_word(r)
-            rhs = vr @ vr.conj().T
-        qb = result.interior_basis(lp + lq)
-        resid = operator_norm((lhs - rhs) @ qb)
-        if resid > worst:
-            worst, wit = resid, f"(p={p}, q={q_el})"
-    report.add("covariance.nica", worst <= tols.identity, worst, tols.identity,
-               detail=wit)
+    _check_covariance(result, report)
 
     worst = _adjoint_formula_residual(result)
     report.add("covariance.adjoint_formula", worst <= tols.identity, worst,
@@ -524,29 +609,7 @@ def covariant_dilate(
     report.add("covariance.word_product", worst <= tols.identity, worst,
                tols.identity, detail=wit)
 
-    # compressions reproduce the pair
-    worst = 0.0
-    for lbl, a in _pi_basis(result):
-        worst = max(worst, operator_norm(result.compress_pi(a) - phi.value(a)))
-    report.add("compression.phi", worst <= tols.identity, worst, tols.identity)
-    worst = 0.0
-    for p in sg.enumerate_up_to(degree):
-        worst = max(worst, operator_norm(result.compress_v(p) - T(p)))
-    report.add("compression.T", worst <= tols.identity, worst, tols.identity)
-
-    # co-invariance: P_H V(p) vanishes on the complement of H inside interiors
-    worst = 0.0
-    ph = result.embedding @ result.embedding.conj().T
-    for p in words:
-        qb = result.interior_basis(sg.length(p))
-        resid = operator_norm(
-            result.embedding.conj().T @ result.v_word(p)
-            @ (np.eye(result.rank) - ph) @ qb
-        )
-        worst = max(worst, resid)
-    report.add("covariance.coinvariant", worst <= tols.identity, worst,
-               tols.identity)
-
+    _check_compressions(result, report)
     return result
 
 

@@ -188,17 +188,6 @@ class GramAssembly:
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.gram)
 
-    def payload(self) -> dict:
-        """Dense export with the index catalog, for reproducibility."""
-        from .serialize import encode_matrix
-
-        return {
-            "degree": self.degree,
-            "h": self.h,
-            "catalog": [{"q": list(i.q), "pos": i.pos} for i in self.catalog],
-            "gram": encode_matrix(self.gram),
-        }
-
 
 def assemble_gram(
     kernel: KernelSystem,

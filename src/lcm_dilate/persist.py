@@ -1,21 +1,21 @@
 """Persistence of dilation results and re-verification without reconstruction.
 
 A persisted result stores the dilation matrices (embedding, generator shifts,
-representation on the shallow algebra basis), the interior bases, the Gram
+representation on the depth-0/1 algebra basis), the interior bases, the Gram
 spectrum, and the residual table, keyed by the hash of the instance that
-produced it.  ``verify_result`` replays the operator identities against those
-stored matrices; it rebuilds the (cheap) system and pair from the instance
-but never re-assembles or re-diagonalizes the Gram operator.
+produced it.  ``verify_result`` runs the identity suite of ``dilation`` on
+those stored matrices; it rebuilds the (cheap) system and pair from the
+instance but never re-assembles or re-diagonalizes the Gram operator.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebras import PointModel, operator_norm
 from .cpmaps import ContractionFamily, OperatorMap
-from .dilation import DilationResult
+from .dilation import DilationResult, Tolerances, _pi_basis, identity_suite
 from .errors import SchemaError
+from .semigroup import Element
 from .serialize import decode_matrix, encode_matrix
 from .systems import LcmSystem, ValidationReport
 
@@ -23,11 +23,8 @@ RESULT_FORMAT = "lcm-dilate-result-v1"
 
 
 def result_payload(result: DilationResult, instance_hash: str) -> dict:
-    pi_entries = {}
-    from .dilation import _pi_basis
-
-    for lbl, elem in _pi_basis(result):
-        pi_entries[lbl] = encode_matrix(result.pi(elem))
+    pi_entries = {lbl: encode_matrix(result.pi(elem))
+                  for lbl, elem in _pi_basis(result)}
     return {
         "format": RESULT_FORMAT,
         "instance_hash": instance_hash,
@@ -62,101 +59,71 @@ def check_format(doc: dict) -> None:
         )
 
 
+class StoredDilation:
+    """A persisted dilation as an operator source for the identity suite.
+
+    pi is the linear extension of the stored matrices of the depth-1 basis
+    (depth 0 on point models or at degree 0), so it covers elements of depth
+    at most ``pi_depth``; v_word(p) is the product of the stored generator
+    isometries along p, exact on the interior of level gen_count(p).
+    """
+
+    def __init__(self, doc: dict, sys: LcmSystem, phi: OperatorMap,
+                 T: ContractionFamily, tolerances: Tolerances):
+        check_format(doc)
+        self.sys, self.phi, self.T, self.tolerances = sys, phi, T, tolerances
+        try:
+            self.degree = int(doc["degree"])
+            self.rank = int(doc["rank"])
+            self.embedding = decode_matrix(doc["embedding"], "/embedding")
+            self.isometries = [decode_matrix(m, f"/isometries/{g}")
+                               for g, m in enumerate(doc["isometries"])]
+            self.interiors = {int(k): decode_matrix(v, f"/interiors/{k}")
+                              for k, v in doc["interiors"].items()}
+            self.pi_depth = 1 if sys.is_levelled and self.degree >= 1 else 0
+            labels = sys.basis_labels(self.pi_depth)
+            prefix = f"d{self.pi_depth}:"
+            self._pi = np.array([
+                decode_matrix(doc["pi"][prefix + lbl], f"/pi/{prefix}{lbl}")
+                for lbl in labels
+            ])
+        except KeyError as exc:
+            raise SchemaError(f"persisted result lacks {exc}") from None
+
+    def interior_basis(self, level: int) -> np.ndarray:
+        return self.interiors[level]
+
+    def pi(self, x) -> np.ndarray:
+        depth = self.sys.model.normalize_depth(self.pi_depth)
+        y = x.refine_to(depth)
+        coeffs = np.concatenate([
+            self.sys.base.coefficients(y.coefficient(atom))
+            for atom in self.sys.model.atoms(depth)
+        ])
+        return np.tensordot(coeffs, self._pi, axes=1)
+
+    def word_level(self, p: Element) -> int:
+        """A product of k generator shifts is exact on the interior of level k."""
+        return self.sys.semigroup.gen_count(p)
+
+    def v_word(self, p: Element) -> np.ndarray:
+        out = np.eye(self.rank, dtype=np.complex128)
+        for letter in self.sys.semigroup.as_word(p):
+            out = out @ self.isometries[letter - 1]
+        return out
+
+
 def verify_result(
     doc: dict,
     sys: LcmSystem,
     phi: OperatorMap,
     T: ContractionFamily,
-    tol: float = 1e-8,
+    tolerances: Tolerances,
 ) -> ValidationReport:
-    """Re-assert the dilation identities from persisted matrices."""
-    check_format(doc)
-    report = ValidationReport()
-    sg = sys.semigroup
-    degree = int(doc["degree"])
-    h = int(doc["h"])
-    rank = int(doc["rank"])
-
-    embedding = decode_matrix(doc["embedding"], "/embedding")
-    vs = [decode_matrix(m, "/isometries") for m in doc["isometries"]]
-    interiors = {
-        int(k): decode_matrix(v, f"/interiors/{k}") for k, v in doc["interiors"].items()
-    }
-    pi_stored = {k: decode_matrix(v, f"/pi/{k}") for k, v in doc["pi"].items()}
-
-    err = operator_norm(embedding.conj().T @ embedding - np.eye(h))
-    report.add("verify.embedding_isometric", err <= tol, err, tol)
-
-    def pi_reconstruct(x) -> np.ndarray:
-        """Linear combination of stored representation matrices."""
-        if isinstance(sys.model, PointModel) or degree < 1:
-            labels = sys.basis_labels()
-            coeffs = sys.base.coefficients(x.coefficient(()))
-            prefix = "d0:"
-        else:
-            labels = sys.basis_labels(1)
-            y = x.refine_to(sys.model.normalize_depth(1))
-            coeffs = []
-            for atom in sys.model.atoms(y.depth):
-                coeffs.extend(sys.base.coefficients(y.coefficient(atom)))
-            prefix = "d1:"
-        out = np.zeros((rank, rank), dtype=np.complex128)
-        for c, lbl in zip(coeffs, labels):
-            if c != 0:
-                out = out + c * pi_stored[prefix + lbl]
-        return out
-
-    # isometries on interior(1)
-    q1 = interiors.get(1)
-    worst = 0.0
-    for v in vs:
-        if q1 is not None and q1.size:
-            worst = max(
-                worst,
-                operator_norm(q1.conj().T @ v.conj().T @ v @ q1 - np.eye(q1.shape[1])),
-            )
-    report.add("verify.isometry_on_interior", worst <= tol, worst, tol)
-
-    # covariance and range projections for generators (depth-0 basis only,
-    # so the interior level equals the word length)
-    worst_c = worst_r = 0.0
-    for g, gen in enumerate(sg.generators):
-        lvl = sg.length(gen)
-        qb = interiors.get(lvl)
-        if qb is None or not qb.size:
-            continue
-        v = vs[g]
-        for a in sys.algebra_basis():
-            pa = pi_reconstruct(a)
-            shifted = sys.apply_endo(gen, a)
-            worst_c = max(
-                worst_c,
-                operator_norm((v @ pa - pi_reconstruct(shifted) @ v) @ qb),
-            )
-        ep = pi_reconstruct(sys.unit_projection(gen))
-        worst_r = max(worst_r, operator_norm((v @ v.conj().T - ep) @ qb))
-    report.add("verify.covariance_intertwine", worst_c <= tol, worst_c, tol)
-    report.add("verify.range_projection", worst_r <= tol, worst_r, tol)
-
-    # compressions against the instance's pair
-    worst = 0.0
-    for a in sys.algebra_basis():
-        comp = embedding.conj().T @ pi_reconstruct(a) @ embedding
-        worst = max(worst, operator_norm(comp - phi.value(a)))
-    report.add("verify.compression_phi", worst <= tol, worst, tol)
-
-    worst = 0.0
-    for p in sg.enumerate_up_to(degree):
-        if sg.gen_count(p) > degree:
-            continue
-        v = np.eye(rank, dtype=np.complex128)
-        for letter in sg.as_word(p):
-            v = v @ vs[letter - 1]
-        comp = embedding.conj().T @ v @ embedding
-        worst = max(worst, operator_norm(comp - T(p)))
-    report.add("verify.compression_T", worst <= tol, worst, tol)
-
-    # the persisted residual table must itself be green
+    """Run the identity suite on a persisted result.  The identities that
+    need the Gram operator or the kernel are vouched for by the stored
+    residual table, which must itself be green."""
+    report = identity_suite(StoredDilation(doc, sys, phi, T, tolerances))
     stored_bad = [r["name"] for r in doc["residuals"] if not r["passed"]]
     report.add(
         "verify.stored_residuals", not stored_bad, float(len(stored_bad)), 0.0,

@@ -75,9 +75,6 @@ class Semigroup(ABC):
         self, elements: Iterable[Element], cap: int = DEFAULT_ENUMERATION_CAP
     ) -> bool: ...
 
-    def divides(self, p: Element, r: Element) -> bool:
-        return self.left_divide(p, r) is not None
-
     def lcm_of(self, elements: Sequence[Element]) -> Optional[Element]:
         """Iterated lcm; the empty family has lcm e."""
         acc: Optional[Element] = self.identity

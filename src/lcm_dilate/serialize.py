@@ -1,4 +1,4 @@
-"""JSON codecs: complex scalars as [re, im] pairs, canonical dumps, hashes."""
+"""JSON codecs: complex matrices as [re, im] pairs, canonical dumps, hashes."""
 
 from __future__ import annotations
 
@@ -11,46 +11,31 @@ import numpy as np
 from .errors import SchemaError
 
 
-def encode_complex(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def encode_matrix(m: np.ndarray) -> list:
     m = np.atleast_2d(np.asarray(m, dtype=np.complex128))
-    return [[encode_complex(z) for z in row] for row in m]
-
-
-def encode_vector(v: np.ndarray) -> list:
-    return [encode_complex(z) for z in np.asarray(v, dtype=np.complex128)]
-
-
-def decode_complex(doc, location: str = "") -> complex:
-    if isinstance(doc, (int, float)):
-        return complex(doc)
-    if (
-        isinstance(doc, (list, tuple))
-        and len(doc) == 2
-        and all(isinstance(x, (int, float)) for x in doc)
-    ):
-        return complex(doc[0], doc[1])
-    raise SchemaError(f"malformed complex scalar {doc!r}", location)
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def decode_matrix(doc, location: str = "") -> np.ndarray:
-    if not isinstance(doc, list) or not doc or not isinstance(doc[0], list):
-        raise SchemaError("expected a matrix (list of rows)", location)
-    rows = []
-    width = None
-    for i, row in enumerate(doc):
-        if not isinstance(row, list):
-            raise SchemaError("expected a matrix row", f"{location}/{i}")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise SchemaError("ragged matrix rows", f"{location}/{i}")
-        rows.append([decode_complex(z, f"{location}/{i}/{j}") for j, z in enumerate(row)])
-    return np.array(rows, dtype=np.complex128)
+    """A matrix of real entries (rows, cols) or of [re, im] pairs
+    (rows, cols, 2); anything else, or a non-finite entry, is refused."""
+    try:
+        arr = np.asarray(doc)
+    except ValueError:      # ragged nesting
+        arr = None
+    if (
+        arr is None
+        or arr.dtype.kind not in "iuf"
+        or not (arr.ndim == 2 or (arr.ndim == 3 and arr.shape[2] == 2))
+    ):
+        raise SchemaError(
+            "expected a matrix of real entries or [re, im] pairs", location
+        )
+    if not np.isfinite(arr).all():
+        raise SchemaError("matrix has a non-finite entry", location)
+    if arr.ndim == 2:
+        return arr.astype(np.complex128)
+    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def canonical_json(obj: Any) -> str:

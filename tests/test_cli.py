@@ -87,6 +87,46 @@ def test_parse_schema_errors(tmp_path):
         parse_instance(write(doc))
 
 
+def _malformed(doc, case):
+    if case == "state_without_rho":
+        doc["phi"] = {"kind": "state"}
+    elif case == "model_as_string":
+        doc["system"]["model"] = "toeplitz_abelian"
+    elif case == "nan_in_T":
+        doc["T"][0][0][0] = [float("nan"), 0.0]
+    elif case == "nan_in_tolerances":
+        doc["tolerances"] = {"psd": float("nan")}
+    return doc
+
+
+@pytest.mark.parametrize("case,location", [
+    ("state_without_rho", "/phi/rho"),
+    ("model_as_string", "/system/model"),
+    ("nan_in_T", "/T/0"),
+    ("nan_in_tolerances", "/tolerances/psd"),
+])
+def test_malformed_instance_exits_2_without_traceback(fixtures_dir, tmp_path,
+                                                      capsys, case, location):
+    doc = json.loads((fixtures_dir / "sznagy_half.json").read_text())
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_malformed(doc, case)))
+    code = main(["dilate", str(path), "--output", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert location in err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_tolerance_flag_exits_2_without_traceback(fixtures_dir,
+                                                            capsys, value):
+    code = main(["check-cp", str(fixtures_dir / "transpose_m2.json"),
+                 "--tol-psd", value])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "--tol-psd" in err
+
+
 # ---------------------------------------------------------------------------
 # command verdicts and exit codes
 # ---------------------------------------------------------------------------
@@ -132,6 +172,13 @@ def test_dilate_and_verify_roundtrip(fixtures_dir, tmp_path):
         "verify", _load(fixtures_dir, "sznagy_half.json"), dict(FLAGS, result=out)
     )
     assert vrep["exit_code"] == 0
+
+
+def test_dilate_honours_depth_zero(fixtures_dir, tmp_path):
+    rep = run_command("dilate", _load(fixtures_dir, "sznagy_half.json"),
+                      dict(FLAGS, depth=0, output=str(tmp_path / "r.json")))
+    assert rep["exit_code"] == 0
+    assert rep["extra"]["degree"] == 0
 
 
 def test_verify_refuses_mismatched_instance(fixtures_dir, tmp_path):
@@ -287,6 +334,7 @@ DOCUMENTED_VERDICTS = [
     ("nica_nilpotent.json", "check-nica", 1),
     ("nica_nilpotent.json", "dilate", 1),
     ("uhf_stage_m2.json", "validate", 1),
+    ("uhf_stage_m2.json", "dilate", 1),
 ]
 
 
