@@ -33,27 +33,34 @@ PLAN = [
 ]
 
 
+def check(name: str, command: str, expected: int, tmp: str) -> tuple[bool, str]:
+    """Run one plan row in the scratch directory ``tmp``: whether it gave the
+    expected exit code (and, for a passing ``dilate``, whether its persisted
+    result verifies), and the table line."""
+    result = f"{tmp}/{name}.{command}.result.json"
+    flags = {"output": result, "result": result}
+    report = run_command(command, parse_instance(str(FIXTURES / name)), flags)
+    got = report["exit_code"]
+    ok = got == expected
+    extra = ""
+    if command == "dilate" and got == 0:
+        verified = run_command("verify", parse_instance(str(FIXTURES / name)),
+                               flags)
+        ok = ok and verified["exit_code"] == 0
+        extra = (f"rank {report['extra']['rank']}/"
+                 f"{report['extra']['space_size']}, "
+                 f"verify exit {verified['exit_code']}")
+    return ok, (f"{'ok ' if ok else 'BAD'}  {name:28s} {command:11s} "
+                f"exit {got} (want {expected})  {extra}")
+
+
 def main() -> int:
     bad = 0
     with tempfile.TemporaryDirectory(prefix="lcm-dilate-") as tmp:
         for name, command, expected in PLAN:
-            result = f"{tmp}/{name}.{command}.result.json"
-            flags = {"output": result, "result": result}
-            report = run_command(command, parse_instance(str(FIXTURES / name)),
-                                 flags)
-            got = report["exit_code"]
-            ok = got == expected
-            extra = ""
-            if command == "dilate" and got == 0:
-                verified = run_command("verify",
-                                       parse_instance(str(FIXTURES / name)), flags)
-                ok = ok and verified["exit_code"] == 0
-                extra = (f"rank {report['extra']['rank']}/"
-                         f"{report['extra']['space_size']}, "
-                         f"verify exit {verified['exit_code']}")
+            ok, line = check(name, command, expected, tmp)
             bad += 0 if ok else 1
-            print(f"{'ok ' if ok else 'BAD'}  {name:28s} {command:11s} "
-                  f"exit {got} (want {expected})  {extra}")
+            print(line)
     print(f"\n{len(PLAN) - bad}/{len(PLAN)} fixture verdicts reproduced")
     return 1 if bad else 0
 

@@ -175,6 +175,15 @@ class AbelianToeplitzModel:
         depth = self.normalize_depth(depth)
         return list(itertools.product(*(range(d + 1) for d in depth)))
 
+    def cylinder(self, atom: Atom, depth: Depth) -> tuple[Atom, list[Atom]]:
+        """(p, F) with atom = E_p prod_{f in F} (1 - E_f): a point coordinate
+        is cut off one step above, a tail coordinate is not."""
+        depth = self.normalize_depth(depth)
+        return atom, [
+            atom[:i] + (atom[i] + 1,) + atom[i + 1:]
+            for i in range(self.rank) if atom[i] < depth[i]
+        ]
+
     def refine_once(self, coeffs: dict, depth: Depth, coord: int) -> tuple[dict, Depth]:
         """Split the tail of one coordinate: tail(d) -> point(d) + tail(d+1)."""
         d = depth[coord]
@@ -260,6 +269,12 @@ class FreeToeplitzModel:
             out.extend(("d", w) for w in _words(self.rank, n))
         out.extend(("c", w) for w in _words(self.rank, depth))
         return out
+
+    def cylinder(self, atom: Atom, depth: int) -> tuple[Atom, list[Atom]]:
+        """(p, F) with atom = E_p prod_{f in F} (1 - E_f): a defect atom cuts
+        off every child of its word, a leaf cylinder nothing."""
+        tag, w = atom
+        return w, [w + (i,) for i in range(1, self.rank + 1)] if tag == "d" else []
 
     def refine_once(self, coeffs: dict, depth: int) -> tuple[dict, int]:
         """Each leaf cylinder becomes its defect atom plus its children."""
@@ -522,55 +537,3 @@ class LevelledElement:
             f"norm={self.norm():.4g})"
         )
 
-
-def vec_dim(model: Model, base: BaseAlgebra, depth) -> int:
-    return len(model.atoms(model.normalize_depth(depth))) * base.dim ** 2
-
-
-# ---------------------------------------------------------------------------
-# JSON codec for elements
-# ---------------------------------------------------------------------------
-
-
-def _atom_to_json(atom: Atom):
-    if atom == ():
-        return []
-    if isinstance(atom[0], str):        # tree atom ("d"|"c", word)
-        return [atom[0], list(atom[1])]
-    return list(atom)                   # abelian coordinate tuple
-
-
-def _atom_from_json(model: Model, doc) -> Atom:
-    if isinstance(model, PointModel):
-        return ()
-    if isinstance(model, AbelianToeplitzModel):
-        return tuple(int(x) for x in doc)
-    tag, word = doc
-    return (str(tag), tuple(int(x) for x in word))
-
-
-def element_to_json(x: LevelledElement) -> dict:
-    """Nested-array form: depth tag plus one matrix per carried atom."""
-    from .serialize import encode_matrix
-
-    depth = list(x.depth) if isinstance(x.depth, tuple) else x.depth
-    return {
-        "depth": depth,
-        "atoms": [
-            {"atom": _atom_to_json(atom), "value": encode_matrix(v)}
-            for atom, v in sorted(x.coeffs.items(), key=lambda kv: str(kv[0]))
-        ],
-    }
-
-
-def element_from_json(model: Model, base: BaseAlgebra, doc: dict) -> LevelledElement:
-    from .serialize import decode_matrix
-
-    depth = model.normalize_depth(
-        tuple(doc["depth"]) if isinstance(doc["depth"], list) else doc["depth"]
-    )
-    coeffs = {}
-    for entry in doc.get("atoms", []):
-        atom = _atom_from_json(model, entry["atom"])
-        coeffs[atom] = decode_matrix(entry["value"], "/atoms")
-    return LevelledElement(model, base, depth, coeffs)

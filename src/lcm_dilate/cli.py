@@ -59,6 +59,8 @@ from .systems import ValidationReport, build_system
 
 REPORT_FORMAT = "lcm-dilate-report-v1"
 
+DEFAULT_MAX_F = 4
+
 PHI_KINDS = ("from_contractions", "base_values", "state", "diagonal", "transpose")
 MODEL_KINDS = ("toeplitz_abelian", "toeplitz_free", "boundary_free", "matrix", "stage")
 
@@ -390,11 +392,17 @@ def _complete_positivity(run: _Run) -> None:
 
 
 def _nica_defects(run: _Run) -> None:
-    max_f = run.flags.get("max_f") or 4
+    max_f = run.flags.get("max_f")
+    max_f = DEFAULT_MAX_F if max_f is None else max_f
     sys_ = build_system(run.instance.system_config, validate=False)
     T = ContractionFamily(sys_.semigroup, run.instance.t_mats)
     sg = sys_.semigroup
     pool = [p for p in sg.enumerate_up_to(run.depth) if sg.length(p) >= 1]
+    if not pool:
+        raise SchemaError(
+            f"depth {run.depth} leaves no element to form subsets from",
+            "/depth" if run.flags.get("depth") is None else "--depth",
+        )
     worst = np.inf
     witness = None
     scale = 1.0
@@ -420,9 +428,10 @@ def _nica_defects(run: _Run) -> None:
 
 def _dilate(run: _Run) -> None:
     instance, flags = run.instance, run.flags
+    max_dim = flags.get("max_dim")
     result = covariant_dilate(
         run.sys, run.phi, run.T, run.depth, tolerances=instance.tolerances,
-        max_dim=flags.get("max_dim") or _default_max_dim(),
+        max_dim=DEFAULT_MAX_DIM if max_dim is None else max_dim,
     )
     run.report.checks.extend(result.report.checks)
     out_path = flags.get("output") or instance.path + ".result.json"
@@ -480,6 +489,11 @@ def run_command(command: str, instance: Instance, flags: dict) -> dict:
     into a failed check, and report once."""
     if command not in COMMANDS:
         raise SchemaError(f"unknown command {command!r}")
+    for key in ("max_f", "max_dim"):
+        value = flags.get(key)
+        if value is not None and value < 1:
+            flag = "--" + key.replace("_", "-")
+            raise SchemaError(f"{flag} must be at least 1, got {value}", flag)
     t0 = time.perf_counter()
     default_depth, stages = COMMANDS[command]
     depth = flags.get("depth")
@@ -500,13 +514,6 @@ def run_command(command: str, instance: Instance, flags: dict) -> dict:
     checks = [dict(c.as_dict(), wall_ms=None) for c in run.report.checks]
     return make_report(command, instance, checks, run.extra,
                        wall_ms=(time.perf_counter() - t0) * 1e3)
-
-
-def _default_max_dim() -> int:
-    try:
-        return int(os.environ.get("LCM_DILATE_MAX_DIM", DEFAULT_MAX_DIM))
-    except ValueError:
-        return DEFAULT_MAX_DIM
 
 
 def _job(args):
@@ -561,14 +568,15 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run independent instances in parallel")
         p.add_argument("--max-dim", type=int, default=None,
                        help="resource guard on the Gram size "
-                            "(env LCM_DILATE_MAX_DIM)")
+                            f"(default {DEFAULT_MAX_DIM})")
 
     common(sub.add_parser("validate", help="structural system checks"))
     common(sub.add_parser("check-cp", help="complete positivity of phi"))
     nica = sub.add_parser("check-nica", help="inclusion-exclusion defects")
     common(nica)
-    nica.add_argument("--max-f", type=int, default=4,
-                      help="largest subset size to enumerate")
+    nica.add_argument("--max-f", type=int, default=None,
+                      help="largest subset size to enumerate "
+                           f"(default {DEFAULT_MAX_F})")
     dil = sub.add_parser("dilate", help="construct and verify the dilation")
     common(dil)
     dil.add_argument("--output", default=None,

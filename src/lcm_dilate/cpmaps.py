@@ -89,10 +89,12 @@ class LevelledOperatorMap:
     """A linear map from a levelled algebra at fixed depth to h x h matrices.
 
     ``values[atom]`` is an array of shape (base linear dim, h, h): one value
-    per atom (x) matrix-unit basis element.  Evaluation refines the argument
-    up to the map's depth, so the map represents a function on the whole
-    inductive stage tower below it (and on anything above when the values
-    are stage-consistent, which the builders below guarantee).
+    per atom (x) matrix-unit basis element.  Atoms are orthogonal central
+    projections, so the map is one ``BaseOperatorMap`` per atom
+    (``atom_maps``).  Evaluation refines the argument up to the map's depth,
+    so the map represents a function on the whole inductive stage tower below
+    it (and on anything above when the values are stage-consistent, which the
+    builders below guarantee).
     """
 
     def __init__(self, sys: LcmSystem, depth, values: dict):
@@ -100,18 +102,18 @@ class LevelledOperatorMap:
         self.model = sys.model
         self.base = sys.base
         self.depth = self.model.normalize_depth(depth)
-        self.values = {}
         atoms = self.model.atoms(self.depth)
+        self.atom_maps = {}
         for atom in atoms:
             v = np.asarray(values[atom], dtype=Complex)
             if v.ndim == 2:
                 v = v[np.newaxis]
-            self.values[atom] = v
-        self.h = self.values[atoms[0]].shape[-1]
-        nunits = self.base.linear_dim
-        for atom, v in self.values.items():
-            if v.shape != (nunits, self.h, self.h):
+            self.atom_maps[atom] = BaseOperatorMap(self.base, v)
+        self.h = self.atom_maps[atoms[0]].h
+        for atom, m in self.atom_maps.items():
+            if m.h != self.h:
                 raise SpecMismatchError(f"bad value shape at atom {atom}")
+        self.values = {atom: m._tensor for atom, m in self.atom_maps.items()}
         self._atom_pos = {atom: k for k, atom in enumerate(atoms)}
         self._tensor = np.stack([self.values[a] for a in atoms])
 
@@ -131,34 +133,16 @@ class LevelledOperatorMap:
         return operator_norm(self.value(one) - np.eye(self.h))
 
     def selfadjoint_defect(self) -> float:
-        worst = 0.0
-        for atom in self.model.atoms(self.depth):
-            for u in self.base.basis():
-                x = LevelledElement.from_atom(self.model, self.base, self.depth, atom, u)
-                worst = max(
-                    worst,
-                    operator_norm(self.value(x.star()) - self.value(x).conj().T),
-                )
-        return worst
+        return max(m.selfadjoint_defect() for m in self.atom_maps.values())
 
     def choi_blocks(self) -> list[tuple[str, np.ndarray]]:
         """One Choi matrix per atom per base-algebra summand: at fixed depth
         the domain is the direct sum of one base-algebra copy per atom."""
-        out = []
-        for atom in self.model.atoms(self.depth):
-            vals = self.values[atom]
-            offset = 0
-            for bi, n in enumerate(self.base.blocks):
-                c = np.zeros((n * self.h, n * self.h), dtype=Complex)
-                for i in range(n):
-                    for j in range(n):
-                        c[
-                            i * self.h: (i + 1) * self.h,
-                            j * self.h: (j + 1) * self.h,
-                        ] = vals[offset + i * n + j]
-                out.append((f"{atom}|block{bi}", c))
-                offset += n * n
-        return out
+        return [
+            (f"{atom}|{label}", c)
+            for atom, m in self.atom_maps.items()
+            for label, c in m.choi_blocks()
+        ]
 
 
 OperatorMap = Union[BaseOperatorMap, LevelledOperatorMap]
@@ -199,14 +183,6 @@ class CPReport:
     scale: float
     witness: Optional[np.ndarray]
     where: str
-
-    def as_dict(self) -> dict:
-        return {
-            "is_cp": bool(self.is_cp),
-            "min_eigenvalue": float(self.min_eigenvalue),
-            "scale": float(self.scale),
-            "where": self.where,
-        }
 
 
 def is_completely_positive(phi: OperatorMap, rtol: float = PSD_RTOL) -> CPReport:
@@ -259,6 +235,7 @@ class ContractionFamily:
                 raise SpecMismatchError(
                     f"generator norm {operator_norm(m):.12f} exceeds 1"
                 )
+        self._words: dict[Element, np.ndarray] = {}
         if isinstance(semigroup, FreeAbelian):
             for i in range(len(self.mats)):
                 for j in range(i + 1, len(self.mats)):
@@ -270,10 +247,17 @@ class ContractionFamily:
                         )
 
     def __call__(self, p: Element) -> np.ndarray:
-        self.semigroup.validate_element(tuple(p))
-        out = np.eye(self.h, dtype=Complex)
-        for letter in self.semigroup.as_word(tuple(p)):
-            out = out @ self.mats[letter - 1]
+        """T(p), evaluated once per word; the stored array is read-only, so
+        a caller that mutates it in place raises instead of corrupting it."""
+        p = tuple(p)
+        out = self._words.get(p)
+        if out is None:
+            self.semigroup.validate_element(p)
+            out = np.eye(self.h, dtype=Complex)
+            for letter in self.semigroup.as_word(p):
+                out = out @ self.mats[letter - 1]
+            out.flags.writeable = False
+            self._words[p] = out
         return out
 
 
@@ -289,6 +273,41 @@ def _sorted_elements(sg: Semigroup, elements) -> list[Element]:
     return sorted(set(es), key=lambda e: (sg.length(e), e))
 
 
+def signed_lcms(
+    sg: Semigroup, F, p: Optional[Element] = None, cap: int = MAX_SUBSET_SIZE
+) -> list[tuple[int, Element]]:
+    """((-1)^|U|, lcm(p, vU)) for every subset U of F, by size and then in
+    combination order of F as given; p defaults to the identity.  Subsets
+    without a common multiple are skipped.
+
+    These are the terms of every inclusion-exclusion sum here: the range
+    projection E_p prod_{f in F} (1 - E_f) is the signed sum of the E at the
+    listed lcms.
+    """
+    fs = [tuple(f) for f in F]
+    if len(fs) > cap:
+        raise ResourceCapError(
+            f"inclusion-exclusion over {len(fs)} elements needs 2^{len(fs)} "
+            f"terms (cap {cap})"
+        )
+    head = () if p is None else (tuple(p),)
+    out = []
+    for k in range(len(fs) + 1):
+        for combo in itertools.combinations(fs, k):
+            s = sg.lcm_of(head + combo)
+            if s is not None:
+                out.append(((-1) ** k, s))
+    return out
+
+
+def _signed_sum(signed, term, h: int) -> np.ndarray:
+    """sum of sign * term(s) over the output of ``signed_lcms``."""
+    out = np.zeros((h, h), dtype=Complex)
+    for sign, s in signed:
+        out = out + sign * term(s)
+    return out
+
+
 def nica_defect(T: ContractionFamily, F, cap: int = MAX_SUBSET_SIZE) -> np.ndarray:
     """sum over U of (-1)^|U| T(vU) T(vU)* with vU the least common multiple
     of U; subsets without a common multiple contribute nothing.
@@ -296,22 +315,12 @@ def nica_defect(T: ContractionFamily, F, cap: int = MAX_SUBSET_SIZE) -> np.ndarr
     Hermitian by construction.  Nonnegativity of these operators over all
     finite F is the dilation obstruction tested by `check-nica`.
     """
-    sg = T.semigroup
-    fs = _sorted_elements(sg, F)
-    if len(fs) > cap:
-        raise ResourceCapError(
-            f"defect over {len(fs)} elements needs 2^{len(fs)} terms (cap {cap})"
-        )
-    out = np.zeros((T.h, T.h), dtype=Complex)
-    for k in range(len(fs) + 1):
-        sign = (-1) ** k
-        for combo in itertools.combinations(fs, k):
-            s = sg.lcm_of(combo)
-            if s is None:
-                continue
-            ts = T(s)
-            out = out + sign * (ts @ ts.conj().T)
-    return out
+    def range_term(s: Element) -> np.ndarray:
+        ts = T(s)
+        return ts @ ts.conj().T
+
+    signed = signed_lcms(T.semigroup, _sorted_elements(T.semigroup, F), cap=cap)
+    return _signed_sum(signed, range_term, T.h)
 
 
 def ewf_projection(sys: LcmSystem, W, F) -> LevelledElement:
@@ -339,29 +348,20 @@ def ewf_projection(sys: LcmSystem, W, F) -> LevelledElement:
 # ---------------------------------------------------------------------------
 
 
-def _beta_unitary(sys: LcmSystem, p: Element) -> np.ndarray:
+def _beta_unitary(semigroup: Semigroup, betas, p: Element) -> np.ndarray:
     """The base automorphism unitary along any factorization of p."""
-    u = sys.base.unit()
-    for letter in sys.semigroup.as_word(tuple(p)):
-        u = u @ sys.betas[letter - 1]
+    u = np.eye(len(betas[0]), dtype=Complex)
+    for letter in semigroup.as_word(tuple(p)):
+        u = u @ betas[letter - 1]
     return u
 
 
-def _abelian_atom_value(sys, T, phi_of, atom, depth):
-    """Inclusion-exclusion value at one abelian atom: point coordinates are
-    differences of consecutive range projections, tail coordinates are the
-    range projections themselves."""
-    points = [i for i in range(len(atom)) if atom[i] < depth[i]]
-    h = T.h
-    out = np.zeros((h, h), dtype=Complex)
-    for k in range(len(points) + 1):
-        for combo in itertools.combinations(points, k):
-            v = list(atom)
-            for i in combo:
-                v[i] += 1
-            tv = T(tuple(v))
-            out = out + (-1) ** k * (tv @ phi_of(tuple(v)) @ tv.conj().T)
-    return out
+def _compressed(phi: BaseOperatorMap, betas, T: ContractionFamily,
+                p: Element, u: np.ndarray) -> np.ndarray:
+    """T(p) phi(beta_p^{-1}(u)) T(p)*."""
+    tp = T(p)
+    bu = _beta_unitary(T.semigroup, betas, p)
+    return tp @ phi.value(bu.conj().T @ u @ bu) @ tp.conj().T
 
 
 def build_phi_tilde(
@@ -374,8 +374,9 @@ def build_phi_tilde(
     """Lift a base-algebra map to the levelled algebra along T.
 
     On a cylinder (or range projection) at p tensored with a, the lifted map
-    is T(p) phi(beta_p^{-1}(a)) T(p)*; atom values follow by inclusion-
-    exclusion.  For the boundary model this is stage-consistent only when
+    is T(p) phi(beta_p^{-1}(a)) T(p)*; the value at the atom
+    E_p prod_{f in F} (1 - E_f) follows by inclusion-exclusion over the
+    subsets of F.  For the boundary model this is stage-consistent only when
     phi(a) = sum_i T_i phi(beta_i^{-1}(a)) T_i*, which is verified here.
 
     For point-model systems the base map is already the whole story.
@@ -387,19 +388,12 @@ def build_phi_tilde(
     if T.semigroup.kind != sys.semigroup.kind or T.semigroup.rank != sys.semigroup.rank:
         raise SpecMismatchError("contraction family indexed by the wrong semigroup")
     d = sys.model.normalize_depth(depth)
-    kind = sys.model.kind
     units = sys.base.basis()
-    h = T.h
 
-    def lifted(p: Element, u: np.ndarray) -> np.ndarray:
-        tp = T(p)
-        bu = _beta_unitary(sys, p)
-        return tp @ phi.value(bu.conj().T @ u @ bu) @ tp.conj().T
-
-    if kind == "boundary_free":
+    if sys.model.kind == "boundary_free":
         for ui, u in enumerate(units):
             total = sum(
-                lifted(g, u) for g in sys.semigroup.generators
+                _compressed(phi, sys.betas, T, g, u) for g in sys.semigroup.generators
             )
             resid = operator_norm(phi.value(u) - total)
             if resid > consistency_rtol * max(1.0, operator_norm(phi.value(u))):
@@ -409,28 +403,13 @@ def build_phi_tilde(
                 )
 
     values = {}
-    if kind == "toeplitz_abelian":
-        for atom in sys.model.atoms(d):
-            vals = np.zeros((len(units), h, h), dtype=Complex)
-            for ui, u in enumerate(units):
-                def phi_of(v, _u=u):
-                    bu = _beta_unitary(sys, v)
-                    return phi.value(bu.conj().T @ _u @ bu)
-                vals[ui] = _abelian_atom_value(sys, T, phi_of, atom, d)
-            values[atom] = vals
-    elif kind in ("toeplitz_free", "boundary_free"):
-        for atom in sys.model.atoms(d):
-            tag, w = atom
-            vals = np.zeros((len(units), h, h), dtype=Complex)
-            for ui, u in enumerate(units):
-                v = lifted(w, u)
-                if tag == "d":
-                    for g in sys.semigroup.generators:
-                        v = v - lifted(sys.semigroup.multiply(w, g), u)
-                vals[ui] = v
-            values[atom] = vals
-    else:  # pragma: no cover - guarded above
-        raise SpecMismatchError(f"no lift for model kind {kind!r}")
+    for atom in sys.model.atoms(d):
+        p, F = sys.model.cylinder(atom, d)
+        signed = signed_lcms(sys.semigroup, F, p)
+        values[atom] = np.array([
+            _signed_sum(signed, lambda s: _compressed(phi, sys.betas, T, s, u), T.h)
+            for u in units
+        ])
     return LevelledOperatorMap(sys, d, values)
 
 
@@ -500,30 +479,9 @@ def phi_F(
     tensor construction.
     """
     sg = T.semigroup
-    fs = _sorted_elements(sg, F)
-    if len(fs) > cap:
-        raise ResourceCapError(f"phi_F over {len(fs)} elements (cap {cap})")
+    signed = signed_lcms(sg, _sorted_elements(sg, F), cap=cap)
     betas = [np.asarray(b, dtype=Complex) for b in betas]
-
-    def beta_u(p: Element) -> np.ndarray:
-        u = np.eye(phi.base.dim, dtype=Complex)
-        for letter in sg.as_word(p):
-            u = u @ betas[letter - 1]
-        return u
-
-    values = []
-    for unit in phi.base.basis():
-        acc = np.zeros((T.h, T.h), dtype=Complex)
-        for k in range(len(fs) + 1):
-            sign = (-1) ** k
-            for combo in itertools.combinations(fs, k):
-                s = sg.lcm_of(combo)
-                if s is None:
-                    continue
-                ts = T(s)
-                bu = beta_u(s)
-                acc = acc + sign * (
-                    ts @ phi.value(bu.conj().T @ unit @ bu) @ ts.conj().T
-                )
-        values.append(acc)
-    return BaseOperatorMap(phi.base, values)
+    return BaseOperatorMap(phi.base, [
+        _signed_sum(signed, lambda s: _compressed(phi, betas, T, s, unit), T.h)
+        for unit in phi.base.basis()
+    ])

@@ -61,7 +61,6 @@ class Interior:
     """
 
     level: int
-    depth: object
     columns: list[tuple]
     elements: list
     x_scalar: np.ndarray      # (n_catalog, n_columns)
@@ -252,7 +251,7 @@ def _interiors_for(
     for level in range(assembly.degree + 1):
         if level == 0:
             out[0] = Interior(
-                0, assembly.degree,
+                0,
                 [(idx.q, idx.pos) for idx in assembly.catalog],
                 [idx.element for idx in assembly.catalog],
                 np.eye(n, dtype=np.complex128),
@@ -273,7 +272,7 @@ def _interiors_for(
                 cols.append(col)
         x = np.array(cols).T if cols else np.zeros((n, 0), dtype=np.complex128)
         basis = _orth_columns(factor @ np.kron(x, np.eye(h)), tols.rank)
-        out[level] = Interior(level, d, columns, elements, x, basis)
+        out[level] = Interior(level, columns, elements, x, basis)
     return out
 
 
@@ -371,8 +370,8 @@ def _pi_basis(src) -> list[tuple[str, LevelledElement]]:
 # interior_basis(level), plus sys, T, phi, degree, rank and tolerances.  A
 # case whose pi argument is deeper than ``pi_depth``, or whose word needs more
 # headroom than the degree, is skipped; only a stored source, which keeps pi
-# on the depth-0/1 basis and builds V(p) as a product of generator shifts,
-# skips any.
+# on the depth-1 basis (depth 0 on point models or at degree 0) and builds
+# V(p) as a product of generator shifts, skips any.
 
 
 def _depth(src, x: LevelledElement) -> int:

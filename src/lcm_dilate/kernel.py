@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebras import LevelledElement, PointModel, operator_norm
-from .cpmaps import BaseOperatorMap, ContractionFamily, LevelledOperatorMap, OperatorMap
+from .cpmaps import BaseOperatorMap, ContractionFamily, OperatorMap
 from .errors import (
     CornerMembershipError,
     CovarianceError,
@@ -99,11 +99,6 @@ class KernelSystem:
         return self.sys.algebra_basis(depth - 1)
 
     # -- evaluation ---------------------------------------------------------------
-
-    def max_depth(self):
-        if isinstance(self.phi, LevelledOperatorMap):
-            return self.phi.depth
-        return self.sys.model.zero_depth()
 
     def evaluate(
         self,

@@ -1,9 +1,9 @@
 """Persistence of dilation results and re-verification without reconstruction.
 
 A persisted result stores the dilation matrices (embedding, generator shifts,
-representation on the depth-0/1 algebra basis), the interior bases, the Gram
-spectrum, and the residual table, keyed by the hash of the instance that
-produced it.  ``verify_result`` runs the identity suite of ``dilation`` on
+representation on the algebra basis at ``stored_pi_depth``), the interior
+bases, the Gram spectrum, and the residual table, keyed by the hash of the
+instance that produced it.  ``verify_result`` runs the identity suite of ``dilation`` on
 those stored matrices; it rebuilds the (cheap) system and pair from the
 instance but never re-assembles or re-diagonalizes the Gram operator.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cpmaps import ContractionFamily, OperatorMap
-from .dilation import DilationResult, Tolerances, _pi_basis, identity_suite
+from .dilation import DilationResult, Tolerances, identity_suite
 from .errors import SchemaError
 from .semigroup import Element
 from .serialize import decode_matrix, encode_matrix
@@ -22,9 +22,23 @@ from .systems import LcmSystem, ValidationReport
 RESULT_FORMAT = "lcm-dilate-result-v1"
 
 
+def stored_pi_depth(sys: LcmSystem, degree: int) -> int:
+    """Depth of the algebra basis pi is stored on: 1 on levelled models at
+    degree >= 1, since the depth-1 basis spans every depth-0 element, else 0."""
+    return 1 if sys.is_levelled and degree >= 1 else 0
+
+
+def _pi_labels(sys: LcmSystem, depth: int) -> list[str]:
+    return [f"d{depth}:{lbl}" for lbl in sys.basis_labels(depth)]
+
+
 def result_payload(result: DilationResult, instance_hash: str) -> dict:
-    pi_entries = {lbl: encode_matrix(result.pi(elem))
-                  for lbl, elem in _pi_basis(result)}
+    depth = stored_pi_depth(result.sys, result.degree)
+    pi_entries = {
+        lbl: encode_matrix(result.pi(elem))
+        for lbl, elem in zip(_pi_labels(result.sys, depth),
+                             result.sys.algebra_basis(depth))
+    }
     return {
         "format": RESULT_FORMAT,
         "instance_hash": instance_hash,
@@ -62,10 +76,10 @@ def check_format(doc: dict) -> None:
 class StoredDilation:
     """A persisted dilation as an operator source for the identity suite.
 
-    pi is the linear extension of the stored matrices of the depth-1 basis
-    (depth 0 on point models or at degree 0), so it covers elements of depth
-    at most ``pi_depth``; v_word(p) is the product of the stored generator
-    isometries along p, exact on the interior of level gen_count(p).
+    pi is the linear extension of the stored matrices of the basis at
+    ``stored_pi_depth``, so it covers elements of depth at most ``pi_depth``;
+    v_word(p) is the product of the stored generator isometries along p,
+    exact on the interior of level gen_count(p).
     """
 
     def __init__(self, doc: dict, sys: LcmSystem, phi: OperatorMap,
@@ -80,12 +94,10 @@ class StoredDilation:
                                for g, m in enumerate(doc["isometries"])]
             self.interiors = {int(k): decode_matrix(v, f"/interiors/{k}")
                               for k, v in doc["interiors"].items()}
-            self.pi_depth = 1 if sys.is_levelled and self.degree >= 1 else 0
-            labels = sys.basis_labels(self.pi_depth)
-            prefix = f"d{self.pi_depth}:"
+            self.pi_depth = stored_pi_depth(sys, self.degree)
             self._pi = np.array([
-                decode_matrix(doc["pi"][prefix + lbl], f"/pi/{prefix}{lbl}")
-                for lbl in labels
+                decode_matrix(doc["pi"][lbl], f"/pi/{lbl}")
+                for lbl in _pi_labels(sys, self.pi_depth)
             ])
         except KeyError as exc:
             raise SchemaError(f"persisted result lacks {exc}") from None

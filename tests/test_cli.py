@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -314,34 +316,52 @@ def test_main_batch_jobs(fixtures_dir, capsys):
     assert out.count("# check-cp") == 2
 
 
-def test_env_var_resource_guard(fixtures_dir, monkeypatch, capsys):
-    monkeypatch.setenv("LCM_DILATE_MAX_DIM", "4")
-    code = main(["dilate", str(fixtures_dir / "cuntz_m2.json")])
+def test_max_dim_resource_guard(fixtures_dir, tmp_path, capsys):
+    code = main(["dilate", str(fixtures_dir / "cuntz_m2.json"), "--max-dim", "4",
+                 "--output", str(tmp_path / "r.json")])
     assert code == 2
     err = capsys.readouterr().err
     assert "exceeds cap" in err
 
 
-# every bundled fixture reproduces its documented verdict
-DOCUMENTED_VERDICTS = [
-    ("sznagy_half.json", "dilate", 0),
-    ("sznagy_half.json", "check-nica", 0),
-    ("cuntz_m2.json", "dilate", 0),
-    ("cuntz_m2.json", "check-cp", 0),
-    ("commuting_unitaries.json", "dilate", 0),
-    ("transpose_m2.json", "check-cp", 1),
-    ("transpose_m2.json", "dilate", 1),
-    ("nica_nilpotent.json", "check-nica", 1),
-    ("nica_nilpotent.json", "dilate", 1),
-    ("uhf_stage_m2.json", "validate", 1),
-    ("uhf_stage_m2.json", "dilate", 1),
-]
+@pytest.mark.parametrize("command,name,flag,value", [
+    ("check-nica", "sznagy_half.json", "--max-f", "0"),
+    ("check-nica", "sznagy_half.json", "--max-f", "-1"),
+    ("check-nica", "sznagy_half.json", "--depth", "0"),
+    ("dilate", "cuntz_m2.json", "--max-dim", "0"),
+])
+def test_flags_that_evaluate_nothing_exit_2(fixtures_dir, capsys,
+                                            command, name, flag, value):
+    code = main([command, str(fixtures_dir / name), flag, value])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and f"(at {flag})" in err
 
 
-@pytest.mark.parametrize("name,command,expected", DOCUMENTED_VERDICTS)
-def test_bundled_fixture_verdicts(fixtures_dir, tmp_path, name, command, expected):
-    flags = dict(FLAGS)
-    if command == "dilate":
-        flags["output"] = str(tmp_path / "out.json")
-    rep = run_command(command, _load(fixtures_dir, name), flags)
-    assert rep["exit_code"] == expected, (name, command)
+def _load_script(name: str):
+    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+run_fixtures = _load_script("run_fixtures")
+
+
+# every bundled fixture reproduces the verdict in the script's plan, and a
+# passing dilate persists a result that verifies
+@pytest.mark.parametrize("name,command,expected", run_fixtures.PLAN)
+def test_bundled_fixture_verdicts(tmp_path, name, command, expected):
+    ok, line = run_fixtures.check(name, command, expected, str(tmp_path))
+    assert ok, line
+
+
+def test_run_fixtures_main_reports_a_wrong_verdict(monkeypatch, capsys):
+    monkeypatch.setattr(run_fixtures, "PLAN", [
+        ("sznagy_half.json", "validate", 0),
+        ("transpose_m2.json", "check-cp", 0),
+    ])
+    assert run_fixtures.main() == 1
+    out = capsys.readouterr().out
+    assert "BAD  transpose_m2.json" in out and "1/2 fixture verdicts" in out

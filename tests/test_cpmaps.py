@@ -121,6 +121,17 @@ def test_contraction_family_is_homomorphism():
     assert np.allclose(T(FA2.identity), np.eye(2))
 
 
+def test_word_evaluation_is_cached_and_read_only():
+    T = ContractionFamily(FM2, [E11, E21])
+    t = T((1, 2))
+    assert np.array_equal(t, E11 @ E21)
+    assert T([1, 2]) is t
+    with pytest.raises(ValueError):
+        t[0, 0] = 1.0
+    with pytest.raises(SpecMismatchError):
+        T((3,))
+
+
 # ---------------------------------------------------------------------------
 # defect operators
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from lcm_dilate.cli import parse_instance, run_command
+from lcm_dilate.cli import build_pair, parse_instance, run_command
 from lcm_dilate.errors import SchemaError
+from lcm_dilate.persist import StoredDilation
 from lcm_dilate.serialize import decode_matrix, encode_matrix
 
 
@@ -98,6 +99,36 @@ def test_verify_runs_the_shared_suite_on_stored_matrices(fixtures_dir, tmp_path,
     live = [c["name"] for c in dil["checks"]]
     assert [live.index(n) for n in names[:-1]] == sorted(
         live.index(n) for n in names[:-1])
+
+
+class _ReadKeys(dict):
+    """A dict that records the keys read from it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("name,prefix", [("sznagy_half.json", "d1:"),
+                                         ("point_state", "d0:")])
+def test_stored_pi_is_exactly_the_table_verify_reads(fixtures_dir, tmp_path,
+                                                     name, prefix):
+    path = (_point_model_instance(tmp_path) if name == "point_state"
+            else str(fixtures_dir / name))
+    out = tmp_path / "r.json"
+    flags = {"output": str(out), "result": str(out)}
+    assert run_command("dilate", parse_instance(path), flags)["exit_code"] == 0
+    doc = json.loads(out.read_text())
+    assert doc["pi"] and all(k.startswith(prefix) for k in doc["pi"])
+    inst = parse_instance(path)
+    sys_, phi, T, _ = build_pair(inst, degree=doc["degree"])
+    doc["pi"] = _ReadKeys(doc["pi"])
+    StoredDilation(doc, sys_, phi, T, inst.tolerances)
+    assert doc["pi"].read == set(doc["pi"])
 
 
 def _tampered(fixtures_dir, tmp_path, edit):
