@@ -520,17 +520,6 @@ class LevelledElement:
                 out[k * n * n: (k + 1) * n * n] = np.asarray(v).reshape(-1)
         return out
 
-    @classmethod
-    def from_vec(
-        cls, model: Model, base: BaseAlgebra, depth, v: np.ndarray
-    ) -> "LevelledElement":
-        depth = model.normalize_depth(depth)
-        atoms = model.atoms(depth)
-        n = base.dim
-        v = np.asarray(v, dtype=Complex).reshape(len(atoms), n, n)
-        coeffs = {atom: v[k] for k, atom in enumerate(atoms)}
-        return cls(model, base, depth, coeffs)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"LevelledElement(depth={self.depth}, atoms={len(self.coeffs)}, "

@@ -403,27 +403,25 @@ def _nica_defects(run: _Run) -> None:
             f"depth {run.depth} leaves no element to form subsets from",
             "/depth" if run.flags.get("depth") is None else "--depth",
         )
-    worst = np.inf
-    witness = None
-    scale = 1.0
-    count = 0
-    for size in range(1, min(max_f, len(pool)) + 1):
-        for combo in itertools.combinations(pool, size):
-            d = nica_defect(T, combo)
-            w = np.linalg.eigvalsh((d + d.conj().T) / 2.0)
-            count += 1
-            scale = max(scale, float(np.abs(w).max()))
-            if w[0] < worst:
-                worst, witness = float(w[0]), combo
-    if not np.isfinite(worst):
-        worst = 0.0
+    combos = [combo for size in range(1, min(max_f, len(pool)) + 1)
+              for combo in itertools.combinations(pool, size)]
+    defects = np.array([nica_defect(T, combo) for combo in combos])
+    w = np.linalg.eigvalsh((defects + defects.conj().transpose(0, 2, 1)) / 2.0)
+    least = w[:, 0]
+    worst = float(least.min())
+    scale = max(1.0, float(np.abs(w).max()))
     tol = run.instance.tolerances.psd
+    # Many sets tie exactly (adding a multiple of an element of F leaves the
+    # defect unchanged), so the witness is the first set in (size,
+    # combination) order within the tolerance of the worst, which rounding
+    # cannot move.
+    witness = combos[int(np.argmax(least <= worst + tol * scale))]
     run.report.add(
         "nica.defects_psd", worst >= -tol * scale, worst, -tol * scale,
-        detail=f"{count} subsets; worst F = {list(map(list, witness or []))}",
+        detail=f"{len(combos)} subsets; worst F = {list(map(list, witness))}",
     )
-    run.extra.update(subsets_checked=count,
-                     worst_F=[list(f) for f in (witness or [])])
+    run.extra.update(subsets_checked=len(combos),
+                     worst_F=[list(f) for f in witness])
 
 
 def _dilate(run: _Run) -> None:

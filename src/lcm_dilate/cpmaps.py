@@ -11,7 +11,6 @@ diagonal (or diagonal-tensor) algebra.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -44,9 +43,13 @@ class BaseOperatorMap:
                 f"need {base.linear_dim} basis values, got {len(self.values)}"
             )
         self.h = self.values[0].shape[0]
-        for v in self.values:
+        for i, v in enumerate(self.values):
             if v.shape != (self.h, self.h):
                 raise SpecMismatchError("operator values must share one shape")
+            if not np.isfinite(v).all():
+                raise SpecMismatchError(
+                    f"the value at basis #{i} has a non-finite entry"
+                )
         self._tensor = np.stack(self.values)  # (linear_dim, h, h)
 
     def value(self, a) -> np.ndarray:
@@ -228,14 +231,20 @@ class ContractionFamily:
         if len(self.mats) != semigroup.rank:
             raise SpecMismatchError("need one contraction per generator")
         self.h = self.mats[0].shape[0]
-        for m in self.mats:
+        for i, m in enumerate(self.mats):
             if m.shape != (self.h, self.h):
                 raise SpecMismatchError("generator contractions must share one shape")
+            if not np.isfinite(m).all():
+                raise SpecMismatchError(f"generator T{i+1} has a non-finite entry")
             if operator_norm(m) > 1.0 + CONTRACTION_SLACK:
                 raise SpecMismatchError(
                     f"generator norm {operator_norm(m):.12f} exceeds 1"
                 )
         self._words: dict[Element, np.ndarray] = {}
+        self._ranges: dict[Element, np.ndarray] = {}
+        # nica_defect's memo and the sort keys of the elements it validated
+        self._defects: dict = {}
+        self._keys: dict = {}
         if isinstance(semigroup, FreeAbelian):
             for i in range(len(self.mats)):
                 for j in range(i + 1, len(self.mats)):
@@ -260,51 +269,76 @@ class ContractionFamily:
             self._words[p] = out
         return out
 
+    def range_operator(self, p: Element) -> np.ndarray:
+        """T(p)T(p)*, evaluated once per word and read-only like T(p)."""
+        p = tuple(p)
+        out = self._ranges.get(p)
+        if out is None:
+            tp = self(p)
+            out = tp @ tp.conj().T
+            out.flags.writeable = False
+            self._ranges[p] = out
+        return out
+
 
 # ---------------------------------------------------------------------------
 # inclusion-exclusion defects and partitions of unity
 # ---------------------------------------------------------------------------
 
 
-def _sorted_elements(sg: Semigroup, elements) -> list[Element]:
-    es = [tuple(e) for e in elements]
-    for e in es:
-        sg.validate_element(e)
-    return sorted(set(es), key=lambda e: (sg.length(e), e))
+def _sorted_elements(sg: Semigroup, elements, keys=None) -> tuple[Element, ...]:
+    """The distinct elements in (length, element) order, each validated.
 
-
-def signed_lcms(
-    sg: Semigroup, F, p: Optional[Element] = None, cap: int = MAX_SUBSET_SIZE
-) -> list[tuple[int, Element]]:
-    """((-1)^|U|, lcm(p, vU)) for every subset U of F, by size and then in
-    combination order of F as given; p defaults to the identity.  Subsets
-    without a common multiple are skipped.
-
-    These are the terms of every inclusion-exclusion sum here: the range
-    projection E_p prod_{f in F} (1 - E_f) is the signed sum of the E at the
-    listed lcms.
+    ``keys`` maps elements already validated to their sort keys; elements
+    seen for the first time are validated and added to it.
     """
-    fs = [tuple(f) for f in F]
-    if len(fs) > cap:
+    keys = {} if keys is None else keys
+    es = set(map(tuple, elements))
+    for e in es:
+        if e not in keys:
+            sg.validate_element(e)
+            keys[e] = (sg.length(e), e)
+    return tuple(sorted(es, key=keys.__getitem__))
+
+
+def _check_subset_cap(n: int, cap: int) -> None:
+    if n > cap:
         raise ResourceCapError(
-            f"inclusion-exclusion over {len(fs)} elements needs 2^{len(fs)} "
-            f"terms (cap {cap})"
+            f"inclusion-exclusion over {n} elements needs 2^{n} terms (cap {cap})"
         )
-    head = () if p is None else (tuple(p),)
-    out = []
-    for k in range(len(fs) + 1):
-        for combo in itertools.combinations(fs, k):
-            s = sg.lcm_of(head + combo)
-            if s is not None:
-                out.append(((-1) ** k, s))
-    return out
 
 
-def _signed_sum(signed, term, h: int) -> np.ndarray:
-    """sum of sign * term(s) over the output of ``signed_lcms``."""
-    out = np.zeros((h, h), dtype=Complex)
-    for sign, s in signed:
-        out = out + sign * term(s)
+def inclusion_exclusion(sg: Semigroup, term, head: Element, F: tuple,
+                        memo: dict) -> np.ndarray:
+    """D(head, F) = sum over subsets U of F of (-1)^|U| term(lcm(head, vU)),
+    subsets without a common multiple left out.
+
+    This is the one inclusion-exclusion sum here: the range projection
+    E_head prod_{f in F} (1 - E_f) is the signed sum of the E at these lcms.
+    It is evaluated by the recurrence (Moebius inversion on the lcm lattice)
+
+        D(head, ()) = term(head)
+        D(head, F + (f,)) = D(head, F) - D(lcm(head, f), F),
+
+    the second term dropped when lcm(head, f) does not exist (and lcm(e, f)
+    = f taken without a call).  Every D is
+    memoised on (head, F) in ``memo``, so sets sharing a prefix share the
+    work; the stored arrays are read-only, so an in-place write raises
+    instead of corrupting the memo.
+    """
+    key = (head, F)
+    out = memo.get(key)
+    if out is None:
+        if not F:
+            out = term(head)
+        else:
+            rest, f = F[:-1], F[-1]
+            out = inclusion_exclusion(sg, term, head, rest, memo)
+            top = f if head == sg.identity else sg.lcm(head, f)
+            if top is not None:
+                out = out - inclusion_exclusion(sg, term, top, rest, memo)
+        out.flags.writeable = False
+        memo[key] = out
     return out
 
 
@@ -313,14 +347,14 @@ def nica_defect(T: ContractionFamily, F, cap: int = MAX_SUBSET_SIZE) -> np.ndarr
     of U; subsets without a common multiple contribute nothing.
 
     Hermitian by construction.  Nonnegativity of these operators over all
-    finite F is the dilation obstruction tested by `check-nica`.
+    finite F is the dilation obstruction tested by `check-nica`.  The sum
+    runs over ``T``'s memo and its cache of T(s)T(s)*, so defects of sets
+    sharing a prefix share their work; the returned array is read-only.
     """
-    def range_term(s: Element) -> np.ndarray:
-        ts = T(s)
-        return ts @ ts.conj().T
-
-    signed = signed_lcms(T.semigroup, _sorted_elements(T.semigroup, F), cap=cap)
-    return _signed_sum(signed, range_term, T.h)
+    sg = T.semigroup
+    fs = _sorted_elements(sg, F, T._keys)
+    _check_subset_cap(len(fs), cap)
+    return inclusion_exclusion(sg, T.range_operator, sg.identity, fs, T._defects)
 
 
 def ewf_projection(sys: LcmSystem, W, F) -> LevelledElement:
@@ -357,11 +391,12 @@ def _beta_unitary(semigroup: Semigroup, betas, p: Element) -> np.ndarray:
 
 
 def _compressed(phi: BaseOperatorMap, betas, T: ContractionFamily,
-                p: Element, u: np.ndarray) -> np.ndarray:
-    """T(p) phi(beta_p^{-1}(u)) T(p)*."""
+                p: Element, units) -> np.ndarray:
+    """T(p) phi(beta_p^{-1}(u)) T(p)* for every u in ``units``, stacked."""
     tp = T(p)
     bu = _beta_unitary(T.semigroup, betas, p)
-    return tp @ phi.value(bu.conj().T @ u @ bu) @ tp.conj().T
+    return np.array([tp @ phi.value(bu.conj().T @ u @ bu) @ tp.conj().T
+                     for u in units])
 
 
 def build_phi_tilde(
@@ -391,25 +426,25 @@ def build_phi_tilde(
     units = sys.base.basis()
 
     if sys.model.kind == "boundary_free":
+        total = sum(
+            _compressed(phi, sys.betas, T, g, units) for g in sys.semigroup.generators
+        )
         for ui, u in enumerate(units):
-            total = sum(
-                _compressed(phi, sys.betas, T, g, u) for g in sys.semigroup.generators
-            )
-            resid = operator_norm(phi.value(u) - total)
+            resid = operator_norm(phi.value(u) - total[ui])
             if resid > consistency_rtol * max(1.0, operator_norm(phi.value(u))):
                 raise CovarianceError(
                     resid, consistency_rtol,
                     f"stage consistency of the boundary lift at basis #{ui}",
                 )
 
+    def term(s: Element) -> np.ndarray:
+        return _compressed(phi, sys.betas, T, s, units)
+
+    memo: dict = {}   # shared by the atoms, whose cylinders overlap
     values = {}
     for atom in sys.model.atoms(d):
         p, F = sys.model.cylinder(atom, d)
-        signed = signed_lcms(sys.semigroup, F, p)
-        values[atom] = np.array([
-            _signed_sum(signed, lambda s: _compressed(phi, sys.betas, T, s, u), T.h)
-            for u in units
-        ])
+        values[atom] = inclusion_exclusion(sys.semigroup, term, p, tuple(F), memo)
     return LevelledOperatorMap(sys, d, values)
 
 
@@ -479,9 +514,11 @@ def phi_F(
     tensor construction.
     """
     sg = T.semigroup
-    signed = signed_lcms(sg, _sorted_elements(sg, F), cap=cap)
+    fs = _sorted_elements(sg, F)
+    _check_subset_cap(len(fs), cap)
     betas = [np.asarray(b, dtype=Complex) for b in betas]
-    return BaseOperatorMap(phi.base, [
-        _signed_sum(signed, lambda s: _compressed(phi, betas, T, s, unit), T.h)
-        for unit in phi.base.basis()
-    ])
+    units = phi.base.basis()
+    values = inclusion_exclusion(
+        sg, lambda s: _compressed(phi, betas, T, s, units), sg.identity, fs, {}
+    )
+    return BaseOperatorMap(phi.base, list(values))

@@ -301,10 +301,15 @@ def naimark_dilate(
         assembly = assemble_gram(kernel, degree, max_dim=max_dim)
     report = ValidationReport()
 
+    # a non-finite Gram can make LAPACK return NaNs or fail to converge
+    bad = np.argwhere(~np.isfinite(assembly.gram))
+    if bad.size:
+        raise SpecMismatchError(
+            f"the {assembly.gram.shape[0]}-row Gram operator has a non-finite "
+            f"entry at {tuple(map(int, bad[0]))}"
+        )
     w, u = np.linalg.eigh(assembly.gram)
     scale = max(1.0, float(np.abs(w).max()) if w.size else 0.0)
-    # eigh returns NaN eigenvalues without raising and in no order, so the
-    # minimum is taken over all of them and the test fails on NaN
     min_eig = float(w.min()) if w.size else 0.0
     if not min_eig >= -tols.psd * scale:
         raise GramNotPositiveError(min_eig, scale, witness=u[:, 0])

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, Optional, Sequence
 
 from .errors import ResourceCapError, SpecMismatchError
@@ -198,7 +198,7 @@ class FreeAbelian(Semigroup):
     def __post_init__(self):
         _check_rank(self.rank)
 
-    @property
+    @cached_property
     def identity(self) -> Element:
         return (0,) * self.rank
 

@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from lcm_dilate.algebras import BaseAlgebra
+from lcm_dilate.algebras import BaseAlgebra, LevelledElement
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -68,3 +68,13 @@ def commuting_contraction_pair(rng, h: int = 2) -> list[np.ndarray]:
     norm = np.linalg.norm(t2, 2)
     t2 = t2 * (rng.uniform(0.7, 1.0) / max(norm, 1e-12))
     return [t1, t2]
+
+
+def element_from_vec(model, base: BaseAlgebra, depth, v) -> LevelledElement:
+    """The inverse of ``LevelledElement.vec`` at ``depth``."""
+    depth = model.normalize_depth(depth)
+    atoms = model.atoms(depth)
+    n = base.dim
+    v = np.asarray(v, dtype=complex).reshape(len(atoms), n, n)
+    return LevelledElement(model, base, depth,
+                           {atom: v[k] for k, atom in enumerate(atoms)})

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_matrix
+from conftest import element_from_vec, random_matrix
 from lcm_dilate.algebras import (
     AbelianToeplitzModel,
     BaseAlgebra,
@@ -137,7 +137,7 @@ def test_vec_roundtrip():
     x = LevelledElement(model, M2, 2, coeffs)
     v = x.vec()
     assert v.shape == (len(model.atoms(2)) * M2.dim ** 2,)
-    back = LevelledElement.from_vec(model, M2, 2, v)
+    back = element_from_vec(model, M2, 2, v)
     assert back.allclose(x)
 
 

@@ -10,13 +10,17 @@ indices.
 import numpy as np
 import pytest
 
-from conftest import random_coisometry_pair, random_ucp_map, random_unitary
+from conftest import (
+    element_from_vec,
+    random_coisometry_pair,
+    random_ucp_map,
+    random_unitary,
+)
 from lcm_dilate.algebras import (
     AbelianToeplitzModel,
     BaseAlgebra,
     FreeBoundaryModel,
     FreeToeplitzModel,
-    LevelledElement,
     PointModel,
 )
 from lcm_dilate.cpmaps import (
@@ -49,9 +53,7 @@ def svd_corner(sys_, p, q, depth):
         return np.zeros((0, mat.shape[1]), dtype=complex), []
     _, s, vh = np.linalg.svd(mat, full_matrices=False)
     vectors = vh[: int(np.sum(s > RANK_CUT * s[0]))]
-    elements = [
-        LevelledElement.from_vec(sys_.model, sys_.base, d, v) for v in vectors
-    ]
+    elements = [element_from_vec(sys_.model, sys_.base, d, v) for v in vectors]
     return vectors, elements
 
 

@@ -96,6 +96,14 @@ def test_unital_selfadjoint_defects():
     assert phi.selfadjoint_defect() <= 1e-14
 
 
+def test_operator_map_refuses_non_finite_values():
+    values = M2.basis()
+    values[2] = values[2] * np.nan
+    with pytest.raises(SpecMismatchError,
+                       match="value at basis #2 has a non-finite entry"):
+        BaseOperatorMap(M2, values)
+
+
 # ---------------------------------------------------------------------------
 # contraction families
 # ---------------------------------------------------------------------------
@@ -110,6 +118,15 @@ def test_contraction_family_guards():
         ContractionFamily(FA2, [up, up.T])
     # the same pair indexes a free monoid family without complaint
     ContractionFamily(FM2, [up, up.T])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_contraction_family_refuses_non_finite_generators(bad):
+    # the norm of a NaN matrix is inf, which read as "norm inf exceeds 1"
+    t2 = np.array([[0.5, bad], [0.0, 0.5]], dtype=complex)
+    with pytest.raises(SpecMismatchError,
+                       match="generator T2 has a non-finite entry"):
+        ContractionFamily(FM2, [0.5 * np.eye(2), t2])
 
 
 def test_contraction_family_is_homomorphism():
@@ -166,6 +183,22 @@ def test_defect_vanishes_with_identity_adjoined():
     F = [(1, 0), (0, 1)]
     d = nica_defect(T, F + [FA2.identity])
     assert np.abs(d).max() <= 1e-12
+
+
+def test_defects_are_memoised_and_read_only():
+    rng = np.random.default_rng(25)
+    T = ContractionFamily(FA2, commuting_contraction_pair(rng))
+    F = [(1, 0), (0, 1), (1, 1)]
+    d = nica_defect(T, F)
+    assert nica_defect(T, list(reversed(F))) is d
+    with pytest.raises(ValueError):
+        d[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        T.range_operator((1, 0))[0, 0] = 1.0
+    # a longer set reuses the memoised prefix and matches a fresh family
+    fresh = ContractionFamily(FA2, T.mats)
+    assert np.array_equal(nica_defect(T, F + [(2, 0)]),
+                          nica_defect(fresh, F + [(2, 0)]))
 
 
 def test_defect_subset_cap():

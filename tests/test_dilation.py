@@ -150,21 +150,24 @@ def test_refusal_carries_negative_eigenvalue_witness():
     assert abs(rayleigh - exc.value.min_eigenvalue) <= 1e-8
 
 
-def test_nan_spectrum_fails_gram_psd():
-    # eigh returns NaN eigenvalues without raising, and not in sorted order
+@pytest.mark.parametrize("where", [(1, 1), (0, 1)], ids=["diagonal", "pair"])
+def test_nan_gram_is_refused_before_eigh(where):
+    # eigh returns NaN eigenvalues on such a Gram, and for a NaN off-diagonal
+    # pair LAPACK may instead fail to converge with an untyped LinAlgError
     sys_ = LcmSystem(FA1, PointModel(1), M2,
                      alphas=[GeneratorMap(unitary=np.eye(2))])
     T = ContractionFamily(FA1, [np.eye(2)])
     K = KernelSystem(sys_, BaseOperatorMap(M2, M2.basis()), T)
     good = assemble_gram(K, 1)
     gram = np.eye(good.size, dtype=complex)
-    gram[1, 1] = np.nan
+    gram[where] = gram[where[::-1]] = np.nan
     bad = GramAssembly(K, 1, good.catalog, good.corners, gram, 0.0)
-    w = np.linalg.eigh(gram)[0]
-    assert np.isnan(w[1]) and w[0] == 1.0
-    with pytest.raises(GramNotPositiveError) as exc:
+    with pytest.raises(
+        SpecMismatchError,
+        match=rf"the {good.size}-row Gram operator has a non-finite entry "
+              rf"at \({where[0]}, {where[1]}\)",
+    ):
         naimark_dilate(K, 1, assembly=bad)
-    assert np.isnan(exc.value.min_eigenvalue)
 
 
 def test_abelian_rank2_depth4_rank_invariant():

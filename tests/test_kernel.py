@@ -111,13 +111,15 @@ def test_covariance_validated_at_construction():
 
 
 def nan_identity_kernel(validate):
-    """The identity map over M2 with one non-finite entry in its values."""
-    values = [u.astype(complex) for u in M2.basis()]
-    values[1][0, 1] = np.nan
+    """The identity map over M2 with one non-finite entry in its values,
+    written after construction (the constructor refuses it), so the guards
+    behind it are still exercised."""
+    phi = BaseOperatorMap(M2, M2.basis())
+    phi.values[1][0, 1] = phi._tensor[1, 0, 1] = np.nan
     sys_ = LcmSystem(FA1, PointModel(1), M2,
                      alphas=[GeneratorMap(unitary=np.eye(2))])
     T = ContractionFamily(FA1, [np.eye(2)])
-    return KernelSystem(sys_, BaseOperatorMap(M2, values), T, validate=validate)
+    return KernelSystem(sys_, phi, T, validate=validate)
 
 
 def test_nan_in_phi_fails_covariance_validation():
