@@ -241,9 +241,14 @@ def parse_instance(path: str) -> Instance:
 def build_pair(instance: Instance, degree: Optional[int] = None):
     """Construct (system, phi, T, extension) for an instance.
 
-    ``extension`` is the acceptance record when phi is derived from the
-    contractions (None otherwise); a rejected extension leaves phi = None.
+    ``extension`` is the lift with its Choi test at the instance's
+    ``tolerances.psd`` when phi is derived from the contractions (None
+    otherwise); phi is the lifted map even when the extension is rejected.
+    Stage systems support only ``validate`` and ``check-nica``.
     """
+    if instance.system_config["model"]["kind"] == "stage":
+        raise SchemaError("stage systems support only validate and check-nica",
+                          "/system/model/kind")
     degree = instance.degree if degree is None else degree
     sys_ = build_system(instance.system_config, validate=False)
     sg = sys_.semigroup
@@ -254,7 +259,7 @@ def build_pair(instance: Instance, degree: Optional[int] = None):
     if pk == "from_contractions":
         if T is None:
             raise SchemaError("phi.from_contractions needs T", "/T")
-        ext = extend_phi_T(sys_, T, degree)
+        ext = extend_phi_T(sys_, T, degree, rtol=instance.tolerances.psd)
         return sys_, ext.map, T, ext
     else:
         base = sys_.base
@@ -355,40 +360,46 @@ class _Run:
 
 def _system_checks(run: _Run, depth: int) -> None:
     sys_ = build_system(run.instance.system_config, validate=False)
-    if hasattr(sys_, "basis_images"):          # one inductive stage
-        rep = sys_.validate()
-    else:
-        rep = sys_.validate(depth=max(1, depth))
-    run.report.checks.extend(rep.checks)
+    run.report.checks.extend(sys_.validate(depth=max(1, depth)).checks)
+
+
+def _extension_check(run: _Run) -> None:
+    """The contraction extension's Choi test as one record."""
+    ext = run.ext
+    atoms = [str(a) for a, _ in ext.violations]
+    run.report.add(
+        "phi.extension_accepted", ext.accepted, ext.min_eigenvalue,
+        -run.instance.tolerances.psd * ext.scale,
+        detail=f"violating atoms: {atoms}" if atoms else "",
+    )
 
 
 def _pair(run: _Run) -> None:
     """Build (system, phi, T); a rejected phi extension is a failed check."""
     run.sys, run.phi, run.T, run.ext = build_pair(run.instance, degree=run.depth)
-    ext = run.ext
-    if ext is not None and not ext.accepted:
-        run.report.add(
-            "phi.extension_accepted", False, ext.min_eigenvalue,
-            -run.instance.tolerances.psd * ext.scale,
-            detail=f"violating atoms: {[str(a) for a, _ in ext.violations]}",
-        )
-
-
-def _cp_pair(run: _Run) -> None:
-    """``_pair``; check-cp's report also names the violating atoms."""
-    _pair(run)
-    if not run.report.passed:
-        run.extra["violations"] = run.ext.as_dict()["violations"]
+    if run.ext is not None and not run.ext.accepted:
+        _extension_check(run)
 
 
 def _complete_positivity(run: _Run) -> None:
-    tol = run.instance.tolerances.psd
-    if run.ext is not None:
-        run.report.add("phi.extension_accepted", True, 0.0, None)
-    cp = is_completely_positive(run.phi, rtol=tol)
-    run.report.add("phi.completely_positive", cp.is_cp, cp.min_eigenvalue,
-                   -tol * cp.scale, detail=cp.where)
-    run.extra["min_eigenvalue"] = cp.min_eigenvalue
+    """One Choi test: the extension's own when phi is the contraction
+    extension, else one of the given map."""
+    run.sys, run.phi, run.T, run.ext = build_pair(run.instance, degree=run.depth)
+    ext = run.ext
+    if ext is None:
+        tol = run.instance.tolerances.psd
+        cp = is_completely_positive(run.phi, rtol=tol)
+        run.report.add("phi.completely_positive", cp.is_cp, cp.min_eigenvalue,
+                       -tol * cp.scale, detail=cp.where)
+        run.extra["min_eigenvalue"] = cp.min_eigenvalue
+        return
+    _extension_check(run)
+    if ext.accepted:
+        run.extra["min_eigenvalue"] = ext.min_eigenvalue
+    else:
+        run.extra["violations"] = [
+            {"atom": str(a), "min_eigenvalue": m} for a, m in ext.violations
+        ]
 
 
 def _nica_defects(run: _Run) -> None:
@@ -433,8 +444,9 @@ def _dilate(run: _Run) -> None:
     )
     run.report.checks.extend(result.report.checks)
     out_path = flags.get("output") or instance.path + ".result.json"
+    payload = json.dumps(result_payload(result, instance.hash), sort_keys=True)
     with open(out_path, "w") as fh:
-        json.dump(result_payload(result, instance.hash), fh, sort_keys=True)
+        fh.write(payload)
     run.extra.update({
         "rank": result.rank,
         "space_size": result.assembly.size,
@@ -460,9 +472,6 @@ def _verify(run: _Run) -> None:
     sys_, phi, T, _ = build_pair(
         instance, degree=int(doc.get("degree", instance.degree))
     )
-    if phi is None:
-        raise SchemaError("instance's map extension is rejected; nothing to verify",
-                          instance.path)
     rep = verify_result(doc, sys_, phi, T, instance.tolerances)
     run.report.checks.extend(rep.checks)
     run.extra.update(result_path=result_path, rank=doc.get("rank"))
@@ -473,7 +482,7 @@ def _verify(run: _Run) -> None:
 COMMANDS = {
     "validate": (lambda inst: min(inst.degree, 2),
                  (lambda run: _system_checks(run, run.depth),)),
-    "check-cp": (lambda inst: inst.degree, (_cp_pair, _complete_positivity)),
+    "check-cp": (lambda inst: inst.degree, (_complete_positivity,)),
     "check-nica": (lambda inst: inst.degree, (_nica_defects,)),
     "dilate": (lambda inst: inst.degree,
                (lambda run: _system_checks(run, 1), _pair, _dilate)),

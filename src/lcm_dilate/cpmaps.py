@@ -186,6 +186,7 @@ class CPReport:
     scale: float
     witness: Optional[np.ndarray]
     where: str
+    violations: list  # (position in choi_blocks(), least eigenvalue)
 
 
 def is_completely_positive(phi: OperatorMap, rtol: float = PSD_RTOL) -> CPReport:
@@ -194,22 +195,29 @@ def is_completely_positive(phi: OperatorMap, rtol: float = PSD_RTOL) -> CPReport
     The verdict is relative: the smallest eigenvalue must stay above
     -rtol * scale with scale the largest eigenvalue magnitude seen (floored
     at one), since the Gram machinery downstream produces exactly singular
-    positive matrices.
+    positive matrices.  Every Choi block whose least eigenvalue falls below
+    that threshold is a violation, so the map is CP exactly when there is
+    none.
     """
     min_eig = np.inf
     scale = 1.0
     witness = None
     where = ""
-    for label, choi in phi.choi_blocks():
+    least = []
+    for k, (label, choi) in enumerate(phi.choi_blocks()):
         w, v = np.linalg.eigh((choi + choi.conj().T) / 2.0)
-        scale = max(scale, float(np.abs(w).max()) if w.size else 0.0)
-        if w.size and w[0] < min_eig:
+        if not w.size:
+            continue
+        scale = max(scale, float(np.abs(w).max()))
+        least.append((k, float(w[0])))
+        if w[0] < min_eig:
             min_eig = float(w[0])
             witness = v[:, 0]
             where = label
     if not np.isfinite(min_eig):
         min_eig = 0.0
-    return CPReport(min_eig >= -rtol * scale, min_eig, scale, witness, where)
+    violations = [(k, m) for k, m in least if m < -rtol * scale]
+    return CPReport(not violations, min_eig, scale, witness, where, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -450,21 +458,13 @@ def build_phi_tilde(
 
 @dataclass
 class PhiTExtension:
+    """The contraction extension and the verdict of its Choi test."""
+
+    map: LevelledOperatorMap   # the linear extension, even if rejected
     accepted: bool
-    map: Optional[LevelledOperatorMap]   # the linear extension, even if rejected
     min_eigenvalue: float
     scale: float
-    violations: list  # (atom, min eigenvalue)
-
-    def as_dict(self) -> dict:
-        return {
-            "accepted": bool(self.accepted),
-            "min_eigenvalue": float(self.min_eigenvalue),
-            "scale": float(self.scale),
-            "violations": [
-                {"atom": str(a), "min_eigenvalue": float(m)} for a, m in self.violations
-            ],
-        }
+    violations: list  # (atom, least eigenvalue)
 
 
 def extend_phi_T(
@@ -474,8 +474,9 @@ def extend_phi_T(
 
     Requires a diagonal model (base C).  Atom values are computed by
     inclusion-exclusion; the extension is positive on the truncation exactly
-    when every atom value is positive semidefinite, which is the acceptance
-    test here.  Rejections carry the violating atoms.
+    when it is completely positive, so ``is_completely_positive`` at ``rtol``
+    is the acceptance test.  Over C each atom has one Choi block, its value,
+    so rejections name the violating atoms.
     """
     if isinstance(sys.model, PointModel) or sys.base.dim != 1:
         raise SpecMismatchError(
@@ -483,20 +484,10 @@ def extend_phi_T(
         )
     phi0 = BaseOperatorMap(sys.base, [np.eye(T.h, dtype=Complex)])
     lifted = build_phi_tilde(sys, phi0, T, depth)
-    violations = []
-    min_eig = np.inf
-    scale = 1.0
-    for atom, vals in lifted.values.items():
-        m = (vals[0] + vals[0].conj().T) / 2.0
-        w = np.linalg.eigvalsh(m)
-        scale = max(scale, float(np.abs(w).max()))
-        if w[0] < min_eig:
-            min_eig = float(w[0])
-        if w[0] < -rtol * max(1.0, float(np.abs(w).max())):
-            violations.append((atom, float(w[0])))
-    return PhiTExtension(
-        not violations, lifted, float(min_eig), scale, violations
-    )
+    cp = is_completely_positive(lifted, rtol)
+    atoms = list(lifted.atom_maps)
+    return PhiTExtension(lifted, cp.is_cp, cp.min_eigenvalue, cp.scale,
+                         [(atoms[k], m) for k, m in cp.violations])
 
 
 def phi_F(

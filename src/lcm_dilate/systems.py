@@ -163,6 +163,83 @@ class CornerBasis:
 # ---------------------------------------------------------------------------
 
 
+class GeneratorAction:
+    """The structural checks shared by every system.
+
+    A subclass provides ``semigroup``, ``algebra_basis(depth)``,
+    ``apply_generator(letter, x)`` and ``unit_projection(generator)`` over
+    ``LevelledElement``s; the checks below see nothing else, so each one is
+    written once for levelled, point-model and stage systems.
+    """
+
+    def _image_span(self, letter: int, basis, out_depth):
+        rows = np.array(
+            [self.apply_generator(letter, b).vec(out_depth) for b in basis]
+        )
+        u, s, vh = np.linalg.svd(rows, full_matrices=False)
+        rank = int(np.sum(s > RANK_CUT * s[0])) if s.size and s[0] > 0 else 0
+        return vh[:rank], rank
+
+    def _validate_common(self, report, basis, tol, out_depth_of):
+        gens = self.semigroup.generators
+        for g, p in enumerate(gens, start=1):
+            # *-endomorphism on a basis sample
+            worst_mult = worst_star = 0.0
+            for x in basis:
+                ax = self.apply_generator(g, x)
+                worst_star = max(
+                    worst_star, (self.apply_generator(g, x.star()) - ax.star()).norm()
+                )
+                for y in basis:
+                    lhs = self.apply_generator(g, x * y)
+                    rhs = ax * self.apply_generator(g, y)
+                    worst_mult = max(worst_mult, (lhs - rhs).norm())
+            report.add(f"endomorphism[g{g}].multiplicative", worst_mult <= tol,
+                       worst_mult, tol)
+            report.add(f"endomorphism[g{g}].star", worst_star <= tol, worst_star, tol)
+
+            # injectivity via numerical rank of the image
+            span, rank = self._image_span(g, basis, out_depth_of(g))
+            report.add(
+                f"endomorphism[g{g}].injective", rank == len(basis),
+                float(rank), float(len(basis)),
+                detail=f"rank {rank} of {len(basis)}",
+            )
+
+            # ideal: a * alpha_g(b) stays in the image span
+            worst = 0.0
+            witness = ""
+            out_basis = self.algebra_basis(out_depth_of(g))
+            for bi, b in enumerate(basis):
+                ab = self.apply_generator(g, b)
+                for ai, a in enumerate(out_basis):
+                    for prod in (a * ab, ab * a):
+                        v = prod.vec(out_depth_of(g))
+                        nv = np.linalg.norm(v)
+                        if nv == 0:
+                            continue
+                        resid = np.linalg.norm(v - span.T @ (span.conj() @ v)) / max(
+                            1.0, nv
+                        )
+                        if resid > worst:
+                            worst, witness = float(resid), f"a#{ai} alpha(b#{bi})"
+                    if worst > IDEAL_RTOL:
+                        break
+            report.add(
+                f"ideal[g{g}]", worst <= IDEAL_RTOL, worst, IDEAL_RTOL,
+                detail="" if worst <= IDEAL_RTOL else f"image not an ideal: {witness}",
+            )
+
+    def _validate_orthogonal_generators(self, report, tol):
+        """Free generators have pairwise orthogonal range projections."""
+        units = [self.unit_projection(g) for g in self.semigroup.generators]
+        worst = max(
+            (ei * ej).norm()
+            for i, ei in enumerate(units) for j, ej in enumerate(units) if i != j
+        )
+        report.add("units.orthogonal_generators", worst <= tol, worst, tol)
+
+
 _COMPATIBLE = {
     "toeplitz_abelian": FreeAbelian,
     "toeplitz_free": FreeMonoid,
@@ -170,7 +247,7 @@ _COMPATIBLE = {
 }
 
 
-class LcmSystem:
+class LcmSystem(GeneratorAction):
     """A semigroup acting on a levelled or fixed finite-dimensional algebra.
 
     betas: one unitary per generator (levelled models; identity when omitted).
@@ -358,64 +435,6 @@ class LcmSystem:
             self._validate_levelled(report, depth, tol)
         return report
 
-    def _image_span(self, letter: int, basis, out_depth):
-        rows = np.array(
-            [self.apply_generator(letter, b).vec(out_depth) for b in basis]
-        )
-        u, s, vh = np.linalg.svd(rows, full_matrices=False)
-        rank = int(np.sum(s > RANK_CUT * s[0])) if s.size and s[0] > 0 else 0
-        return vh[:rank], rank
-
-    def _validate_common(self, report, basis, tol, out_depth_of):
-        gens = self.semigroup.generators
-        for g, p in enumerate(gens, start=1):
-            # *-endomorphism on a basis sample
-            worst_mult = worst_star = 0.0
-            for x in basis:
-                ax = self.apply_generator(g, x)
-                worst_star = max(
-                    worst_star, (self.apply_generator(g, x.star()) - ax.star()).norm()
-                )
-                for y in basis:
-                    lhs = self.apply_generator(g, x * y)
-                    rhs = ax * self.apply_generator(g, y)
-                    worst_mult = max(worst_mult, (lhs - rhs).norm())
-            report.add(f"endomorphism[g{g}].multiplicative", worst_mult <= tol,
-                       worst_mult, tol)
-            report.add(f"endomorphism[g{g}].star", worst_star <= tol, worst_star, tol)
-
-            # injectivity via numerical rank of the image
-            span, rank = self._image_span(g, basis, out_depth_of(g))
-            report.add(
-                f"endomorphism[g{g}].injective", rank == len(basis),
-                float(rank), float(len(basis)),
-                detail=f"rank {rank} of {len(basis)}",
-            )
-
-            # ideal: a * alpha_g(b) stays in the image span
-            worst = 0.0
-            witness = ""
-            out_basis = self.algebra_basis(out_depth_of(g))
-            for bi, b in enumerate(basis):
-                ab = self.apply_generator(g, b)
-                for ai, a in enumerate(out_basis):
-                    for prod in (a * ab, ab * a):
-                        v = prod.vec(out_depth_of(g))
-                        nv = np.linalg.norm(v)
-                        if nv == 0:
-                            continue
-                        resid = np.linalg.norm(v - span.T @ (span.conj() @ v)) / max(
-                            1.0, nv
-                        )
-                        if resid > worst:
-                            worst, witness = float(resid), f"a#{ai} alpha(b#{bi})"
-                    if worst > IDEAL_RTOL:
-                        break
-            report.add(
-                f"ideal[g{g}]", worst <= IDEAL_RTOL, worst, IDEAL_RTOL,
-                detail="" if worst <= IDEAL_RTOL else f"image not an ideal: {witness}",
-            )
-
     def _validate_levelled(self, report, depth, tol):
         for i, u in enumerate(self.betas, start=1):
             err = operator_norm(u @ u.conj().T - self.base.unit())
@@ -452,15 +471,7 @@ class LcmSystem:
     def _validate_units(self, report, depth, tol):
         sg = self.semigroup
         if isinstance(sg, FreeMonoid) and sg.rank >= 2:
-            worst = 0.0
-            for i in range(1, sg.rank + 1):
-                for j in range(1, sg.rank + 1):
-                    if i == j:
-                        continue
-                    ei = self.unit_projection((i,))
-                    ej = self.unit_projection((j,))
-                    worst = max(worst, (ei * ej).norm())
-            report.add("units.orthogonal_generators", worst <= tol, worst, tol)
+            self._validate_orthogonal_generators(report, tol)
         else:
             worst = 0.0
             witness = ""
@@ -500,12 +511,14 @@ class LcmSystem:
 # ---------------------------------------------------------------------------
 
 
-class StageSystem:
+class StageSystem(GeneratorAction):
     """One inductive step of a dynamical system: generator maps from a domain
     algebra into a larger codomain algebra, given by their basis images.
 
-    Only validation is supported; this is how non-examples (images that fail
-    to be ideals) are represented at finite dimension.
+    The domain is presented as depth 0 and the codomain as depth 1, both as
+    point-model elements, so the shared checks of ``GeneratorAction`` run on
+    it unchanged.  Only validation is supported; this is how non-examples
+    (images that fail to be ideals) are represented at finite dimension.
     """
 
     def __init__(
@@ -520,86 +533,42 @@ class StageSystem:
         self.codomain = codomain
         if len(basis_images) != semigroup.rank:
             raise SpecMismatchError("need one image list per generator")
-        self.basis_images = [
-            [np.asarray(m, dtype=Complex) for m in images] for images in basis_images
-        ]
-        for images in self.basis_images:
-            if len(images) != len(domain.basis()):
-                raise SpecMismatchError("need one image per domain basis element")
-
-    def apply_generator(self, letter: int, a: np.ndarray) -> np.ndarray:
-        coeff = self.domain.coefficients(a)
-        images = self.basis_images[letter - 1]
-        out = self.codomain.zero()
-        for c, img in zip(coeff, images):
-            out = out + c * img
-        return out
-
-    def validate(self, tol: float = CHECK_TOL) -> ValidationReport:
-        report = ValidationReport()
-        dom_basis = self.domain.basis()
-        cod_basis = self.codomain.basis()
-        for g in range(1, self.semigroup.rank + 1):
-            worst_mult = worst_star = 0.0
-            for x in dom_basis:
-                ax = self.apply_generator(g, x)
-                worst_star = max(
-                    worst_star,
-                    operator_norm(self.apply_generator(g, x.conj().T) - ax.conj().T),
+        shape = (codomain.dim, codomain.dim)
+        for images in basis_images:
+            if len(images) != domain.linear_dim or any(
+                np.shape(m) != shape for m in images
+            ):
+                raise SpecMismatchError(
+                    f"need one {shape} image per domain basis element"
                 )
-                for y in dom_basis:
-                    lhs = self.apply_generator(g, x @ y)
-                    worst_mult = max(
-                        worst_mult,
-                        operator_norm(lhs - ax @ self.apply_generator(g, y)),
-                    )
-            report.add(f"endomorphism[g{g}].multiplicative", worst_mult <= tol,
-                       worst_mult, tol)
-            report.add(f"endomorphism[g{g}].star", worst_star <= tol, worst_star, tol)
+        self.basis_images = [np.array(images, dtype=Complex) for images in basis_images]
+        self._point = PointModel(semigroup.rank)
 
-            rows = np.array(
-                [self.apply_generator(g, x).reshape(-1) for x in dom_basis]
-            )
-            _, s, vh = np.linalg.svd(rows, full_matrices=False)
-            rank = int(np.sum(s > RANK_CUT * s[0])) if s.size and s[0] > 0 else 0
-            report.add(
-                f"endomorphism[g{g}].injective", rank == len(dom_basis),
-                float(rank), float(len(dom_basis)),
-            )
-            span = vh[:rank]
+    def _element(self, depth: int, mat: np.ndarray) -> LevelledElement:
+        algebra = self.codomain if depth else self.domain
+        return LevelledElement(self._point, algebra, 0, {(): mat})
 
-            worst = 0.0
-            for x in dom_basis:
-                ax = self.apply_generator(g, x)
-                for a in cod_basis:
-                    for prod in (a @ ax, ax @ a):
-                        v = prod.reshape(-1)
-                        nv = np.linalg.norm(v)
-                        if nv == 0:
-                            continue
-                        resid = np.linalg.norm(
-                            v - span.T @ (span.conj() @ v)
-                        ) / max(1.0, nv)
-                        worst = max(worst, float(resid))
-            report.add(
-                f"ideal[g{g}]", worst <= IDEAL_RTOL, worst, IDEAL_RTOL,
-                detail="" if worst <= IDEAL_RTOL else "image not an ideal",
-            )
+    def algebra_basis(self, depth: int = 0) -> list[LevelledElement]:
+        algebra = self.codomain if depth else self.domain
+        return [self._element(depth, u) for u in algebra.basis()]
 
+    def apply_generator(self, letter: int, x: LevelledElement) -> LevelledElement:
+        coeff = self.domain.coefficients(x.coefficient(()))
+        return self._element(
+            1, np.tensordot(coeff, self.basis_images[letter - 1], axes=(0, 0))
+        )
+
+    def unit_projection(self, generator: Element) -> LevelledElement:
+        (letter,) = self.semigroup.as_word(generator)
+        return self.apply_generator(letter, self._element(0, self.domain.unit()))
+
+    def validate(self, depth: int = 1, tol: float = CHECK_TOL) -> ValidationReport:
+        """The checks of ``LcmSystem.validate`` that one step supports; a
+        stage has a single step, so ``depth`` changes nothing."""
+        report = ValidationReport()
+        self._validate_common(report, self.algebra_basis(0), tol, lambda g: 1)
         if isinstance(self.semigroup, FreeMonoid) and self.semigroup.rank >= 2:
-            worst = 0.0
-            unit = self.domain.unit()
-            for i in range(1, self.semigroup.rank + 1):
-                for j in range(1, self.semigroup.rank + 1):
-                    if i != j:
-                        worst = max(
-                            worst,
-                            operator_norm(
-                                self.apply_generator(i, unit)
-                                @ self.apply_generator(j, unit)
-                            ),
-                        )
-            report.add("units.orthogonal_generators", worst <= tol, worst, tol)
+            self._validate_orthogonal_generators(report, tol)
         return report
 
 
@@ -622,12 +591,9 @@ def build_system(config: dict, validate: bool = True, depth: int = 1):
     base = BaseAlgebra(tuple(config.get("base", {}).get("blocks", [1])))
 
     if kind == "stage":
-        domain = base
         codomain = BaseAlgebra(tuple(config["codomain"]["blocks"]))
-        return StageSystem(sg, domain, codomain, config["basis_images"])
-
-    model = model_from_kind(kind, sg.rank)
-    if kind == "matrix":
+        sys_ = StageSystem(sg, base, codomain, config["basis_images"])
+    elif kind == "matrix":
         alphas = []
         for entry in config.get("alphas", []):
             if "unitary" in entry:
@@ -638,10 +604,10 @@ def build_system(config: dict, validate: bool = True, depth: int = 1):
             alphas = [
                 GeneratorMap(unitary=base.unit()) for _ in range(sg.rank)
             ]
-        sys_ = LcmSystem(sg, model, base, alphas=alphas)
+        sys_ = LcmSystem(sg, model_from_kind(kind, sg.rank), base, alphas=alphas)
     else:
-        betas = config.get("betas")
-        sys_ = LcmSystem(sg, model, base, betas=betas)
+        sys_ = LcmSystem(sg, model_from_kind(kind, sg.rank), base,
+                         betas=config.get("betas"))
 
     if validate:
         report = sys_.validate(depth=depth)

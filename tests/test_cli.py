@@ -2,6 +2,8 @@ import importlib.util
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -149,6 +151,83 @@ def test_check_cp_verdicts(fixtures_dir):
     assert bad["extra"]["min_eigenvalue"] <= -0.99
     ok = run_command("check-cp", _load(fixtures_dir, "cuntz_m2.json"), FLAGS)
     assert ok["exit_code"] == 0
+
+
+@pytest.mark.parametrize("name,record", [
+    ("sznagy_half.json", "phi.extension_accepted"),
+    ("nica_nilpotent.json", "phi.extension_accepted"),
+    ("cuntz_m2.json", "phi.completely_positive"),
+    ("transpose_m2.json", "phi.completely_positive"),
+])
+def test_check_cp_reports_one_positivity_record(fixtures_dir, name, record):
+    # one Choi test, one record: the extension's verdict when phi is the
+    # contraction extension, else the given map's, never a placeholder
+    rep = run_command("check-cp", _load(fixtures_dir, name), FLAGS)
+    assert [c["name"] for c in rep["checks"]] == [record]
+    (check,) = rep["checks"]
+    assert check["threshold"] < 0 and check["value"] is not None
+    if check["passed"] or record == "phi.completely_positive":
+        assert rep["extra"] == {"min_eigenvalue": check["value"]}
+    else:       # a rejected extension names its violating atoms
+        assert min(v["min_eigenvalue"] for v in rep["extra"]["violations"]) \
+            == check["value"]
+
+
+def test_extension_verdict_honours_tol_psd(tmp_path, capsys):
+    # T2 = i T1 with T1 = [[0, s], [0, 0]] and 2 s^2 = 1 + 1e-6: the atom at
+    # the origin has least eigenvalue -1e-6
+    s = np.sqrt((1 + 1e-6) / 2)
+    t1 = np.array([[0, s], [0, 0]], dtype=complex)
+    path = tmp_path / "nilpotent_edge.json"
+    path.write_text(json.dumps({
+        "system": {"semigroup": {"kind": "free_abelian", "rank": 2},
+                   "model": {"kind": "toeplitz_abelian"}},
+        "T": [encode_matrix(t1), encode_matrix(1j * t1)],
+        "depth": 2,
+    }))
+    assert main(["check-cp", str(path)]) == 1
+    assert main(["check-cp", str(path), "--tol-psd", "1e-4"]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL  phi.extension_accepted" in out
+    assert "PASS  phi.extension_accepted  value=-1.000e-06  tol=-1.0e-04" in out
+
+
+def _self_similar_stage(tmp_path):
+    """The self-similar stage M2 -> M2 + M2 as an instance, with T = I/2."""
+    def image(k, i, j):
+        big = np.zeros((4, 4))
+        big[2 * k + i, 2 * k + j] = 1.0
+        return encode_matrix(big)
+
+    path = tmp_path / "stage.json"
+    path.write_text(json.dumps({
+        "system": {
+            "semigroup": {"kind": "free_monoid", "rank": 2},
+            "model": {"kind": "stage"},
+            "base": {"blocks": [2]},
+            "codomain": {"blocks": [2, 2]},
+            "basis_images": [[image(k, i, j) for i in range(2) for j in range(2)]
+                             for k in range(2)],
+        },
+        "T": [encode_matrix(0.5 * np.eye(2))] * 2,
+        "depth": 1,
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("command,expected", [
+    ("validate", 0), ("check-nica", 0), ("check-cp", 2), ("dilate", 2),
+])
+def test_stage_instances_support_only_validate_and_check_nica(
+        tmp_path, capsys, command, expected):
+    path = _self_similar_stage(tmp_path)
+    code = main([command, path, "--output", str(tmp_path / "r.json")]
+                if command == "dilate" else [command, path])
+    err = capsys.readouterr().err
+    assert code == expected
+    assert "Traceback" not in err
+    if expected == 2:
+        assert "(at /system/model/kind)" in err
 
 
 def test_check_nica_verdicts(fixtures_dir):
@@ -365,3 +444,16 @@ def test_run_fixtures_main_reports_a_wrong_verdict(monkeypatch, capsys):
     assert run_fixtures.main() == 1
     out = capsys.readouterr().out
     assert "BAD  transpose_m2.json" in out and "1/2 fixture verdicts" in out
+
+
+# the experiment scripts run to their agreement line
+@pytest.mark.parametrize("args,last_line", [
+    (("defect_sweep.py", "4"), "all three verdicts agree at every scale"),
+    (("depth_convergence.py",), "compressions stable across depths (drift <= 1e-9)"),
+])
+def test_experiment_script_agrees(args, last_line):
+    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / args[0]
+    proc = subprocess.run([sys.executable, str(script), *args[1:]],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == last_line

@@ -53,12 +53,17 @@ def test_cp_examples():
     # the Choi matrix of the transpose is the swap, with eigenvalue -1
     assert rep.min_eigenvalue <= -0.999
     assert rep.witness is not None
+    assert rep.violations == [(0, rep.min_eigenvalue)]
 
 
 def test_cp_blockwise_domain():
     alg = BaseAlgebra((2, 1))
     values = [u.conj().T.T for u in alg.basis()]  # identity representation
     assert is_completely_positive(BaseOperatorMap(alg, values)).is_cp
+    # transpose on the 2-block only: the violation names that block alone
+    values = [u.T for u in alg.basis()]
+    rep = is_completely_positive(BaseOperatorMap(alg, values))
+    assert rep.violations == [(0, rep.min_eigenvalue)] and rep.where == "block0"
 
 
 def test_cp_matches_bruteforce_positivity_oracle():
@@ -315,6 +320,24 @@ def test_extension_rejects_nilpotent_commuting_pair():
     n2 = np.array([[0, 0.9j], [0, 0]], dtype=complex)
     ext = extend_phi_T(sys_, ContractionFamily(FA2, [n1, n2]), (2, 2))
     assert not ext.accepted and ext.map is not None
+
+
+def test_extension_verdict_is_the_choi_test_of_the_lift():
+    # the extension is the lift plus is_completely_positive at rtol: every
+    # field is read off that report, and rtol moves the verdict
+    sys_ = LcmSystem(FA2, AbelianToeplitzModel(2), C)
+    s = np.sqrt((1 + 1e-6) / 2)
+    n1 = np.array([[0, s], [0, 0]], dtype=complex)
+    T = ContractionFamily(FA2, [n1, 1j * n1])
+    for rtol, accepted in ((1e-8, False), (1e-4, True)):
+        ext = extend_phi_T(sys_, T, (2, 2), rtol=rtol)
+        cp = is_completely_positive(ext.map, rtol=rtol)
+        assert ext.accepted == cp.is_cp == accepted
+        assert (ext.min_eigenvalue, ext.scale) == (cp.min_eigenvalue, cp.scale)
+        atoms = list(ext.map.atom_maps)
+        assert ext.violations == [(atoms[k], m) for k, m in cp.violations]
+    assert [a for a, _ in extend_phi_T(sys_, T, (2, 2)).violations] == [(0, 0)]
+    assert abs(ext.min_eigenvalue + 1e-6) <= 1e-12
 
 
 def test_extension_requires_diagonal_model():

@@ -12,6 +12,7 @@ from lcm_dilate.algebras import (
     LevelledElement,
     PointModel,
 )
+from lcm_dilate.cli import parse_instance
 from lcm_dilate.errors import SpecMismatchError
 from lcm_dilate.semigroup import FreeAbelian, FreeMonoid
 from lcm_dilate.systems import (
@@ -89,6 +90,54 @@ def test_self_similar_stage_validates():
     assert stage.validate().passed
 
 
+def _block_unitary(rng, base):
+    u = np.zeros((base.dim, base.dim), dtype=complex)
+    for sl in base.block_slices():
+        u[sl, sl] = random_unitary(rng, sl.stop - sl.start)
+    return u
+
+
+@pytest.mark.parametrize("semigroup,blocks,linear", [
+    (FreeMonoid(2), (2,), False),
+    (FreeAbelian(2), (2, 1), False),
+    (FreeAbelian(1), (2,), True),       # the transpose: not multiplicative
+])
+def test_stage_checks_equal_the_point_model_checks(semigroup, blocks, linear):
+    # a stage built from the basis images of a point-model system's maps
+    # has the same algebra on both sides, so the shared endomorphism, ideal
+    # and free-generator checks must agree record for record
+    base = BaseAlgebra(blocks)
+    rng = np.random.default_rng(len(blocks))
+    if linear:
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        alphas = [GeneratorMap(linear=swap)]
+    else:
+        alphas = [GeneratorMap(unitary=_block_unitary(rng, base))
+                  for _ in range(semigroup.rank)]
+    point = LcmSystem(semigroup, PointModel(semigroup.rank), base, alphas=alphas)
+    stage = StageSystem(semigroup, base, base,
+                        [[a.apply(u) for u in base.basis()] for a in alphas])
+
+    def records(report):
+        return [(c.name, c.passed, c.value, c.threshold, c.detail)
+                for c in report.checks
+                if c.name.startswith(("endomorphism[", "ideal[", "units.orth"))]
+
+    want = records(point.validate(depth=1))
+    assert len(want) == 4 * semigroup.rank + isinstance(semigroup, FreeMonoid)
+    assert records(stage.validate(depth=1)) == want
+    # automorphisms are injective *-endomorphisms; the transpose is not
+    assert all(ok for name, ok, *_ in want if name.startswith("endo")) != linear
+
+
+def test_stage_refuses_misshapen_images():
+    images = [np.eye(4)] * 3
+    with pytest.raises(SpecMismatchError, match="image per domain basis element"):
+        StageSystem(FreeAbelian(1), M2, BaseAlgebra((4,)), [images])
+    with pytest.raises(SpecMismatchError, match="image per domain basis element"):
+        StageSystem(FreeAbelian(1), M2, BaseAlgebra((4,)), [[np.eye(3)] * 4])
+
+
 def test_automorphic_abelian_matrix_system_validates():
     rng = np.random.default_rng(3)
     # commuting unitaries: functions of one unitary
@@ -114,6 +163,14 @@ def test_build_system_raises_on_failure():
             "base": {"blocks": [2]},
             "alphas": [{"unitary": np.eye(2)}, {"unitary": np.eye(2)}],
         })
+
+
+def test_build_system_validates_stage_systems(fixtures_dir):
+    # stage systems go through the same validation as every other system
+    config = parse_instance(str(fixtures_dir / "uhf_stage_m2.json")).system_config
+    with pytest.raises(SystemValidationError, match=r"ideal\[g1\]"):
+        build_system(config)
+    assert isinstance(build_system(config, validate=False), StageSystem)
 
 
 def test_model_semigroup_compatibility_enforced():
