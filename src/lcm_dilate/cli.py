@@ -405,6 +405,8 @@ def _complete_positivity(run: _Run) -> None:
 def _nica_defects(run: _Run) -> None:
     max_f = run.flags.get("max_f")
     max_f = DEFAULT_MAX_F if max_f is None else max_f
+    if not run.instance.t_mats:
+        raise SchemaError("check-nica needs T", "/T")
     sys_ = build_system(run.instance.system_config, validate=False)
     T = ContractionFamily(sys_.semigroup, run.instance.t_mats)
     sg = sys_.semigroup
@@ -515,7 +517,8 @@ def run_command(command: str, instance: Instance, flags: dict) -> dict:
         except GramNotPositiveError as exc:
             run.report.add("gram.psd", False, exc.min_eigenvalue,
                            -tol_psd * exc.scale,
-                           detail="dilation refused: Gram operator not positive")
+                           detail="dilation refused: Gram operator not "
+                                  f"positive; {exc.where()}")
         if not run.report.passed:
             break
     checks = [dict(c.as_dict(), wall_ms=None) for c in run.report.checks]

@@ -9,6 +9,11 @@ images can leave the catalog: operators are therefore constructed from, and
 identities asserted on, explicit interior subspaces with enough depth
 headroom, and that bookkeeping is part of the result object.
 
+The Gram operator is block-diagonal by (atom, row) group of the catalog, so
+the factorization is one eigh per block and the dilation space is the direct
+sum of the blocks' ranges, block after block.  Catalog vectors enter as
+scalar catalog matrices X standing for X (x) I_h, applied block by block.
+
 A dilation job is deterministic end to end: fixed catalog order, eigh, and
 SVD-based pseudoinverses with a fixed relative cut.
 """
@@ -32,6 +37,7 @@ from .errors import GramNotPositiveError, SpecMismatchError
 from .kernel import (
     DEFAULT_MAX_GRAM_DIM,
     GramAssembly,
+    GramBlock,
     KernelSystem,
     assemble_gram,
 )
@@ -52,6 +58,28 @@ class Tolerances:
 
 
 @dataclass
+class CatalogColumns:
+    """A scalar n x width catalog matrix X by its nonzero entries; column c
+    is the expansion of one index over the catalog.  It stands for X (x) I_h
+    on the n*h space."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    width: int
+
+
+@dataclass
+class BlockFactor:
+    """G_b = B_b* B_b for one Gram block, above the global rank cut."""
+
+    rows: np.ndarray          # catalog rows of the block
+    span: slice               # the block's coordinates in the dilation space
+    factor: np.ndarray        # B_b, (rank_b, len(rows) * h)
+    cofactor: np.ndarray      # right inverse of B_b, (len(rows) * h, rank_b)
+
+
+@dataclass
 class Interior:
     """Span of index vectors with ``level`` steps of shift headroom.
 
@@ -63,7 +91,7 @@ class Interior:
     level: int
     columns: list[tuple]
     elements: list
-    x_scalar: np.ndarray      # (n_catalog, n_columns)
+    expansion: CatalogColumns
     basis: np.ndarray         # (rank, dim): orthonormal basis in the dilation space
 
 
@@ -75,10 +103,7 @@ class DilationResult:
         assembly: GramAssembly,
         tolerances: Tolerances,
         eigenvalues: np.ndarray,
-        factor: np.ndarray,
-        cofactor: np.ndarray,
-        embedding: np.ndarray,
-        interiors: dict[int, Interior],
+        factors: list[BlockFactor],
         report: ValidationReport,
     ):
         self.assembly = assembly
@@ -90,22 +115,29 @@ class DilationResult:
         self.h = assembly.h
         self.tolerances = tolerances
         self.eigenvalues = eigenvalues
-        self.factor = factor            # B with G = B* B, shape (rank, n*h)
-        self.cofactor = cofactor        # right inverse of B, shape (n*h, rank)
-        self.embedding = embedding      # (rank, h), isometric
-        self.interiors = interiors
+        self.factors = factors
+        self.rank = sum(f.factor.shape[0] for f in factors)
         self.report = report
         self._rows = _catalog_rows(assembly)
+        n = len(assembly.catalog)
+        self._block_of = np.empty(n, dtype=np.intp)
+        self._pos = np.empty(n, dtype=np.intp)
+        for b, f in enumerate(factors):
+            self._block_of[f.rows] = b
+            self._pos[f.rows] = np.arange(len(f.rows))
+        self._block_at = {blk.key: b for b, blk in enumerate(assembly.blocks)}
         self._depth = self.sys.model.normalize_depth(self.degree)
         self._v_cache: dict[Element, np.ndarray] = {}
         self._pi_cache: dict[bytes, np.ndarray] = {}
+        self._transfers: dict[tuple[int, int], np.ndarray] = {}
         self._domain_pinv: dict[int, np.ndarray] = {}
+        self.interiors = _interiors_for(self)
+        sg = self.sys.semigroup
+        self.embedding = self._apply(
+            self._expansion([(sg.identity, self.sys.unit())])
+        )
 
     # -- geometry ---------------------------------------------------------------
-
-    @property
-    def rank(self) -> int:
-        return self.factor.shape[0]
 
     @property
     def pi_depth(self) -> int:
@@ -129,17 +161,82 @@ class DilationResult:
                 f"index ({q}, .) leaves the truncation catalog (residual {resid:.2e})"
             )
 
-    def _expand_scalar(self, q: Element, elem: LevelledElement) -> np.ndarray:
-        """Expansion of (q, elem) over the catalog, as a scalar column."""
-        q = tuple(q)
-        coeff, resid = self.assembly.corners[q].coefficients(elem)
-        self._check_corner(q, resid)
-        col = np.zeros(len(self.assembly.catalog), dtype=np.complex128)
-        col[self._rows[q]] = coeff
-        return col
+    def _expansion(self, indices) -> CatalogColumns:
+        """The catalog expansions of indices (q, elem), one column each."""
+        rows, cols, vals = [], [], []
+        for c, (q, elem) in enumerate(indices):
+            q = tuple(q)
+            coeff, resid = self.assembly.corners[q].coefficients(elem)
+            self._check_corner(q, resid)
+            nz = np.flatnonzero(coeff)
+            rows.append(self._rows[q][nz])
+            cols.append(np.full(nz.size, c, dtype=np.intp))
+            vals.append(coeff[nz])
+        return CatalogColumns(np.concatenate(rows), np.concatenate(cols),
+                              np.concatenate(vals), len(rows))
 
-    def _lift(self, m: np.ndarray) -> np.ndarray:
-        return np.kron(m, np.eye(self.h))
+    def _pieces(self, x: CatalogColumns) -> dict:
+        """Block b -> (columns of x touching it, their dense rows there)."""
+        out = {}
+        blocks = self._block_of[x.rows]
+        for b in np.unique(blocks).tolist():
+            sel = blocks == b
+            cols, local = np.unique(x.cols[sel], return_inverse=True)
+            xb = np.zeros((len(self.factors[b].rows), cols.size),
+                          dtype=np.complex128)
+            xb[self._pos[x.rows[sel]], local] = x.vals[sel]
+            out[b] = (cols, xb)
+        return out
+
+    def _apply(self, x: CatalogColumns) -> np.ndarray:
+        """B (X (x) I_h): the dilation-space images of the columns of x,
+        shape (rank, width * h)."""
+        h = self.h
+        out = np.zeros((self.rank, x.width, h), dtype=np.complex128)
+        for b, (cols, xb) in self._pieces(x).items():
+            f = self.factors[b]
+            r = f.factor.shape[0]
+            if r:
+                b3 = f.factor.reshape(r, -1, h).transpose(0, 2, 1)
+                out[f.span][:, cols, :] = (b3 @ xb).transpose(0, 2, 1)
+        return out.reshape(self.rank, x.width * h)
+
+    def _gram_form(self, x: CatalogColumns, y: CatalogColumns) -> np.ndarray:
+        """(X (x) I_h)* G (Y (x) I_h), summed block by block."""
+        h = self.h
+        out = np.zeros((x.width, h, y.width, h), dtype=np.complex128)
+        ys = self._pieces(y)
+        slot = np.arange(h)
+        for b, (cx, xb) in self._pieces(x).items():
+            if b not in ys:
+                continue
+            cy, yb = ys[b]
+            nb = xb.shape[0]
+            g4 = self.assembly.blocks[b].matrix.reshape(nb, h, nb, h)
+            form = np.tensordot(np.tensordot(xb.conj(), g4, axes=(0, 0)), yb,
+                                axes=(2, 0))                  # (cx, h, h, cy)
+            out[np.ix_(cx, slot, cy, slot)] += form.transpose(0, 1, 3, 2)
+        return out.reshape(x.width * h, y.width * h)
+
+    def _transfer(self, target: int, source: int) -> np.ndarray:
+        """B_t (P (x) I_h) C_s, where P takes each member (q, atom, c, d) of
+        block s to the member (q, atom, i, d) of block t (same atom): the
+        block (t, s) of pi(atom (x) e_ic) over its coefficient."""
+        key = (target, source)
+        hit = self._transfers.get(key)
+        if hit is None:
+            catalog, h = self.assembly.catalog, self.h
+            ft, fs = self.factors[target], self.factors[source]
+            at = {(catalog[r].q, catalog[r].key[2]): t
+                  for t, r in enumerate(fs.rows.tolist())}
+            src = np.array([at.get((catalog[r].q, catalog[r].key[2]), -1)
+                            for r in ft.rows.tolist()], dtype=np.intp)
+            cs = fs.cofactor.reshape(len(fs.rows), h, -1)
+            moved = np.zeros((len(ft.rows), h, cs.shape[2]), dtype=np.complex128)
+            moved[src >= 0] = cs[src[src >= 0]]
+            hit = ft.factor @ moved.reshape(len(ft.rows) * h, -1)
+            self._transfers[key] = hit
+        return hit
 
     # -- operators ---------------------------------------------------------------
 
@@ -147,34 +244,43 @@ class DilationResult:
         """The representation matrix of an algebra element (exact on the
         whole truncated space as long as products stay inside the catalog).
 
-        Column j is a (atom (x) e_cd) = atom (x) (a[atom] e_cd): column c of
-        the atom value of a, placed at the keys (atom, i, d) of corner q_j.
+        Left multiplication takes atom (x) e_cd to atom (x) (a[atom] e_cd),
+        so the block of group (atom, c) goes to the blocks (atom, i) with
+        weight a[atom][i, c]; over a scalar base pi(atom (x) z) is z times
+        the projection onto the block of atom.
         """
         ar = a.refine_to(self._depth)
         key = ar.vec().tobytes()
         hit = self._pi_cache.get(key)
         if hit is not None:
             return hit
-        corners = self.assembly.corners
-        n = len(self.assembly.catalog)
-        m = np.zeros((n, n), dtype=np.complex128)
-        for j, idx in enumerate(self.assembly.catalog):
-            atom, c, d = idx.key
-            v = ar.coeffs.get(atom)
-            if v is None:
-                continue
-            index, rows = corners[idx.q].index, self._rows[idx.q]
-            outside = 0.0
-            for i, z in enumerate(v[:, c].tolist()):
-                k = index.get((atom, i, d))
-                if k is not None:
-                    m[rows[k], j] = z
-                else:
-                    outside += abs(z) ** 2
-            if outside:
-                total = float(np.linalg.norm(v[:, c])) ** 2
-                self._check_corner(idx.q, (outside / max(1.0, total)) ** 0.5)
-        out = self.factor @ self._lift(m) @ self.cofactor
+        base = self.sys.base
+        out = np.zeros((self.rank, self.rank), dtype=np.complex128)
+        for atom, v in ar.coeffs.items():
+            for sl in base.block_slices():
+                for c in range(sl.start, sl.stop):
+                    s = self._block_at.get((atom, c))
+                    if s is None:
+                        continue
+                    col = v[:, c]
+                    outside = float(np.sum(np.abs(col[:sl.start]) ** 2)
+                                    + np.sum(np.abs(col[sl.stop:]) ** 2))
+                    if outside:
+                        total = float(np.linalg.norm(col)) ** 2
+                        self._check_corner(
+                            self.assembly.catalog[self.factors[s].rows[0]].q,
+                            (outside / max(1.0, total)) ** 0.5,
+                        )
+                    span = self.factors[s].span
+                    for i in range(sl.start, sl.stop):
+                        z = col[i]
+                        if z == 0:
+                            continue
+                        t = self._block_at[(atom, i)]
+                        if t == s:
+                            out[span, span] = z * np.eye(span.stop - span.start)
+                        else:
+                            out[self.factors[t].span, span] = z * self._transfer(t, s)
         self._pi_cache[key] = out
         return out
 
@@ -199,17 +305,16 @@ class DilationResult:
                 f"word of length {level} exceeds truncation degree {self.degree}"
             )
         interior = self.interiors[level]
-        cols = [
-            self._expand_scalar(sg.multiply(p, q), self.sys.apply_endo(p, c_elem))
+        shifted = self._expansion(
+            (sg.multiply(p, q), self.sys.apply_endo(p, c_elem))
             for (q, _), c_elem in zip(interior.columns, interior.elements)
-        ]
-        l_scalar = np.array(cols).T
+        )
         pinv = self._domain_pinv.get(level)
         if pinv is None:
-            domain = self.factor @ self._lift(interior.x_scalar)
-            pinv = np.linalg.pinv(domain, rcond=self.tolerances.rank)
+            pinv = np.linalg.pinv(self._apply(interior.expansion),
+                                  rcond=self.tolerances.rank)
             self._domain_pinv[level] = pinv
-        out = (self.factor @ self._lift(l_scalar)) @ pinv
+        out = self._apply(shifted) @ pinv
         self._v_cache[p] = out
         return out
 
@@ -238,40 +343,31 @@ def _catalog_rows(assembly: GramAssembly) -> dict:
     return rows
 
 
-def _interiors_for(
-    assembly: GramAssembly, factor: np.ndarray, tols: Tolerances
-) -> dict[int, Interior]:
-    sys_ = assembly.kernel.sys
+def _interiors_for(result: DilationResult) -> dict[int, Interior]:
+    assembly = result.assembly
+    sys_ = result.sys
     sg = sys_.semigroup
-    rank = factor.shape[0]
-    h = assembly.h
-    rows = _catalog_rows(assembly)
     n = len(assembly.catalog)
     out: dict[int, Interior] = {}
     for level in range(assembly.degree + 1):
         if level == 0:
+            every = np.arange(n, dtype=np.intp)
             out[0] = Interior(
                 0,
                 [(idx.q, idx.pos) for idx in assembly.catalog],
                 [idx.element for idx in assembly.catalog],
-                np.eye(n, dtype=np.complex128),
-                np.eye(rank, dtype=np.complex128),
+                CatalogColumns(every, every, np.ones(n, dtype=np.complex128), n),
+                np.eye(result.rank, dtype=np.complex128),
             )
             continue
         d = assembly.degree - level
-        columns, elements, cols = [], [], []
+        columns, elements = [], []
         for q in sg.enumerate_up_to(d):
             corner = sys_.corner_basis(sg.identity, q, d)
-            full = assembly.corners[tuple(q)]
-            for j, elem in enumerate(corner.elements):
-                coeff, _ = full.coefficients(elem)
-                col = np.zeros(n, dtype=np.complex128)
-                col[rows[tuple(q)]] = coeff
-                columns.append((tuple(q), j))
-                elements.append(elem)
-                cols.append(col)
-        x = np.array(cols).T if cols else np.zeros((n, 0), dtype=np.complex128)
-        basis = _orth_columns(factor @ np.kron(x, np.eye(h)), tols.rank)
+            columns += [(tuple(q), j) for j in range(len(corner))]
+            elements += corner.elements
+        x = result._expansion(zip((q for q, _ in columns), elements))
+        basis = _orth_columns(result._apply(x), result.tolerances.rank)
         out[level] = Interior(level, columns, elements, x, basis)
     return out
 
@@ -294,7 +390,9 @@ def naimark_dilate(
     Raises GramNotPositiveError when the Gram operator has an eigenvalue
     below the relative tolerance; otherwise returns the dilation with its
     core verification report (isometry of the shifts, the intertwining
-    relation, and reproduction of the kernel by compression).
+    relation, and reproduction of the kernel by compression).  Each Gram
+    block is diagonalized on its own; the PSD scale and the rank cut use
+    the largest eigenvalue over all blocks.
     """
     tols = tolerances or Tolerances()
     if assembly is None:
@@ -302,48 +400,63 @@ def naimark_dilate(
     report = ValidationReport()
 
     # a non-finite Gram can make LAPACK return NaNs or fail to converge
-    bad = np.argwhere(~np.isfinite(assembly.gram))
-    if bad.size:
-        raise SpecMismatchError(
-            f"the {assembly.gram.shape[0]}-row Gram operator has a non-finite "
-            f"entry at {tuple(map(int, bad[0]))}"
-        )
-    w, u = np.linalg.eigh(assembly.gram)
+    for block in assembly.blocks:
+        bad = np.argwhere(~np.isfinite(block.matrix))
+        if bad.size:
+            e = assembly.expanded_rows(block.rows)
+            raise SpecMismatchError(
+                f"the {assembly.size}-row Gram operator has a non-finite "
+                f"entry at {tuple(int(e[k]) for k in bad[0])}"
+            )
+    spectra = [np.linalg.eigh(block.matrix) for block in assembly.blocks]
+    w = np.sort(np.concatenate([wb for wb, _ in spectra]))
     scale = max(1.0, float(np.abs(w).max()) if w.size else 0.0)
-    min_eig = float(w.min()) if w.size else 0.0
+    min_eig = float(w[0]) if w.size else 0.0
     if not min_eig >= -tols.psd * scale:
-        raise GramNotPositiveError(min_eig, scale, witness=u[:, 0])
+        raise _refusal(assembly, spectra, min_eig, scale, tols)
     report.add("gram.psd", True, min_eig, -tols.psd * scale)
     report.add("gram.hermitian_assembly",
                assembly.hermiticity_defect <= tols.identity,
                assembly.hermiticity_defect, tols.identity)
 
     lam_max = float(w[-1]) if w.size else 0.0
-    keep = w > tols.rank * max(lam_max, 1e-300)
-    wk, uk = w[keep], u[:, keep]
-    factor = np.sqrt(wk)[:, None] * uk.conj().T
-    cofactor = uk * (1.0 / np.sqrt(wk))[None, :]
-    fdef = operator_norm(assembly.gram - factor.conj().T @ factor)
+    cut = tols.rank * max(lam_max, 1e-300)
+    factors, start, fdef = [], 0, 0.0
+    for block, (wb, ub) in zip(assembly.blocks, spectra):
+        keep = wb > cut
+        wk, uk = wb[keep], ub[:, keep]
+        factor = np.sqrt(wk)[:, None] * uk.conj().T
+        cofactor = uk * (1.0 / np.sqrt(wk))[None, :]
+        factors.append(BlockFactor(block.rows, slice(start, start + wk.size),
+                                   factor, cofactor))
+        start += wk.size
+        # the residual is Hermitian, so its norm is its largest |eigenvalue|
+        resid = np.linalg.eigvalsh(block.matrix - factor.conj().T @ factor)
+        fdef = max(fdef, float(np.abs(resid).max()))
     report.add("gram.factorization", fdef <= tols.psd * scale, fdef, tols.psd * scale)
 
-    interiors = _interiors_for(assembly, factor, tols)
-    result = DilationResult(
-        assembly, tols, w, factor, cofactor,
-        embedding=np.zeros((factor.shape[0], assembly.h), dtype=np.complex128),
-        interiors=interiors, report=report,
-    )
-
-    # embedding of the original space via the unit at the identity index
-    sg = kernel.sys.semigroup
-    x_e = result._expand_scalar(sg.identity, kernel.sys.unit())
-    result.embedding = factor @ np.kron(
-        x_e[:, None], np.eye(assembly.h, dtype=np.complex128)
-    )
+    result = DilationResult(assembly, tols, w, factors, report)
     _check_embedding(result, report)
     if verify:
         _check_representation(result, report)
         _check_reproduces_kernel(result, report)
     return result
+
+
+def _refusal(assembly: GramAssembly, spectra, min_eig: float, scale: float,
+             tols: Tolerances) -> GramNotPositiveError:
+    """The refusal with its witness: the least eigenvector of the first
+    block whose least eigenvalue is within the rank tolerance of the
+    minimum (blocks tie exactly under symmetries, and rounding must not
+    pick the group), zero-padded to the whole catalog."""
+    least = np.array([wb[0] for wb, _ in spectra])
+    b = int(np.argmax(least <= min_eig + tols.rank * scale))
+    block = assembly.blocks[b]
+    witness = np.zeros(assembly.size, dtype=np.complex128)
+    witness[assembly.expanded_rows(block.rows)] = spectra[b][1][:, 0]
+    labels = [assembly.catalog[r].label for r in block.rows.tolist()]
+    return GramNotPositiveError(min_eig, scale, witness=witness,
+                                group=block.key, labels=labels)
 
 
 def _sample_words(sg, degree: int, max_len: int = 2) -> list[Element]:
@@ -624,15 +737,14 @@ def _adjoint_formula_residual(result: DilationResult, max_pairs: int = 24) -> fl
     Batched: with Z the interior columns and VZ their shift images,
     <V z, u> over all pairs is U* G (VZ) and <z, V* u> is W* G Z, where the
     columns of W carry the formula index and the contraction factor acting on
-    the original-space slot.
+    the original-space slot: the block of W for u = (q, b) is w (x) T(q\\r)*,
+    so its rows of W* G Z are T(q\\r) times those of (w (x) I_h)* G Z.
     """
     sg = result.sys.semigroup
     sys_ = result.sys
     h = result.h
-    eye = np.eye(h)
     worst = 0.0
-    catalog = result.assembly.catalog
-    gram = result.assembly.gram
+    catalog = result.assembly.catalog[:max_pairs]
     for gen in sg.generators:
         if sg.length(gen) > result.degree:
             continue
@@ -640,29 +752,29 @@ def _adjoint_formula_residual(result: DilationResult, max_pairs: int = 24) -> fl
         n_t = min(max_pairs, len(interior.columns))
         if n_t == 0:
             continue
-        img_cols = [
-            result._expand_scalar(sg.multiply(gen, s), sys_.apply_endo(gen, c_elem))
-            for (s, _), c_elem in list(zip(interior.columns, interior.elements))[:n_t]
-        ]
-        z_mat = np.kron(interior.x_scalar[:, :n_t], eye)
-        vz_mat = np.kron(np.array(img_cols).T, eye)
-        u_cols, w_cols = [], []
-        for idx in catalog[:max_pairs]:
-            u_col = result._expand_scalar(idx.q, idx.element)
+        x = interior.expansion
+        first = x.cols < n_t
+        z = CatalogColumns(x.rows[first], x.cols[first], x.vals[first], n_t)
+        vz = result._expansion(
+            (sg.multiply(gen, s), sys_.apply_endo(gen, c_elem))
+            for (s, _), c_elem in zip(interior.columns[:n_t],
+                                      interior.elements[:n_t])
+        )
+        u = result._expansion((idx.q, idx.element) for idx in catalog)
+        formula, t_facs = [], []
+        for idx in catalog:
             r = sg.lcm(gen, idx.q)
-            if r is None:
-                w_block = np.zeros((len(catalog) * h, h))
+            if r is None:        # V* u = 0: an empty column
+                formula.append((sg.identity, sys_.zero(result._depth)))
+                t_facs.append(np.zeros((h, h)))
             else:
-                stripped = sys_.alpha_inverse(gen, idx.element)
-                w_col = result._expand_scalar(sg.left_divide(gen, r), stripped)
-                t_fac = result.T(sg.left_divide(idx.q, r)).conj().T
-                w_block = np.kron(w_col[:, None], t_fac)
-            u_cols.append(np.kron(u_col[:, None], eye))
-            w_cols.append(w_block)
-        u_mat = np.hstack(u_cols)
-        w_mat = np.hstack(w_cols)
-        lhs = u_mat.conj().T @ gram @ vz_mat      # <V z, u>
-        rhs = w_mat.conj().T @ gram @ z_mat       # <z, V* u>
+                formula.append((sg.left_divide(gen, r),
+                                sys_.alpha_inverse(gen, idx.element)))
+                t_facs.append(result.T(sg.left_divide(idx.q, r)))
+        w = result._expansion(formula)
+        lhs = result._gram_form(u, vz)                      # <V z, u>
+        core = result._gram_form(w, z).reshape(len(catalog), h, n_t * h)
+        rhs = (np.array(t_facs) @ core).reshape(len(catalog) * h, n_t * h)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
 
@@ -747,14 +859,22 @@ def uniqueness_probe(
 
 
 def _permuted_assembly(assembly: GramAssembly, seed: int) -> GramAssembly:
+    """The same Gram operator over a shuffled catalog: each block keeps its
+    group and is reordered to the new catalog order of its members."""
     rng = np.random.default_rng(seed)
-    h = assembly.h
     perm = rng.permutation(len(assembly.catalog))
     catalog = [assembly.catalog[i] for i in perm]
-    rows = (perm[:, None] * h + np.arange(h)).reshape(-1)
-    gram = assembly.gram[np.ix_(rows, rows)]
+    moved_to = np.empty_like(perm)
+    moved_to[perm] = np.arange(perm.size)
+    blocks = []
+    for block in assembly.blocks:
+        rows = moved_to[block.rows]
+        order = np.argsort(rows)
+        e = assembly.expanded_rows(order)
+        blocks.append(GramBlock(block.key, rows[order], block.matrix[np.ix_(e, e)]))
+    blocks.sort(key=lambda b: int(b.rows[0]))
     return GramAssembly(
-        assembly.kernel, assembly.degree, catalog, assembly.corners, gram,
+        assembly.kernel, assembly.degree, catalog, assembly.corners, blocks,
         assembly.hermiticity_defect,
     )
 

@@ -133,10 +133,19 @@ class KernelSystem:
             _, resid = corner.coefficients(a)
             if not resid <= corner_rtol:
                 raise CornerMembershipError(resid, corner_rtol)
-        stripped = self.sys.alpha_inverse(r, a)
         d1 = sg.left_divide(p, r)
         d2 = sg.left_divide(q, r)
-        return self.T(d1) @ self.phi.value(stripped) @ self.T(d2).conj().T
+        return _sandwich(self.T(d1), self.inner(r, a), self.T(d2))
+
+    def inner(self, r: Element, a: LevelledElement) -> np.ndarray:
+        """phi(inv_r(a)), the middle factor of K(p, a, q) at r = lcm(p, q)."""
+        return self.phi.value(self.sys.alpha_inverse(r, a))
+
+
+def _sandwich(left: np.ndarray, middle: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """T(p\\r) phi(inv_r(a)) T(q\\r)* from its three factors; each argument
+    is one h x h matrix or a stack of them, multiplied slice by slice."""
+    return left @ middle @ np.swapaxes(right.conj(), -1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -157,19 +166,35 @@ class GramIndex:
 
 
 @dataclass
-class GramAssembly:
-    """The Gram operator of the truncated index catalog.
+class GramBlock:
+    """The Gram operator restricted to one (atom, row) group of the catalog.
 
-    ``catalog[i]`` describes block i; entry (i, j) of the block matrix is
-    K(q_i, a_i* a_j, q_j).  ``corners[q]`` is the matrix-unit corner basis of
-    A . E_q at the truncation depth, shared by every index at q.
+    ``rows`` are the catalog rows of the group's members in catalog order;
+    entry (s, t) of ``matrix`` (an h x h block) is K(q_s, a_s* a_t, q_t).
+    """
+
+    key: tuple            # (atom, row) shared by every member
+    rows: np.ndarray
+    matrix: np.ndarray    # Hermitian, len(rows) * h square
+
+
+@dataclass
+class GramAssembly:
+    """The Gram operator of the truncated index catalog, block by block.
+
+    ``catalog[i]`` describes index i; for a_i = atom (x) e_ab the product
+    a_i* a_j vanishes unless a_j = atom (x) e_ad, so the Gram operator is
+    block-diagonal by (atom, row) group and only the blocks are stored, in
+    order of their first catalog row.  ``corners[q]`` is the matrix-unit
+    corner basis of A . E_q at the truncation depth, shared by every index
+    at q.
     """
 
     kernel: KernelSystem
     degree: int
     catalog: list[GramIndex]
     corners: dict
-    gram: np.ndarray
+    blocks: list[GramBlock]
     hermiticity_defect: float
 
     @property
@@ -180,8 +205,25 @@ class GramAssembly:
     def size(self) -> int:
         return len(self.catalog) * self.h
 
+    def expanded_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Rows of the n*h Gram operator held by the given catalog rows."""
+        return (rows[:, None] * self.h + np.arange(self.h)).reshape(-1)
+
+    @property
+    def gram(self) -> np.ndarray:
+        """The dense n*h Gram operator, built anew on every access for
+        tests and tools; the library itself works on the blocks."""
+        out = np.zeros((self.size, self.size), dtype=np.complex128)
+        for block in self.blocks:
+            e = self.expanded_rows(block.rows)
+            out[np.ix_(e, e)] = block.matrix
+        return out
+
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.gram)
+        """The spectrum: every block's eigenvalues, sorted."""
+        return np.sort(np.concatenate(
+            [np.linalg.eigvalsh(b.matrix) for b in self.blocks]
+        ))
 
 
 def assemble_gram(
@@ -194,9 +236,10 @@ def assemble_gram(
     The index set runs over semigroup elements of length at most the degree,
     each carrying the matrix-unit corner basis of A . E_q computed at the
     uniform truncation depth, so every entry stays inside the depth catalog.
-    For a_i = atom (x) e_ab and a_j = atom' (x) e_cd the product a_i* a_j
-    vanishes unless atom = atom' and a = c, so only blocks inside one
-    (atom, row) group are evaluated; the others are exactly zero.
+    Only blocks inside one (atom, row) group are nonzero.  Within a group,
+    a_i* a_j = atom (x) e_bd and the entry is T(q_i\\r) Y T(q_j\\r)* with
+    r = lcm(q_i, q_j) and Y = phi(inv_r(atom (x) e_bd)); Y is evaluated once
+    per (r, atom, b, d) and each group's entries in one stacked product.
     """
     sys_ = kernel.sys
     sg = sys_.semigroup
@@ -216,29 +259,59 @@ def assemble_gram(
     groups: dict = defaultdict(list)
     for i, idx in enumerate(catalog):
         groups[idx.key[:2]].append(i)
-    gram = np.zeros((n * h, n * h), dtype=np.complex128)
+    quotients: dict = {}     # (q_i, q_j) -> (r, q_i\r, q_j\r), None if disjoint
+    inner: dict = {}         # (r, atom, b, d) -> Y
+    blocks: list[GramBlock] = []
     herm_defect = 0.0
-    for members in groups.values():
+    for key, members in groups.items():
+        k = len(members)
+        pairs, lefts, middles, rights = [], [], [], []
         for s, i in enumerate(members):
-            ai = catalog[i].element.star()
-            for j in members[s:]:
-                val = kernel.evaluate(
-                    catalog[i].q, ai * catalog[j].element, catalog[j].q,
-                    check_corner=False,
+            qi, ai = catalog[i].q, catalog[i].element.star()
+            for t in range(s, k):
+                j = members[t]
+                qj = catalog[j].q
+                if (qi, qj) not in quotients:
+                    r = sg.lcm(qi, qj)
+                    quotients[qi, qj] = None if r is None else (
+                        r, sg.left_divide(qi, r), sg.left_divide(qj, r))
+                quo = quotients[qi, qj]
+                if quo is None:
+                    continue
+                r, d1, d2 = quo
+                ykey = (r, key[0], catalog[i].key[2], catalog[j].key[2])
+                y = inner.get(ykey)
+                if y is None:
+                    y = inner[ykey] = kernel.inner(r, ai * catalog[j].element)
+                pairs.append((s, t))
+                lefts.append(kernel.T(d1))
+                middles.append(y)
+                rights.append(kernel.T(d2))
+        block = np.zeros((k, h, k, h), dtype=np.complex128)
+        if pairs:
+            vals = _sandwich(np.array(lefts), np.array(middles), np.array(rights))
+            finite = np.isfinite(vals).all(axis=(1, 2))
+            if not finite.all():
+                s, t = pairs[int(np.argmin(finite))]
+                a, b = catalog[members[s]], catalog[members[t]]
+                raise SpecMismatchError(
+                    f"non-finite Gram block ({a.label}, {b.label}) at "
+                    f"(q_i, q_j) = ({a.q}, {b.q})"
                 )
-                if not np.isfinite(val).all():
-                    raise SpecMismatchError(
-                        f"non-finite Gram block ({catalog[i].label}, "
-                        f"{catalog[j].label}) at (q_i, q_j) = "
-                        f"({catalog[i].q}, {catalog[j].q})"
-                    )
-                if i == j:
-                    herm_defect = max(herm_defect, operator_norm(val - val.conj().T))
-                    val = (val + val.conj().T) / 2.0
-                gram[i * h: (i + 1) * h, j * h: (j + 1) * h] = val
-                if j > i:
-                    gram[j * h: (j + 1) * h, i * h: (i + 1) * h] = val.conj().T
-    return GramAssembly(kernel, degree, catalog, corners, gram, herm_defect)
+            st = np.array(pairs)
+            ss, tt = st[:, 0], st[:, 1]
+            adj = np.swapaxes(vals.conj(), 1, 2)
+            diag = ss == tt
+            if diag.any():
+                herm_defect = max(herm_defect, float(np.linalg.norm(
+                    vals[diag] - adj[diag], 2, axis=(1, 2)).max()))
+                vals[diag] = (vals[diag] + adj[diag]) / 2.0
+            block[ss, :, tt, :] = vals
+            off = ~diag
+            block[tt[off], :, ss[off], :] = adj[off]
+        blocks.append(GramBlock(key, np.array(members, dtype=np.intp),
+                                block.reshape(k * h, k * h)))
+    return GramAssembly(kernel, degree, catalog, corners, blocks, herm_defect)
 
 
 # ---------------------------------------------------------------------------

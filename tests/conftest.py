@@ -1,6 +1,8 @@
 """Shared fixtures and seeded generators for the test suite."""
 
+import importlib.util
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +10,19 @@ import pytest
 from lcm_dilate.algebras import BaseAlgebra, LevelledElement
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+PERFBENCH = FIXTURES.parent / "perfbench"
+
+
+def load_perfbench(name: str):
+    """Import ``perfbench/<name>.py`` (not a package, and ``trace`` would
+    shadow the standard module) as ``perfbench_<name>``."""
+    full = f"perfbench_{name}"
+    if full not in sys.modules:
+        spec = importlib.util.spec_from_file_location(full, PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+    return sys.modules[full]
 
 
 @pytest.fixture(scope="session")

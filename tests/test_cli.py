@@ -230,6 +230,15 @@ def test_stage_instances_support_only_validate_and_check_nica(
         assert "(at /system/model/kind)" in err
 
 
+def test_check_nica_without_contractions_names_the_location(fixtures_dir,
+                                                             capsys):
+    code = main(["check-nica", str(fixtures_dir / "uhf_stage_m2.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "check-nica needs T (at /T)" in err
+    assert "Traceback" not in err
+
+
 def test_check_nica_verdicts(fixtures_dir):
     bad = run_command("check-nica", _load(fixtures_dir, "nica_nilpotent.json"),
                       FLAGS)
@@ -303,6 +312,11 @@ def test_dilate_refusals(fixtures_dir, tmp_path):
     assert rep["exit_code"] == 1
     names = {c["name"]: c for c in rep["checks"]}
     assert not names["gram.psd"]["passed"]
+    # the witness is named by its (atom, row) group and its catalog labels
+    assert names["gram.psd"]["detail"] == (
+        "dilation refused: Gram operator not positive; witness group "
+        "(atom, row) = ((), 0): [(0,)#0, (0,)#1, (1,)#0, (1,)#1, (2,)#0, (2,)#1]"
+    )
 
     rep = run_command("dilate", _load(fixtures_dir, "nica_nilpotent.json"),
                       dict(FLAGS, output=str(tmp_path / "n.json")))

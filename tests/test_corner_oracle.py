@@ -1,10 +1,13 @@
-"""Equivalence of the combinatorial corners and block-restricted Gram
-assembly with the numerical construction they replace.
+"""Equivalence of the combinatorial corners and the blocked Gram assembly
+and factorization with the numerical construction they replace.
 
-The oracle keeps, inside this module only, the two generic routines: a corner
+The oracle keeps, inside this module only, the generic routines: a corner
 obtained as the row space (SVD with a relative cut) of the compressed algebra
-basis E_p . b . E_q, and a Gram operator assembled over all pairs of catalog
-indices.
+basis E_p . b . E_q, a Gram operator assembled over all pairs of catalog
+indices, and, for catalogs too large for all pairs, a dense Gram assembled
+entry by entry inside each (atom, row) group.  The dense spectrum of either
+gives the verdict, the rank and the witness group the blocked
+factorization must reproduce.
 """
 
 import numpy as np
@@ -12,6 +15,7 @@ import pytest
 
 from conftest import (
     element_from_vec,
+    load_perfbench,
     random_coisometry_pair,
     random_ucp_map,
     random_unitary,
@@ -29,7 +33,9 @@ from lcm_dilate.cpmaps import (
     extend_phi_T,
     state_map,
 )
-from lcm_dilate.errors import SpecMismatchError
+from lcm_dilate.cli import build_pair, parse_instance
+from lcm_dilate.dilation import Tolerances, naimark_dilate
+from lcm_dilate.errors import GramNotPositiveError, SpecMismatchError
 from lcm_dilate.kernel import KernelSystem, assemble_gram
 from lcm_dilate.semigroup import FreeAbelian, FreeMonoid
 from lcm_dilate.systems import GeneratorMap, LcmSystem
@@ -83,8 +89,67 @@ def svd_indices(kernel, degree):
     ]
 
 
+def grouped_dense_gram(kernel, catalog):
+    """K(q_i, a_i* a_j, q_j) entry by entry, only for pairs inside one
+    (atom, row) group; every other block stays zero."""
+    n, h = len(catalog), kernel.h
+    gram = np.zeros((n * h, n * h), dtype=complex)
+    groups: dict = {}
+    for i, idx in enumerate(catalog):
+        groups.setdefault(idx.key[:2], []).append(i)
+    for members in groups.values():
+        for s, i in enumerate(members):
+            ai = catalog[i].element.star()
+            for j in members[s:]:
+                val = kernel.evaluate(catalog[i].q, ai * catalog[j].element,
+                                      catalog[j].q, check_corner=False)
+                if i == j:
+                    val = (val + val.conj().T) / 2.0
+                gram[i * h:(i + 1) * h, j * h:(j + 1) * h] = val
+                gram[j * h:(j + 1) * h, i * h:(i + 1) * h] = val.conj().T
+    return gram
+
+
 def numerical_rank(w):
     return int(np.sum(w > RANK_CUT * max(float(w[-1]), 1e-300)))
+
+
+def dense_outcome(gram, catalog, tols=Tolerances()):
+    """(verdict, rank, witness group, spectrum) from one dense eigvalsh.
+
+    The witness group is the first group, in catalog order, whose
+    restriction has its least eigenvalue within the rank tolerance of the
+    least eigenvalue of the whole operator.
+    """
+    w = np.linalg.eigvalsh(gram)
+    scale = max(1.0, float(np.abs(w).max()))
+    if w[0] >= -tols.psd * scale:
+        return True, numerical_rank(w), None, w
+    h = gram.shape[0] // len(catalog)
+    groups: dict = {}
+    for i, idx in enumerate(catalog):
+        groups.setdefault(idx.key[:2], []).extend(range(i * h, (i + 1) * h))
+    for key, rows in groups.items():
+        least = np.linalg.eigvalsh(gram[np.ix_(rows, rows)])[0]
+        if least <= w[0] + tols.rank * scale:
+            return False, None, key, w
+    raise AssertionError("no group attains the least eigenvalue")
+
+
+def blocked_outcome(kernel, degree, assembly):
+    """The same four from the library's per-block factorization."""
+    try:
+        res = naimark_dilate(kernel, degree, assembly=assembly, verify=False)
+    except GramNotPositiveError as exc:
+        return False, None, exc.group, assembly.eigenvalues()
+    return True, res.rank, None, res.eigenvalues
+
+
+def assert_same_outcome(expected, got):
+    verdict, rank, group, w = expected
+    assert got[:3] == (verdict, rank, group)
+    assert got[3].shape == w.shape
+    assert np.abs(got[3] - w).max() <= 1e-12 * np.abs(w).max()
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +253,48 @@ def test_block_assembly_matches_dense_and_svd_oracles(make):
     scale = np.abs(w_svd).max()
     assert np.abs(w_new - w_svd).max() <= 1e-12 * scale
     assert numerical_rank(w_new) == numerical_rank(w_svd)
+
+    # the per-block factorization agrees with the dense spectrum
+    assert_same_outcome(dense_outcome(dense, g.catalog),
+                        blocked_outcome(kernel, degree, g))
+
+
+def abelian_rank2_depth5():
+    kernel, _ = abelian_rank2()
+    ext = extend_phi_T(kernel.sys, kernel.T, (5, 5))
+    assert ext.accepted
+    return KernelSystem(kernel.sys, ext.map, kernel.T), 5
+
+
+def matrix_dense(position, tmp_path):
+    """Instance ``position`` of the matrix_dense workload at seed 1: 0 is a
+    state instance, 1 the transpose instance refused at gram.psd."""
+    workloads = load_perfbench("workloads")
+    instances = workloads.generate("matrix_dense", 1, str(tmp_path), 2)
+    inst = parse_instance(instances[position].path)
+    sys_, phi, T, _ = build_pair(inst)
+    return KernelSystem(sys_, phi, T), inst.degree
+
+
+@pytest.mark.parametrize(
+    "case", ["abelian_rank2_depth5", "matrix_dense_state", "matrix_dense_transpose"]
+)
+def test_blocked_factorization_matches_grouped_dense_oracle(case, tmp_path):
+    if case == "abelian_rank2_depth5":
+        kernel, degree = abelian_rank2_depth5()
+    else:
+        kernel, degree = matrix_dense(int(case.endswith("transpose")), tmp_path)
+    g = assemble_gram(kernel, degree)
+    dense = grouped_dense_gram(kernel, g.catalog)
+    assert np.array_equal(g.gram, dense)
+    expected = dense_outcome(dense, g.catalog)
+    assert_same_outcome(expected, blocked_outcome(kernel, degree, g))
+    # the transpose instance exercises the witness group
+    assert expected[0] == (case != "matrix_dense_transpose")
+    if degree == 5:
+        assert expected[1] == 2 * (5 + 1) ** 2
+    else:
+        assert g.size == 1000 and len(g.blocks) == 2
 
 
 @pytest.mark.parametrize("make", CASES, ids=lambda f: f.__name__)

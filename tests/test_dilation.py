@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    load_perfbench,
     random_coisometry_pair,
     random_contraction,
     random_unitary,
@@ -12,6 +13,7 @@ from lcm_dilate.algebras import (
     FreeBoundaryModel,
     PointModel,
 )
+from lcm_dilate.cli import build_pair, parse_instance
 from lcm_dilate.cpmaps import (
     BaseOperatorMap,
     ContractionFamily,
@@ -29,7 +31,7 @@ from lcm_dilate.dilation import (
     uniqueness_probe,
 )
 from lcm_dilate.errors import GramNotPositiveError, SpecMismatchError
-from lcm_dilate.kernel import GramAssembly, KernelSystem, assemble_gram
+from lcm_dilate.kernel import GramAssembly, GramBlock, KernelSystem, assemble_gram
 from lcm_dilate.semigroup import FreeAbelian, FreeMonoid
 from lcm_dilate.systems import GeneratorMap, LcmSystem
 
@@ -148,6 +150,12 @@ def test_refusal_carries_negative_eigenvalue_witness():
     x = exc.value.witness
     rayleigh = (x.conj() @ g.gram @ x).real
     assert abs(rayleigh - exc.value.min_eigenvalue) <= 1e-8
+    # the witness lives on one (atom, row) group, named with its labels
+    block = next(b for b in g.blocks if b.key == exc.value.group)
+    assert exc.value.labels == [g.catalog[r].label for r in block.rows]
+    outside = np.ones(g.size, dtype=bool)
+    outside[g.expanded_rows(block.rows)] = False
+    assert np.all(x[outside] == 0)
 
 
 @pytest.mark.parametrize("where", [(1, 1), (0, 1)], ids=["diagonal", "pair"])
@@ -159,9 +167,13 @@ def test_nan_gram_is_refused_before_eigh(where):
     T = ContractionFamily(FA1, [np.eye(2)])
     K = KernelSystem(sys_, BaseOperatorMap(M2, M2.basis()), T)
     good = assemble_gram(K, 1)
-    gram = np.eye(good.size, dtype=complex)
-    gram[where] = gram[where[::-1]] = np.nan
-    bad = GramAssembly(K, 1, good.catalog, good.corners, gram, 0.0)
+    blocks = [GramBlock(b.key, b.rows, np.eye(len(b.matrix), dtype=complex))
+              for b in good.blocks]
+    # the first block holds the first catalog rows, so its local entry
+    # (i, j) is the entry (i, j) of the whole Gram operator
+    assert good.blocks[0].rows[0] == 0 and len(good.blocks[0].rows) >= 2
+    blocks[0].matrix[where] = blocks[0].matrix[where[::-1]] = np.nan
+    bad = GramAssembly(K, 1, good.catalog, good.corners, blocks, 0.0)
     with pytest.raises(
         SpecMismatchError,
         match=rf"the {good.size}-row Gram operator has a non-finite entry "
@@ -183,6 +195,30 @@ def test_abelian_rank2_depth4_rank_invariant():
     assert res.passed, [c.name for c in res.report.failures()]
     assert res.assembly.size == 450
     assert res.rank == 2 * (4 + 1) ** 2 == 50
+
+
+@pytest.mark.parametrize("workload, depth, rank", [
+    ("abelian_gram", 3, 2 * (3 + 1) ** 2),
+    ("abelian_gram", 5, 2 * (5 + 1) ** 2),
+    ("matrix_dense", 4, 4 * 10),
+    ("free_boundary", 3, 64),
+])
+def test_rank_invariants_on_the_block_factor(workload, depth, rank, tmp_path):
+    workloads = load_perfbench("workloads")
+    if workload == "abelian_gram":
+        inst = workloads.gen_abelian_gram(np.random.default_rng(1), str(tmp_path),
+                                          1, depth=depth)[0]
+    else:
+        inst = workloads.generate(workload, 1, str(tmp_path), 1)[0]
+    instance = parse_instance(inst.path)
+    assert instance.degree == depth
+    sys_, phi, T, _ = build_pair(instance)
+    res = covariant_dilate(sys_, phi, T, depth)
+    assert res.passed, [c.name for c in res.report.failures()]
+    assert res.rank == rank
+    # the dilation space is the direct sum of the blocks' factor ranges
+    assert [f.span.start for f in res.factors] == list(
+        np.cumsum([0] + [f.factor.shape[0] for f in res.factors[:-1]]))
 
 
 def test_permuted_assembly_matches_dense_selection_product():
