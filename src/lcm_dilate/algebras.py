@@ -9,26 +9,36 @@ algebra.  Refining an element to a deeper catalog is a unital injective
 *-homomorphism; all arithmetic is performed after refining both operands to a
 common depth, so products and sums are exact.
 
-Atom catalogs
--------------
-* abelian Toeplitz model of rank m: atoms are m-tuples with coordinate i in
-  ``0..d_i``; the value ``d_i`` marks the tail of the half-line at stage
-  ``d_i``, smaller values are point masses.  Depth is a per-coordinate tuple,
-  the m-fold tensor of the rank-1 model.
-* free Toeplitz model of rank k: defect atoms ``("d", w)`` for words shorter
-  than the depth (point mass at the finite word w) plus leaf cylinders
-  ``("c", w)`` at word length == depth.
-* free boundary model of rank k: leaf cylinders only (the space of infinite
-  words at stage d).
-* point model: a single trivial atom; elements are bare base-algebra
-  matrices.  Used for systems acting on a fixed finite-dimensional algebra.
+Atom rules
+----------
+A model states its catalog ``atoms(depth)`` and rules on one atom, and
+refinement and the generator action are written once over them.
+``children(atom, depth, target)`` are the atoms at ``target`` under it; the
+children of distinct atoms are disjoint and make up ``atoms(target)``, so
+refinement hands each value down and never adds two.  ``shift(atom, letter)``
+is where alpha_letter moves it and ``unshift`` the left inverse, ``None`` off
+the range projection of the letter; ``shift_depth``/``unshift_depth`` move
+depths alike.
+
+* abelian Toeplitz, rank m: m-tuples with coordinate i in ``0..d_i``, the
+  value ``d_i`` the tail of the half-line, smaller values point masses.  A
+  tail coordinate's children run up to its target; letter i adds 1 to
+  coordinate i-1.  Depth is a per-coordinate tuple.
+* free Toeplitz, rank k: defect atoms ``("d", w)`` at words shorter than the
+  depth and leaf cylinders ``("c", w)`` at words of the depth's length.  A
+  cylinder's children are the defect atoms at its extensions shorter than
+  the target and the cylinders at the target; a letter is prepended to w.
+* free boundary: cylinders only; a cylinder's children are the cylinders
+  at the target extending it.
+* point model: one trivial atom, its own child; elements are bare
+  base-algebra matrices and the generators act by explicit maps.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -140,6 +150,10 @@ Atom = tuple
 Depth = Union[int, tuple[int, ...]]
 
 
+def _bump(t: tuple, coord: int, step: int) -> tuple:
+    return t[:coord] + (t[coord] + step,) + t[coord + 1:]
+
+
 class AbelianToeplitzModel:
     """Diagonal model for the free abelian monoid: stage algebras of the
     one-point-compactified half-line, tensored coordinatewise."""
@@ -180,55 +194,27 @@ class AbelianToeplitzModel:
         is cut off one step above, a tail coordinate is not."""
         depth = self.normalize_depth(depth)
         return atom, [
-            atom[:i] + (atom[i] + 1,) + atom[i + 1:]
-            for i in range(self.rank) if atom[i] < depth[i]
+            _bump(atom, i, 1) for i in range(self.rank) if atom[i] < depth[i]
         ]
 
-    def refine_once(self, coeffs: dict, depth: Depth, coord: int) -> tuple[dict, Depth]:
-        """Split the tail of one coordinate: tail(d) -> point(d) + tail(d+1)."""
-        d = depth[coord]
-        new: dict = {}
-        for atom, val in coeffs.items():
-            if atom[coord] == d:
-                stay = atom
-                split = atom[:coord] + (d + 1,) + atom[coord + 1:]
-                new[stay] = val
-                new[split] = val
-            else:
-                new[atom] = val
-        ndepth = depth[:coord] + (d + 1,) + depth[coord + 1:]
-        return new, ndepth
+    def children(self, atom: Atom, depth: Depth, target: Depth) -> list[Atom]:
+        return list(itertools.product(*(
+            range(d, t + 1) if a == d else (a,)
+            for a, d, t in zip(atom, depth, target)
+        )))
 
-    def refine_to(self, coeffs: dict, depth: Depth, target: Depth) -> dict:
-        target = self.normalize_depth(target)
-        if not self.depth_leq(depth, target):
-            raise SpecMismatchError(f"cannot refine depth {depth} to {target}")
-        cur = coeffs
-        for coord in range(self.rank):
-            while depth[coord] < target[coord]:
-                cur, depth = self.refine_once(cur, depth, coord)
-        return cur
+    def shift(self, atom: Atom, letter: int) -> Atom:
+        return _bump(atom, letter - 1, 1)
 
-    # -- generator action on atom keys (values untouched) -------------------
+    def unshift(self, atom: Atom, letter: int) -> Optional[Atom]:
+        return _bump(atom, letter - 1, -1) if atom[letter - 1] else None
 
-    def shift_atoms(self, coeffs: dict, depth: Depth, letter: int) -> tuple[dict, Depth]:
-        """Translate coordinate ``letter-1`` by one step; depth grows there."""
-        c = letter - 1
-        new = {atom[:c] + (atom[c] + 1,) + atom[c + 1:]: v for atom, v in coeffs.items()}
-        return new, depth[:c] + (depth[c] + 1,) + depth[c + 1:]
+    def shift_depth(self, depth: Depth, letter: int) -> Depth:
+        return _bump(depth, letter - 1, 1)
 
-    def unshift_atoms(self, coeffs: dict, depth: Depth, letter: int) -> tuple[dict, Depth]:
-        """Left inverse of ``shift_atoms``: mask the range projection, then
-        translate back.  Atoms at coordinate value 0 are annihilated."""
-        c = letter - 1
-        if depth[c] < 1:
-            coeffs = self.refine_to(coeffs, depth, depth[:c] + (1,) + depth[c + 1:])
-            depth = depth[:c] + (1,) + depth[c + 1:]
-        new = {}
-        for atom, v in coeffs.items():
-            if atom[c] >= 1:
-                new[atom[:c] + (atom[c] - 1,) + atom[c + 1:]] = v
-        return new, depth[:c] + (depth[c] - 1,) + depth[c + 1:]
+    def unshift_depth(self, depth: Depth, letter: int) -> Depth:
+        return _bump(depth, letter - 1, -1)
+
 
 def _words(rank: int, length: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(1, rank + 1), repeat=length))
@@ -276,46 +262,29 @@ class FreeToeplitzModel:
         tag, w = atom
         return w, [w + (i,) for i in range(1, self.rank + 1)] if tag == "d" else []
 
-    def refine_once(self, coeffs: dict, depth: int) -> tuple[dict, int]:
-        """Each leaf cylinder becomes its defect atom plus its children."""
-        new: dict = {}
+    def children(self, atom: Atom, depth: int, target: int) -> list[Atom]:
+        tag, w = atom
+        if tag == "d" or depth == target:
+            return [atom]
+        out = [("d", w)]
+        for i in range(1, self.rank + 1):
+            out += self.children(("c", w + (i,)), depth + 1, target)
+        return out
 
-        def _acc(key, val):
-            if key in new:
-                new[key] = new[key] + val
-            else:
-                new[key] = val
+    def shift(self, atom: Atom, letter: int) -> Atom:
+        tag, w = atom
+        return tag, (letter,) + w
 
-        for (tag, w), val in coeffs.items():
-            if tag == "d":
-                _acc(("d", w), val)
-            else:
-                _acc(("d", w), val)
-                for i in range(1, self.rank + 1):
-                    _acc(("c", w + (i,)), val)
-        return new, depth + 1
+    def unshift(self, atom: Atom, letter: int) -> Optional[Atom]:
+        tag, w = atom
+        return (tag, w[1:]) if w[:1] == (letter,) else None
 
-    def refine_to(self, coeffs: dict, depth: int, target: int) -> dict:
-        if depth > target:
-            raise SpecMismatchError(f"cannot refine depth {depth} to {target}")
-        cur = coeffs
-        while depth < target:
-            cur, depth = self.refine_once(cur, depth)
-        return cur
+    def shift_depth(self, depth: int, letter: int) -> int:
+        return depth + 1
 
-    def shift_atoms(self, coeffs: dict, depth: int, letter: int) -> tuple[dict, int]:
-        new = {(tag, (letter,) + w): v for (tag, w), v in coeffs.items()}
-        return new, depth + 1
+    def unshift_depth(self, depth: int, letter: int) -> int:
+        return depth - 1
 
-    def unshift_atoms(self, coeffs: dict, depth: int, letter: int) -> tuple[dict, int]:
-        if depth < 1:
-            coeffs = self.refine_to(coeffs, depth, 1)
-            depth = 1
-        new = {}
-        for (tag, w), v in coeffs.items():
-            if w and w[0] == letter:
-                new[(tag, w[1:])] = v
-        return new, depth - 1
 
 class FreeBoundaryModel(FreeToeplitzModel):
     """Boundary quotient of the free Toeplitz model: cylinders only, and a
@@ -326,13 +295,9 @@ class FreeBoundaryModel(FreeToeplitzModel):
     def atoms(self, depth: int) -> list[Atom]:
         return [("c", w) for w in _words(self.rank, depth)]
 
-    def refine_once(self, coeffs: dict, depth: int) -> tuple[dict, int]:
-        new: dict = {}
-        for (tag, w), val in coeffs.items():
-            for i in range(1, self.rank + 1):
-                key = ("c", w + (i,))
-                new[key] = new[key] + val if key in new else val
-        return new, depth + 1
+    def children(self, atom: Atom, depth: int, target: int) -> list[Atom]:
+        _, w = atom
+        return [("c", w + u) for u in _words(self.rank, target - depth)]
 
 
 class PointModel:
@@ -361,14 +326,9 @@ class PointModel:
     def atoms(self, depth) -> list[Atom]:
         return [()]
 
-    def refine_to(self, coeffs: dict, depth, target) -> dict:
-        return coeffs
+    def children(self, atom: Atom, depth, target) -> list[Atom]:
+        return [atom]
 
-    def shift_atoms(self, coeffs, depth, letter):
-        return dict(coeffs), 0
-
-    def unshift_atoms(self, coeffs, depth, letter):
-        return dict(coeffs), 0
 
 Model = Union[AbelianToeplitzModel, FreeToeplitzModel, FreeBoundaryModel, PointModel]
 
@@ -445,9 +405,17 @@ class LevelledElement:
             raise SpecMismatchError("elements live over different base algebras")
 
     def refine_to(self, target) -> "LevelledElement":
-        target = self.model.normalize_depth(target)
-        coeffs = self.model.refine_to(self.coeffs, self.depth, target)
-        return LevelledElement(self.model, self.base, target, coeffs)
+        """The same element over the atoms at ``target``: every atom passes
+        its value to its children there."""
+        model = self.model
+        target = model.normalize_depth(target)
+        if target == self.depth:
+            return self
+        if not model.depth_leq(self.depth, target):
+            raise SpecMismatchError(f"cannot refine depth {self.depth} to {target}")
+        coeffs = {c: v for atom, v in self.coeffs.items()
+                  for c in model.children(atom, self.depth, target)}
+        return LevelledElement(model, self.base, target, coeffs)
 
     def common_depth(self, other: "LevelledElement"):
         return self.model.join_depth(self.depth, other.depth)

@@ -52,9 +52,9 @@ from .errors import (
     SpecMismatchError,
 )
 from .kernel import DEFAULT_MAX_GRAM_DIM as DEFAULT_MAX_DIM
-from .persist import result_payload, verify_result
+from .persist import result_payload, stored_degree, verify_result
 from .semigroup import semigroup_from_json
-from .serialize import decode_matrix, load_json, report_hash, sha256_of
+from .serialize import decode_checks, decode_matrix, load_json, report_hash, sha256_of
 from .systems import ValidationReport, build_system
 
 REPORT_FORMAT = "lcm-dilate-report-v1"
@@ -471,9 +471,7 @@ def _verify(run: _Run) -> None:
             f"instance hash {instance.hash[:12]}...)",
             result_path,
         )
-    sys_, phi, T, _ = build_pair(
-        instance, degree=int(doc.get("degree", instance.degree))
-    )
+    sys_, phi, T, _ = build_pair(instance, degree=stored_degree(doc))
     rep = verify_result(doc, sys_, phi, T, instance.tolerances)
     run.report.checks.extend(rep.checks)
     run.extra.update(result_path=result_path, rank=doc.get("rank"))
@@ -601,6 +599,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report_of(path: str) -> dict:
+    """The report ``report`` renders for a file: a persisted report as it
+    is, or a persisted result as the report of its residual table."""
+    doc = load_json(path)
+    if not isinstance(doc, dict):
+        raise SchemaError("expected a report or a persisted result object")
+    if doc.get("format") == REPORT_FORMAT:
+        decode_checks(doc.get("checks"), "/checks")
+        if type(doc.get("exit_code")) is not int or doc["exit_code"] not in (0, 1, 2):
+            raise SchemaError("exit_code must be 0, 1 or 2", "/exit_code")
+        return doc
+    residuals = decode_checks(doc.get("residuals"), "/residuals")
+    passed = all(r["passed"] for r in residuals)
+    return {
+        "command": "result",
+        "instance_path": path,
+        "instance_hash": doc.get("instance_hash", ""),
+        "checks": residuals,
+        "passed": passed,
+        "exit_code": 0 if passed else 1,
+    }
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -612,26 +633,12 @@ def main(argv=None) -> int:
         code = 0
         for path in args.paths:
             try:
-                doc = load_json(path)
+                doc = _report_of(path)
             except SchemaError as exc:
-                print(f"error: {exc}", file=_sys.stderr)
+                print(f"error [{path}]: {exc}", file=_sys.stderr)
                 return 2
-            if doc.get("format") == REPORT_FORMAT:
-                _sys.stdout.buffer.write(emit_report(doc, args.format))
-                code = max(code, int(doc.get("exit_code", 1)))
-            else:
-                pseudo = {
-                    "command": "result",
-                    "instance_path": path,
-                    "instance_hash": doc.get("instance_hash", ""),
-                    "checks": doc.get("residuals", []),
-                    "passed": all(r.get("passed") for r in doc.get("residuals", [])),
-                    "exit_code": 0 if all(
-                        r.get("passed") for r in doc.get("residuals", [])
-                    ) else 1,
-                }
-                _sys.stdout.buffer.write(emit_report(pseudo, args.format))
-                code = max(code, pseudo["exit_code"])
+            _sys.stdout.buffer.write(emit_report(doc, args.format))
+            code = max(code, doc["exit_code"])
         return code
 
     flags = {

@@ -24,6 +24,7 @@ from .systems import LcmSystem
 PSD_RTOL = 1e-8
 CONTRACTION_SLACK = 1e-12
 MAX_SUBSET_SIZE = 16
+CONSISTENCY_RTOL = 1e-9  # stage consistency of the boundary lift
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +413,6 @@ def build_phi_tilde(
     phi: BaseOperatorMap,
     T: ContractionFamily,
     depth,
-    consistency_rtol: float = 1e-9,
 ):
     """Lift a base-algebra map to the levelled algebra along T.
 
@@ -439,9 +439,9 @@ def build_phi_tilde(
         )
         for ui, u in enumerate(units):
             resid = operator_norm(phi.value(u) - total[ui])
-            if resid > consistency_rtol * max(1.0, operator_norm(phi.value(u))):
+            if resid > CONSISTENCY_RTOL * max(1.0, operator_norm(phi.value(u))):
                 raise CovarianceError(
-                    resid, consistency_rtol,
+                    resid, CONSISTENCY_RTOL,
                     f"stage consistency of the boundary lift at basis #{ui}",
                 )
 

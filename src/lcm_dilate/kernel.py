@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import LevelledElement, PointModel, operator_norm
+from .algebras import LevelledElement, operator_norm
 from .cpmaps import BaseOperatorMap, ContractionFamily, OperatorMap
 from .errors import (
     CornerMembershipError,
@@ -84,19 +84,15 @@ class KernelSystem:
         return worst
 
     def _covariance_basis(self, g: int) -> list[LevelledElement]:
-        model = self.sys.model
-        if isinstance(self.phi, BaseOperatorMap) or isinstance(model, PointModel):
-            return self.sys.algebra_basis()
-        depth = self.phi.depth
-        if model.kind == "toeplitz_abelian":
-            d = list(depth)
-            if d[g - 1] == 0:
-                return []
-            d[g - 1] -= 1
-            return self.sys.algebra_basis(tuple(d))
-        if depth == 0:
+        """The basis covariance at g is checked on: for a levelled phi, the
+        depth alpha_g maps onto phi's, or none when E_g lies deeper."""
+        sys_ = self.sys
+        if isinstance(self.phi, BaseOperatorMap) or not sys_.is_levelled:
+            return sys_.algebra_basis()
+        model, depth = sys_.model, self.phi.depth
+        if not model.depth_leq(model.shift_depth(model.zero_depth(), g), depth):
             return []
-        return self.sys.algebra_basis(depth - 1)
+        return sys_.algebra_basis(model.unshift_depth(depth, g))
 
     # -- evaluation ---------------------------------------------------------------
 
@@ -106,7 +102,6 @@ class KernelSystem:
         a: LevelledElement,
         q: Element,
         check_corner: bool = True,
-        corner_rtol: float = CORNER_RTOL,
     ) -> np.ndarray:
         """K(p, a, q); requires a in the corner E_p . A . E_q."""
         sg = self.sys.semigroup
@@ -115,24 +110,20 @@ class KernelSystem:
         sg.validate_element(q)
         r = sg.lcm(p, q)
         if r is None:
-            if check_corner and a.norm() > corner_rtol:
-                raise CornerMembershipError(a.norm(), corner_rtol)
+            if check_corner and a.norm() > CORNER_RTOL:
+                raise CornerMembershipError(a.norm(), CORNER_RTOL)
             return np.zeros((self.h, self.h), dtype=np.complex128)
         if check_corner:
-            depth = self.sys.model.join_depth(
-                a.depth,
-                self.sys.model.join_depth(
-                    self.sys.depth_of(p), self.sys.depth_of(q)
-                ),
-            )
+            # E_p E_q = E_r, so the depth of E_r holds both projections
+            depth = self.sys.model.join_depth(a.depth, self.sys.depth_of(r))
             corner = self.sys.corner_basis(p, q, depth)
             if len(corner) == 0:
-                if a.norm() > corner_rtol:
-                    raise CornerMembershipError(a.norm(), corner_rtol)
+                if a.norm() > CORNER_RTOL:
+                    raise CornerMembershipError(a.norm(), CORNER_RTOL)
                 return np.zeros((self.h, self.h), dtype=np.complex128)
             _, resid = corner.coefficients(a)
-            if not resid <= corner_rtol:
-                raise CornerMembershipError(resid, corner_rtol)
+            if not resid <= CORNER_RTOL:
+                raise CornerMembershipError(resid, CORNER_RTOL)
         d1 = sg.left_divide(p, r)
         d2 = sg.left_divide(q, r)
         return _sandwich(self.T(d1), self.inner(r, a), self.T(d2))
@@ -414,9 +405,7 @@ def check_kernel_properties(
     # [K(.., b_i* a* a b_j, ..)]
     ps = elements[: min(3, len(elements))]
     bs = [sys_.corner_basis(sg.identity, p, depth).elements[0] for p in ps]
-    amb = sys_.algebra_basis(
-        sys_.model.normalize_depth(0 if isinstance(sys_.model, PointModel) else depth)
-    )
+    amb = sys_.algebra_basis(depth)
     a = amb[min(1, len(amb) - 1)] + amb[0] * 0.5
     n = len(ps)
     m_plain = np.zeros((n * kernel.h, n * kernel.h), dtype=np.complex128)

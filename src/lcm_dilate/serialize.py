@@ -38,6 +38,31 @@ def decode_matrix(doc, location: str = "") -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def decode_checks(doc, location: str) -> list[dict]:
+    """A list of check records: objects with a string ``name``, a boolean
+    ``passed``, numbers or nulls ``value`` and ``threshold`` and a string
+    ``detail``, the last three optional; anything else is refused."""
+    if not isinstance(doc, list):
+        raise SchemaError("expected a list of check records", location)
+    for i, check in enumerate(doc):
+        where = f"{location}/{i}"
+        if not isinstance(check, dict):
+            raise SchemaError("a check record must be an object", where)
+        if not isinstance(check.get("name"), str):
+            raise SchemaError("a check needs a string name", f"{where}/name")
+        if not isinstance(check.get("passed"), bool):
+            raise SchemaError("a check needs a boolean passed", f"{where}/passed")
+        for key in ("value", "threshold"):
+            v = check.get(key)
+            if v is not None and (isinstance(v, bool)
+                                  or not isinstance(v, (int, float))):
+                raise SchemaError(f"{key} must be a number or null",
+                                  f"{where}/{key}")
+        if not isinstance(check.get("detail", ""), str):
+            raise SchemaError("detail must be a string", f"{where}/detail")
+    return doc
+
+
 def canonical_json(obj: Any) -> str:
     """Deterministic textual form: sorted keys, no whitespace jitter."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)

@@ -337,24 +337,31 @@ class LcmSystem(GeneratorAction):
         if self.alphas is not None:
             coeffs = {a: self.alphas[letter - 1].apply(v) for a, v in x.coeffs.items()}
             return LevelledElement(x.model, x.base, x.depth, coeffs)
-        shifted, depth = self.model.shift_atoms(x.coeffs, x.depth, letter)
-        u = self.betas[letter - 1]
-        coeffs = {a: u @ v @ u.conj().T for a, v in shifted.items()}
-        return LevelledElement(x.model, x.base, depth, coeffs)
+        model, u = self.model, self.betas[letter - 1]
+        coeffs = {model.shift(a, letter): u @ v @ u.conj().T
+                  for a, v in x.coeffs.items()}
+        return LevelledElement(x.model, x.base, model.shift_depth(x.depth, letter),
+                               coeffs)
 
     def apply_generator_inverse(self, letter: int, x: LevelledElement) -> LevelledElement:
-        """Left inverse of one generator: mask by its range projection, then
-        shift back.  Defined on the whole algebra."""
+        """Left inverse of one generator: keep the atoms under its range
+        projection and shift them back.  Defined on the whole algebra."""
         if self.alphas is not None:
             coeffs = {
                 a: self.alphas[letter - 1].apply_inverse(v)
                 for a, v in x.coeffs.items()
             }
             return LevelledElement(x.model, x.base, x.depth, coeffs)
-        masked, depth = self.model.unshift_atoms(x.coeffs, x.depth, letter)
-        u = self.betas[letter - 1]
-        coeffs = {a: u.conj().T @ v @ u for a, v in masked.items()}
-        return LevelledElement(x.model, x.base, depth, coeffs)
+        model, u = self.model, self.betas[letter - 1]
+        e_depth = model.shift_depth(model.zero_depth(), letter)  # of E_letter
+        y = x.refine_to(model.join_depth(x.depth, e_depth))
+        coeffs = {}
+        for a, v in y.coeffs.items():
+            b = model.unshift(a, letter)
+            if b is not None:
+                coeffs[b] = u.conj().T @ v @ u
+        return LevelledElement(x.model, x.base, model.unshift_depth(y.depth, letter),
+                               coeffs)
 
     def apply_endo(self, p: Element, x: LevelledElement) -> LevelledElement:
         """The endomorphism at p, composed from generator steps."""
@@ -441,12 +448,8 @@ class LcmSystem(GeneratorAction):
             report.add(f"beta[{i}].unitary", err <= tol, err, tol)
 
         d0 = self.model.normalize_depth(depth)
-        basis = self.algebra_basis(d0)
-
-        def out_depth(g):
-            return self.apply_generator(g, self.unit(d0)).depth
-
-        self._validate_common(report, basis, tol, out_depth)
+        self._validate_common(report, self.algebra_basis(d0), tol,
+                              lambda g: self.model.shift_depth(d0, g))
         self._validate_units(report, depth, tol)
         self._validate_factorizations(report, tol)
 
@@ -577,11 +580,11 @@ class StageSystem(GeneratorAction):
 # ---------------------------------------------------------------------------
 
 
-def build_system(config: dict, validate: bool = True, depth: int = 1):
+def build_system(config: dict, validate: bool = True):
     """Build a system from a plain mapping (see the instance JSON schema).
 
     Raises SystemValidationError when ``validate`` is set and a structural
-    check fails.
+    check fails at depth 1.
     """
     from .semigroup import semigroup_from_json
 
@@ -610,7 +613,7 @@ def build_system(config: dict, validate: bool = True, depth: int = 1):
                          betas=config.get("betas"))
 
     if validate:
-        report = sys_.validate(depth=depth)
+        report = sys_.validate()
         if not report.passed:
             raise SystemValidationError(report)
     return sys_

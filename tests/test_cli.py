@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -119,6 +120,77 @@ def test_malformed_instance_exits_2_without_traceback(fixtures_dir, tmp_path,
     assert code == 2
     assert "Traceback" not in err
     assert location in err
+
+
+@pytest.fixture(scope="module")
+def stored_documents(tmp_path_factory, fixtures_dir):
+    """A persisted result and a persisted report of ``sznagy_half``."""
+    out = tmp_path_factory.mktemp("stored") / "r.json"
+    instance = parse_instance(str(fixtures_dir / "sznagy_half.json"))
+    assert run_command("dilate", instance,
+                       dict(FLAGS, output=str(out)))["exit_code"] == 0
+    return json.loads(out.read_text()), run_command("validate", instance, FLAGS)
+
+
+def _without(doc: dict, key: str) -> dict:
+    return {k: v for k, v in doc.items() if k != key}
+
+
+# case -> (command, the document it reads, made from the good result and
+# report, and the location the refusal names)
+MALFORMED_STORED = {
+    "residuals_missing": (
+        "verify", lambda r, _: _without(r, "residuals"), "/residuals"),
+    "residual_not_object": (
+        "verify", lambda r, _: dict(r, residuals=[1]), "/residuals/0"),
+    "interiors_list": (
+        "verify", lambda r, _: dict(r, interiors=list(r["interiors"].values())),
+        "/interiors"),
+    "interior_key_not_level": (
+        "verify",
+        lambda r, _: dict(r, interiors={**r["interiors"], "x": r["interiors"]["0"]}),
+        "/interiors/x"),
+    "interior_rows": (
+        "verify",
+        lambda r, _: dict(r, interiors={**r["interiors"], "1": r["interiors"]["1"][:2]}),
+        "/interiors/1"),
+    "degree_text": ("verify", lambda r, _: dict(r, degree="abc"), "/degree"),
+    "pi_list": (
+        "verify", lambda r, _: dict(r, pi=list(r["pi"].values())), "/pi"),
+    "pi_shape": (
+        "verify", lambda r, _: dict(r, pi={**r["pi"], "d1:(0,)|b0e11": [[1.0]]}),
+        "/pi/d1:(0,)|b0e11"),
+    "isometries_short": (
+        "verify", lambda r, _: dict(r, isometries=[]), "/isometries"),
+    "isometry_shape": (
+        "verify", lambda r, _: dict(r, isometries=[[[1.0]]]), "/isometries/0"),
+    "embedding_shape": (
+        "verify", lambda r, _: dict(r, embedding=r["embedding"][:2]), "/embedding"),
+    "report_list": ("report", lambda _, p: [1, 2], "/"),
+    "report_residual_not_object": (
+        "report", lambda _, p: {"residuals": [1]}, "/residuals/0"),
+    "report_check_without_name": (
+        "report",
+        lambda _, p: dict(p, checks=[_without(c, "name") for c in p["checks"]]),
+        "/checks/0/name"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_STORED)
+def test_malformed_result_or_report_exits_2_without_traceback(
+        fixtures_dir, tmp_path, capsys, stored_documents, case):
+    command, make, location = MALFORMED_STORED[case]
+    path = tmp_path / "stored.json"
+    path.write_text(json.dumps(make(*stored_documents)))
+    if command == "verify":
+        code = main(["verify", str(fixtures_dir / "sznagy_half.json"),
+                     "--result", str(path)])
+    else:
+        code = main(["report", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert f"(at {location})" in err
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -471,3 +543,20 @@ def test_experiment_script_agrees(args, last_line):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == last_line
+
+
+def test_output_digest_is_one_deterministic_pathless_line_per_command(
+        fixtures_dir, capsys):
+    digest = _load_script("output_digest")
+    path = str(fixtures_dir / "sznagy_half.json")
+    runs = []
+    for _ in range(2):
+        assert digest.main([path]) == 0
+        runs.append(capsys.readouterr().out)
+    assert runs[0] == runs[1]
+    lines = [json.loads(line) for line in runs[0].splitlines()]
+    assert [d["command"] for d in lines] == list(digest.COMMANDS)
+    assert all(d["exit_code"] == 0 and d["checks"] for d in lines)
+    assert len(lines[3]["result_sha256"]) == 64
+    assert str(fixtures_dir) not in runs[0]
+    assert tempfile.gettempdir() not in runs[0]
