@@ -4,7 +4,7 @@
 
 The instances are the bundled fixtures and one pass of seeds 1 and 2 of the
 four perfbench workloads, written by ``perfbench/workloads.py`` into a
-temporary directory; instance files given as arguments replace them.  Every
+temporary directory.  Every
 command runs on every instance, ``verify`` on the result ``dilate`` just
 persisted.  A line holds the exit code, each check's (name, passed, value,
 detail) and the sha256 of the persisted result, and no path, so comparing
@@ -81,12 +81,9 @@ def digest(label: str, path: str, command: str, flags: dict, tmp: str) -> dict:
     return line
 
 
-def main(argv=None) -> int:
-    paths = sys.argv[1:] if argv is None else argv
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="lcm-digest-") as tmp:
-        todo = ([(pathlib.Path(p).name, p, {}) for p in paths] if paths
-                else instances(tmp))
-        for label, path, flags in todo:
+        for label, path, flags in instances(tmp):
             for command in COMMANDS:
                 print(json.dumps(digest(label, path, command, flags, tmp),
                                  sort_keys=True), flush=True)

@@ -30,8 +30,9 @@ depths alike.
   the target and the cylinders at the target; a letter is prepended to w.
 * free boundary: cylinders only; a cylinder's children are the cylinders
   at the target extending it.
-* point model: one trivial atom, its own child; elements are bare
-  base-algebra matrices and the generators act by explicit maps.
+* point model: one trivial atom at the single depth 0, so it has no atom
+  rules; elements are bare base-algebra matrices and the generators act by
+  explicit maps.
 """
 
 from __future__ import annotations
@@ -325,9 +326,6 @@ class PointModel:
 
     def atoms(self, depth) -> list[Atom]:
         return [()]
-
-    def children(self, atom: Atom, depth, target) -> list[Atom]:
-        return [atom]
 
 
 Model = Union[AbelianToeplitzModel, FreeToeplitzModel, FreeBoundaryModel, PointModel]
