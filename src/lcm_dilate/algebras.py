@@ -30,9 +30,9 @@ depths alike.
   the target and the cylinders at the target; a letter is prepended to w.
 * free boundary: cylinders only; a cylinder's children are the cylinders
   at the target extending it.
-* point model: one trivial atom at the single depth 0, so it has no atom
-  rules; elements are bare base-algebra matrices and the generators act by
-  explicit maps.
+* point model: one trivial atom at the single depth 0.  A letter leaves
+  the atom and the depth where they are, so alpha_letter is its value map
+  alone, an automorphism, and ``unshift`` is never ``None``.
 """
 
 from __future__ import annotations
@@ -326,6 +326,15 @@ class PointModel:
 
     def atoms(self, depth) -> list[Atom]:
         return [()]
+
+    def shift(self, atom: Atom, letter: int) -> Atom:
+        return atom
+
+    def shift_depth(self, depth, letter: int) -> int:
+        return 0
+
+    # a letter moves nothing, so its left inverse is the same rule
+    unshift, unshift_depth = shift, shift_depth
 
 
 Model = Union[AbelianToeplitzModel, FreeToeplitzModel, FreeBoundaryModel, PointModel]

@@ -31,7 +31,6 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .algebras import PointModel
 from .cpmaps import (
     BaseOperatorMap,
     ContractionFamily,
@@ -83,6 +82,27 @@ class Instance:
     seed: int
 
 
+def _positive_ints(doc) -> bool:
+    """A nonempty list of positive integers (booleans are not integers)."""
+    return isinstance(doc, list) and bool(doc) and all(
+        type(b) is int and b >= 1 for b in doc
+    )
+
+
+def _square(doc, location: str, n: Optional[int]) -> np.ndarray:
+    """A square matrix, n x n when n is given."""
+    m = decode_matrix(doc, location)
+    if m.shape[0] != m.shape[1] or n is not None and m.shape[0] != n:
+        want = "a square matrix" if n is None else f"shape {(n, n)}"
+        raise SchemaError(f"matrix has shape {m.shape}, expected {want}", location)
+    return m
+
+
+# the generator members each model kind reads; the others are refused
+_MEMBERS = ("betas", "alphas", "codomain", "basis_images")
+_READS = {"matrix": ("alphas",), "stage": ("codomain", "basis_images")}
+
+
 def parse_instance(path: str) -> Instance:
     raw = load_json(path)
     if not isinstance(raw, dict):
@@ -110,9 +130,7 @@ def parse_instance(path: str) -> Instance:
     if not isinstance(base_doc, dict):
         raise SchemaError("base must be an object", "/system/base")
     blocks = base_doc.get("blocks", [1])
-    if not isinstance(blocks, list) or not all(
-        isinstance(b, int) and b >= 1 for b in blocks
-    ):
+    if not _positive_ints(blocks):
         raise SchemaError("base blocks must be positive integers", "/system/base/blocks")
     dim = sum(blocks)
 
@@ -121,47 +139,40 @@ def parse_instance(path: str) -> Instance:
         "model": {"kind": kind},
         "base": {"blocks": blocks},
     }
+    for key in _MEMBERS:
+        if key in sys_doc and key not in _READS.get(kind, ("betas",)):
+            raise SchemaError(f"a {kind} system does not read {key}", f"/system/{key}")
+    for key in ("betas", "alphas"):
+        if not isinstance(sys_doc.get(key, []), list):
+            raise SchemaError(f"{key} must be a list", f"/system/{key}")
     if "betas" in sys_doc:
-        betas = [
-            decode_matrix(m, f"/system/betas/{i}")
-            for i, m in enumerate(sys_doc["betas"])
-        ]
-        for i, b in enumerate(betas):
-            if b.shape != (dim, dim):
-                raise SchemaError(
-                    f"beta has shape {b.shape}, expected {(dim, dim)}",
-                    f"/system/betas/{i}",
-                )
-        config["betas"] = betas
+        config["betas"] = [_square(m, f"/system/betas/{i}", dim)
+                           for i, m in enumerate(sys_doc["betas"])]
     if "alphas" in sys_doc:
         alphas = []
         for i, entry in enumerate(sys_doc["alphas"]):
-            if "unitary" in entry:
-                alphas.append(
-                    {"unitary": decode_matrix(entry["unitary"],
-                                              f"/system/alphas/{i}/unitary")}
-                )
-            elif "linear" in entry:
-                alphas.append(
-                    {"linear": decode_matrix(entry["linear"],
-                                             f"/system/alphas/{i}/linear")}
-                )
-            else:
-                raise SchemaError("alpha entry needs 'unitary' or 'linear'",
-                                  f"/system/alphas/{i}")
+            where = f"/system/alphas/{i}"
+            if not isinstance(entry, dict) or ("unitary" in entry) == ("linear" in entry):
+                raise SchemaError("an alpha entry needs one of 'unitary' or 'linear'",
+                                  where)
+            key, n = ("unitary", dim) if "unitary" in entry else ("linear", dim * dim)
+            alphas.append({key: _square(entry[key], f"{where}/{key}", n)})
         config["alphas"] = alphas
     if kind == "stage":
-        cod = sys_doc.get("codomain", {}).get("blocks")
-        if not cod:
+        cod = sys_doc.get("codomain")
+        cod = cod.get("blocks") if isinstance(cod, dict) else None
+        if not _positive_ints(cod):
             raise SchemaError("stage systems need codomain blocks",
                               "/system/codomain")
         config["codomain"] = {"blocks": cod}
         images_doc = sys_doc.get("basis_images")
-        if not isinstance(images_doc, list):
+        if not isinstance(images_doc, list) or not all(
+            isinstance(gen, list) for gen in images_doc
+        ):
             raise SchemaError("stage systems need basis_images",
                               "/system/basis_images")
         config["basis_images"] = [
-            [decode_matrix(m, f"/system/basis_images/{g}/{i}")
+            [_square(m, f"/system/basis_images/{g}/{i}", sum(cod))
              for i, m in enumerate(gen)]
             for g, gen in enumerate(images_doc)
         ]
@@ -192,17 +203,18 @@ def parse_instance(path: str) -> Instance:
     if pk == "state":
         if "rho" not in phi_doc:
             raise SchemaError("phi.state needs 'rho'", "/phi/rho")
-        phi_config["rho"] = decode_matrix(phi_doc["rho"], "/phi/rho")
+        phi_config["rho"] = _square(phi_doc["rho"], "/phi/rho", dim)
     if pk == "base_values":
         vals = phi_doc.get("values")
         if not isinstance(vals, list):
             raise SchemaError("phi.base_values needs 'values'", "/phi/values")
+        h = t_mats[0].shape[0] if t_mats else None
         phi_config["values"] = [
-            decode_matrix(m, f"/phi/values/{i}") for i, m in enumerate(vals)
+            _square(m, f"/phi/values/{i}", h) for i, m in enumerate(vals)
         ]
 
     degree = raw.get("depth", 2)
-    if not isinstance(degree, int) or degree < 0:
+    if type(degree) is not int or degree < 0:
         raise SchemaError("depth must be a natural number", "/depth")
 
     tol_doc = raw.get("tolerances", {})
@@ -255,33 +267,27 @@ def build_pair(instance: Instance, degree: Optional[int] = None):
     T = ContractionFamily(sg, instance.t_mats) if instance.t_mats else None
 
     pk = instance.phi_config["kind"]
-    phi = None
     if pk == "from_contractions":
         if T is None:
             raise SchemaError("phi.from_contractions needs T", "/T")
         ext = extend_phi_T(sys_, T, degree, rtol=instance.tolerances.psd)
         return sys_, ext.map, T, ext
-    else:
-        base = sys_.base
-        if pk == "state":
-            if T is None:
-                raise SchemaError("phi.state needs T to fix the space", "/T")
-            phi0 = state_map(base, instance.phi_config["rho"], T.h)
-        elif pk == "base_values":
-            phi0 = BaseOperatorMap(base, instance.phi_config["values"])
-        elif pk == "diagonal":
-            phi0 = diagonal_compression_map(base)
-        elif pk == "transpose":
-            phi0 = transpose_map(base)
-        else:  # pragma: no cover
-            raise SchemaError(f"unhandled phi kind {pk}", "/phi/kind")
-        if not isinstance(sys_.model, PointModel):
-            if T is None:
-                raise SchemaError("lifting phi needs T", "/T")
-            phi = build_phi_tilde(sys_, phi0, T, degree)
-        else:
-            phi = phi0
-    return sys_, phi, T, None
+    base = sys_.base
+    if pk == "state":
+        if T is None:
+            raise SchemaError("phi.state needs T to fix the space", "/T")
+        phi0 = state_map(base, instance.phi_config["rho"], T.h)
+    elif pk == "base_values":
+        phi0 = BaseOperatorMap(base, instance.phi_config["values"])
+    elif pk == "diagonal":
+        phi0 = diagonal_compression_map(base)
+    elif pk == "transpose":
+        phi0 = transpose_map(base)
+    else:  # pragma: no cover
+        raise SchemaError(f"unhandled phi kind {pk}", "/phi/kind")
+    if T is None and instance.system_config["model"]["kind"] != "matrix":
+        raise SchemaError("lifting phi needs T", "/T")
+    return sys_, build_phi_tilde(sys_, phi0, T, degree), T, None
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ PSD_RTOL = 1e-8
 CONTRACTION_SLACK = 1e-12
 MAX_SUBSET_SIZE = 16
 CONSISTENCY_RTOL = 1e-9  # stage consistency of the boundary lift
+COMMUTE_TOL = 1e-10      # commutators of an abelian contraction family
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +234,7 @@ class ContractionFamily:
     homomorphism; this is checked at construction.
     """
 
-    def __init__(self, semigroup: Semigroup, mats: Sequence[np.ndarray],
-                 tol: float = 1e-10):
+    def __init__(self, semigroup: Semigroup, mats: Sequence[np.ndarray]):
         self.semigroup = semigroup
         self.mats = [np.asarray(m, dtype=Complex) for m in mats]
         if len(self.mats) != semigroup.rank:
@@ -258,7 +258,7 @@ class ContractionFamily:
             for i in range(len(self.mats)):
                 for j in range(i + 1, len(self.mats)):
                     comm = self.mats[i] @ self.mats[j] - self.mats[j] @ self.mats[i]
-                    if operator_norm(comm) > tol:
+                    if operator_norm(comm) > COMMUTE_TOL:
                         raise SpecMismatchError(
                             "abelian contraction families must commute; "
                             f"[T{i+1}, T{j+1}] has norm {operator_norm(comm):.3e}"
@@ -432,10 +432,11 @@ def build_phi_tilde(
         raise SpecMismatchError("contraction family indexed by the wrong semigroup")
     d = sys.model.normalize_depth(depth)
     units = sys.base.basis()
+    betas = sys.betas
 
     if sys.model.kind == "boundary_free":
         total = sum(
-            _compressed(phi, sys.betas, T, g, units) for g in sys.semigroup.generators
+            _compressed(phi, betas, T, g, units) for g in sys.semigroup.generators
         )
         for ui, u in enumerate(units):
             resid = operator_norm(phi.value(u) - total[ui])
@@ -446,7 +447,7 @@ def build_phi_tilde(
                 )
 
     def term(s: Element) -> np.ndarray:
-        return _compressed(phi, sys.betas, T, s, units)
+        return _compressed(phi, betas, T, s, units)
 
     memo: dict = {}   # shared by the atoms, whose cylinders overlap
     values = {}

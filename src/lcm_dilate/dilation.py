@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebras import LevelledElement, PointModel, operator_norm
+from .algebras import LevelledElement, operator_norm
 from .cpmaps import (
     ContractionFamily,
     OperatorMap,
@@ -463,18 +463,20 @@ def _sample_words(sg, degree: int, max_len: int = 2) -> list[Element]:
     return [p for p in sg.enumerate_up_to(min(degree, max_len)) if sg.length(p) >= 1]
 
 
+def stored_pi_depth(sys: LcmSystem, degree: int) -> int:
+    """Depth of the algebra basis a persisted pi is stored on: 1 at degree
+    >= 1, since the depth-1 basis spans every depth-0 element, else 0, in
+    the model's own depths (so 0 on the point model)."""
+    return sys.model.depth_max(sys.model.normalize_depth(min(degree, 1)))
+
+
 def _pi_basis(src) -> list[tuple[str, LevelledElement]]:
     sys_ = src.sys
-    labelled = [
-        (f"d0:{lbl}", b)
-        for lbl, b in zip(sys_.basis_labels(), sys_.algebra_basis())
+    return [
+        (f"d{depth}:{lbl}", b)
+        for depth in range(stored_pi_depth(sys_, src.degree) + 1)
+        for lbl, b in zip(sys_.basis_labels(depth), sys_.algebra_basis(depth))
     ]
-    if src.degree >= 1 and not isinstance(sys_.model, PointModel):
-        labelled += [
-            (f"d1:{lbl}", b)
-            for lbl, b in zip(sys_.basis_labels(1), sys_.algebra_basis(1))
-        ]
-    return labelled
 
 
 # ---------------------------------------------------------------------------
@@ -659,12 +661,7 @@ def _check_reproduces_kernel(result: DilationResult,
     worst, wit = 0.0, ""
     words = _sample_words(sg, result.degree, 1) + [sg.identity]
     for p, q in itertools.product(words, repeat=2):
-        corner = result.sys.corner_basis(
-            p, q,
-            result.sys.model.normalize_depth(
-                result.degree if result.sys.is_levelled else 0
-            ),
-        )
+        corner = result.sys.corner_basis(p, q, result.degree)
         for k, a in enumerate(corner.elements[:4]):
             lhs = result.kernel.evaluate(p, a, q, check_corner=False)
             rhs = (
@@ -730,7 +727,10 @@ def covariant_dilate(
     return result
 
 
-def _adjoint_formula_residual(result: DilationResult, max_pairs: int = 24) -> float:
+ADJOINT_PAIRS = 24   # catalog rows and interior columns the adjoint formula pairs
+
+
+def _adjoint_formula_residual(result: DilationResult) -> float:
     """Check V(p)* delta_(q,b) against the lcm formula by pairing both sides
     with interior catalog vectors through the Gram form.
 
@@ -744,12 +744,12 @@ def _adjoint_formula_residual(result: DilationResult, max_pairs: int = 24) -> fl
     sys_ = result.sys
     h = result.h
     worst = 0.0
-    catalog = result.assembly.catalog[:max_pairs]
+    catalog = result.assembly.catalog[:ADJOINT_PAIRS]
     for gen in sg.generators:
         if sg.length(gen) > result.degree:
             continue
         interior = result.interiors[sg.length(gen)]
-        n_t = min(max_pairs, len(interior.columns))
+        n_t = min(ADJOINT_PAIRS, len(interior.columns))
         if n_t == 0:
             continue
         x = interior.expansion

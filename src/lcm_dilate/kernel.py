@@ -87,7 +87,7 @@ class KernelSystem:
         """The basis covariance at g is checked on: for a levelled phi, the
         depth alpha_g maps onto phi's, or none when E_g lies deeper."""
         sys_ = self.sys
-        if isinstance(self.phi, BaseOperatorMap) or not sys_.is_levelled:
+        if isinstance(self.phi, BaseOperatorMap):
             return sys_.algebra_basis()
         model, depth = sys_.model, self.phi.depth
         if not model.depth_leq(model.shift_depth(model.zero_depth(), g), depth):

@@ -13,19 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 from .cpmaps import ContractionFamily, OperatorMap
-from .dilation import DilationResult, Tolerances, identity_suite
+from .dilation import DilationResult, Tolerances, identity_suite, stored_pi_depth
 from .errors import SchemaError
 from .semigroup import Element
 from .serialize import decode_checks, decode_matrix, encode_matrix
 from .systems import LcmSystem, ValidationReport
 
 RESULT_FORMAT = "lcm-dilate-result-v1"
-
-
-def stored_pi_depth(sys: LcmSystem, degree: int) -> int:
-    """Depth of the algebra basis pi is stored on: 1 on levelled models at
-    degree >= 1, since the depth-1 basis spans every depth-0 element, else 0."""
-    return 1 if sys.is_levelled and degree >= 1 else 0
 
 
 def _pi_labels(sys: LcmSystem, depth: int) -> list[str]:

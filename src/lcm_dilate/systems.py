@@ -1,11 +1,12 @@
 """Semigroup actions by injective *-endomorphisms and their validation.
 
 A system couples a semigroup with an algebra model and one endomorphism per
-generator.  For the levelled models the generator action is structural: shift
-the atom catalog one step and conjugate the base-algebra values by a unitary.
-For the point model the generators act by explicit maps on a fixed
-finite-dimensional algebra (unitary conjugations or general linear maps on
-vectorized elements).
+generator, written once for every model: alpha_g moves each atom by the
+model's rule and maps its base-algebra value by the generator's
+``GeneratorMap``.  A levelled model shifts its atoms and conjugates by a
+unitary beta_g; the point model keeps its one atom where it is, so its map
+(a unitary conjugation or a linear map on vectorized elements) is the whole
+action.
 
 ``validate`` checks the properties that make the range-projection calculus
 work: every generator image is an ideal, generator range projections multiply
@@ -40,12 +41,12 @@ PROJECTION_TOL = 1e-10  # atom values of range projections: 0 or the unit
 
 
 # ---------------------------------------------------------------------------
-# generator maps for the point model
+# generator maps
 # ---------------------------------------------------------------------------
 
 
 class GeneratorMap:
-    """One generator's action on a fixed base algebra."""
+    """One generator's action on the base-algebra value of an atom."""
 
     def __init__(self, unitary=None, linear=None):
         if (unitary is None) == (linear is None):
@@ -248,7 +249,8 @@ _COMPATIBLE = {
 
 
 class LcmSystem(GeneratorAction):
-    """A semigroup acting on a levelled or fixed finite-dimensional algebra.
+    """A semigroup acting on a levelled or fixed finite-dimensional algebra
+    through ``maps``, one ``GeneratorMap`` per generator.
 
     betas: one unitary per generator (levelled models; identity when omitted).
     alphas: one GeneratorMap per generator (point model only).
@@ -265,7 +267,13 @@ class LcmSystem(GeneratorAction):
         self.semigroup = semigroup
         self.model = model
         self.base = base
-        if not isinstance(model, PointModel):
+        if isinstance(model, PointModel):
+            if alphas is None:
+                raise SpecMismatchError("point-model systems need explicit maps")
+            if len(alphas) != semigroup.rank:
+                raise SpecMismatchError("need one generator map per generator")
+            self.maps = list(alphas)
+        else:
             expected = _COMPATIBLE[model.kind]
             if not isinstance(semigroup, expected) or model.rank != semigroup.rank:
                 raise SpecMismatchError(
@@ -276,29 +284,23 @@ class LcmSystem(GeneratorAction):
                 raise SpecMismatchError("explicit maps only apply to the point model")
             if betas is None:
                 betas = [base.unit() for _ in range(semigroup.rank)]
-            self.betas = [np.asarray(b, dtype=Complex) for b in betas]
-            if len(self.betas) != semigroup.rank:
+            betas = [np.asarray(b, dtype=Complex) for b in betas]
+            if len(betas) != semigroup.rank:
                 raise SpecMismatchError("need one base automorphism per generator")
-            for b in self.betas:
+            for b in betas:
                 if b.shape != (base.dim, base.dim):
                     raise SpecMismatchError("base automorphism has wrong shape")
                 if operator_norm(b @ b.conj().T - base.unit()) > 1e-10:
                     raise SpecMismatchError("base automorphisms must be unitary")
-            self.alphas = None
-        else:
-            if alphas is None:
-                raise SpecMismatchError("point-model systems need explicit maps")
-            if len(alphas) != semigroup.rank:
-                raise SpecMismatchError("need one generator map per generator")
-            self.alphas = list(alphas)
-            self.betas = None
+            self.maps = [GeneratorMap(unitary=b) for b in betas]
         self._corner_cache: dict = {}
 
-    # -- elements -------------------------------------------------------------
-
     @property
-    def is_levelled(self) -> bool:
-        return not isinstance(self.model, PointModel)
+    def betas(self) -> list[np.ndarray]:
+        """The unitaries beta_g of a levelled model's maps."""
+        return [m.unitary for m in self.maps]
+
+    # -- elements -------------------------------------------------------------
 
     def unit(self, depth=None) -> LevelledElement:
         return LevelledElement.unit(self.model, self.base, depth)
@@ -334,32 +336,22 @@ class LcmSystem(GeneratorAction):
     def apply_generator(self, letter: int, x: LevelledElement) -> LevelledElement:
         if not 1 <= letter <= self.semigroup.rank:
             raise SpecMismatchError(f"no generator {letter}")
-        if self.alphas is not None:
-            coeffs = {a: self.alphas[letter - 1].apply(v) for a, v in x.coeffs.items()}
-            return LevelledElement(x.model, x.base, x.depth, coeffs)
-        model, u = self.model, self.betas[letter - 1]
-        coeffs = {model.shift(a, letter): u @ v @ u.conj().T
-                  for a, v in x.coeffs.items()}
+        model, m = self.model, self.maps[letter - 1]
+        coeffs = {model.shift(a, letter): m.apply(v) for a, v in x.coeffs.items()}
         return LevelledElement(x.model, x.base, model.shift_depth(x.depth, letter),
                                coeffs)
 
     def apply_generator_inverse(self, letter: int, x: LevelledElement) -> LevelledElement:
         """Left inverse of one generator: keep the atoms under its range
         projection and shift them back.  Defined on the whole algebra."""
-        if self.alphas is not None:
-            coeffs = {
-                a: self.alphas[letter - 1].apply_inverse(v)
-                for a, v in x.coeffs.items()
-            }
-            return LevelledElement(x.model, x.base, x.depth, coeffs)
-        model, u = self.model, self.betas[letter - 1]
+        model, m = self.model, self.maps[letter - 1]
         e_depth = model.shift_depth(model.zero_depth(), letter)  # of E_letter
         y = x.refine_to(model.join_depth(x.depth, e_depth))
         coeffs = {}
         for a, v in y.coeffs.items():
             b = model.unshift(a, letter)
             if b is not None:
-                coeffs[b] = u.conj().T @ v @ u
+                coeffs[b] = m.apply_inverse(v)
         return LevelledElement(x.model, x.base, model.unshift_depth(y.depth, letter),
                                coeffs)
 
@@ -434,42 +426,26 @@ class LcmSystem(GeneratorAction):
 
     # -- validation ---------------------------------------------------------------
 
-    def validate(self, depth: int = 1, tol: float = CHECK_TOL) -> ValidationReport:
-        report = ValidationReport()
-        if self.alphas is not None:
-            self._validate_point(report, depth, tol)
-        else:
-            self._validate_levelled(report, depth, tol)
-        return report
-
-    def _validate_levelled(self, report, depth, tol):
-        for i, u in enumerate(self.betas, start=1):
-            err = operator_norm(u @ u.conj().T - self.base.unit())
-            report.add(f"beta[{i}].unitary", err <= tol, err, tol)
+    def validate(self, depth: int = 1) -> ValidationReport:
+        report, tol = ValidationReport(), CHECK_TOL
+        name = "alpha" if isinstance(self.model, PointModel) else "beta"
+        for i, m in enumerate(self.maps, start=1):
+            if m.unitary is not None:
+                err = operator_norm(m.unitary @ m.unitary.conj().T - self.base.unit())
+                report.add(f"{name}[{i}].unitary", err <= tol, err, tol)
+        if name == "alpha":
+            # an injective endomorphism of a fixed-dimension algebra is an
+            # automorphism, so it must fix the unit
+            for g in range(1, self.semigroup.rank + 1):
+                err = (self.apply_generator(g, self.unit()) - self.unit()).norm()
+                report.add(f"alpha[{g}].unital", err <= tol, err, tol)
 
         d0 = self.model.normalize_depth(depth)
         self._validate_common(report, self.algebra_basis(d0), tol,
                               lambda g: self.model.shift_depth(d0, g))
         self._validate_units(report, depth, tol)
         self._validate_factorizations(report, tol)
-
-    def _validate_point(self, report, depth, tol):
-        basis = self.algebra_basis()
-        for i, gm in enumerate(self.alphas, start=1):
-            if gm.unitary is not None:
-                err = operator_norm(
-                    gm.unitary @ gm.unitary.conj().T - self.base.unit()
-                )
-                report.add(f"alpha[{i}].unitary", err <= tol, err, tol)
-        # unitality (injective endomorphisms of a fixed-dimension algebra are
-        # automorphisms, so the unit must be fixed)
-        for g in range(1, self.semigroup.rank + 1):
-            err = (self.apply_generator(g, self.unit()) - self.unit()).norm()
-            report.add(f"alpha[{g}].unital", err <= tol, err, tol)
-
-        self._validate_common(report, basis, tol, lambda g: 0)
-        self._validate_units(report, depth, tol)
-        self._validate_factorizations(report, tol)
+        return report
 
     def _validate_units(self, report, depth, tol):
         sg = self.semigroup
@@ -565,13 +541,13 @@ class StageSystem(GeneratorAction):
         (letter,) = self.semigroup.as_word(generator)
         return self.apply_generator(letter, self._element(0, self.domain.unit()))
 
-    def validate(self, depth: int = 1, tol: float = CHECK_TOL) -> ValidationReport:
+    def validate(self, depth: int = 1) -> ValidationReport:
         """The checks of ``LcmSystem.validate`` that one step supports; a
         stage has a single step, so ``depth`` changes nothing."""
         report = ValidationReport()
-        self._validate_common(report, self.algebra_basis(0), tol, lambda g: 1)
+        self._validate_common(report, self.algebra_basis(0), CHECK_TOL, lambda g: 1)
         if isinstance(self.semigroup, FreeMonoid) and self.semigroup.rank >= 2:
-            self._validate_orthogonal_generators(report, tol)
+            self._validate_orthogonal_generators(report, CHECK_TOL)
         return report
 
 
@@ -597,16 +573,9 @@ def build_system(config: dict, validate: bool = True):
         codomain = BaseAlgebra(tuple(config["codomain"]["blocks"]))
         sys_ = StageSystem(sg, base, codomain, config["basis_images"])
     elif kind == "matrix":
-        alphas = []
-        for entry in config.get("alphas", []):
-            if "unitary" in entry:
-                alphas.append(GeneratorMap(unitary=entry["unitary"]))
-            else:
-                alphas.append(GeneratorMap(linear=entry["linear"]))
-        if not alphas:
-            alphas = [
-                GeneratorMap(unitary=base.unit()) for _ in range(sg.rank)
-            ]
+        alphas = [GeneratorMap(**entry) for entry in config.get("alphas", [])] or [
+            GeneratorMap(unitary=base.unit()) for _ in range(sg.rank)
+        ]
         sys_ = LcmSystem(sg, model_from_kind(kind, sg.rank), base, alphas=alphas)
     else:
         sys_ = LcmSystem(sg, model_from_kind(kind, sg.rank), base,

@@ -4,7 +4,9 @@ The oracle below refines, shifts and masked-unshifts a coefficient
 dictionary as one transform per model, one stage at a time; the library
 applies each model's per-atom rules (``children``, ``shift``, ``unshift``)
 once for all models.  Both must give the same atoms in the same order and
-bit-equal values, since later sums run in dictionary order.
+bit-equal values, since later sums run in dictionary order.  On the point
+model the oracle maps every atom's value by the generator's explicit map
+and leaves the depth alone.
 """
 
 import itertools
@@ -22,7 +24,7 @@ from lcm_dilate.algebras import (
     PointModel,
 )
 from lcm_dilate.semigroup import FreeAbelian, FreeMonoid
-from lcm_dilate.systems import LcmSystem
+from lcm_dilate.systems import GeneratorMap, LcmSystem
 
 C = BaseAlgebra((1,))
 M2 = BaseAlgebra((2,))
@@ -225,3 +227,40 @@ def test_unshift_inverts_shift_and_is_none_off_the_range(name):
             under = e_letter.refine_to(depth).coeffs
             for atom in model.atoms(depth):
                 assert (model.unshift(atom, letter) is None) == (atom not in under)
+
+
+def point_oracle(alphas, letter, x, inverse=False):
+    """The point-model generator action and its inverse as explicit maps:
+    every atom keeps its place and the depth stays."""
+    gm = alphas[letter - 1]
+    apply = gm.apply_inverse if inverse else gm.apply
+    return {a: apply(v) for a, v in x.coeffs.items()}, x.depth
+
+
+@pytest.mark.parametrize("blocks", [(2,), (2, 1)])
+@pytest.mark.parametrize("kind", ["unitary", "linear"])
+def test_point_model_action_matches_its_explicit_maps(blocks, kind):
+    rng = np.random.default_rng(13)
+    base, sg = BaseAlgebra(blocks), FreeAbelian(2)
+    n = base.dim
+    alphas = [GeneratorMap(unitary=random_unitary(rng, n)) if kind == "unitary"
+              else GeneratorMap(linear=random_matrix(rng, n * n)) for _ in range(2)]
+    sys_ = LcmSystem(sg, PointModel(2), base, alphas=alphas)
+    for x in (LevelledElement(sys_.model, base, 0, {(): random_matrix(rng, n)}),
+              sys_.zero()):
+        for letter in (1, 2):
+            for inverse in (False, True):
+                act = sys_.apply_generator_inverse if inverse else sys_.apply_generator
+                y = act(letter, x)
+                coeffs, depth = point_oracle(alphas, letter, x, inverse)
+                assert y.depth == depth
+                assert_same(y.coeffs, coeffs)
+
+
+def test_point_model_letters_are_automorphisms_of_the_atom():
+    model = PointModel(2)
+    for letter in (1, 2):
+        for atom in model.atoms(0):
+            assert model.unshift(atom, letter) is not None
+            assert model.unshift(model.shift(atom, letter), letter) == atom
+        assert model.shift_depth(0, letter) == model.unshift_depth(0, letter) == 0

@@ -1,4 +1,6 @@
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import pathlib
@@ -8,7 +10,10 @@ import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import FIXTURES
 from lcm_dilate.cli import (
     emit_report,
     main,
@@ -92,16 +97,37 @@ def test_parse_schema_errors(tmp_path):
         parse_instance(write(doc))
 
 
-def _malformed(doc, case):
-    if case == "state_without_rho":
-        doc["phi"] = {"kind": "state"}
-    elif case == "model_as_string":
-        doc["system"]["model"] = "toeplitz_abelian"
-    elif case == "nan_in_T":
-        doc["T"][0][0][0] = [float("nan"), 0.0]
-    elif case == "nan_in_tolerances":
-        doc["tolerances"] = {"psd": float("nan")}
+def _put(doc, pointer: str, value):
+    """``doc`` with the member at a JSON pointer set to ``value``; missing
+    objects on the way are created."""
+    *parents, last = pointer.strip("/").split("/")
+    node = doc
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node.setdefault(key, {})
+    node[int(last) if isinstance(node, list) else last] = value
     return doc
+
+
+_EYE2, _EYE3 = encode_matrix(np.eye(2)), encode_matrix(np.eye(3))
+
+# case -> (fixture, member, the value it is set to)
+MALFORMED_INSTANCE = {
+    "state_without_rho": ("sznagy_half", "/phi", {"kind": "state"}),
+    "model_as_string": ("sznagy_half", "/system/model", "toeplitz_abelian"),
+    "nan_in_T": ("sznagy_half", "/T/0/0/0", [float("nan"), 0.0]),
+    "nan_in_tolerances": ("sznagy_half", "/tolerances", {"psd": float("nan")}),
+    "alphas_number": ("transpose_m2", "/system/alphas", 5),
+    "alpha_number": ("transpose_m2", "/system/alphas", [5]),
+    "betas_number": ("sznagy_half", "/system/betas", 5),
+    "alpha_linear_2x2": ("transpose_m2", "/system/alphas", [{"linear": _EYE2}]),
+    "alpha_unitary_3x3": ("transpose_m2", "/system/alphas", [{"unitary": _EYE3}]),
+    "codomain_number": ("uhf_stage_m2", "/system/codomain", 5),
+    "rho_1x1": ("cuntz_m2", "/phi/rho", [[1]]),
+    "alphas_on_levelled": ("sznagy_half", "/system/alphas", [{"unitary": [[1]]}]),
+    "betas_on_point": ("transpose_m2", "/system/betas", [_EYE2]),
+    "depth_boolean": ("sznagy_half", "/depth", True),
+    "blocks_boolean": ("transpose_m2", "/system/base/blocks", [True, 1]),
+}
 
 
 @pytest.mark.parametrize("case,location", [
@@ -109,17 +135,73 @@ def _malformed(doc, case):
     ("model_as_string", "/system/model"),
     ("nan_in_T", "/T/0"),
     ("nan_in_tolerances", "/tolerances/psd"),
+    ("alphas_number", "/system/alphas"),
+    ("alpha_number", "/system/alphas/0"),
+    ("betas_number", "/system/betas"),
+    ("alpha_linear_2x2", "/system/alphas/0/linear"),
+    ("alpha_unitary_3x3", "/system/alphas/0/unitary"),
+    ("codomain_number", "/system/codomain"),
+    ("rho_1x1", "/phi/rho"),
+    ("alphas_on_levelled", "/system/alphas"),
+    ("betas_on_point", "/system/betas"),
+    ("depth_boolean", "/depth"),
+    ("blocks_boolean", "/system/base/blocks"),
 ])
 def test_malformed_instance_exits_2_without_traceback(fixtures_dir, tmp_path,
                                                       capsys, case, location):
-    doc = json.loads((fixtures_dir / "sznagy_half.json").read_text())
+    fixture, member, value = MALFORMED_INSTANCE[case]
+    doc = json.loads((fixtures_dir / f"{fixture}.json").read_text())
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(_malformed(doc, case)))
-    code = main(["dilate", str(path), "--output", str(tmp_path / "r.json")])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "Traceback" not in err
-    assert location in err
+    path.write_text(json.dumps(_put(doc, member, value)))
+    for command in ("validate", "check-cp", "dilate"):
+        code = main([command, str(path), "--output", str(tmp_path / "r.json")]
+                    if command == "dilate" else [command, str(path)])
+        err = capsys.readouterr().err
+        assert code == 2, command
+        assert "Traceback" not in err
+        assert f"(at {location})" in err, (command, err)
+
+
+FUZZED_MEMBERS = ("/system/alphas", "/system/betas", "/system/codomain",
+                  "/system/basis_images", "/phi/rho", "/phi/values", "/depth",
+                  "/system/base/blocks")
+_number = (st.integers(-2, 2) | st.floats(-2, 2)
+           | st.sampled_from([float("nan"), float("inf"), 1e300]))
+_entry = _number | st.lists(_number, min_size=2, max_size=2)     # [re, im]
+# rectangular matrices of either entry form, and ragged nestings
+_matrix = st.integers(1, 3).flatmap(lambda cols: st.lists(
+    st.lists(_entry, min_size=cols, max_size=cols), min_size=1, max_size=3))
+_ragged = st.lists(st.lists(_number, max_size=3), min_size=2, max_size=3)
+_leaf = st.none() | st.booleans() | _number | st.text(max_size=3) | _matrix | _ragged
+_json = st.recursive(_leaf, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+    st.sampled_from(["unitary", "linear", "blocks", "kind"]), inner, max_size=2),
+    max_leaves=6)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(fixture=st.sampled_from(sorted(FIXTURES.glob("*.json"))),
+       member=st.sampled_from(FUZZED_MEMBERS), value=_json)
+def test_fuzzed_generator_members_keep_the_exit_contract(fixture, member, value):
+    """A bundled fixture with one member the generator maps and stages are
+    built from replaced by any JSON value: ``validate`` and ``check-cp``
+    exit 0, 1 or 2 without a traceback, and 2 whenever parsing fails."""
+    doc = _put(json.loads(fixture.read_text()), member, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzzed.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        try:
+            parse_instance(path)
+            parsed = True
+        except SchemaError:
+            parsed = False
+        for command in ("validate", "check-cp"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, path, "--depth", "1"])
+            assert code in (0, 1, 2), (command, code)
+            assert "Traceback" not in err.getvalue()
+            assert parsed or code == 2, (command, err.getvalue())
 
 
 @pytest.fixture(scope="module")
