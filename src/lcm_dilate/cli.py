@@ -25,7 +25,7 @@ import platform
 import sys as _sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -87,6 +87,15 @@ def _positive_ints(doc) -> bool:
     return isinstance(doc, list) and bool(doc) and all(
         type(b) is int and b >= 1 for b in doc
     )
+
+
+def _tolerance(value, location: str) -> float:
+    """A finite non-negative real (booleans and strings are not numbers)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or value < 0):
+        raise SchemaError("tolerance must be a finite non-negative number",
+                          location)
+    return float(value)
 
 
 def _square(doc, location: str, n: Optional[int]) -> np.ndarray:
@@ -220,19 +229,11 @@ def parse_instance(path: str) -> Instance:
     tol_doc = raw.get("tolerances", {})
     if not isinstance(tol_doc, dict):
         raise SchemaError("tolerances must be an object", "/tolerances")
-    tols = {}
-    for key, default in Tolerances().as_dict().items():
-        try:
-            tols[key] = float(tol_doc.get(key, default))
-        except (TypeError, ValueError):
-            tols[key] = math.nan        # refused with the non-finite ones
-        if not math.isfinite(tols[key]):
-            raise SchemaError("tolerance must be a finite number",
-                              f"/tolerances/{key}")
-    try:
-        seed = int(raw.get("seed", 0))
-    except (TypeError, ValueError, OverflowError):
-        raise SchemaError("seed must be an integer", "/seed") from None
+    tols = {key: _tolerance(tol_doc.get(key, default), f"/tolerances/{key}")
+            for key, default in Tolerances().as_dict().items()}
+    seed = raw.get("seed", 0)
+    if type(seed) is not int:
+        raise SchemaError("seed must be an integer", "/seed")
     try:
         digest = sha256_of(raw)
     except ValueError:          # a non-finite number the checks above missed
@@ -534,18 +535,9 @@ def _job(args):
     command, path, flags = args
     try:
         instance = parse_instance(path)
-        updates = {}
-        for key in ("psd", "rank"):
-            value = flags.get(f"tol_{key}")
-            if value is not None and not math.isfinite(value):
-                raise SchemaError("tolerance must be a finite number",
-                                  f"--tol-{key}")
-            if value is not None:
-                updates[key] = value
-        if updates:
-            d = instance.tolerances.as_dict()
-            d.update(updates)
-            instance.tolerances = Tolerances(**d)
+        instance.tolerances = replace(instance.tolerances, **{
+            key: _tolerance(flags[f"tol_{key}"], f"--tol-{key}")
+            for key in ("psd", "rank") if flags.get(f"tol_{key}") is not None})
         if flags.get("seed") is not None:
             instance.seed = flags["seed"]
         report = run_command(command, instance, flags)

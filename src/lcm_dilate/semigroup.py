@@ -95,7 +95,7 @@ class Semigroup(ABC):
 
 
 def _check_rank(rank: int) -> None:
-    if not isinstance(rank, int) or rank < 1:
+    if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
         raise SpecMismatchError(f"rank must be a positive integer, got {rank!r}")
 
 

@@ -127,6 +127,13 @@ MALFORMED_INSTANCE = {
     "betas_on_point": ("transpose_m2", "/system/betas", [_EYE2]),
     "depth_boolean": ("sznagy_half", "/depth", True),
     "blocks_boolean": ("transpose_m2", "/system/base/blocks", [True, 1]),
+    "tolerance_negative": ("sznagy_half", "/tolerances", {"rank": -1}),
+    "tolerance_boolean": ("sznagy_half", "/tolerances", {"psd": True}),
+    "tolerance_string": ("sznagy_half", "/tolerances", {"psd": "1e-3"}),
+    "seed_boolean": ("sznagy_half", "/seed", True),
+    "seed_float": ("sznagy_half", "/seed", 1.5),
+    "seed_string": ("sznagy_half", "/seed", "7"),
+    "rank_boolean": ("sznagy_half", "/system/semigroup/rank", True),
 }
 
 
@@ -146,6 +153,13 @@ MALFORMED_INSTANCE = {
     ("betas_on_point", "/system/betas"),
     ("depth_boolean", "/depth"),
     ("blocks_boolean", "/system/base/blocks"),
+    ("tolerance_negative", "/tolerances/rank"),
+    ("tolerance_boolean", "/tolerances/psd"),
+    ("tolerance_string", "/tolerances/psd"),
+    ("seed_boolean", "/seed"),
+    ("seed_float", "/seed"),
+    ("seed_string", "/seed"),
+    ("rank_boolean", "/system/semigroup"),
 ])
 def test_malformed_instance_exits_2_without_traceback(fixtures_dir, tmp_path,
                                                       capsys, case, location):
@@ -164,7 +178,8 @@ def test_malformed_instance_exits_2_without_traceback(fixtures_dir, tmp_path,
 
 FUZZED_MEMBERS = ("/system/alphas", "/system/betas", "/system/codomain",
                   "/system/basis_images", "/phi/rho", "/phi/values", "/depth",
-                  "/system/base/blocks")
+                  "/system/base/blocks", "/tolerances", "/seed",
+                  "/system/semigroup/rank")
 _number = (st.integers(-2, 2) | st.floats(-2, 2)
            | st.sampled_from([float("nan"), float("inf"), 1e300]))
 _entry = _number | st.lists(_number, min_size=2, max_size=2)     # [re, im]
@@ -174,8 +189,8 @@ _matrix = st.integers(1, 3).flatmap(lambda cols: st.lists(
 _ragged = st.lists(st.lists(_number, max_size=3), min_size=2, max_size=3)
 _leaf = st.none() | st.booleans() | _number | st.text(max_size=3) | _matrix | _ragged
 _json = st.recursive(_leaf, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
-    st.sampled_from(["unitary", "linear", "blocks", "kind"]), inner, max_size=2),
-    max_leaves=6)
+    st.sampled_from(["unitary", "linear", "blocks", "kind", "psd", "rank"]), inner,
+    max_size=2), max_leaves=6)
 
 
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
@@ -183,8 +198,9 @@ _json = st.recursive(_leaf, lambda inner: st.lists(inner, max_size=3) | st.dicti
        member=st.sampled_from(FUZZED_MEMBERS), value=_json)
 def test_fuzzed_generator_members_keep_the_exit_contract(fixture, member, value):
     """A bundled fixture with one member the generator maps and stages are
-    built from replaced by any JSON value: ``validate`` and ``check-cp``
-    exit 0, 1 or 2 without a traceback, and 2 whenever parsing fails."""
+    built from, its tolerances, seed or semigroup rank replaced by any JSON
+    value: ``validate``, ``check-cp`` and ``dilate`` exit 0, 1 or 2 without
+    a traceback, and 2 whenever parsing fails."""
     doc = _put(json.loads(fixture.read_text()), member, value)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "fuzzed.json")
@@ -195,10 +211,12 @@ def test_fuzzed_generator_members_keep_the_exit_contract(fixture, member, value)
             parsed = True
         except SchemaError:
             parsed = False
-        for command in ("validate", "check-cp"):
+        for command in ("validate", "check-cp", "dilate"):
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
-                code = main([command, path, "--depth", "1"])
+                code = main([command, path, "--depth", "1"]
+                            + (["--output", os.path.join(tmp, "r.json")]
+                               if command == "dilate" else []))
             assert code in (0, 1, 2), (command, code)
             assert "Traceback" not in err.getvalue()
             assert parsed or code == 2, (command, err.getvalue())
@@ -283,6 +301,15 @@ def test_non_finite_tolerance_flag_exits_2_without_traceback(fixtures_dir,
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err and "--tol-psd" in err
+
+
+def test_negative_tolerance_flag_exits_2_without_traceback(fixtures_dir,
+                                                           tmp_path, capsys):
+    code = main(["dilate", str(fixtures_dir / "sznagy_half.json"),
+                 "--tol-rank", "-1", "--output", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "(at --tol-rank)" in err
 
 
 # ---------------------------------------------------------------------------

@@ -24,16 +24,19 @@ from lcm_dilate.cpmaps import (
 )
 from lcm_dilate.dilation import (
     Tolerances,
+    _adjoint_formula_residual,
+    _check_word_product,
     _permuted_assembly,
     check_boundary_relation,
     covariant_dilate,
+    identity_suite,
     naimark_dilate,
     uniqueness_probe,
 )
 from lcm_dilate.errors import GramNotPositiveError, SpecMismatchError
 from lcm_dilate.kernel import GramAssembly, GramBlock, KernelSystem, assemble_gram
 from lcm_dilate.semigroup import FreeAbelian, FreeMonoid
-from lcm_dilate.systems import GeneratorMap, LcmSystem
+from lcm_dilate.systems import GeneratorMap, LcmSystem, ValidationReport
 
 C = BaseAlgebra((1,))
 M2 = BaseAlgebra((2,))
@@ -332,3 +335,57 @@ def test_tolerances_are_threaded_through():
     for c in res2.report.checks:
         if c.threshold is not None and c.name.startswith("compression"):
             assert c.threshold == 1e-12
+
+
+# ---------------------------------------------------------------------------
+# witnesses and planted defects
+# ---------------------------------------------------------------------------
+
+
+def _details(report):
+    return [(c.name, c.detail) for c in report.checks]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cuntz_dilation(3),
+    lambda: halfline_dilation(np.array([[0.5, 0.2], [0.0, -0.4]], dtype=complex), 3),
+], ids=["cuntz", "halfline"])
+def test_witnesses_do_not_depend_on_the_catalog_order(make):
+    # permuting the catalog only reorders floating-point sums, so every
+    # residual moves in its last bits; the named witnesses must not move
+    res = make()
+    base = naimark_dilate(res.kernel, res.degree, assembly=res.assembly)
+    want = _details(base.report) + _details(identity_suite(base))
+    word = ValidationReport()
+    _check_word_product(base, word)
+    for seed in (0, 1, 2):
+        other = naimark_dilate(res.kernel, res.degree,
+                               assembly=_permuted_assembly(res.assembly, seed))
+        assert _details(other.report) + _details(identity_suite(other)) == want
+        moved = ValidationReport()
+        _check_word_product(other, moved)
+        assert _details(moved) == _details(word)
+
+
+def test_word_product_fails_on_a_perturbed_composite_shift():
+    res = cuntz_dilation(2)
+    w = (2, 1)
+    q2 = res.interior_basis(2)
+    res._v_cache[w] = res.v_word(w) + 1e-6 * q2 @ q2.conj().T
+    report = ValidationReport()
+    _check_word_product(res, report)
+    (check,) = report.checks
+    assert check.name == "covariance.word_product" and not check.passed
+    assert check.value >= 1e-6 * (1 - 1e-9) and check.detail == f"w={w}"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cuntz_dilation(2),
+    lambda: halfline_dilation(np.array([[0.5]], dtype=complex), 3),
+], ids=["cuntz", "halfline"])
+def test_adjoint_formula_fails_when_the_contractions_are_scaled(make):
+    res = make()
+    tol = res.tolerances.identity
+    assert _adjoint_formula_residual(res) <= tol
+    res.T = ContractionFamily(res.sys.semigroup, [0.9 * m for m in res.T.mats])
+    assert _adjoint_formula_residual(res) > 1e3 * tol

@@ -1,0 +1,253 @@
+"""The shift isometries against the element-by-element construction.
+
+The oracle builds every catalog column the way the dilation once did: a
+corner basis element expanded by ``CornerBasis.coefficients``, its image
+under a word p by ``LcmSystem.apply_endo``, and V(p) through a pseudoinverse
+of the interior's image, here applied with a dense factor.  The library
+builds the same columns by index arithmetic on the atom rules and V(p) from
+the one SVD of each interior.  Expansions must be bit-equal, before and
+after the shift, and V(p) Q_k must agree to 1e-12 for every word p up to the
+degree.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from conftest import FIXTURES
+from lcm_dilate.cli import build_pair, parse_instance
+from lcm_dilate.dilation import (
+    ADJOINT_PAIRS,
+    CatalogColumns,
+    _adjoint_formula_residual,
+    covariant_dilate,
+)
+from lcm_dilate.errors import SpecMismatchError
+from lcm_dilate.serialize import encode_matrix
+
+# ---------------------------------------------------------------------------
+# the oracle
+# ---------------------------------------------------------------------------
+
+
+def catalog_rows(assembly) -> dict:
+    """Catalog row of every corner element, as one index array per word q."""
+    rows = {q: np.empty(len(c), dtype=np.intp) for q, c in assembly.corners.items()}
+    for i, idx in enumerate(assembly.catalog):
+        rows[idx.q][idx.pos] = i
+    return rows
+
+
+def oracle_expansion(res, indices) -> np.ndarray:
+    """The dense n x width catalog matrix of indices (q, element)."""
+    rows = catalog_rows(res.assembly)
+    indices = list(indices)
+    out = np.zeros((len(res.assembly.catalog), len(indices)), dtype=complex)
+    for c, (q, elem) in enumerate(indices):
+        coeff, resid = res.assembly.corners[tuple(q)].coefficients(elem)
+        assert resid <= res.tolerances.corner
+        nz = np.flatnonzero(coeff)
+        out[rows[tuple(q)][nz], c] = coeff[nz]
+    return out
+
+
+def dense(x: CatalogColumns, n: int) -> np.ndarray:
+    assert len(set(zip(x.rows.tolist(), x.cols.tolist()))) == x.rows.size
+    out = np.zeros((n, x.width), dtype=complex)
+    out[x.rows, x.cols] = x.vals
+    return out
+
+
+def columns_of(mat: np.ndarray) -> CatalogColumns:
+    rows, cols = np.nonzero(mat)
+    return CatalogColumns(rows, cols, mat[rows, cols], mat.shape[1])
+
+
+def dense_factor(res) -> np.ndarray:
+    """B as one rank x n*h matrix, assembled from the block factors."""
+    b = np.zeros((res.rank, res.assembly.size), dtype=complex)
+    for f in res.factors:
+        b[f.span, res.assembly.expanded_rows(f.rows)] = f.factor
+    return b
+
+
+def oracle_interior(res, level: int) -> list:
+    sys_ = res.sys
+    sg = sys_.semigroup
+    d = res.degree - level
+    return [(q, elem) for q in sg.enumerate_up_to(d)
+            for elem in sys_.corner_basis(sg.identity, q, d).elements]
+
+
+def oracle_adjoint_residual(res) -> float:
+    """The adjoint formula residual over the oracle's columns."""
+    sg, sys_, h = res.sys.semigroup, res.sys, res.h
+    catalog = res.assembly.catalog[:ADJOINT_PAIRS]
+    worst = 0.0
+    for gen in sg.generators:
+        if sg.length(gen) > res.degree:
+            continue
+        interior = oracle_interior(res, sg.length(gen))
+        n_t = min(ADJOINT_PAIRS, len(interior))
+        z = columns_of(oracle_expansion(res, interior[:n_t]))
+        vz = columns_of(oracle_expansion(
+            res, [(sg.multiply(gen, q), sys_.apply_endo(gen, e))
+                  for q, e in interior[:n_t]]))
+        u = columns_of(oracle_expansion(res, [(i.q, i.element) for i in catalog]))
+        formula, t_facs = [], []
+        for idx in catalog:
+            r = sg.lcm(gen, idx.q)
+            if r is None:
+                formula.append((sg.identity, sys_.zero(res.degree)))
+                t_facs.append(np.zeros((h, h)))
+            else:
+                formula.append((sg.left_divide(gen, r),
+                                sys_.alpha_inverse(gen, idx.element)))
+                t_facs.append(res.T(sg.left_divide(idx.q, r)))
+        w = columns_of(oracle_expansion(res, formula))
+        lhs = res._gram_form(u, vz)
+        core = res._gram_form(w, z).reshape(len(catalog), h, n_t * h)
+        rhs = (np.array(t_facs) @ core).reshape(len(catalog) * h, n_t * h)
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# cases
+# ---------------------------------------------------------------------------
+
+
+def _cjson(m):
+    return encode_matrix(np.asarray(m, dtype=complex))
+
+
+def _fixture(name, **changes):
+    doc = json.loads((FIXTURES / f"{name}.json").read_text())
+    for key, value in changes.items():
+        doc["system"][key] = value
+    return doc
+
+
+def _point_doc(linear: bool):
+    """A point-model pair over M2: diagonal phase automorphisms, a commuting
+    unitary pair on C^3 and a diagonal state, with each automorphism given
+    as the unitary or as the matrix of a = D a D* on row-major vectors."""
+    rng = np.random.default_rng(5)
+    ds = [np.diag(np.exp(2j * np.pi * rng.random(2))) for _ in range(2)]
+    z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    w, _ = np.linalg.qr(z)
+    ts = [w @ np.diag(np.exp(2j * np.pi * rng.random(3))) @ w.conj().T
+          for _ in range(2)]
+    alphas = [{"linear": _cjson(np.kron(d, d.conj()))} if linear
+              else {"unitary": _cjson(d)} for d in ds]
+    return {
+        "system": {"semigroup": {"kind": "free_abelian", "rank": 2},
+                   "model": {"kind": "matrix"}, "base": {"blocks": [2]},
+                   "alphas": alphas},
+        "T": [_cjson(t) for t in ts],
+        "phi": {"kind": "state", "rho": _cjson(np.diag([0.3, 0.7]))},
+        "depth": 3,
+    }
+
+
+def _abelian_pair_doc():
+    """A commuting non-unitary pair on C^2 over the quarter-plane."""
+    u, _ = np.linalg.qr(np.array([[1.0, 2.0], [0.5, -1.0]]))
+    ts = [u @ np.diag(d) @ u.conj().T
+          for d in ([0.6, -0.3 + 0.4j], [0.5j, 0.7])]
+    return {
+        "system": {"semigroup": {"kind": "free_abelian", "rank": 2},
+                   "model": {"kind": "toeplitz_abelian"}, "base": {"blocks": [1]}},
+        "T": [_cjson(t) for t in ts],
+        "phi": {"kind": "from_contractions"},
+        "depth": 3,
+    }
+
+
+CASES = {
+    "abelian1": lambda: _fixture("sznagy_half"),
+    "abelian2_unitary": lambda: _fixture("commuting_unitaries"),
+    "abelian2": _abelian_pair_doc,
+    "toeplitz_free2": lambda: _fixture("cuntz_m2", model={"kind": "toeplitz_free"}),
+    "boundary_free2": lambda: _fixture("cuntz_m2"),
+    "point_unitary": lambda: _point_doc(linear=False),
+    "point_linear": lambda: _point_doc(linear=True),
+}
+
+
+@pytest.fixture(scope="module", params=list(CASES))
+def dilation(request, tmp_path_factory):
+    path = tmp_path_factory.mktemp("shift") / f"{request.param}.json"
+    path.write_text(json.dumps(CASES[request.param]()))
+    instance = parse_instance(str(path))
+    sys_, phi, T, _ = build_pair(instance)
+    res = covariant_dilate(sys_, phi, T, instance.degree)
+    assert res.passed, [c.name for c in res.report.failures()]
+    assert res.degree >= 2
+    return res
+
+
+def test_interior_and_shifted_expansions_are_bit_equal(dilation):
+    res = dilation
+    sg, n = res.sys.semigroup, len(res.assembly.catalog)
+    for level in range(1, res.degree + 1):
+        interior = res.interiors[level]
+        indices = oracle_interior(res, level)
+        assert np.array_equal(dense(res._expansion(interior.columns), n),
+                              oracle_expansion(res, indices))
+        for p in sg.enumerate_up_to(level):
+            if sg.length(p) != level:
+                continue
+            shifted = res._expansion(res._shifted(p, c) for c in interior.columns)
+            want = oracle_expansion(res, [(sg.multiply(p, q), res.sys.apply_endo(p, e))
+                                          for q, e in indices])
+            assert np.array_equal(dense(shifted, n), want), p
+
+
+def test_embedding_is_bit_equal(dilation):
+    res = dilation
+    unit = oracle_expansion(res, [(res.sys.semigroup.identity, res.sys.unit())])
+    assert np.array_equal(res.embedding, res._apply(columns_of(unit)))
+
+
+def test_shift_matches_the_pseudoinverse_construction(dilation):
+    res = dilation
+    sg, h = res.sys.semigroup, res.h
+    b = dense_factor(res)
+
+    def image(mat):
+        return b @ np.kron(mat, np.eye(h))
+
+    for p in sg.enumerate_up_to(res.degree):
+        level = sg.length(p)
+        if level == 0:
+            continue
+        indices = oracle_interior(res, level)
+        domain = image(oracle_expansion(res, indices))
+        shifted = image(oracle_expansion(
+            res, [(sg.multiply(p, q), res.sys.apply_endo(p, e)) for q, e in indices]))
+        v = shifted @ np.linalg.pinv(domain, rcond=res.tolerances.rank)
+        qk = res.interior_basis(level)
+        assert np.linalg.norm((res.v_word(p) - v) @ qk, 2) <= 1e-12, p
+        # zero off the interior
+        off = np.eye(res.rank) - qk @ qk.conj().T
+        assert np.linalg.norm(res.v_word(p) @ off, 2) <= 1e-12, p
+
+
+def test_adjoint_formula_columns_are_bit_equal(dilation):
+    assert _adjoint_formula_residual(dilation) == oracle_adjoint_residual(dilation)
+
+
+def test_a_shift_beyond_the_headroom_is_refused(dilation):
+    # interior(1) has headroom for one letter: two letters take its columns
+    # deeper than the catalog depth, or, on the point model, whose depth
+    # never moves, off the catalog's words
+    res = dilation
+    sg = res.sys.semigroup
+    g = sg.generators[0]
+    match = ("leaves the truncation catalog" if res.sys.model.kind == "matrix"
+             else "cannot refine depth")
+    with pytest.raises(SpecMismatchError, match=match):
+        res._expansion(res._shifted(sg.multiply(g, g), c)
+                       for c in res.interiors[1].columns)
