@@ -229,8 +229,13 @@ def parse_instance(path: str) -> Instance:
     tol_doc = raw.get("tolerances", {})
     if not isinstance(tol_doc, dict):
         raise SchemaError("tolerances must be an object", "/tolerances")
+    defaults = Tolerances().as_dict()
+    for key in tol_doc:
+        if key not in defaults:
+            raise SchemaError(f"unknown tolerance {key!r}; the known ones are "
+                              f"{', '.join(defaults)}", f"/tolerances/{key}")
     tols = {key: _tolerance(tol_doc.get(key, default), f"/tolerances/{key}")
-            for key, default in Tolerances().as_dict().items()}
+            for key, default in defaults.items()}
     seed = raw.get("seed", 0)
     if type(seed) is not int:
         raise SchemaError("seed must be an integer", "/seed")
@@ -263,7 +268,7 @@ def build_pair(instance: Instance, degree: Optional[int] = None):
         raise SchemaError("stage systems support only validate and check-nica",
                           "/system/model/kind")
     degree = instance.degree if degree is None else degree
-    sys_ = build_system(instance.system_config, validate=False)
+    sys_ = build_system(instance.system_config)
     sg = sys_.semigroup
     T = ContractionFamily(sg, instance.t_mats) if instance.t_mats else None
 
@@ -366,7 +371,7 @@ class _Run:
 
 
 def _system_checks(run: _Run, depth: int) -> None:
-    sys_ = build_system(run.instance.system_config, validate=False)
+    sys_ = build_system(run.instance.system_config)
     run.report.checks.extend(sys_.validate(depth=max(1, depth)).checks)
 
 
@@ -414,7 +419,7 @@ def _nica_defects(run: _Run) -> None:
     max_f = DEFAULT_MAX_F if max_f is None else max_f
     if not run.instance.t_mats:
         raise SchemaError("check-nica needs T", "/T")
-    sys_ = build_system(run.instance.system_config, validate=False)
+    sys_ = build_system(run.instance.system_config)
     T = ContractionFamily(sys_.semigroup, run.instance.t_mats)
     sg = sys_.semigroup
     pool = [p for p in sg.enumerate_up_to(run.depth) if sg.length(p) >= 1]

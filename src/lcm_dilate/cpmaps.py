@@ -18,14 +18,14 @@ import numpy as np
 
 from .algebras import BaseAlgebra, Complex, LevelledElement, PointModel, operator_norm
 from .errors import CovarianceError, ResourceCapError, SpecMismatchError
-from .semigroup import Element, FreeAbelian, Semigroup
+from .semigroup import Element, Semigroup
 from .systems import LcmSystem
 
 PSD_RTOL = 1e-8
 CONTRACTION_SLACK = 1e-12
 MAX_SUBSET_SIZE = 16
 CONSISTENCY_RTOL = 1e-9  # stage consistency of the boundary lift
-COMMUTE_TOL = 1e-10      # commutators of an abelian contraction family
+COMMUTE_TOL = 1e-10      # the two factorizations of an lcm of generators
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +230,10 @@ def is_completely_positive(phi: OperatorMap, rtol: float = PSD_RTOL) -> CPReport
 class ContractionFamily:
     """Generator contractions T_i together with word evaluation T(p).
 
-    For the free abelian monoid the generators must commute for T to be a
-    homomorphism; this is checked at construction.
+    For T to be a homomorphism, the two factorizations of the lcm r of two
+    generators must agree: T(g_i) T(g_i\\r) = T(g_j) T(g_j\\r), which is
+    checked at construction.  Generators without a common multiple impose
+    nothing, and on the free abelian monoid this says the T_i commute.
     """
 
     def __init__(self, semigroup: Semigroup, mats: Sequence[np.ndarray]):
@@ -254,15 +256,26 @@ class ContractionFamily:
         # nica_defect's memo and the sort keys of the elements it validated
         self._defects: dict = {}
         self._keys: dict = {}
-        if isinstance(semigroup, FreeAbelian):
-            for i in range(len(self.mats)):
-                for j in range(i + 1, len(self.mats)):
-                    comm = self.mats[i] @ self.mats[j] - self.mats[j] @ self.mats[i]
-                    if operator_norm(comm) > COMMUTE_TOL:
-                        raise SpecMismatchError(
-                            "abelian contraction families must commute; "
-                            f"[T{i+1}, T{j+1}] has norm {operator_norm(comm):.3e}"
-                        )
+        gens = semigroup.generators
+        for i, gi in enumerate(gens):
+            for j, gj in enumerate(gens[i + 1:], start=i + 1):
+                r = semigroup.lcm(gi, gj)
+                if r is None:
+                    continue
+                a, b = (self.mats[k] @ self._product(semigroup.left_divide(g, r))
+                        for k, g in ((i, gi), (j, gj)))
+                err = operator_norm(a - b)
+                if not err <= COMMUTE_TOL:
+                    raise SpecMismatchError(
+                        f"T{i+1} and T{j+1} must agree on their common multiple "
+                        f"{r}; the two factorizations differ by {err:.3e}"
+                    )
+
+    def _product(self, p: Element) -> np.ndarray:
+        out = np.eye(self.h, dtype=Complex)
+        for letter in self.semigroup.as_word(p):
+            out = out @ self.mats[letter - 1]
+        return out
 
     def __call__(self, p: Element) -> np.ndarray:
         """T(p), evaluated once per word; the stored array is read-only, so
@@ -271,9 +284,7 @@ class ContractionFamily:
         out = self._words.get(p)
         if out is None:
             self.semigroup.validate_element(p)
-            out = np.eye(self.h, dtype=Complex)
-            for letter in self.semigroup.as_word(p):
-                out = out @ self.mats[letter - 1]
+            out = self._product(p)
             out.flags.writeable = False
             self._words[p] = out
         return out
@@ -428,7 +439,7 @@ def build_phi_tilde(
         return phi
     if phi.base != sys.base:
         raise SpecMismatchError("base map domain does not match the system")
-    if T.semigroup.kind != sys.semigroup.kind or T.semigroup.rank != sys.semigroup.rank:
+    if T.semigroup != sys.semigroup:
         raise SpecMismatchError("contraction family indexed by the wrong semigroup")
     d = sys.model.normalize_depth(depth)
     units = sys.base.basis()

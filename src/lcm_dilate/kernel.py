@@ -52,7 +52,7 @@ class KernelSystem:
         validate: bool = True,
         tol: float = COVARIANCE_TOL,
     ):
-        if T.semigroup.kind != sys.semigroup.kind or T.semigroup.rank != sys.semigroup.rank:
+        if T.semigroup != sys.semigroup:
             raise SpecMismatchError("contraction family indexed by the wrong semigroup")
         if phi.h != T.h:
             raise SpecMismatchError("phi and T act on different Hilbert spaces")

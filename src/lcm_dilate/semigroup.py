@@ -9,10 +9,9 @@ operation below is well defined without any unit-orbit bookkeeping.
 
 from __future__ import annotations
 
-import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import ResourceCapError, SpecMismatchError
@@ -26,11 +25,17 @@ DEFAULT_ENUMERATION_CAP = 200_000
 class Semigroup(ABC):
     """Interface for a right LCM monoid with trivial units.
 
+    A subclass states only its primitives: ``identity``, ``generators``,
+    ``validate_element``, ``multiply``, ``lcm``, ``left_divide``, ``length``
+    and ``as_word``.  Enumeration, the foundation-set test and iterated lcm
+    are derived from them here, once.
+
     User-supplied instances must guarantee left cancellation and that
     ``lcm(p, q)`` returns the unique generator of the intersection of the
     principal right ideals pP and qP (or None when that intersection is
     empty); correctness of ``lcm`` is the instance's contract and is not
-    re-derived here.
+    re-derived here.  The grading ``length`` must not decrease under right
+    multiplication and must leave finitely many elements at each length.
     """
 
     rank: int
@@ -65,15 +70,52 @@ class Semigroup(ABC):
     def as_word(self, p: Element) -> tuple[int, ...]:
         """A factorization of p into generator letters (1-based)."""
 
-    @abstractmethod
     def enumerate_up_to(
         self, depth: int, cap: int = DEFAULT_ENUMERATION_CAP
-    ) -> list[Element]: ...
+    ) -> list[Element]:
+        """Every element of length at most ``depth``, in (length, element)
+        order: the closure of the identity under right multiplication by
+        generators, pruned above ``depth``."""
+        if depth < 0:
+            raise SpecMismatchError("depth must be >= 0")
+        seen = {self.identity}
+        frontier = [self.identity]
+        while frontier:
+            grown = []
+            for p in frontier:
+                for g in self.generators:
+                    q = self.multiply(p, g)
+                    if q in seen or self.length(q) > depth:
+                        continue
+                    seen.add(q)
+                    grown.append(q)
+                    if len(seen) > cap:
+                        raise ResourceCapError(
+                            f"enumeration up to length {depth} exceeds cap {cap}"
+                        )
+            frontier = grown
+        return sorted(seen, key=lambda p: (self.length(p), p))
 
-    @abstractmethod
     def is_foundation_set(
         self, elements: Iterable[Element], cap: int = DEFAULT_ENUMERATION_CAP
-    ) -> bool: ...
+    ) -> bool:
+        """Whether every element has a common multiple with some f in F.
+
+        Only the elements of length m = max |f| are tested.  A shorter
+        element inherits the verdict of any multiple of length m; a longer
+        one that of its prefix of length m, since in both built-in families
+        an element meets f as soon as a prefix at least as long as f does.
+        """
+        fs = [tuple(f) for f in elements]
+        if not fs:
+            raise SpecMismatchError("a foundation set must be nonempty")
+        for f in fs:
+            self.validate_element(f)
+        m = max(self.length(f) for f in fs)
+        return all(
+            any(self.lcm(p, f) is not None for f in fs)
+            for p in self.enumerate_up_to(m, cap) if self.length(p) == m
+        )
 
     def lcm_of(self, elements: Sequence[Element]) -> Optional[Element]:
         """Iterated lcm; the empty family has lcm e."""
@@ -86,9 +128,6 @@ class Semigroup(ABC):
 
     def gen_count(self, p: Element) -> int:
         return len(self.as_word(p))
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "rank": self.rank}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.rank})"
@@ -140,48 +179,6 @@ class FreeMonoid(Semigroup):
 
     def as_word(self, p: Element) -> tuple[int, ...]:
         return tuple(p)
-
-    def count_up_to(self, depth: int) -> int:
-        if self.rank == 1:
-            return depth + 1
-        return (self.rank ** (depth + 1) - 1) // (self.rank - 1)
-
-    def enumerate_up_to(
-        self, depth: int, cap: int = DEFAULT_ENUMERATION_CAP
-    ) -> list[Element]:
-        if depth < 0:
-            raise SpecMismatchError("depth must be >= 0")
-        total = self.count_up_to(depth)
-        if total > cap:
-            raise ResourceCapError(
-                f"enumeration of {total} words exceeds cap {cap}"
-            )
-        out: list[Element] = []
-        for n in range(depth + 1):
-            out.extend(itertools.product(range(1, self.rank + 1), repeat=n))
-        return out
-
-    def is_foundation_set(
-        self, elements: Iterable[Element], cap: int = DEFAULT_ENUMERATION_CAP
-    ) -> bool:
-        fs = [tuple(f) for f in elements]
-        if not fs:
-            raise SpecMismatchError("a foundation set must be nonempty")
-        for f in fs:
-            self.validate_element(f)
-        max_len = max(len(f) for f in fs)
-        # Every word of the maximal length in F must extend some element of
-        # F.  Shorter and longer words then reduce to this case: prefixes of
-        # a common word are comparable, and a longer word is comparable with
-        # f iff its truncation is.
-        if self.rank ** max_len > cap:
-            raise ResourceCapError(
-                f"foundation-set decision needs {self.rank ** max_len} words"
-            )
-        for w in itertools.product(range(1, self.rank + 1), repeat=max_len):
-            if not any(w[: len(f)] == f for f in fs):
-                return False
-        return True
 
 
 @dataclass(frozen=True, repr=False)
@@ -237,33 +234,6 @@ class FreeAbelian(Semigroup):
             letters.extend([i + 1] * n)
         return tuple(letters)
 
-    def count_up_to(self, depth: int) -> int:
-        return (depth + 1) ** self.rank
-
-    def enumerate_up_to(
-        self, depth: int, cap: int = DEFAULT_ENUMERATION_CAP
-    ) -> list[Element]:
-        if depth < 0:
-            raise SpecMismatchError("depth must be >= 0")
-        total = self.count_up_to(depth)
-        if total > cap:
-            raise ResourceCapError(
-                f"enumeration of {total} vectors exceeds cap {cap}"
-            )
-        vs = itertools.product(range(depth + 1), repeat=self.rank)
-        return sorted(vs, key=lambda v: (max(v), v))
-
-    def is_foundation_set(
-        self, elements: Iterable[Element], cap: int = DEFAULT_ENUMERATION_CAP
-    ) -> bool:
-        fs = list(elements)
-        if not fs:
-            raise SpecMismatchError("a foundation set must be nonempty")
-        for f in fs:
-            self.validate_element(f)
-        # Directed: any pair has an upper bound, so any nonempty set works.
-        return True
-
 
 def semigroup_from_json(doc: dict) -> Semigroup:
     kind = doc.get("kind")
@@ -274,8 +244,3 @@ def semigroup_from_json(doc: dict) -> Semigroup:
         return FreeAbelian(rank)
     raise SpecMismatchError(f"unknown semigroup kind {kind!r}")
 
-
-def element_from_json(sg: Semigroup, doc) -> Element:
-    p = tuple(int(x) for x in doc)
-    sg.validate_element(p)
-    return p

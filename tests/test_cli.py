@@ -21,6 +21,7 @@ from lcm_dilate.cli import (
     parse_instance,
     run_command,
 )
+from lcm_dilate.dilation import Tolerances
 from lcm_dilate.errors import SchemaError
 from lcm_dilate.serialize import encode_matrix, report_hash
 
@@ -130,6 +131,9 @@ MALFORMED_INSTANCE = {
     "tolerance_negative": ("sznagy_half", "/tolerances", {"rank": -1}),
     "tolerance_boolean": ("sznagy_half", "/tolerances", {"psd": True}),
     "tolerance_string": ("sznagy_half", "/tolerances", {"psd": "1e-3"}),
+    "tolerance_unknown": ("sznagy_half", "/tolerances", {"psdd": 1.0, "rnak": -5}),
+    "tolerance_unknown_beside_known": ("sznagy_half", "/tolerances",
+                                       {"psd": 1e-8, "identty": 1e-8}),
     "seed_boolean": ("sznagy_half", "/seed", True),
     "seed_float": ("sznagy_half", "/seed", 1.5),
     "seed_string": ("sznagy_half", "/seed", "7"),
@@ -156,6 +160,8 @@ MALFORMED_INSTANCE = {
     ("tolerance_negative", "/tolerances/rank"),
     ("tolerance_boolean", "/tolerances/psd"),
     ("tolerance_string", "/tolerances/psd"),
+    ("tolerance_unknown", "/tolerances/psdd"),
+    ("tolerance_unknown_beside_known", "/tolerances/identty"),
     ("seed_boolean", "/seed"),
     ("seed_float", "/seed"),
     ("seed_string", "/seed"),
@@ -174,6 +180,16 @@ def test_malformed_instance_exits_2_without_traceback(fixtures_dir, tmp_path,
         assert code == 2, command
         assert "Traceback" not in err
         assert f"(at {location})" in err, (command, err)
+
+
+def test_unknown_tolerance_names_the_known_ones(fixtures_dir, tmp_path, capsys):
+    doc = json.loads((fixtures_dir / "sznagy_half.json").read_text())
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_put(doc, "/tolerances", {"psdd": 1.0})))
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown tolerance 'psdd'" in err
+    assert all(key in err for key in Tolerances().as_dict())
 
 
 FUZZED_MEMBERS = ("/system/alphas", "/system/betas", "/system/codomain",
@@ -200,7 +216,8 @@ def test_fuzzed_generator_members_keep_the_exit_contract(fixture, member, value)
     """A bundled fixture with one member the generator maps and stages are
     built from, its tolerances, seed or semigroup rank replaced by any JSON
     value: ``validate``, ``check-cp`` and ``dilate`` exit 0, 1 or 2 without
-    a traceback, and 2 whenever parsing fails."""
+    a traceback, and 2 whenever parsing fails, as it must for a tolerance
+    object with an unknown key."""
     doc = _put(json.loads(fixture.read_text()), member, value)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "fuzzed.json")
@@ -211,6 +228,8 @@ def test_fuzzed_generator_members_keep_the_exit_contract(fixture, member, value)
             parsed = True
         except SchemaError:
             parsed = False
+        if member == "/tolerances" and isinstance(value, dict):
+            assert not parsed or set(value) <= set(Tolerances().as_dict())
         for command in ("validate", "check-cp", "dilate"):
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
@@ -504,6 +523,97 @@ def test_dilate_refusals(fixtures_dir, tmp_path):
     assert rep["exit_code"] == 1
     names = {c["name"]: c for c in rep["checks"]}
     assert not names["phi.extension_accepted"]["passed"]
+
+
+# ---------------------------------------------------------------------------
+# planted defects: the smallest instance edit that fails each check
+# ---------------------------------------------------------------------------
+
+
+_X = np.array([[0, 1], [1, 0]])
+
+
+def _point_pair(kind, alphas, t_mats, phi):
+    """A rank-2 point-model instance over M2."""
+    return {
+        "system": {"semigroup": {"kind": kind, "rank": 2},
+                   "model": {"kind": "matrix"}, "base": {"blocks": [2]},
+                   "alphas": [{"unitary": encode_matrix(a)} for a in alphas]},
+        "T": [encode_matrix(t) for t in t_mats],
+        "phi": phi,
+        "depth": 1,
+    }
+
+
+def _non_hermitian_phi():
+    # the identity map on M2 with i*eps*I added to phi(e_11) and phi(e_22),
+    # so every diagonal Gram entry K(q, a*a, q) has anti-Hermitian part
+    # eps*I; tolerances.covariance and tolerances.psd are raised to let it
+    # through to the Gram
+    eps = 1e-6
+    units = [np.outer(np.eye(2)[i], np.eye(2)[j]) for i in range(2) for j in range(2)]
+    values = [u + 1j * eps * np.trace(u) * np.eye(2) for u in units]
+    return {
+        "system": {"semigroup": {"kind": "free_abelian", "rank": 1},
+                   "model": {"kind": "matrix"}, "base": {"blocks": [2]}},
+        "T": [encode_matrix(np.eye(2))],
+        "phi": {"kind": "base_values", "values": [encode_matrix(v) for v in values]},
+        "depth": 2,
+        "tolerances": {"psd": 1e-4, "covariance": 1e-4},
+    }
+
+
+def _cuntz_rank_cut_above_psd(fixtures_dir):
+    # a rank cut at half the largest Gram eigenvalue drops eigenvalues far
+    # above tolerances.psd, so the factor no longer reproduces the Gram
+    doc = json.loads((fixtures_dir / "cuntz_m2.json").read_text())
+    return _put(doc, "/tolerances", {"rank": 0.5})
+
+
+# check -> (command, the planted instance)
+PLANTED = {
+    # alpha_1 alpha_2 != alpha_2 alpha_1: Ad X and Ad diag(1, i) do not commute
+    "action.factorization": ("validate", lambda _: _point_pair(
+        "free_abelian", [_X, np.diag([1, 1j])], [0.5 * np.eye(2)] * 2,
+        {"kind": "diagonal"})),
+    # free generators fixing the unit: E_1 E_2 = 1, not 0
+    "units.lcm_rule": ("validate", lambda _: _point_pair(
+        "free_monoid", [np.eye(2)] * 2, [0.5 * np.eye(2)] * 2,
+        {"kind": "diagonal"})),
+    "gram.factorization": ("dilate", _cuntz_rank_cut_above_psd),
+    "gram.hermitian_assembly": ("dilate", lambda _: _non_hermitian_phi()),
+}
+
+
+@pytest.mark.parametrize("check", PLANTED)
+def test_planted_defect_fails_its_check(fixtures_dir, tmp_path, capsys, check):
+    command, make = PLANTED[check]
+    path = tmp_path / "planted.json"
+    path.write_text(json.dumps(make(fixtures_dir)))
+    code = main([command, str(path), "--format", "json"]
+                + (["--output", str(tmp_path / "r.json")] if command == "dilate"
+                   else []))
+    report = json.loads(capsys.readouterr().out)
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert code == 1
+    # the planted check is the first to fail; the validate defects fail
+    # nothing else
+    assert failed[0] == check
+    assert command == "dilate" or failed == [check]
+
+
+def test_non_commuting_abelian_contractions_exit_2_naming_both(tmp_path, capsys):
+    doc = _point_pair("free_abelian", [np.eye(2)] * 2,
+                      [0.5 * _X, 0.5 * np.diag([1, -1])], {"kind": "diagonal"})
+    path = tmp_path / "noncommuting.json"
+    path.write_text(json.dumps(doc))
+    for command in ("check-cp", "check-nica", "dilate"):
+        code = main([command, str(path), "--output", str(tmp_path / "r.json")]
+                    if command == "dilate" else [command, str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert "T1 and T2 must agree on their common multiple (1, 1)" in err
 
 
 def test_resource_guard_fires_before_any_mathematics(fixtures_dir):

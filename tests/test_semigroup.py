@@ -8,7 +8,6 @@ from lcm_dilate.errors import ResourceCapError, SpecMismatchError
 from lcm_dilate.semigroup import (
     FreeAbelian,
     FreeMonoid,
-    element_from_json,
     semigroup_from_json,
 )
 
@@ -19,6 +18,62 @@ FA2 = FreeAbelian(2)
 words2 = st.lists(st.integers(1, 2), max_size=5).map(tuple)
 words3 = st.lists(st.integers(1, 3), max_size=4).map(tuple)
 vecs2 = st.tuples(st.integers(0, 4), st.integers(0, 4))
+
+
+# ---------------------------------------------------------------------------
+# oracles: the per-class count, enumeration and foundation-set test that the
+# derived Semigroup methods replaced
+# ---------------------------------------------------------------------------
+
+
+def oracle_count_up_to(sg, depth):
+    if isinstance(sg, FreeAbelian):
+        return (depth + 1) ** sg.rank
+    if sg.rank == 1:
+        return depth + 1
+    return (sg.rank ** (depth + 1) - 1) // (sg.rank - 1)
+
+
+def oracle_enumerate_up_to(sg, depth):
+    if isinstance(sg, FreeAbelian):
+        vs = itertools.product(range(depth + 1), repeat=sg.rank)
+        return sorted(vs, key=lambda v: (max(v), v))
+    return [w for n in range(depth + 1)
+            for w in itertools.product(range(1, sg.rank + 1), repeat=n)]
+
+
+def oracle_is_foundation_set(sg, fs):
+    if isinstance(sg, FreeAbelian):
+        return True     # directed: any pair has an upper bound
+    max_len = max(len(f) for f in fs)
+    return all(any(w[: len(f)] == f for f in fs)
+               for w in itertools.product(range(1, sg.rank + 1), repeat=max_len))
+
+
+FAMILIES = [cls(rank) for cls in (FreeMonoid, FreeAbelian) for rank in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("sg", FAMILIES, ids=repr)
+def test_enumeration_matches_the_per_class_oracle(sg):
+    for depth in range(4 if sg.rank == 3 else 6):
+        assert sg.enumerate_up_to(depth) == oracle_enumerate_up_to(sg, depth)
+
+
+@pytest.mark.parametrize("sg", FAMILIES, ids=repr)
+def test_enumeration_cap_matches_the_per_class_count(sg):
+    # the per-class code refused exactly when its count exceeded the cap
+    total = oracle_count_up_to(sg, 3)
+    assert len(sg.enumerate_up_to(3, cap=total)) == total
+    with pytest.raises(ResourceCapError):
+        sg.enumerate_up_to(3, cap=total - 1)
+
+
+@pytest.mark.parametrize("sg", FAMILIES, ids=repr)
+def test_foundation_test_matches_the_per_class_oracle(sg):
+    pool = [p for p in sg.enumerate_up_to(2) if sg.length(p) >= 1]
+    for size in (1, 2, 3):
+        for fs in itertools.combinations(pool, size):
+            assert sg.is_foundation_set(fs) == oracle_is_foundation_set(sg, fs), fs
 
 
 def test_multiply_examples():
@@ -140,18 +195,15 @@ def test_abelian_word_factorization(p):
 
 
 def test_counts():
-    assert FM2.count_up_to(3) == len(FM2.enumerate_up_to(3)) == 15
-    assert FA2.count_up_to(2) == len(FA2.enumerate_up_to(2)) == 9
-    assert FreeMonoid(1).count_up_to(4) == 5
+    assert oracle_count_up_to(FM2, 3) == len(FM2.enumerate_up_to(3)) == 15
+    assert oracle_count_up_to(FA2, 2) == len(FA2.enumerate_up_to(2)) == 9
+    assert len(FreeMonoid(1).enumerate_up_to(4)) == 5
 
 
 def test_json_roundtrip():
     for sg in (FM2, FA2, FM3):
-        back = semigroup_from_json(sg.to_json())
+        back = semigroup_from_json({"kind": sg.kind, "rank": sg.rank})
         assert type(back) is type(sg) and back.rank == sg.rank
-    assert element_from_json(FM2, [1, 2]) == (1, 2)
-    with pytest.raises(SpecMismatchError):
-        element_from_json(FM2, [3])
     with pytest.raises(SpecMismatchError):
         semigroup_from_json({"kind": "braid", "rank": 3})
 
