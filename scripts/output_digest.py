@@ -63,7 +63,7 @@ def instances(tmp: str) -> list[tuple[str, str, dict]]:
 
 def digest(label: str, path: str, command: str, flags: dict, tmp: str) -> dict:
     """One line: the command's outcome on the instance at ``path``."""
-    result = os.path.join(tmp, label.replace("/", "__") + ".result.json")
+    result = os.path.join(tmp, label.replace("/", "__") + ".result.npz")
     flags = dict(flags.get(command, {}), output=result, result=result)
     line = {"instance": label, "command": command}
     try:

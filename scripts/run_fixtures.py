@@ -37,7 +37,7 @@ def check(name: str, command: str, expected: int, tmp: str) -> tuple[bool, str]:
     """Run one plan row in the scratch directory ``tmp``: whether it gave the
     expected exit code (and, for a passing ``dilate``, whether its persisted
     result verifies), and the table line."""
-    result = f"{tmp}/{name}.{command}.result.json"
+    result = f"{tmp}/{name}.{command}.result.npz"
     flags = {"output": result, "result": result}
     report = run_command(command, parse_instance(str(FIXTURES / name)), flags)
     got = report["exit_code"]

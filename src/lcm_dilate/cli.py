@@ -51,7 +51,16 @@ from .errors import (
     SpecMismatchError,
 )
 from .kernel import DEFAULT_MAX_GRAM_DIM as DEFAULT_MAX_DIM
-from .persist import result_payload, stored_degree, verify_result
+from .persist import (
+    is_result_file,
+    load_result,
+    refuse_v1,
+    result_payload,
+    stored_degree,
+    stored_residuals,
+    verify_result,
+    write_result,
+)
 from .semigroup import semigroup_from_json
 from .serialize import decode_checks, decode_matrix, load_json, report_hash, sha256_of
 from .systems import ValidationReport, build_system
@@ -457,10 +466,8 @@ def _dilate(run: _Run) -> None:
         max_dim=DEFAULT_MAX_DIM if max_dim is None else max_dim,
     )
     run.report.checks.extend(result.report.checks)
-    out_path = flags.get("output") or instance.path + ".result.json"
-    payload = json.dumps(result_payload(result, instance.hash), sort_keys=True)
-    with open(out_path, "w") as fh:
-        fh.write(payload)
+    out_path = flags.get("output") or instance.path + ".result.npz"
+    write_result(out_path, result_payload(result, instance.hash))
     run.extra.update({
         "rank": result.rank,
         "space_size": result.assembly.size,
@@ -473,9 +480,9 @@ def _dilate(run: _Run) -> None:
 
 def _verify(run: _Run) -> None:
     instance = run.instance
-    result_path = run.flags.get("result") or instance.path + ".result.json"
-    doc = load_json(result_path)
-    stored = doc.get("instance_hash") if isinstance(doc, dict) else None
+    result_path = run.flags.get("result") or instance.path + ".result.npz"
+    meta, arrays = load_result(result_path)
+    stored = meta.get("instance_hash")
     if stored != instance.hash:
         raise SchemaError(
             "persisted result was produced from a different instance "
@@ -483,10 +490,10 @@ def _verify(run: _Run) -> None:
             f"instance hash {instance.hash[:12]}...)",
             result_path,
         )
-    sys_, phi, T, _ = build_pair(instance, degree=stored_degree(doc))
-    rep = verify_result(doc, sys_, phi, T, instance.tolerances)
+    sys_, phi, T, _ = build_pair(instance, degree=stored_degree(meta))
+    rep = verify_result(meta, arrays, sys_, phi, T, instance.tolerances)
     run.report.checks.extend(rep.checks)
-    run.extra.update(result_path=result_path, rank=doc.get("rank"))
+    run.extra.update(result_path=result_path, rank=meta.get("rank"))
 
 
 # command -> (default depth, stages).  Every stage appends its checks to the
@@ -591,11 +598,13 @@ def _build_parser() -> argparse.ArgumentParser:
     dil = sub.add_parser("dilate", help="construct and verify the dilation")
     common(dil)
     dil.add_argument("--output", default=None,
-                     help="path for the persisted dilation result")
+                     help="path for the persisted dilation result, a .npz "
+                          "archive (default <instance>.result.npz)")
     ver = sub.add_parser("verify", help="re-verify a persisted dilation")
     common(ver)
     ver.add_argument("--result", default=None,
-                     help="persisted result path (default <instance>.result.json)")
+                     help="persisted result path, a .npz archive written by "
+                          "dilate (default <instance>.result.npz)")
     rep = sub.add_parser("report", help="render a persisted report or result")
     rep.add_argument("paths", nargs="+")
     rep.add_argument("--format", choices=("text", "json"), default="text")
@@ -603,22 +612,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _report_of(path: str) -> dict:
-    """The report ``report`` renders for a file: a persisted report as it
-    is, or a persisted result as the report of its residual table."""
-    doc = load_json(path)
-    if not isinstance(doc, dict):
-        raise SchemaError("expected a report or a persisted result object")
-    if doc.get("format") == REPORT_FORMAT:
+    """The report ``report`` renders for a file: a persisted report (JSON)
+    as it is, or a persisted result (a zip archive) as the report of its
+    residual table.  The content decides, not the file name."""
+    if not is_result_file(path):
+        doc = load_json(path)
+        if not isinstance(doc, dict) or doc.get("format") != REPORT_FORMAT:
+            refuse_v1(doc)
+            raise SchemaError("expected a report or a persisted result")
         decode_checks(doc.get("checks"), "/checks")
         if type(doc.get("exit_code")) is not int or doc["exit_code"] not in (0, 1, 2):
             raise SchemaError("exit_code must be 0, 1 or 2", "/exit_code")
         return doc
-    residuals = decode_checks(doc.get("residuals"), "/residuals")
+    meta, _ = load_result(path)
+    residuals = stored_residuals(meta)
     passed = all(r["passed"] for r in residuals)
     return {
         "command": "result",
         "instance_path": path,
-        "instance_hash": doc.get("instance_hash", ""),
+        "instance_hash": meta.get("instance_hash", ""),
         "checks": residuals,
         "passed": passed,
         "exit_code": 0 if passed else 1,

@@ -413,9 +413,12 @@ def naimark_dilate(
     if not min_eig >= -tols.psd * scale:
         raise _refusal(assembly, spectra, min_eig, scale, tols)
     report.add("gram.psd", True, min_eig, -tols.psd * scale)
-    report.add("gram.hermitian_assembly",
-               assembly.hermiticity_defect <= tols.identity,
-               assembly.hermiticity_defect, tols.identity)
+    # eigh reads one triangle, so the blocks it factors are measured too
+    herm = max([assembly.hermiticity_defect]
+               + [float(np.abs(b.matrix - b.matrix.conj().T).max(initial=0.0))
+                  for b in assembly.blocks])
+    report.add("gram.hermitian_assembly", herm <= tols.identity, herm,
+               tols.identity)
 
     lam_max = float(w[-1]) if w.size else 0.0
     cut = tols.rank * max(lam_max, 1e-300)
@@ -547,13 +550,7 @@ def _check_representation(src, report: ValidationReport) -> None:
     report.add("pi.multiplicative", worst <= tol, worst, tol)
 
     if src.degree >= 1:
-        for g, gen in enumerate(sg.generators, start=1):
-            v = src.v_word(gen)
-            q1 = src.interior_basis(1)
-            resid = operator_norm(
-                q1.conj().T @ (v.conj().T @ v) @ q1 - np.eye(q1.shape[1])
-            )
-            report.add(f"isometry.V[{g}]", resid <= tol, resid, tol)
+        _check_isometries(src, report)
 
     # intertwining V(p) pi(a) = pi(alpha_p(a)) V(p); the interior level must
     # absorb both the word and the depth of a
@@ -573,6 +570,44 @@ def _check_representation(src, report: ValidationReport) -> None:
             cases.append((resid, f"(p={p}, a={lbl})"))
     worst, wit = _worst_case(cases, tol)
     report.add("covariance.intertwine", worst <= tol, worst, tol, detail=wit)
+
+
+def _check_isometries(src, report: ValidationReport) -> None:
+    """The interior bases are orthonormal; V(p) is isometric on the interior
+    of level gen_count(p) for every p of 1..degree generator letters (one
+    record per generator, one for the longer words); and each generator
+    shift vanishes off the first interior, as it is built to."""
+    tol = src.tolerances.identity
+    sg = src.sys.semigroup
+    cases = []
+    for k in range(1, src.degree + 1):
+        qb = src.interior_basis(k)
+        cases.append((operator_norm(qb.conj().T @ qb - np.eye(qb.shape[1])),
+                      f"level {k}"))
+    worst, wit = _worst_case(cases, tol)
+    report.add("interior.orthonormal", worst <= tol, worst, tol, detail=wit)
+
+    def isometry_defect(p) -> float:
+        v, qb = src.v_word(p), src.interior_basis(sg.gen_count(p))
+        return operator_norm(qb.conj().T @ (v.conj().T @ v) @ qb
+                             - np.eye(qb.shape[1]))
+
+    for g, gen in enumerate(sg.generators, start=1):
+        resid = isometry_defect(gen)
+        report.add(f"isometry.V[{g}]", resid <= tol, resid, tol)
+    if src.degree >= 2:
+        worst, wit = _worst_case([(isometry_defect(p), f"w={p}")
+                                  for p in sg.enumerate_up_to(src.degree)
+                                  if 2 <= sg.gen_count(p) <= src.degree], tol)
+        report.add("isometry.V[w]", worst <= tol, worst, tol, detail=wit)
+
+    q1 = src.interior_basis(1)
+    off = np.eye(src.rank) - q1 @ q1.conj().T
+    worst, wit = _worst_case([(operator_norm(src.v_word(gen) @ off), f"V[{g}]")
+                              for g, gen in enumerate(sg.generators, start=1)],
+                             tol)
+    report.add("isometry.zero_off_interior", worst <= tol, worst, tol,
+               detail=wit)
 
 
 def _check_covariance(src, report: ValidationReport) -> None:

@@ -1,4 +1,5 @@
-"""JSON codecs: complex matrices as [re, im] pairs, canonical dumps, hashes."""
+"""JSON codecs for instances and reports: complex matrices as [re, im]
+pairs, check records, canonical dumps, hashes."""
 
 from __future__ import annotations
 
@@ -9,11 +10,6 @@ from typing import Any
 import numpy as np
 
 from .errors import SchemaError
-
-
-def encode_matrix(m: np.ndarray) -> list:
-    m = np.atleast_2d(np.asarray(m, dtype=np.complex128))
-    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def decode_matrix(doc, location: str = "") -> np.ndarray:
@@ -95,5 +91,7 @@ def load_json(path: str) -> Any:
             return json.load(fh)
     except FileNotFoundError:
         raise SchemaError(f"no such file: {path}")
+    except OSError as exc:      # a directory, say
+        raise SchemaError(f"cannot read {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}", f"{path}:{exc.lineno}")

@@ -30,6 +30,12 @@ def fixtures_dir() -> pathlib.Path:
     return FIXTURES
 
 
+def encode_matrix(m) -> list:
+    """A complex matrix as the [re, im] pairs instance files hold."""
+    m = np.atleast_2d(np.asarray(m, dtype=np.complex128))
+    return np.stack([m.real, m.imag], -1).tolist()
+
+
 def random_matrix(rng, n: int) -> np.ndarray:
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES
+from conftest import FIXTURES, encode_matrix
 from lcm_dilate.cli import (
     emit_report,
     main,
@@ -23,7 +23,8 @@ from lcm_dilate.cli import (
 )
 from lcm_dilate.dilation import Tolerances
 from lcm_dilate.errors import SchemaError
-from lcm_dilate.serialize import encode_matrix, report_hash
+from lcm_dilate.persist import load_result
+from lcm_dilate.serialize import report_hash
 
 FLAGS = {"depth": None, "max_dim": None, "output": None, "result": None,
          "max_f": None}
@@ -243,55 +244,93 @@ def test_fuzzed_generator_members_keep_the_exit_contract(fixture, member, value)
 
 @pytest.fixture(scope="module")
 def stored_documents(tmp_path_factory, fixtures_dir):
-    """A persisted result and a persisted report of ``sznagy_half``."""
+    """The members of a persisted result of ``sznagy_half``, its metadata
+    decoded, and a persisted report."""
     out = tmp_path_factory.mktemp("stored") / "r.json"
     instance = parse_instance(str(fixtures_dir / "sznagy_half.json"))
     assert run_command("dilate", instance,
                        dict(FLAGS, output=str(out)))["exit_code"] == 0
-    return json.loads(out.read_text()), run_command("validate", instance, FLAGS)
+    meta, arrays = load_result(str(out))
+    return dict(arrays, meta=meta), run_command("validate", instance, FLAGS)
 
 
 def _without(doc: dict, key: str) -> dict:
     return {k: v for k, v in doc.items() if k != key}
 
 
-# case -> (command, the document it reads, made from the good result and
-# report, and the location the refusal names)
+def _npz(members: dict, **changes) -> bytes:
+    """The bytes of a result with members replaced, or dropped when set to
+    None; a ``meta`` dict is written as its JSON text."""
+    members = {k: v for k, v in {**members, **changes}.items() if v is not None}
+    if isinstance(members.get("meta"), dict):
+        members["meta"] = np.array(json.dumps(members["meta"]).encode())
+    buf = io.BytesIO()
+    np.savez(buf, **members)
+    return buf.getvalue()
+
+
+def _meta(members: dict, **changes) -> bytes:
+    return _npz(members, meta={**members["meta"], **changes})
+
+
+def _json(doc) -> bytes:
+    return json.dumps(doc).encode()
+
+
+# case -> (command, the bytes of the file it reads, made from the good
+# result's members and report, and the location the refusal names)
 MALFORMED_STORED = {
     "residuals_missing": (
-        "verify", lambda r, _: _without(r, "residuals"), "/residuals"),
+        "verify", lambda r, _: _npz(r, meta=_without(r["meta"], "residuals")),
+        "meta/residuals"),
     "residual_not_object": (
-        "verify", lambda r, _: dict(r, residuals=[1]), "/residuals/0"),
+        "verify", lambda r, _: _meta(r, residuals=[1]), "meta/residuals/0"),
+    # the interiors stacked into one array
     "interiors_list": (
-        "verify", lambda r, _: dict(r, interiors=list(r["interiors"].values())),
-        "/interiors"),
+        "verify", lambda r, _: _npz(r, interior_1=np.array([r["interior_1"]])),
+        "interior_1"),
     "interior_key_not_level": (
-        "verify",
-        lambda r, _: dict(r, interiors={**r["interiors"], "x": r["interiors"]["0"]}),
-        "/interiors/x"),
+        "verify", lambda r, _: _npz(r, interior_x=r["interior_1"]), "interior_x"),
     "interior_rows": (
-        "verify",
-        lambda r, _: dict(r, interiors={**r["interiors"], "1": r["interiors"]["1"][:2]}),
-        "/interiors/1"),
-    "degree_text": ("verify", lambda r, _: dict(r, degree="abc"), "/degree"),
-    "pi_list": (
-        "verify", lambda r, _: dict(r, pi=list(r["pi"].values())), "/pi"),
-    "pi_shape": (
-        "verify", lambda r, _: dict(r, pi={**r["pi"], "d1:(0,)|b0e11": [[1.0]]}),
-        "/pi/d1:(0,)|b0e11"),
+        "verify", lambda r, _: _npz(r, interior_1=r["interior_1"][:2]),
+        "interior_1"),
+    "degree_text": ("verify", lambda r, _: _meta(r, degree="abc"), "meta/degree"),
+    # one pi matrix where the table is expected
+    "pi_list": ("verify", lambda r, _: _npz(r, pi=r["pi"][0]), "pi"),
+    "pi_shape": ("verify", lambda r, _: _npz(r, pi=r["pi"][:, :1, :1]), "pi"),
     "isometries_short": (
-        "verify", lambda r, _: dict(r, isometries=[]), "/isometries"),
+        "verify", lambda r, _: _npz(r, isometry_1=None), "isometry_1"),
     "isometry_shape": (
-        "verify", lambda r, _: dict(r, isometries=[[[1.0]]]), "/isometries/0"),
+        "verify", lambda r, _: _npz(r, isometry_1=np.eye(1, dtype=complex)),
+        "isometry_1"),
     "embedding_shape": (
-        "verify", lambda r, _: dict(r, embedding=r["embedding"][:2]), "/embedding"),
-    "report_list": ("report", lambda _, p: [1, 2], "/"),
+        "verify", lambda r, _: _npz(r, embedding=r["embedding"][:2]), "embedding"),
+    "embedding_missing": (
+        "verify", lambda r, _: _npz(r, embedding=None), "embedding"),
+    "embedding_float64": (
+        "verify", lambda r, _: _npz(r, embedding=r["embedding"].real), "embedding"),
+    "interior_nan": (
+        "verify", lambda r, _: _npz(r, interior_2=np.full_like(r["interior_2"],
+                                                              np.nan)),
+        "interior_2"),
+    "pi_pickled_objects": (
+        "verify", lambda r, _: _npz(r, pi=np.array([{}, None], dtype=object)), "pi"),
+    "truncated": ("verify", lambda r, _: _npz(r)[:200], "/"),
+    "not_a_zip": ("verify", lambda r, _: b"\x00\x01 not an archive", "/"),
+    "meta_missing": ("verify", lambda r, _: _npz(r, meta=None), "meta"),
+    "meta_not_json": (
+        "verify", lambda r, _: _npz(r, meta=np.array(b"{not json")), "meta"),
+    "meta_float64": ("verify", lambda r, _: _npz(r, meta=np.zeros(3)), "meta"),
+    "report_list": ("report", lambda _, p: _json([1, 2]), "/"),
     "report_residual_not_object": (
-        "report", lambda _, p: {"residuals": [1]}, "/residuals/0"),
+        "report", lambda r, _: _meta(r, residuals=[1]), "meta/residuals/0"),
     "report_check_without_name": (
         "report",
-        lambda _, p: dict(p, checks=[_without(c, "name") for c in p["checks"]]),
+        lambda _, p: _json(dict(p, checks=[_without(c, "name")
+                                           for c in p["checks"]])),
         "/checks/0/name"),
+    "report_meta_not_json": (
+        "report", lambda r, _: _npz(r, meta=np.array(b"[")), "meta"),
 }
 
 
@@ -300,7 +339,7 @@ def test_malformed_result_or_report_exits_2_without_traceback(
         fixtures_dir, tmp_path, capsys, stored_documents, case):
     command, make, location = MALFORMED_STORED[case]
     path = tmp_path / "stored.json"
-    path.write_text(json.dumps(make(*stored_documents)))
+    path.write_bytes(make(*stored_documents))
     if command == "verify":
         code = main(["verify", str(fixtures_dir / "sznagy_half.json"),
                      "--result", str(path)])
@@ -310,6 +349,36 @@ def test_malformed_result_or_report_exits_2_without_traceback(
     assert code == 2
     assert "Traceback" not in err
     assert f"(at {location})" in err
+
+
+def test_v1_json_result_is_refused_by_name(fixtures_dir, tmp_path, capsys):
+    # a result of the retired JSON format, of any content: there is no
+    # second reader
+    path = tmp_path / "old.result.json"
+    path.write_text(json.dumps({"format": "lcm-dilate-result-v1",
+                                "residuals": [], "degree": 4}))
+    for argv in (["verify", str(fixtures_dir / "sznagy_half.json"),
+                  "--result", str(path)], ["report", str(path)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "format v1 JSON result; re-run dilate (at /format)" in err
+        assert "Traceback" not in err
+
+
+def test_result_and_report_are_told_apart_by_content(fixtures_dir, tmp_path,
+                                                     capsys):
+    # names that say the opposite of what the files hold
+    sz = str(fixtures_dir / "sznagy_half.json")
+    result, report = tmp_path / "a.report.json", tmp_path / "b.result.npz"
+    assert main(["dilate", sz, "--output", str(result)]) == 0
+    assert result.read_bytes()[:4] == b"PK\x03\x04"
+    capsys.readouterr()
+    assert main(["verify", sz, "--result", str(result), "--format", "json"]) == 0
+    report.write_bytes(capsys.readouterr().out.encode())
+    assert main(["report", str(result)]) == 0
+    assert "# result" in capsys.readouterr().out
+    assert main(["report", str(report)]) == 0
+    assert "# verify" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -686,6 +755,16 @@ def test_main_exit_codes(fixtures_dir, tmp_path, capsys):
     assert main(["validate", str(fixtures_dir / "uhf_stage_m2.json")]) == 1
     assert main(["check-cp", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+
+
+def test_unreadable_paths_exit_2_without_traceback(fixtures_dir, tmp_path,
+                                                   capsys):
+    sz = str(fixtures_dir / "sznagy_half.json")
+    for argv in (["check-cp", str(tmp_path)], ["report", str(tmp_path)],
+                 ["verify", sz, "--result", str(tmp_path)]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "Is a directory" in err and "Traceback" not in err
 
 
 def test_main_batch_jobs(fixtures_dir, capsys):

@@ -185,6 +185,26 @@ def test_nan_gram_is_refused_before_eigh(where):
         naimark_dilate(K, 1, assembly=bad)
 
 
+def test_hermitian_assembly_measures_the_factored_blocks():
+    # eigh reads one triangle, so 0.5 added above the diagonal of a block
+    # leaves the factorization unchanged; the assembler's own measurement
+    # (0 here) cannot see a block edited after assembly
+    sys_ = LcmSystem(FA1, PointModel(1), M2,
+                     alphas=[GeneratorMap(unitary=np.eye(2))])
+    T = ContractionFamily(FA1, [np.eye(2)])
+    K = KernelSystem(sys_, BaseOperatorMap(M2, M2.basis()), T)
+    good = assemble_gram(K, 1)
+    blocks = [GramBlock(b.key, b.rows, b.matrix.copy()) for b in good.blocks]
+    blocks[0].matrix[0, 1] += 0.5
+    bad = GramAssembly(K, 1, good.catalog, good.corners, blocks,
+                       good.hermiticity_defect)
+    checks = {c.name: c for c in naimark_dilate(K, 1, assembly=bad).report.checks}
+    assert checks["gram.psd"].passed
+    assert not checks["gram.hermitian_assembly"].passed
+    assert checks["gram.hermitian_assembly"].value == 0.5
+    assert naimark_dilate(K, 1, assembly=good).report.passed
+
+
 def test_abelian_rank2_depth4_rank_invariant():
     # diagonal commuting pair with h = 2: each eigenline is a scalar pair of
     # rank (d+1)^2, so the dilation has rank 2(d+1)^2 = 50 on a Gram of 450

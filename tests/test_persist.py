@@ -1,30 +1,43 @@
-"""Persisted dilations: the codec, and ``verify`` running the shared identity
-suite on stored matrices."""
+"""Persisted dilations: the .npz result round trip, the instance matrix
+codec, and ``verify`` running the shared identity suite on stored
+matrices."""
 
 import json
 
 import numpy as np
 import pytest
 
+from conftest import encode_matrix
 from lcm_dilate.cli import build_pair, parse_instance, run_command
+from lcm_dilate.dilation import covariant_dilate
 from lcm_dilate.errors import SchemaError
-from lcm_dilate.persist import StoredDilation
-from lcm_dilate.serialize import decode_matrix, encode_matrix
+from lcm_dilate.persist import (
+    StoredDilation,
+    load_result,
+    result_payload,
+    verify_result,
+    write_result,
+)
+from lcm_dilate.serialize import decode_matrix
 
 
-def _reference_encode(m) -> list:
-    """The per-scalar encoder the numpy one replaces."""
-    m = np.atleast_2d(np.asarray(m, dtype=np.complex128))
-    return [[[complex(z).real, complex(z).imag] for z in row] for row in m]
-
-
-def test_codec_matches_per_scalar_reference_and_round_trips():
-    rng = np.random.default_rng(0)
-    m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    m[0, 0] = -0.0
-    m[1, 2] = 1e-300 - 2.5j
-    assert json.dumps(encode_matrix(m)) == json.dumps(_reference_encode(m))
-    assert np.array_equal(decode_matrix(encode_matrix(m)), m)
+def test_result_round_trips_bit_exactly(fixtures_dir, tmp_path):
+    inst = parse_instance(str(fixtures_dir / "cuntz_m2.json"))
+    sys_, phi, T, _ = build_pair(inst)
+    payload = result_payload(
+        covariant_dilate(sys_, phi, T, inst.degree, inst.tolerances), inst.hash)
+    path = str(tmp_path / "r.result.json")      # written to exactly this path
+    write_result(path, payload)
+    meta, arrays = load_result(path)
+    assert meta == json.loads(payload.pop("meta")[()])
+    assert meta["instance_hash"] == inst.hash and meta["degree"] == inst.degree
+    assert arrays.keys() == payload.keys()
+    for name, a in payload.items():
+        assert arrays[name].dtype == np.complex128, name
+        assert arrays[name].tobytes() == a.tobytes(), name
+    # instances keep the JSON codec: real entries or [re, im] pairs
+    m = np.array([[-0.0, 1e-300 - 2.5j], [1.5, 3j]])
+    assert np.array_equal(decode_matrix(json.loads(json.dumps(encode_matrix(m)))), m)
     assert np.array_equal(decode_matrix([[1, 2.5], [0, -3]]),
                           np.array([[1, 2.5], [0, -3]], dtype=complex))
     assert decode_matrix([[], []]).shape == (2, 0)
@@ -48,8 +61,12 @@ def test_decode_refuses_malformed_matrices_at_their_location(doc):
 
 
 def _verify_names(n_generators: int, degree: int) -> list[str]:
-    isometries = ([f"isometry.V[{g}]" for g in range(1, n_generators + 1)]
-                  if degree >= 1 else [])
+    isometries = ([
+        "interior.orthonormal",
+        *(f"isometry.V[{g}]" for g in range(1, n_generators + 1)),
+        *(["isometry.V[w]"] if degree >= 2 else []),
+        "isometry.zero_off_interior",
+    ] if degree >= 1 else [])
     return [
         "embedding.isometric", "pi.unital", "pi.star", "pi.multiplicative",
         *isometries,
@@ -119,35 +136,39 @@ def test_stored_pi_is_exactly_the_table_verify_reads(fixtures_dir, tmp_path,
                                                      name, prefix):
     path = (_point_model_instance(tmp_path) if name == "point_state"
             else str(fixtures_dir / name))
-    out = tmp_path / "r.json"
-    flags = {"output": str(out), "result": str(out)}
-    assert run_command("dilate", parse_instance(path), flags)["exit_code"] == 0
-    doc = json.loads(out.read_text())
-    assert doc["pi"] and all(k.startswith(prefix) for k in doc["pi"])
+    out = str(tmp_path / "r.npz")
+    assert run_command("dilate", parse_instance(path),
+                       {"output": out})["exit_code"] == 0
+    meta, arrays = load_result(out)
+    labels = meta["pi_labels"]
+    assert labels and all(k.startswith(prefix) for k in labels)
+    assert arrays["pi"].shape[0] == len(labels)
+    assert "interior_0" not in arrays
     inst = parse_instance(path)
-    sys_, phi, T, _ = build_pair(inst, degree=doc["degree"])
-    doc["pi"] = _ReadKeys(doc["pi"])
-    StoredDilation(doc, sys_, phi, T, inst.tolerances)
-    assert doc["pi"].read == set(doc["pi"])
+    sys_, phi, T, _ = build_pair(inst, degree=meta["degree"])
+    arrays = _ReadKeys(arrays)
+    StoredDilation(meta, arrays, sys_, phi, T, inst.tolerances)
+    assert arrays.read == set(arrays)       # every stored member is read
 
 
-def _tampered(fixtures_dir, tmp_path, edit):
-    path = str(fixtures_dir / "sznagy_half.json")
-    out = tmp_path / "r.json"
-    flags = {"output": str(out), "result": str(out)}
+def _tampered(fixtures_dir, tmp_path, edit, name="sznagy_half.json"):
+    """``verify`` of a result of fixture ``name`` after ``edit(meta,
+    arrays)``."""
+    path = str(fixtures_dir / name)
+    out = str(tmp_path / "r.npz")
+    flags = {"output": out, "result": out}
     assert run_command("dilate", parse_instance(path), flags)["exit_code"] == 0
-    doc = json.loads(out.read_text())
-    edit(doc)
-    out.write_text(json.dumps(doc))
+    meta, arrays = load_result(out)
+    edit(meta, arrays)
+    write_result(out, dict(arrays, meta=np.array(json.dumps(meta).encode())))
     return run_command("verify", parse_instance(path), flags)
 
 
 def test_verify_fails_on_a_perturbed_isometry(fixtures_dir, tmp_path):
-    def scale_largest_entry(doc):
-        v = decode_matrix(doc["isometries"][0])
+    def scale_largest_entry(meta, arrays):
+        v = arrays["isometry_1"]
         i, j = np.unravel_index(np.argmax(np.abs(v)), v.shape)
         v[i, j] *= 1 + 1e-3
-        doc["isometries"][0] = encode_matrix(v)
 
     rep = _tampered(fixtures_dir, tmp_path, scale_largest_entry)
     assert rep["exit_code"] == 1
@@ -155,11 +176,59 @@ def test_verify_fails_on_a_perturbed_isometry(fixtures_dir, tmp_path):
 
 
 def test_verify_fails_on_a_failed_stored_residual(fixtures_dir, tmp_path):
-    def fail_one(doc):
-        doc["residuals"][0]["passed"] = False
+    def fail_one(meta, arrays):
+        meta["residuals"][0]["passed"] = False
 
     rep = _tampered(fixtures_dir, tmp_path, fail_one)
     assert rep["exit_code"] == 1
     failed = [c for c in rep["checks"] if not c["passed"]]
     assert [c["name"] for c in failed] == ["verify.stored_residuals"]
     assert failed[0]["detail"] == "gram.psd"
+
+
+def test_verify_fails_on_an_orthonormal_interior_off_the_first(fixtures_dir,
+                                                               tmp_path):
+    # interior(2) replaced by orthonormal vectors orthogonal to interior(1):
+    # the generator shifts vanish there, so V(w) is not isometric on it
+    def move_level_2(meta, arrays):
+        q1, q2 = arrays["interior_1"], arrays["interior_2"]
+        u, _, _ = np.linalg.svd(np.eye(len(q1)) - q1 @ q1.conj().T)
+        arrays["interior_2"] = u[:, :q2.shape[1]].copy()
+
+    rep = _tampered(fixtures_dir, tmp_path, move_level_2, "cuntz_m2.json")
+    checks = {c["name"]: c for c in rep["checks"]}
+    assert rep["exit_code"] == 1
+    assert checks["interior.orthonormal"]["passed"]
+    assert not checks["isometry.V[w]"]["passed"]
+
+
+def _entries(a: np.ndarray) -> list[tuple]:
+    """The first entry, the largest and a seeded random one."""
+    rng = np.random.default_rng(0)
+    picks = (0, int(np.argmax(np.abs(a))), int(rng.integers(a.size)))
+    return sorted({np.unravel_index(k, a.shape) for k in picks})
+
+
+@pytest.mark.parametrize("name", ["sznagy_half.json", "cuntz_m2.json",
+                                  "commuting_unitaries.json"])
+def test_verify_fails_on_a_bump_of_any_stored_entry(fixtures_dir, tmp_path,
+                                                    name):
+    # Every member is read by some identity: bumping one entry of any stored
+    # array by 1e-3 fails verify.  On cuntz_m2 an isometry column or an
+    # interior row outside the first interior is seen only by
+    # isometry.zero_off_interior or interior.orthonormal.
+    path = str(fixtures_dir / name)
+    out = str(tmp_path / "r.npz")
+    assert run_command("dilate", parse_instance(path),
+                       {"output": out})["exit_code"] == 0
+    meta, arrays = load_result(out)
+    inst = parse_instance(path)
+    sys_, phi, T, _ = build_pair(inst, degree=meta["degree"])
+    assert verify_result(meta, arrays, sys_, phi, T, inst.tolerances).passed
+    for member, a in arrays.items():
+        for entry in _entries(a):
+            bumped = a.copy()
+            bumped[entry] += 1e-3
+            rep = verify_result(meta, dict(arrays, **{member: bumped}), sys_,
+                                phi, T, inst.tolerances)
+            assert not rep.passed, (member, entry)

@@ -15,7 +15,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, encode_matrix
 from lcm_dilate.cli import build_pair, parse_instance
 from lcm_dilate.dilation import (
     ADJOINT_PAIRS,
@@ -24,7 +24,6 @@ from lcm_dilate.dilation import (
     covariant_dilate,
 )
 from lcm_dilate.errors import SpecMismatchError
-from lcm_dilate.serialize import encode_matrix
 
 # ---------------------------------------------------------------------------
 # the oracle
