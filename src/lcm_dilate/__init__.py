@@ -12,10 +12,8 @@ from .cpmaps import (                                                 # noqa: F4
 )
 from .dilation import (                                               # noqa: F401
     Tolerances,
-    check_boundary_relation,
     covariant_dilate,
     naimark_dilate,
-    uniqueness_probe,
 )
 from .kernel import KernelSystem, assemble_gram                       # noqa: F401
 from .semigroup import FreeAbelian, FreeMonoid                        # noqa: F401

@@ -113,18 +113,6 @@ class BaseAlgebra:
                     out.append(f"b{b}e{i + 1}{j + 1}" if n > 1 else f"b{b}e11")
         return out
 
-    def is_member(self, mat: np.ndarray, tol: float = 1e-12) -> bool:
-        """True when all mass sits inside the diagonal blocks."""
-        mat = np.asarray(mat)
-        if mat.shape != (self.dim, self.dim):
-            return False
-        mask = np.ones((self.dim, self.dim), dtype=bool)
-        for sl in self.block_slices():
-            mask[sl, sl] = False
-        off = np.abs(mat[mask]).max() if mask.any() else 0.0
-        scale = max(1.0, np.abs(mat).max())
-        return bool(off <= tol * scale)
-
     def coefficients(self, mat: np.ndarray) -> np.ndarray:
         """Coordinates of ``mat`` in the matrix-unit basis (just its entries)."""
         coeffs = []

@@ -397,6 +397,8 @@ def _extension_check(run: _Run) -> None:
 
 def _pair(run: _Run) -> None:
     """Build (system, phi, T); a rejected phi extension is a failed check."""
+    if not run.instance.t_mats:
+        raise SchemaError("dilate needs T", "/T")
     run.sys, run.phi, run.T, run.ext = build_pair(run.instance, degree=run.depth)
     if run.ext is not None and not run.ext.accepted:
         _extension_check(run)

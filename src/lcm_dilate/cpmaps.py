@@ -156,10 +156,6 @@ OperatorMap = Union[BaseOperatorMap, LevelledOperatorMap]
 # -- convenience constructors -------------------------------------------------
 
 
-def identity_map(base: BaseAlgebra) -> BaseOperatorMap:
-    """The identity representation of the base algebra on its own space."""
-    return BaseOperatorMap(base, base.basis())
-
 def transpose_map(base: BaseAlgebra) -> BaseOperatorMap:
     """The transpose map; positive but not completely positive on blocks
     of size >= 2.  Used as a negative-control fixture."""
@@ -377,26 +373,6 @@ def nica_defect(T: ContractionFamily, F, cap: int = MAX_SUBSET_SIZE) -> np.ndarr
     return inclusion_exclusion(sg, T.range_operator, sg.identity, fs, T._defects)
 
 
-def ewf_projection(sys: LcmSystem, W, F) -> LevelledElement:
-    """Product of range projections over W and their complements over F - W.
-
-    The family over all subsets of F is a partition of unity into pairwise
-    orthogonal projections.
-    """
-    sg = sys.semigroup
-    ws = _sorted_elements(sg, W)
-    fs = _sorted_elements(sg, F)
-    if not set(ws) <= set(fs):
-        raise SpecMismatchError("W must be a subset of F")
-    out = sys.unit()
-    for p in ws:
-        out = out * sys.unit_projection(p)
-    for p in fs:
-        if p not in ws:
-            out = out * (sys.unit(sys.depth_of(p)) - sys.unit_projection(p))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # maps induced by a contraction family
 # ---------------------------------------------------------------------------
@@ -500,28 +476,3 @@ def extend_phi_T(
     atoms = list(lifted.atom_maps)
     return PhiTExtension(lifted, cp.is_cp, cp.min_eigenvalue, cp.scale,
                          [(atoms[k], m) for k, m in cp.violations])
-
-
-def phi_F(
-    phi: BaseOperatorMap,
-    betas: Sequence[np.ndarray],
-    T: ContractionFamily,
-    F,
-    cap: int = MAX_SUBSET_SIZE,
-) -> BaseOperatorMap:
-    """The inclusion-exclusion compression of phi along F.
-
-    phi_F(a) = sum over U of (-1)^|U| T(sU) phi(beta_{sU}^{-1}(a)) T(sU)*,
-    with sU the least common multiple of U and unbounded subsets dropped.
-    Complete positivity of every phi_F is the lifting criterion for the
-    tensor construction.
-    """
-    sg = T.semigroup
-    fs = _sorted_elements(sg, F)
-    _check_subset_cap(len(fs), cap)
-    betas = [np.asarray(b, dtype=Complex) for b in betas]
-    units = phi.base.basis()
-    values = inclusion_exclusion(
-        sg, lambda s: _compressed(phi, betas, T, s, units), sg.identity, fs, {}
-    )
-    return BaseOperatorMap(phi.base, list(values))

@@ -13,7 +13,6 @@ dilation construction.
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -28,11 +27,10 @@ from .errors import (
     SpecMismatchError,
 )
 from .semigroup import Element
-from .systems import LcmSystem, ValidationReport
+from .systems import LcmSystem
 
 COVARIANCE_TOL = 1e-9
 CORNER_RTOL = 1e-8
-CHECK_TOL = 1e-8
 DEFAULT_MAX_GRAM_DIM = 4096
 
 
@@ -303,140 +301,3 @@ def assemble_gram(
         blocks.append(GramBlock(key, np.array(members, dtype=np.intp),
                                 block.reshape(k * h, k * h)))
     return GramAssembly(kernel, degree, catalog, corners, blocks, herm_defect)
-
-
-# ---------------------------------------------------------------------------
-# property verification
-# ---------------------------------------------------------------------------
-
-
-def _corner_samples(sys_: LcmSystem, p, q, depth, rng, n_combos: int = 2):
-    """Corner basis elements plus a few random combinations."""
-    corner = sys_.corner_basis(p, q, depth)
-    base = list(corner.elements)
-    out = list(base)
-    for _ in range(n_combos if base else 0):
-        coeff = rng.standard_normal(len(base)) + 1j * rng.standard_normal(len(base))
-        acc = None
-        for c, e in zip(coeff, base):
-            term = e * complex(c)
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
-
-
-def check_kernel_properties(
-    kernel,
-    depth: int = 2,
-    seed: int = 0,
-    tol: float = CHECK_TOL,
-) -> ValidationReport:
-    """Verify the defining kernel properties on indices up to ``depth``.
-
-    Anything exposing ``evaluate(p, a, q)`` together with ``sys``/``T``/``h``
-    can be checked, so corrupted fixtures are testable; verdicts quantify
-    over the sampled index range only.
-    """
-    rng = np.random.default_rng(seed)
-    report = ValidationReport()
-    sys_ = kernel.sys
-    sg = sys_.semigroup
-    elements = sg.enumerate_up_to(depth)
-
-    # unital
-    one = sys_.unit()
-    err = operator_norm(
-        kernel.evaluate(sg.identity, one, sg.identity) - np.eye(kernel.h)
-    )
-    report.add("kernel.unital", err <= tol, err, tol)
-
-    # Hermitian + norm bound + linearity over index pairs
-    worst_h = worst_n = worst_l = 0.0
-    wit_h = wit_n = ""
-    for p, q in itertools.combinations_with_replacement(elements, 2):
-        samples = _corner_samples(sys_, p, q, depth, rng)
-        for k, a in enumerate(samples):
-            kpq = kernel.evaluate(p, a, q, check_corner=False)
-            kqp = kernel.evaluate(q, a.star(), p, check_corner=False)
-            err = operator_norm(kpq.conj().T - kqp)
-            if err > worst_h:
-                worst_h, wit_h = err, f"(p={p}, q={q}, a#{k})"
-            err = operator_norm(kpq) - a.norm()
-            if err > worst_n:
-                worst_n, wit_n = err, f"(p={p}, q={q}, a#{k})"
-        if len(samples) >= 2:
-            lam = complex(rng.standard_normal() + 1j * rng.standard_normal())
-            a, b = samples[0], samples[1]
-            lhs = kernel.evaluate(p, a + b * lam, q, check_corner=False)
-            rhs = kernel.evaluate(p, a, q, check_corner=False) + lam * kernel.evaluate(
-                p, b, q, check_corner=False
-            )
-            worst_l = max(worst_l, operator_norm(lhs - rhs))
-    report.add("kernel.hermitian", worst_h <= tol, worst_h, tol, detail=wit_h)
-    report.add("kernel.norm_bound", worst_n <= tol, worst_n, tol, detail=wit_n)
-    report.add("kernel.linear", worst_l <= tol, worst_l, tol)
-
-    # Toeplitz: K(p, a, q) = K(rp, alpha_r(a), rq) for shifts r that stay
-    # inside the enumerated range.
-    worst_t = 0.0
-    wit_t = ""
-    shifts = [g for g in sg.generators]
-    if len(sg.generators) >= 2:
-        shifts.append(sg.multiply(sg.generators[0], sg.generators[1]))
-    else:
-        shifts.append(sg.multiply(sg.generators[0], sg.generators[0]))
-    short = [p for p in elements if sg.length(p) <= max(0, depth - 1)]
-    for r in shifts:
-        for p, q in itertools.product(short, repeat=2):
-            for k, a in enumerate(_corner_samples(sys_, p, q, depth - 1, rng, 1)):
-                lhs = kernel.evaluate(p, a, q, check_corner=False)
-                rhs = kernel.evaluate(
-                    sg.multiply(r, p),
-                    sys_.apply_endo(r, a),
-                    sg.multiply(r, q),
-                    check_corner=False,
-                )
-                err = operator_norm(lhs - rhs)
-                if err > worst_t:
-                    worst_t, wit_t = err, f"(r={r}, p={p}, q={q}, a#{k})"
-    report.add("kernel.toeplitz", worst_t <= tol, worst_t, tol, detail=wit_t)
-
-    # boundedness on a sampled family: ||a||^2 [K(.., b_i* b_j, ..)] dominates
-    # [K(.., b_i* a* a b_j, ..)]
-    ps = elements[: min(3, len(elements))]
-    bs = [sys_.corner_basis(sg.identity, p, depth).elements[0] for p in ps]
-    amb = sys_.algebra_basis(depth)
-    a = amb[min(1, len(amb) - 1)] + amb[0] * 0.5
-    n = len(ps)
-    m_plain = np.zeros((n * kernel.h, n * kernel.h), dtype=np.complex128)
-    m_squeezed = np.zeros_like(m_plain)
-    hh = kernel.h
-    for i in range(n):
-        for j in range(n):
-            bi = bs[i].star()
-            m_plain[i * hh:(i + 1) * hh, j * hh:(j + 1) * hh] = kernel.evaluate(
-                ps[i], bi * bs[j], ps[j], check_corner=False
-            )
-            m_squeezed[i * hh:(i + 1) * hh, j * hh:(j + 1) * hh] = kernel.evaluate(
-                ps[i], bi * (a.star() * (a * bs[j])), ps[j], check_corner=False
-            )
-    gap = a.norm() ** 2 * m_plain - m_squeezed
-    gap = (gap + gap.conj().T) / 2.0
-    min_gap = float(np.linalg.eigvalsh(gap)[0])
-    report.add("kernel.bounded", min_gap >= -tol, min_gap, -tol)
-
-    # positivity of blocks over indices with a common multiple
-    r = sg.lcm_of(ps)
-    if r is not None:
-        cs = [sys_.corner_basis(sg.identity, r, depth).elements[0]] * n
-        m = np.zeros((n * hh, n * hh), dtype=np.complex128)
-        for i in range(n):
-            for j in range(n):
-                m[i * hh:(i + 1) * hh, j * hh:(j + 1) * hh] = kernel.evaluate(
-                    ps[i], cs[i].star() * cs[j], ps[j], check_corner=False
-                )
-        m = (m + m.conj().T) / 2.0
-        min_eig = float(np.linalg.eigvalsh(m)[0])
-        report.add("kernel.common_multiple_psd", min_eig >= -tol, min_eig, -tol)
-
-    return report

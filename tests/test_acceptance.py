@@ -13,11 +13,14 @@ import numpy as np
 import pytest
 
 from conftest import (
+    check_kernel_properties,
     commuting_contraction_pair,
+    ewf_projection,
     random_coisometry_pair,
     random_contraction,
     random_state,
     random_unitary,
+    uniqueness_probe,
 )
 from lcm_dilate.algebras import (
     AbelianToeplitzModel,
@@ -30,16 +33,15 @@ from lcm_dilate.cpmaps import (
     BaseOperatorMap,
     ContractionFamily,
     build_phi_tilde,
-    ewf_projection,
     extend_phi_T,
     is_completely_positive,
     nica_defect,
     state_map,
     transpose_map,
 )
-from lcm_dilate.dilation import covariant_dilate, naimark_dilate, uniqueness_probe
+from lcm_dilate.dilation import covariant_dilate, naimark_dilate
 from lcm_dilate.errors import GramNotPositiveError
-from lcm_dilate.kernel import KernelSystem, assemble_gram, check_kernel_properties
+from lcm_dilate.kernel import KernelSystem, assemble_gram
 from lcm_dilate.semigroup import FreeAbelian, FreeMonoid
 from lcm_dilate.systems import GeneratorMap, LcmSystem
 

@@ -28,14 +28,6 @@ def test_base_algebra_basics():
     assert np.allclose(sum(u for u in M2.basis() if u.trace() == 1), np.eye(2))
 
 
-def test_base_algebra_membership():
-    good = np.diag([1.0, 2.0, 3.0]).astype(complex)
-    assert M2pM1.is_member(good)
-    bad = np.ones((3, 3), dtype=complex)
-    assert not M2pM1.is_member(bad)
-    assert not M2pM1.is_member(np.eye(2))
-
-
 def test_cstar_identity():
     rng = np.random.default_rng(5)
     for _ in range(10):

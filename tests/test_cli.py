@@ -193,10 +193,11 @@ def test_unknown_tolerance_names_the_known_ones(fixtures_dir, tmp_path, capsys):
     assert all(key in err for key in Tolerances().as_dict())
 
 
+# not "/T/1": _put cannot set it on the rank-1 fixtures, whose T has one entry
 FUZZED_MEMBERS = ("/system/alphas", "/system/betas", "/system/codomain",
                   "/system/basis_images", "/phi/rho", "/phi/values", "/depth",
                   "/system/base/blocks", "/tolerances", "/seed",
-                  "/system/semigroup/rank")
+                  "/system/semigroup/rank", "/T", "/T/0", "/phi/kind", "/phi")
 _number = (st.integers(-2, 2) | st.floats(-2, 2)
            | st.sampled_from([float("nan"), float("inf"), 1e300]))
 _entry = _number | st.lists(_number, min_size=2, max_size=2)     # [re, im]
@@ -214,8 +215,9 @@ _json = st.recursive(_leaf, lambda inner: st.lists(inner, max_size=3) | st.dicti
 @given(fixture=st.sampled_from(sorted(FIXTURES.glob("*.json"))),
        member=st.sampled_from(FUZZED_MEMBERS), value=_json)
 def test_fuzzed_generator_members_keep_the_exit_contract(fixture, member, value):
-    """A bundled fixture with one member the generator maps and stages are
-    built from, its tolerances, seed or semigroup rank replaced by any JSON
+    """A bundled fixture with one member the generator maps, stages,
+    contractions or phi are built from, its tolerances, seed or semigroup
+    rank replaced by any JSON
     value: ``validate``, ``check-cp`` and ``dilate`` exit 0, 1 or 2 without
     a traceback, and 2 whenever parsing fails, as it must for a tolerance
     object with an unknown key."""
@@ -505,6 +507,22 @@ def test_check_nica_without_contractions_names_the_location(fixtures_dir,
     err = capsys.readouterr().err
     assert code == 2
     assert "check-nica needs T (at /T)" in err
+    assert "Traceback" not in err
+
+
+def test_dilate_without_contractions_names_the_location(fixtures_dir,
+                                                         tmp_path, capsys):
+    # build_pair asks for T only on levelled models, and this one is a point
+    doc = json.loads((fixtures_dir / "transpose_m2.json").read_text())
+    del doc["T"]
+    path = tmp_path / "no_T.json"
+    path.write_text(json.dumps(doc))
+    codes = {command: main([command, str(path), "--output", str(tmp_path / "r.json")]
+                           if command == "dilate" else [command, str(path)])
+             for command in ("validate", "check-cp", "check-nica", "dilate")}
+    err = capsys.readouterr().err
+    assert codes == {"validate": 0, "check-cp": 1, "check-nica": 2, "dilate": 2}
+    assert "dilate needs T (at /T)" in err
     assert "Traceback" not in err
 
 
@@ -834,6 +852,7 @@ def test_run_fixtures_main_reports_a_wrong_verdict(monkeypatch, capsys):
 @pytest.mark.parametrize("args,last_line", [
     (("defect_sweep.py", "4"), "all three verdicts agree at every scale"),
     (("depth_convergence.py",), "compressions stable across depths (drift <= 1e-9)"),
+    (("run_fixtures.py",), "14/14 fixture verdicts reproduced"),
 ])
 def test_experiment_script_agrees(args, last_line):
     script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / args[0]

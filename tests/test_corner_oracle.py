@@ -139,7 +139,7 @@ def dense_outcome(gram, catalog, tols=Tolerances()):
 def blocked_outcome(kernel, degree, assembly):
     """The same four from the library's per-block factorization."""
     try:
-        res = naimark_dilate(kernel, degree, assembly=assembly, verify=False)
+        res = naimark_dilate(kernel, degree, assembly=assembly)
     except GramNotPositiveError as exc:
         return False, None, exc.group, assembly.eigenvalues()
     return True, res.rank, None, res.eigenvalues

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import (
     commuting_contraction_pair,
+    ewf_projection,
+    phi_F,
     random_coisometry_pair,
     random_matrix,
     random_ucp_map,
@@ -18,12 +20,9 @@ from lcm_dilate.cpmaps import (
     ContractionFamily,
     build_phi_tilde,
     diagonal_compression_map,
-    ewf_projection,
     extend_phi_T,
-    identity_map,
     is_completely_positive,
     nica_defect,
-    phi_F,
     state_map,
     transpose_map,
 )
@@ -47,7 +46,7 @@ E21 = np.array([[0, 0], [1, 0]], dtype=complex)
 
 def test_cp_examples():
     assert is_completely_positive(diagonal_compression_map(M3)).is_cp
-    assert is_completely_positive(identity_map(M2)).is_cp
+    assert is_completely_positive(BaseOperatorMap(M2, M2.basis())).is_cp
     rep = is_completely_positive(transpose_map(M2))
     assert not rep.is_cp
     # the Choi matrix of the transpose is the swap, with eigenvalue -1
@@ -422,7 +421,7 @@ def test_phi_F_vanishing_families():
     # scalar row contraction with unit row norm
     t = np.sqrt([0.3, 0.7])
     Ts = ContractionFamily(FM2, [np.array([[t[0]]]), np.array([[t[1]]])])
-    out = phi_F(identity_map(C), [np.eye(1)] * 2, Ts, [(1,), (2,)])
+    out = phi_F(BaseOperatorMap(C, C.basis()), [np.eye(1)] * 2, Ts, [(1,), (2,)])
     assert np.abs(out.values[0]).max() <= 1e-14
 
 
@@ -462,7 +461,7 @@ def test_lift_values_on_cylinders():
 def test_lift_rejects_inconsistent_boundary_pair():
     sys_ = LcmSystem(FM2, FreeBoundaryModel(2), M2)
     with pytest.raises(CovarianceError):
-        build_phi_tilde(sys_, identity_map(M2),
+        build_phi_tilde(sys_, BaseOperatorMap(M2, M2.basis()),
                         ContractionFamily(FM2, [E11, E21]), 2)
 
 

@@ -2,16 +2,20 @@ import numpy as np
 import pytest
 
 from conftest import (
+    _permuted_assembly,
     load_perfbench,
     random_coisometry_pair,
     random_contraction,
     random_unitary,
+    uniqueness_probe,
 )
 from lcm_dilate.algebras import (
     AbelianToeplitzModel,
     BaseAlgebra,
     FreeBoundaryModel,
+    FreeToeplitzModel,
     PointModel,
+    operator_norm,
 )
 from lcm_dilate.cli import build_pair, parse_instance
 from lcm_dilate.cpmaps import (
@@ -19,6 +23,7 @@ from lcm_dilate.cpmaps import (
     ContractionFamily,
     build_phi_tilde,
     extend_phi_T,
+    nica_defect,
     state_map,
     transpose_map,
 )
@@ -26,12 +31,9 @@ from lcm_dilate.dilation import (
     Tolerances,
     _adjoint_formula_residual,
     _check_word_product,
-    _permuted_assembly,
-    check_boundary_relation,
     covariant_dilate,
     identity_suite,
     naimark_dilate,
-    uniqueness_probe,
 )
 from lcm_dilate.errors import GramNotPositiveError, SpecMismatchError
 from lcm_dilate.kernel import GramAssembly, GramBlock, KernelSystem, assemble_gram
@@ -60,6 +62,42 @@ def cuntz_dilation(degree=3, rho=None):
     rho = np.array([[1, 0], [0, 0]], dtype=complex) if rho is None else rho
     phi = build_phi_tilde(sys_, state_map(M2, rho, 2), T, degree)
     return covariant_dilate(sys_, phi, T, degree)
+
+
+def check_boundary_relation(result, F, tol: float = 1e-8) -> ValidationReport:
+    """Evaluate the boundary defect prod_{f in F} (I - V_f V_f*) on the
+    interior with matching headroom.
+
+    F must be a foundation set.  The hypothesis that the input family has a
+    vanishing defect over F is verified first; when it fails, that is
+    reported (not raised) and the product is still evaluated for reference.
+    """
+    sg = result.sys.semigroup
+    fs = sorted({tuple(f) for f in F}, key=lambda e: (sg.length(e), e))
+    if not sg.is_foundation_set(fs):
+        raise SpecMismatchError(f"{fs} is not a foundation set")
+    report = ValidationReport()
+
+    defect = nica_defect(result.T, fs)
+    dnorm = operator_norm(defect)
+    report.add("boundary.premise", dnorm <= tol, dnorm, tol,
+               detail="input defect over F")
+
+    level = sum(sg.length(f) for f in fs)
+    if level > result.degree:
+        report.add(
+            "boundary.relation", False, None, tol,
+            detail=f"needs headroom {level} > degree {result.degree}",
+        )
+        return report
+    prod = np.eye(result.rank, dtype=np.complex128)
+    for f in fs:
+        vf = result.v_word(f)
+        prod = prod @ (np.eye(result.rank) - vf @ vf.conj().T)
+    qb = result.interior_basis(level)
+    resid = operator_norm(prod @ qb)
+    report.add("boundary.relation", resid <= tol and dnorm <= tol, resid, tol)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +256,22 @@ def test_abelian_rank2_depth4_rank_invariant():
     assert res.passed, [c.name for c in res.report.failures()]
     assert res.assembly.size == 450
     assert res.rank == 2 * (4 + 1) ** 2 == 50
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_free_rank2_scalar_pair_rank_invariant(depth):
+    # pi(A)V(P)H spans the dilation.  Over C at h = 1, pi(E_w)V(q)1 is V(q)1
+    # when w is a prefix of q, V(w)T(u)*1 when w = qu, and 0 when w and q
+    # have no common multiple; so the span is that of the V(w)1, one per
+    # word w of length <= d: 1 + 2 + ... + 2^d = 2^(d+1) - 1 of them, and
+    # the rank says no combination of them vanishes
+    sys_ = LcmSystem(FM2, FreeToeplitzModel(2), C)
+    T = ContractionFamily(FM2, [np.array([[0.5]]), np.array([[0.5]])])
+    ext = extend_phi_T(sys_, T, depth)
+    assert ext.accepted
+    res = covariant_dilate(sys_, ext.map, T, depth)
+    assert res.passed, [c.name for c in res.report.failures()]
+    assert res.rank == 2 ** (depth + 1) - 1
 
 
 @pytest.mark.parametrize("workload, depth, rank", [

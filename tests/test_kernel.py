@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    check_kernel_properties,
     commuting_contraction_pair,
     random_coisometry_pair,
     random_contraction,
@@ -28,7 +29,7 @@ from lcm_dilate.errors import (
     CovarianceError,
     SpecMismatchError,
 )
-from lcm_dilate.kernel import KernelSystem, assemble_gram, check_kernel_properties
+from lcm_dilate.kernel import KernelSystem, assemble_gram
 from lcm_dilate.semigroup import FreeAbelian, FreeMonoid
 from lcm_dilate.systems import GeneratorMap, LcmSystem
 

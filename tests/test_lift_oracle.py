@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 from conftest import (
     FIXTURES,
     commuting_contraction_pair,
+    ewf_projection,
+    phi_F,
     random_coisometry_pair,
     random_contraction,
     random_ucp_map,
@@ -37,10 +39,8 @@ from lcm_dilate.cpmaps import (
     BaseOperatorMap,
     ContractionFamily,
     build_phi_tilde,
-    ewf_projection,
     inclusion_exclusion,
     nica_defect,
-    phi_F,
     state_map,
 )
 from lcm_dilate.errors import ResourceCapError
