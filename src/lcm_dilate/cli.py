@@ -388,8 +388,8 @@ def _extension_check(run: _Run) -> None:
     """The contraction extension's Choi test as one record."""
     ext = run.ext
     atoms = [str(a) for a, _ in ext.violations]
-    run.report.add(
-        "phi.extension_accepted", ext.accepted, ext.min_eigenvalue,
+    run.report.at_least(
+        "phi.extension_accepted", [(ext.min_eigenvalue, "")],
         -run.instance.tolerances.psd * ext.scale,
         detail=f"violating atoms: {atoms}" if atoms else "",
     )
@@ -412,8 +412,7 @@ def _complete_positivity(run: _Run) -> None:
     if ext is None:
         tol = run.instance.tolerances.psd
         cp = is_completely_positive(run.phi, rtol=tol)
-        run.report.add("phi.completely_positive", cp.is_cp, cp.min_eigenvalue,
-                       -tol * cp.scale, detail=cp.where)
+        run.report.at_least("phi.completely_positive", cp.cases, -tol * cp.scale)
         run.extra["min_eigenvalue"] = cp.min_eigenvalue
         return
     _extension_check(run)
@@ -443,21 +442,14 @@ def _nica_defects(run: _Run) -> None:
               for combo in itertools.combinations(pool, size)]
     defects = np.array([nica_defect(T, combo) for combo in combos])
     w = np.linalg.eigvalsh((defects + defects.conj().transpose(0, 2, 1)) / 2.0)
-    least = w[:, 0]
-    worst = float(least.min())
     scale = max(1.0, float(np.abs(w).max()))
-    tol = run.instance.tolerances.psd
-    # Many sets tie exactly (adding a multiple of an element of F leaves the
-    # defect unchanged), so the witness is the first set in (size,
-    # combination) order within the tolerance of the worst, which rounding
-    # cannot move.
-    witness = combos[int(np.argmax(least <= worst + tol * scale))]
-    run.report.add(
-        "nica.defects_psd", worst >= -tol * scale, worst, -tol * scale,
-        detail=f"{len(combos)} subsets; worst F = {list(map(list, witness))}",
-    )
-    run.extra.update(subsets_checked=len(combos),
-                     worst_F=[list(f) for f in witness])
+    # many sets tie exactly (adding a multiple of an element of F leaves the
+    # defect unchanged); the witness is the first in (size, combination) order
+    psd = run.report.at_least("nica.defects_psd", zip(w[:, 0].tolist(), combos),
+                              -run.instance.tolerances.psd * scale)
+    worst_F = [list(f) for f in psd.witness]
+    psd.detail = f"{len(combos)} subsets; worst F = {worst_F}"
+    run.extra.update(subsets_checked=len(combos), worst_F=worst_F)
 
 
 def _dilate(run: _Run) -> None:
@@ -517,27 +509,29 @@ def run_command(command: str, instance: Instance, flags: dict) -> dict:
     into a failed check, and report once."""
     if command not in COMMANDS:
         raise SchemaError(f"unknown command {command!r}")
-    for key in ("max_f", "max_dim"):
+    for key, least in (("max_f", 1), ("max_dim", 1), ("depth", 0)):
         value = flags.get(key)
-        if value is not None and value < 1:
+        if value is not None and value < least:
             flag = "--" + key.replace("_", "-")
-            raise SchemaError(f"{flag} must be at least 1, got {value}", flag)
+            raise SchemaError(f"{flag} must be at least {least}, got {value}", flag)
+    depth = flags.get("depth")
+    if depth is not None and command == "verify":
+        raise SchemaError("verify takes the degree of the stored result", "--depth")
     t0 = time.perf_counter()
     default_depth, stages = COMMANDS[command]
-    depth = flags.get("depth")
     run = _Run(instance, flags, default_depth(instance) if depth is None else depth)
     tol_psd = instance.tolerances.psd
     for stage in stages:
         try:
             stage(run)
         except CovarianceError as exc:
-            run.report.add("pair.covariant", False, exc.residual, exc.tol,
-                           detail=str(exc))
+            run.report.at_most("pair.covariant", [(exc.residual, "")], exc.tol,
+                               detail=str(exc))
         except GramNotPositiveError as exc:
-            run.report.add("gram.psd", False, exc.min_eigenvalue,
-                           -tol_psd * exc.scale,
-                           detail="dilation refused: Gram operator not "
-                                  f"positive; {exc.where()}")
+            run.report.at_least("gram.psd", [(exc.min_eigenvalue, "")],
+                                -tol_psd * exc.scale,
+                                detail="dilation refused: Gram operator not "
+                                       f"positive; {exc.where()}")
         if not run.report.passed:
             break
     checks = [dict(c.as_dict(), wall_ms=None) for c in run.report.checks]

@@ -12,7 +12,7 @@ diagonal (or diagonal-tensor) algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -182,8 +182,7 @@ class CPReport:
     is_cp: bool
     min_eigenvalue: float
     scale: float
-    witness: Optional[np.ndarray]
-    where: str
+    cases: list       # (least eigenvalue, label), one per Choi block
     violations: list  # (position in choi_blocks(), least eigenvalue)
 
 
@@ -193,29 +192,21 @@ def is_completely_positive(phi: OperatorMap, rtol: float = PSD_RTOL) -> CPReport
     The verdict is relative: the smallest eigenvalue must stay above
     -rtol * scale with scale the largest eigenvalue magnitude seen (floored
     at one), since the Gram machinery downstream produces exactly singular
-    positive matrices.  Every Choi block whose least eigenvalue falls below
+    positive matrices.  Every Choi block whose least eigenvalue is not above
     that threshold is a violation, so the map is CP exactly when there is
-    none.
+    none.  The per-block least eigenvalues are the cases of the
+    ``phi.completely_positive`` record.
     """
-    min_eig = np.inf
     scale = 1.0
-    witness = None
-    where = ""
-    least = []
-    for k, (label, choi) in enumerate(phi.choi_blocks()):
-        w, v = np.linalg.eigh((choi + choi.conj().T) / 2.0)
-        if not w.size:
-            continue
+    cases = []
+    for label, choi in phi.choi_blocks():
+        w, _ = np.linalg.eigh((choi + choi.conj().T) / 2.0)
         scale = max(scale, float(np.abs(w).max()))
-        least.append((k, float(w[0])))
-        if w[0] < min_eig:
-            min_eig = float(w[0])
-            witness = v[:, 0]
-            where = label
-    if not np.isfinite(min_eig):
-        min_eig = 0.0
-    violations = [(k, m) for k, m in least if m < -rtol * scale]
-    return CPReport(not violations, min_eig, scale, witness, where, violations)
+        cases.append((float(w[0]), label))
+    min_eig = float(np.min([m for m, _ in cases])) if cases else 0.0
+    violations = [(k, m) for k, (m, _) in enumerate(cases)
+                  if not m >= -rtol * scale]
+    return CPReport(not violations, min_eig, scale, cases, violations)
 
 
 # ---------------------------------------------------------------------------

@@ -174,15 +174,15 @@ class GramAssembly:
     ``catalog[i]`` describes index i; for a_i = atom (x) e_ab the product
     a_i* a_j vanishes unless a_j = atom (x) e_ad, so the Gram operator is
     block-diagonal by (atom, row) group and only the blocks are stored, in
-    order of their first catalog row.  ``corners[q]`` is the matrix-unit
-    corner basis of A . E_q at the truncation depth, shared by every index
-    at q.
+    order of their first catalog row.  The blocks (atom, i) and (atom, c)
+    of rows i and c of one base block list their members (q, atom, i, d)
+    and (q, atom, c, d) in one (q, d) order, since the catalog lists each
+    corner atom by atom with every matrix unit of a base block.
     """
 
     kernel: KernelSystem
     degree: int
     catalog: list[GramIndex]
-    corners: dict
     blocks: list[GramBlock]
     hermiticity_defect: float
 
@@ -233,10 +233,8 @@ def assemble_gram(
     sys_ = kernel.sys
     sg = sys_.semigroup
     catalog: list[GramIndex] = []
-    corners: dict = {}
     for q in sg.enumerate_up_to(degree):
         corner = sys_.corner_basis(sg.identity, q, degree)
-        corners[q] = corner
         for j, (key, elem) in enumerate(zip(corner.keys, corner.elements)):
             catalog.append(GramIndex(q, j, elem, key))
     n = len(catalog)
@@ -300,4 +298,4 @@ def assemble_gram(
             block[tt[off], :, ss[off], :] = adj[off]
         blocks.append(GramBlock(key, np.array(members, dtype=np.intp),
                                 block.reshape(k * h, k * h)))
-    return GramAssembly(kernel, degree, catalog, corners, blocks, herm_defect)
+    return GramAssembly(kernel, degree, catalog, blocks, herm_defect)

@@ -249,8 +249,6 @@ def verify_result(
     stored = StoredDilation(meta, arrays, sys, phi, T, tolerances)
     report = identity_suite(stored)
     stored_bad = [r["name"] for r in stored.residuals if not r["passed"]]
-    report.add(
-        "verify.stored_residuals", not stored_bad, float(len(stored_bad)), 0.0,
-        detail=", ".join(stored_bad),
-    )
+    report.at_most("verify.stored_residuals", [(float(len(stored_bad)), "")], 0.0,
+                   detail=", ".join(stored_bad))
     return report

@@ -84,6 +84,7 @@ class CheckRecord:
     value: Optional[float] = None
     threshold: Optional[float] = None
     detail: str = ""
+    witness: object = field(default="", compare=False, repr=False)  # not persisted
 
     def as_dict(self) -> dict:
         return {
@@ -95,16 +96,50 @@ class CheckRecord:
         }
 
 
+WITNESS_SLACK = 1e-3   # cases within this fraction of |bound| of the worst tie
+
+
 @dataclass
 class ValidationReport:
+    """The checks of one run.  ``at_most`` and ``at_least`` turn a check's
+    (value, witness) cases into its record by one rule: the value is the
+    worst case, by ``np.max``, so a NaN propagates and fails (0.0 without
+    cases); the check passes when the value is within the bound; the witness
+    is the first case within ``WITNESS_SLACK * |bound|`` of the worst, since
+    many cases tie up to rounding and rounding must not pick the one named
+    ("" without cases).  ``detail`` is the witness unless the caller gives
+    a text."""
+
     checks: list[CheckRecord] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, name, passed, value=None, threshold=None, detail=""):
-        self.checks.append(CheckRecord(name, bool(passed), value, threshold, detail))
+    def add(self, name, passed, value=None, threshold=None, detail="", witness=""):
+        self.checks.append(
+            CheckRecord(name, bool(passed), value, threshold, detail, witness))
+        return self.checks[-1]
+
+    def at_most(self, name, cases, bound, detail=None) -> CheckRecord:
+        """Record that every case's value is at most ``bound``."""
+        return self._record(name, cases, bound, 1.0, detail)
+
+    def at_least(self, name, cases, bound, detail=None) -> CheckRecord:
+        """Record that every case's value is at least ``bound``."""
+        return self._record(name, cases, bound, -1.0, detail)
+
+    def _record(self, name, cases, bound, sign, detail) -> CheckRecord:
+        cases = list(cases)
+        value, witness = 0.0, ""
+        if cases:
+            signed = sign * np.array([v for v, _ in cases], dtype=float)
+            worst = np.max(signed)
+            near = (np.isnan(signed) if np.isnan(worst)
+                    else signed >= worst - WITNESS_SLACK * abs(bound))
+            value, witness = float(sign * worst), cases[int(np.argmax(near))][1]
+        return self.add(name, sign * value <= sign * bound, value, bound,
+                        str(witness) if detail is None else detail, witness)
 
     def failures(self) -> list[CheckRecord]:
         return [c for c in self.checks if not c.passed]
@@ -178,34 +213,27 @@ class GeneratorAction:
         return vh[:rank], rank
 
     def _validate_common(self, report, basis, tol, out_depth_of):
-        gens = self.semigroup.generators
-        for g, p in enumerate(gens, start=1):
+        for g in range(1, self.semigroup.rank + 1):
             # *-endomorphism on a basis sample
-            worst_mult = worst_star = 0.0
-            for x in basis:
+            mult, star = [], []
+            for xi, x in enumerate(basis):
                 ax = self.apply_generator(g, x)
-                worst_star = max(
-                    worst_star, (self.apply_generator(g, x.star()) - ax.star()).norm()
-                )
-                for y in basis:
+                star.append(((self.apply_generator(g, x.star()) - ax.star()).norm(),
+                             f"b#{xi}"))
+                for yi, y in enumerate(basis):
                     lhs = self.apply_generator(g, x * y)
                     rhs = ax * self.apply_generator(g, y)
-                    worst_mult = max(worst_mult, (lhs - rhs).norm())
-            report.add(f"endomorphism[g{g}].multiplicative", worst_mult <= tol,
-                       worst_mult, tol)
-            report.add(f"endomorphism[g{g}].star", worst_star <= tol, worst_star, tol)
+                    mult.append(((lhs - rhs).norm(), f"(b#{xi}, b#{yi})"))
+            report.at_most(f"endomorphism[g{g}].multiplicative", mult, tol)
+            report.at_most(f"endomorphism[g{g}].star", star, tol)
 
             # injectivity via numerical rank of the image
             span, rank = self._image_span(g, basis, out_depth_of(g))
-            report.add(
-                f"endomorphism[g{g}].injective", rank == len(basis),
-                float(rank), float(len(basis)),
-                detail=f"rank {rank} of {len(basis)}",
-            )
+            report.at_least(f"endomorphism[g{g}].injective", [(float(rank), "")],
+                            float(len(basis)), detail=f"rank {rank} of {len(basis)}")
 
             # ideal: a * alpha_g(b) stays in the image span
-            worst = 0.0
-            witness = ""
+            cases = []
             out_basis = self.algebra_basis(out_depth_of(g))
             for bi, b in enumerate(basis):
                 ab = self.apply_generator(g, b)
@@ -218,29 +246,21 @@ class GeneratorAction:
                         resid = np.linalg.norm(v - span.T @ (span.conj() @ v)) / max(
                             1.0, nv
                         )
-                        if resid > worst:
-                            worst, witness = float(resid), f"a#{ai} alpha(b#{bi})"
-                    if worst > IDEAL_RTOL:
-                        break
-            report.add(
-                f"ideal[g{g}]", worst <= IDEAL_RTOL, worst, IDEAL_RTOL,
-                detail="" if worst <= IDEAL_RTOL else f"image not an ideal: {witness}",
-            )
+                        cases.append((resid, f"a#{ai} alpha(b#{bi})"))
+            report.at_most(f"ideal[g{g}]", cases, IDEAL_RTOL)
 
     def _validate_units(self, report, pairs, tol):
         """E_p E_q = E_lcm(p,q), or 0 without a common multiple, on each
         listed pair; no pair, no record."""
         sg = self.semigroup
-        worst = 0.0
-        witness = ""
+        cases = []
         for p, q in pairs:
             r = sg.lcm(p, q)
             lhs = self.unit_projection(p) * self.unit_projection(q)
-            err = (lhs if r is None else lhs - self.unit_projection(r)).norm()
-            if err > worst:
-                worst, witness = float(err), f"E{p}E{q}"
+            cases.append(((lhs if r is None else lhs - self.unit_projection(r)).norm(),
+                          f"E{p}E{q}"))
         if pairs:
-            report.add("units.lcm_rule", worst <= tol, worst, tol, detail=witness)
+            report.at_most("units.lcm_rule", cases, tol)
 
 
 _COMPATIBLE = {
@@ -434,13 +454,13 @@ class LcmSystem(GeneratorAction):
         for i, m in enumerate(self.maps, start=1):
             if m.unitary is not None:
                 err = operator_norm(m.unitary @ m.unitary.conj().T - self.base.unit())
-                report.add(f"{name}[{i}].unitary", err <= tol, err, tol)
+                report.at_most(f"{name}[{i}].unitary", [(err, "")], tol)
         if name == "alpha":
             # an injective endomorphism of a fixed-dimension algebra is an
             # automorphism, so it must fix the unit
             for g in range(1, self.semigroup.rank + 1):
                 err = (self.apply_generator(g, self.unit()) - self.unit()).norm()
-                report.add(f"alpha[{g}].unital", err <= tol, err, tol)
+                report.at_most(f"alpha[{g}].unital", [(err, "")], tol)
 
         d0 = self.model.normalize_depth(depth)
         self._validate_common(report, self.algebra_basis(d0), tol,
@@ -458,18 +478,16 @@ class LcmSystem(GeneratorAction):
         basis = self.algebra_basis()
         x = basis[min(1, len(basis) - 1)]
         gens = sg.generators
-        errs = []
+        cases = []
         for i, gi in enumerate(gens):
-            for gj in gens[i + 1:]:
+            for j, gj in enumerate(gens[i + 1:], start=i + 1):
                 r = sg.lcm(gi, gj)
                 if r is None:
                     continue
                 a, b = (self.apply_endo(g, self.apply_endo(sg.left_divide(g, r), x))
                         for g in (gi, gj))
-                errs.append((a - b).norm())
-        # np.max keeps a NaN, which then fails the check
-        err = float(np.max(errs, initial=0.0))
-        report.add("action.factorization", err <= tol, err, tol)
+                cases.append(((a - b).norm(), f"(g{i + 1}, g{j + 1})"))
+        report.at_most("action.factorization", cases, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -334,22 +334,30 @@ def uniqueness_probe(
 
 
 def _permuted_assembly(assembly: GramAssembly, seed: int) -> GramAssembly:
-    """The same Gram operator over a shuffled catalog: each block keeps its
-    group and is reordered to the new catalog order of its members."""
+    """The same Gram operator over a shuffled catalog.  Each block keeps its
+    group; its members (q, atom, i, j) are reordered by the new catalog row
+    of (q, atom, first row of the base block of i, j), so the blocks of one
+    atom and base block keep one (q, j) order, as ``GramAssembly`` states."""
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(assembly.catalog))
     catalog = [assembly.catalog[i] for i in perm]
     moved_to = np.empty_like(perm)
     moved_to[perm] = np.arange(perm.size)
+    first = {i: sl.start for sl in assembly.kernel.sys.base.block_slices()
+             for i in range(sl.start, sl.stop)}
+    lead = {(idx.q, idx.key[0], idx.key[2]): moved_to[r]
+            for r, idx in enumerate(assembly.catalog)
+            if idx.key[1] == first[idx.key[1]]}
     blocks = []
     for block in assembly.blocks:
         rows = moved_to[block.rows]
-        order = np.argsort(rows)
+        members = [assembly.catalog[r] for r in block.rows]
+        order = np.argsort([lead[c.q, c.key[0], c.key[2]] for c in members])
         e = assembly.expanded_rows(order)
         blocks.append(GramBlock(block.key, rows[order], block.matrix[np.ix_(e, e)]))
     blocks.sort(key=lambda b: int(b.rows[0]))
     return GramAssembly(
-        assembly.kernel, assembly.degree, catalog, assembly.corners, blocks,
+        assembly.kernel, assembly.degree, catalog, blocks,
         assembly.hermiticity_defect,
     )
 
@@ -358,7 +366,7 @@ def _spanning_gram(result: DilationResult) -> np.ndarray:
     sg = result.sys.semigroup
     vecs = []
     for p in sg.enumerate_up_to(min(result.degree, 2)):
-        corner = result.assembly.corners[tuple(p)]
+        corner = result.sys.corner_basis(sg.identity, p, result.degree)
         vp_e = result.v_word(p) @ result.embedding
         for elem in corner.elements[:3]:
             block = result.pi(elem) @ vp_e

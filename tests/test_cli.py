@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, encode_matrix
+from conftest import FIXTURES, encode_matrix, random_unitary
 from lcm_dilate.cli import (
     emit_report,
     main,
@@ -413,7 +414,8 @@ def test_validate_verdicts(fixtures_dir):
     bad = run_command("validate", _load(fixtures_dir, "uhf_stage_m2.json"), FLAGS)
     assert bad["exit_code"] == 1
     failing = [c for c in bad["checks"] if not c["passed"]]
-    assert failing and "not an ideal" in failing[0]["detail"]
+    assert [c["name"] for c in failing] == ["ideal[g1]"]
+    assert re.fullmatch(r"a#\d+ alpha\(b#\d+\)", failing[0]["detail"])
 
 
 def test_check_cp_verdicts(fixtures_dir):
@@ -810,6 +812,13 @@ def test_max_dim_resource_guard(fixtures_dir, tmp_path, capsys):
     ("check-nica", "sznagy_half.json", "--max-f", "-1"),
     ("check-nica", "sznagy_half.json", "--depth", "0"),
     ("dilate", "cuntz_m2.json", "--max-dim", "0"),
+    ("validate", "sznagy_half.json", "--depth", "-1"),
+    ("check-cp", "transpose_m2.json", "--depth", "-1"),
+    ("check-cp", "sznagy_half.json", "--depth", "-1"),
+    ("check-nica", "sznagy_half.json", "--depth", "-1"),
+    ("dilate", "sznagy_half.json", "--depth", "-1"),
+    ("verify", "sznagy_half.json", "--depth", "-1"),
+    ("verify", "sznagy_half.json", "--depth", "2"),   # the result fixes the degree
 ])
 def test_flags_that_evaluate_nothing_exit_2(fixtures_dir, capsys,
                                             command, name, flag, value):
@@ -817,6 +826,48 @@ def test_flags_that_evaluate_nothing_exit_2(fixtures_dir, capsys,
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err and f"(at {flag})" in err
+
+
+def _phased_instance(path: str, theta: float) -> str:
+    """A seeded point-model pair over M2 whose generator unitaries carry the
+    global phase e^{i theta}, which leaves every alpha_g unchanged."""
+    rng = np.random.default_rng(7)
+    alphas = [np.diag(np.exp(2j * np.pi * rng.random(2))) for _ in range(2)]
+    w = random_unitary(rng, 4)
+    t_mats = [w @ np.diag(np.exp(2j * np.pi * rng.random(4))) @ w.conj().T
+              for _ in range(2)]
+    doc = {
+        "system": {
+            "semigroup": {"kind": "free_abelian", "rank": 2},
+            "model": {"kind": "matrix"},
+            "base": {"blocks": [2]},
+            "alphas": [{"unitary": encode_matrix(np.exp(1j * theta) * a)}
+                       for a in alphas],
+        },
+        "T": [encode_matrix(t) for t in t_mats],
+        "phi": {"kind": "state", "rho": encode_matrix(np.diag([0.3, 0.7]))},
+        "depth": 2,
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+def test_a_global_phase_moves_no_verdict_and_no_witness(tmp_path):
+    # the phase changes the residuals only in their last bits, so every
+    # record must keep its verdict and name the same case
+    def records(theta):
+        path = _phased_instance(str(tmp_path / f"phase_{theta}.json"), theta)
+        flags = dict(FLAGS, output=str(tmp_path / "r.npz"))
+        return {command: [(c["name"], c["passed"], c["detail"])
+                          for c in run_command(command, parse_instance(path),
+                                               flags)["checks"]]
+                for command in ("validate", "check-cp", "dilate")}
+
+    want = records(0.0)
+    assert all(passed for checks in want.values() for _, passed, _ in checks)
+    for theta in (0.3, 1.1, 2.0):
+        assert records(theta) == want, theta
 
 
 def _load_script(name: str):

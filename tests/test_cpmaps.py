@@ -51,7 +51,7 @@ def test_cp_examples():
     assert not rep.is_cp
     # the Choi matrix of the transpose is the swap, with eigenvalue -1
     assert rep.min_eigenvalue <= -0.999
-    assert rep.witness is not None
+    assert rep.cases == [(rep.min_eigenvalue, "block0")]
     assert rep.violations == [(0, rep.min_eigenvalue)]
 
 
@@ -62,7 +62,8 @@ def test_cp_blockwise_domain():
     # transpose on the 2-block only: the violation names that block alone
     values = [u.T for u in alg.basis()]
     rep = is_completely_positive(BaseOperatorMap(alg, values))
-    assert rep.violations == [(0, rep.min_eigenvalue)] and rep.where == "block0"
+    assert rep.violations == [(0, rep.min_eigenvalue)]
+    assert [label for _, label in rep.cases] == ["block0", "block1"]
 
 
 def test_cp_matches_bruteforce_positivity_oracle():

@@ -214,7 +214,7 @@ def test_nan_gram_is_refused_before_eigh(where):
     # (i, j) is the entry (i, j) of the whole Gram operator
     assert good.blocks[0].rows[0] == 0 and len(good.blocks[0].rows) >= 2
     blocks[0].matrix[where] = blocks[0].matrix[where[::-1]] = np.nan
-    bad = GramAssembly(K, 1, good.catalog, good.corners, blocks, 0.0)
+    bad = GramAssembly(K, 1, good.catalog, blocks, 0.0)
     with pytest.raises(
         SpecMismatchError,
         match=rf"the {good.size}-row Gram operator has a non-finite entry "
@@ -234,8 +234,7 @@ def test_hermitian_assembly_measures_the_factored_blocks():
     good = assemble_gram(K, 1)
     blocks = [GramBlock(b.key, b.rows, b.matrix.copy()) for b in good.blocks]
     blocks[0].matrix[0, 1] += 0.5
-    bad = GramAssembly(K, 1, good.catalog, good.corners, blocks,
-                       good.hermiticity_defect)
+    bad = GramAssembly(K, 1, good.catalog, blocks, good.hermiticity_defect)
     checks = {c.name: c for c in naimark_dilate(K, 1, assembly=bad).report.checks}
     assert checks["gram.psd"].passed
     assert not checks["gram.hermitian_assembly"].passed
@@ -460,6 +459,6 @@ def test_word_product_fails_on_a_perturbed_composite_shift():
 def test_adjoint_formula_fails_when_the_contractions_are_scaled(make):
     res = make()
     tol = res.tolerances.identity
-    assert _adjoint_formula_residual(res) <= tol
+    assert max(r for r, _ in _adjoint_formula_residual(res)) <= tol
     res.T = ContractionFamily(res.sys.semigroup, [0.9 * m for m in res.T.mats])
-    assert _adjoint_formula_residual(res) > 1e3 * tol
+    assert max(r for r, _ in _adjoint_formula_residual(res)) > 1e3 * tol

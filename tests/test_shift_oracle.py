@@ -32,7 +32,10 @@ from lcm_dilate.errors import SpecMismatchError
 
 def catalog_rows(assembly) -> dict:
     """Catalog row of every corner element, as one index array per word q."""
-    rows = {q: np.empty(len(c), dtype=np.intp) for q, c in assembly.corners.items()}
+    sys_, degree = assembly.kernel.sys, assembly.degree
+    rows = {q: np.empty(len(sys_.corner_basis(sys_.semigroup.identity, q, degree)),
+                        dtype=np.intp)
+            for q in sys_.semigroup.enumerate_up_to(degree)}
     for i, idx in enumerate(assembly.catalog):
         rows[idx.q][idx.pos] = i
     return rows
@@ -44,7 +47,8 @@ def oracle_expansion(res, indices) -> np.ndarray:
     indices = list(indices)
     out = np.zeros((len(res.assembly.catalog), len(indices)), dtype=complex)
     for c, (q, elem) in enumerate(indices):
-        coeff, resid = res.assembly.corners[tuple(q)].coefficients(elem)
+        corner = res.sys.corner_basis(res.sys.semigroup.identity, q, res.degree)
+        coeff, resid = corner.coefficients(elem)
         assert resid <= res.tolerances.corner
         nz = np.flatnonzero(coeff)
         out[rows[tuple(q)][nz], c] = coeff[nz]
@@ -235,7 +239,8 @@ def test_shift_matches_the_pseudoinverse_construction(dilation):
 
 
 def test_adjoint_formula_columns_are_bit_equal(dilation):
-    assert _adjoint_formula_residual(dilation) == oracle_adjoint_residual(dilation)
+    cases = _adjoint_formula_residual(dilation)
+    assert max(r for r, _ in cases) == oracle_adjoint_residual(dilation)
 
 
 def test_a_shift_beyond_the_headroom_is_refused(dilation):

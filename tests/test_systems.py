@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -19,11 +20,59 @@ from lcm_dilate.systems import (
     GeneratorMap,
     LcmSystem,
     StageSystem,
+    ValidationReport,
     build_system,
 )
 
 C = BaseAlgebra((1,))
 M2 = BaseAlgebra((2,))
+
+
+# ---------------------------------------------------------------------------
+# the rule that turns cases into a record
+# ---------------------------------------------------------------------------
+
+
+def test_a_nan_case_fails_the_record_wherever_it_sits():
+    nan = float("nan")
+    for cases in ([(0.0, "a"), (nan, "b")], [(nan, "b"), (0.0, "a")],
+                  [(0.0, "a"), (nan, "b"), (5.0, "c")]):
+        report = ValidationReport()
+        upper = report.at_most("upper", cases, 1e-8)
+        lower = report.at_least("lower", [(-v, w) for v, w in cases], -1e-8)
+        for rec in (upper, lower):
+            assert not rec.passed and np.isnan(rec.value), cases
+            assert rec.detail == "b" and rec.threshold in (1e-8, -1e-8)
+
+
+def test_cases_tied_within_the_slack_name_the_first():
+    report = ValidationReport()
+    # rounding-level residuals all tie with the worst under a 1e-8 bound
+    rec = report.at_most("tie", [(1e-16, "a"), (3e-16, "b"), (2e-16, "c")], 1e-8)
+    assert (rec.passed, rec.value, rec.detail) == (True, 3e-16, "a")
+    # 1e-12 is outside 1e-3 * 1e-9, so the first case near the worst wins
+    rec = report.at_most("gap", [(0.0, "a"), (1e-6, "b"), (1e-6 + 1e-12, "c")],
+                         1e-9)
+    assert (rec.passed, rec.value, rec.detail) == (False, 1e-6 + 1e-12, "b")
+    rec = report.at_least("low", [(-0.5, "x"), (-1.0 + 1e-13, "z"), (-1.0, "y")],
+                          -1e-8)
+    assert (rec.passed, rec.value, rec.detail) == (False, -1.0, "z")
+    assert rec.witness == "z" and rec.threshold == -1e-8
+
+
+def test_no_cases_give_zero_and_no_witness():
+    report = ValidationReport()
+    for rec in (report.at_most("none", [], 1e-8), report.at_least("none", [], -1e-8)):
+        assert (rec.passed, rec.value, rec.detail, rec.witness) == (True, 0.0, "", "")
+
+
+def test_detail_is_the_witness_unless_given():
+    report = ValidationReport()
+    cases = [(1.0, ("p", 1)), (2.0, ("q", 2))]
+    rec = report.at_most("text", cases, 3.0, detail="fixed")
+    assert (rec.detail, rec.witness) == ("fixed", ("q", 2))
+    assert report.at_most("plain", cases, 3.0).detail == "('q', 2)"
+    assert report.passed and [c.name for c in report.checks] == ["text", "plain"]
 
 
 def _sys_abelian(rank=1, base=C, betas=None):
@@ -68,7 +117,7 @@ def test_uhf_stage_image_not_ideal():
     report = stage.validate()
     failed = [c for c in report.failures()]
     assert [c.name for c in failed] == ["ideal[g1]"]
-    assert "not an ideal" in failed[0].detail
+    assert re.fullmatch(r"a#\d+ alpha\(b#\d+\)", failed[0].detail)
 
 
 def test_self_similar_stage_validates():
