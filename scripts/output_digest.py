@@ -13,11 +13,22 @@ two checkouts is one ``diff``:
     python3 scripts/output_digest.py > a.txt    # in the first checkout
     python3 scripts/output_digest.py > b.txt    # in the second
     diff a.txt b.txt
+
+A change that only moves values by rounding compares with a tolerance:
+
+    python3 scripts/output_digest.py --compare a.txt b.txt --tol 1e-12
+
+checks that both digests have the same lines and that each pair has equal
+exit codes, errors, check names, ``passed`` and details, and values within
+the tolerance (relative above 1, absolute below); it lists every line whose
+result hash moved, and exits 1 on any other difference.
 """
 
+import argparse
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import pathlib
 import sys
@@ -81,7 +92,61 @@ def digest(label: str, path: str, command: str, flags: dict, tmp: str) -> dict:
     return line
 
 
-def main() -> int:
+def _gap(u, v) -> float:
+    """How far two check values are apart: relative above 1, absolute
+    below; 0 for two nulls or two NaNs, inf for a null against a number."""
+    if u is None or v is None:
+        return 0.0 if u is v else math.inf
+    if math.isnan(u) or math.isnan(v):
+        return 0.0 if math.isnan(u) and math.isnan(v) else math.inf
+    return abs(u - v) / max(1.0, abs(u), abs(v))
+
+
+def compare(path_a: str, path_b: str, tol: float) -> int:
+    """Print every difference between two digests beyond ``tol`` and every
+    moved result hash; 1 when there is a difference, else 0."""
+    lines = []
+    for path in (path_a, path_b):
+        with open(path) as fh:
+            lines.append([json.loads(line) for line in fh if line.strip()])
+    a, b = lines
+    diffs, moved, worst = [], [], 0.0
+    if len(a) != len(b):
+        diffs.append(f"{len(a)} lines against {len(b)}")
+    for n, (x, y) in enumerate(zip(a, b), start=1):
+        where = f"line {n} ({x.get('instance')} {x.get('command')})"
+        for key in ("instance", "command", "exit_code", "error"):
+            if x.get(key) != y.get(key):
+                diffs.append(f"{where}: {key} {x.get(key)!r} against {y.get(key)!r}")
+        cx, cy = x.get("checks", []), y.get("checks", [])
+        if [(c[0], c[1], c[3]) for c in cx] != [(c[0], c[1], c[3]) for c in cy]:
+            diffs.append(f"{where}: check names, passed or details differ")
+        else:
+            for (name, _, u, _), (_, _, v, _) in zip(cx, cy):
+                gap = _gap(u, v)
+                worst = max(worst, gap)
+                if not gap <= tol:
+                    diffs.append(f"{where}: {name} value {u!r} against {v!r}")
+        if x.get("result_sha256") != y.get("result_sha256"):
+            moved.append(where)
+    for line in diffs:
+        print("DIFF", line)
+    for line in moved:
+        print("MOVED", line)
+    print(f"{len(a)} lines; {len(diffs)} differences beyond tol {tol:g}; "
+          f"largest value gap {worst:.3g}; {len(moved)} result hashes moved")
+    return 1 if diffs else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="compare two digests instead of printing one")
+    parser.add_argument("--tol", type=float, default=0.0,
+                        help="largest value gap --compare accepts")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare, args.tol)
     with tempfile.TemporaryDirectory(prefix="lcm-digest-") as tmp:
         for label, path, flags in instances(tmp):
             for command in COMMANDS:

@@ -466,9 +466,6 @@ class LevelledElement:
             return 0.0
         return max(operator_norm(v) for v in self.coeffs.values())
 
-    def allclose(self, other: "LevelledElement", tol: float = 1e-10) -> bool:
-        return (self - other).norm() <= tol
-
     # -- vectorization -----------------------------------------------------------
 
     def vec(self, depth=None) -> np.ndarray:

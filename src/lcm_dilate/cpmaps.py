@@ -200,7 +200,8 @@ def is_completely_positive(phi: OperatorMap, rtol: float = PSD_RTOL) -> CPReport
     scale = 1.0
     cases = []
     for label, choi in phi.choi_blocks():
-        w, _ = np.linalg.eigh((choi + choi.conj().T) / 2.0)
+        # halve first: the sum of two entries near the float maximum overflows
+        w, _ = np.linalg.eigh(choi / 2 + choi.conj().T / 2)
         scale = max(scale, float(np.abs(w).max()))
         cases.append((float(w[0]), label))
     min_eig = float(np.min([m for m, _ in cases])) if cases else 0.0

@@ -14,12 +14,14 @@ the factorization is one eigh per block and the dilation space is the direct
 sum of the blocks' ranges, block after block.  Catalog vectors enter as
 scalar catalog matrices X standing for X (x) I_h, applied block by block.
 
-Catalog columns come from the atom rules by index arithmetic: the shift by
-p takes an index (q, atom (x) v) to pq, moves the atom and its depth by the
-model's ``shift`` rules and v by the generator maps; ``children`` refines
-the atom to the catalog depth, where a (q, atom, i, j) -> row table reads
-off the rows.  One SVD of each interior's image, B X_k = U S W*, gives its
-basis U and the shift V(p) = B (S_p X_k) W S^-1 U*, zero off the interior.
+Catalog columns come from the atom rules by array gathers over integer
+tables built once per result: each letter's word map q -> gq and atom map
+``shift``, the children of each (atom, depth) at the catalog depth, and a
+(word, atom, i, j) -> row table.  Columns are index arrays over one stack of
+values; the shift by p composes the letter maps along p, applies the
+generator maps to the value stack, and gathers the rows in one step.  One
+SVD of each interior's image, B X_k = U S W*, gives its basis U and the
+shift V(p) = B (S_p X_k) W S^-1 U*, zero off the interior.
 
 A dilation job is deterministic end to end: fixed catalog order, eigh, and
 one SVD per interior with a fixed relative cut.
@@ -76,6 +78,29 @@ class CatalogColumns:
 
 
 @dataclass
+class IndexColumns:
+    """Single-atom indices (q, atom (x) value) as index arrays: column c is
+    the catalog word ``word[c]`` (-1 past the degree), the atom
+    ``atoms[atom[c]]`` of the result's atom list, at ``depth``, and the
+    value ``values[value[c]]``.  A shift moves the words, the few atoms and
+    the value stack; the slots ``atom`` and ``value`` stay."""
+
+    word: np.ndarray
+    atom: np.ndarray
+    value: np.ndarray
+    atoms: np.ndarray
+    values: np.ndarray        # (m, dim, dim) stack
+    depth: object
+
+    def __len__(self) -> int:
+        return self.word.size
+
+    def head(self, m: int) -> "IndexColumns":
+        return IndexColumns(self.word[:m], self.atom[:m], self.value[:m],
+                            self.atoms, self.values, self.depth)
+
+
+@dataclass
 class BlockFactor:
     """G_b = B_b* B_b for one Gram block, above the global rank cut."""
 
@@ -96,7 +121,7 @@ class Interior:
     space, with the identity as basis and no columns.
     """
 
-    columns: list[tuple]
+    columns: Optional[IndexColumns]
     basis: np.ndarray         # (rank, dim): orthonormal basis in the dilation space
     pullback: Optional[np.ndarray]   # (width * h, dim)
 
@@ -124,25 +149,54 @@ class DilationResult:
         self.factors = factors
         self.rank = sum(f.factor.shape[0] for f in factors)
         self.report = report
-        self._row_of = {(idx.q, *idx.key): r    # (q, atom, i, j) -> catalog row
-                        for r, idx in enumerate(assembly.catalog)}
-        n = len(assembly.catalog)
+        catalog = assembly.catalog
+        n = len(catalog)
         self._block_of = np.empty(n, dtype=np.intp)
         self._pos = np.empty(n, dtype=np.intp)
         for b, f in enumerate(factors):
             self._block_of[f.rows] = b
             self._pos[f.rows] = np.arange(len(f.rows))
+        self._block_len = np.array([len(f.rows) for f in factors], dtype=np.intp)
         self._block_at = {blk.key: b for b, blk in enumerate(assembly.blocks)}
-        self._depth = self.sys.model.normalize_depth(self.degree)
         self._v_cache: dict[Element, np.ndarray] = {}
         self._pi_cache: dict[bytes, np.ndarray] = {}
         self._transfers: dict[tuple[int, int], np.ndarray] = {}
-        self._units = dict(zip(self.sys.base.unit_positions(), self.sys.base.basis()))
+
+        # The gather tables.  Words are the catalog's; atoms are every atom
+        # up to the catalog depth, those at the catalog depth first.  A
+        # letter's word and atom maps send an index outside to -1, and -1
+        # to itself (the appended last entry); the row table's appended
+        # last word has no rows.
+        sg, model = self.sys.semigroup, self.sys.model
+        self._depth = model.normalize_depth(self.degree)
+        self._words = sg.enumerate_up_to(self.degree)
+        self._word_at = {q: k for k, q in enumerate(self._words)}
+        top = model.atoms(self._depth)
+        self._atoms = list(dict.fromkeys(itertools.chain(
+            top, *(model.atoms(model.normalize_depth(d)) for d in range(self.degree)))))
+        self._atom_at = {a: k for k, a in enumerate(self._atoms)}
+        self._word_step, self._atom_step = {}, {}
+        for letter, g in enumerate(sg.generators, start=1):
+            self._word_step[letter] = np.array(
+                [self._word_at.get(sg.multiply(g, q), -1) for q in self._words] + [-1])
+            self._atom_step[letter] = np.array(
+                [self._atom_at.get(model.shift(a, letter), -1) for a in self._atoms] + [-1])
+        dim = self.sys.base.dim
+        self._rows = np.full((len(self._words) + 1, len(top), dim, dim), -1, dtype=np.intp)
+        self._rows[[self._word_at[idx.q] for idx in catalog],
+                   [self._atom_at[idx.key[0]] for idx in catalog],
+                   [idx.key[1] for idx in catalog],
+                   [idx.key[2] for idx in catalog]] = np.arange(n)
+        self._kids: dict[tuple, np.ndarray] = {}
+        self._unit_stack = np.array(self.sys.base.basis())
+
         self.interiors = _interiors_for(self)
-        zero = self.sys.model.zero_depth()
-        (atom,) = self.sys.model.atoms(zero)    # the unit is one atom at depth 0
-        self.embedding = self._apply(self._expansion(
-            [(self.sys.semigroup.identity, atom, zero, self.sys.base.unit())]))
+        zero = model.zero_depth()
+        (atom,) = model.atoms(zero)    # the unit is one atom at depth 0
+        first = np.zeros(1, dtype=np.intp)
+        self.embedding = self._apply(self._expansion(IndexColumns(
+            np.array([self._word_at[sg.identity]]), first, first,
+            np.array([self._atom_at[atom]]), self.sys.base.unit()[None], zero)))
 
     # -- geometry ---------------------------------------------------------------
 
@@ -162,63 +216,93 @@ class DilationResult:
     def interior_basis(self, level: int) -> np.ndarray:
         return self.interiors[level].basis
 
-    def _check_corner(self, q: Element, resid: float) -> None:
+    def _check_corner(self, q, resid: float) -> None:
         if not resid <= self.tolerances.corner:
             raise SpecMismatchError(
                 f"index ({q}, .) leaves the truncation catalog (residual {resid:.2e})"
             )
 
-    def _expansion(self, columns) -> CatalogColumns:
-        """The catalog expansions of columns (q, atom, depth, value), None
-        for a zero column: the atom refined to the catalog depth, each nonzero
-        entry of the value looked up in the row table."""
-        model, top = self.sys.model, self._depth
-        columns = list(columns)
-        rows, cols, vals = [], [], []
-        for c, column in enumerate(columns):
-            if column is None:
-                continue
-            q, atom, depth, value = column
-            if not model.depth_leq(depth, top):
-                raise SpecMismatchError(f"cannot refine depth {depth} to {top}")
-            kids = [atom] if depth == top else model.children(atom, depth, top)
-            i, j = np.nonzero(value)
-            found = np.array([self._row_of.get((q, kid, a, b), -1) for kid in kids
-                              for a, b in zip(i.tolist(), j.tolist())], dtype=np.intp)
-            entries = np.tile(value[i, j], len(kids))
-            inside = found >= 0
-            if not inside.all():
-                w = np.abs(entries) ** 2
-                self._check_corner(q, (w[~inside].sum() / max(1.0, w.sum())) ** 0.5)
-            rows += found[inside].tolist()
-            cols += [c] * int(inside.sum())
-            vals += entries[inside].tolist()
-        return CatalogColumns(np.array(rows, dtype=np.intp),
-                              np.array(cols, dtype=np.intp),
-                              np.array(vals, dtype=np.complex128), len(columns))
+    def _children(self, atom: int, depth) -> np.ndarray:
+        """The atoms at the catalog depth under an atom at ``depth``, once
+        per (atom, depth)."""
+        kids = self._kids.get((atom, depth))
+        if kids is None:
+            a = self._atoms[atom]
+            found = ([a] if depth == self._depth
+                     else self.sys.model.children(a, depth, self._depth))
+            kids = np.array([self._atom_at[k] for k in found], dtype=np.intp)
+            self._kids[atom, depth] = kids
+        return kids
 
-    def _shifted(self, p: Element, column: tuple) -> tuple:
-        """The column (pq, alpha_p(atom (x) value)) of (q, atom, depth,
-        value): the atom rules and generator maps, letter by letter."""
+    def _expansion(self, x: IndexColumns) -> CatalogColumns:
+        """The catalog expansions of index columns, in one gather: column c
+        has an entry for each child of its atom at the catalog depth and
+        each nonzero entry of its value, its row read off the row table.
+        Entries off the catalog may carry at most the corner tolerance of
+        their column's weight."""
+        top = self._depth
+        if not self.sys.model.depth_leq(x.depth, top):
+            raise SpecMismatchError(f"cannot refine depth {x.depth} to {top}")
+        kids = [self._children(a, x.depth) for a in x.atoms.tolist()]
+        n_kids = np.array([k.size for k in kids], dtype=np.intp)
+        kids = np.concatenate([np.zeros(0, dtype=np.intp), *kids])
+        v, i, j = np.nonzero(x.values)          # value-major, then row-major
+        n_ent = np.bincount(v, minlength=len(x.values))
+        # column c: each child of its atom, major, times each entry of its value
+        kid0, nk = (np.cumsum(n_kids) - n_kids)[x.atom], n_kids[x.atom]
+        ent0, ne = (np.cumsum(n_ent) - n_ent)[x.value], n_ent[x.value]
+        count = nk * ne
+        col = np.repeat(np.arange(len(x)), count)
+        local = np.arange(col.size) - np.repeat(np.cumsum(count) - count, count)
+        kid = kids[kid0[col] + local // ne[col]]
+        ent = ent0[col] + local % ne[col]
+        rows = self._rows[x.word[col], kid, i[ent], j[ent]]
+        vals = x.values[v[ent], i[ent], j[ent]]
+        inside = rows >= 0
+        if not inside.all():
+            w = np.abs(vals) ** 2
+            total = np.bincount(col, w, minlength=len(x))
+            outside = np.bincount(col, np.where(inside, 0.0, w), minlength=len(x))
+            resid = (outside / np.maximum(1.0, total)) ** 0.5
+            bad = np.flatnonzero(~(resid <= self.tolerances.corner))
+            if bad.size:
+                q = x.word[bad[0]]
+                self._check_corner(self._words[q] if q >= 0 else
+                                   f"a word past degree {self.degree}", resid[bad[0]])
+        return CatalogColumns(rows[inside], col[inside], vals[inside], len(x))
+
+    def _shifted(self, p: Element, x: IndexColumns) -> IndexColumns:
+        """The columns (pq, alpha_p(atom (x) value)) of x: each letter of p,
+        last first, maps the words and atoms through its tables, the depth
+        by ``shift_depth`` and the value stack by its generator map."""
         model, maps = self.sys.model, self.sys.maps
-        q, atom, depth, value = column
+        word, atoms, values, depth = x.word, x.atoms, x.values, x.depth
         for letter in reversed(self.sys.semigroup.as_word(p)):
-            atom, depth = model.shift(atom, letter), model.shift_depth(depth, letter)
-            value = maps[letter - 1].apply(value)
-        return self.sys.semigroup.multiply(p, q), atom, depth, value
+            word = self._word_step[letter][word]
+            atoms = self._atom_step[letter][atoms]
+            values = maps[letter - 1].apply(values)
+            depth = model.shift_depth(depth, letter)
+        return IndexColumns(word, x.atom, x.value, atoms, values, depth)
 
     def _pieces(self, x: CatalogColumns) -> dict:
-        """Block b -> (columns of x touching it, their dense rows there)."""
-        out = {}
+        """Block b -> (columns of x touching it, their dense rows there):
+        the (block, column) pairs of the entries sorted once, and every
+        entry scattered into one buffer that the blocks split."""
         blocks = self._block_of[x.rows]
-        for b in np.unique(blocks).tolist():
-            sel = blocks == b
-            cols, local = np.unique(x.cols[sel], return_inverse=True)
-            xb = np.zeros((len(self.factors[b].rows), cols.size),
-                          dtype=np.complex128)
-            xb[self._pos[x.rows[sel]], local] = x.vals[sel]
-            out[b] = (cols, xb)
-        return out
+        pairs, slot = np.unique(blocks * x.width + x.cols, return_inverse=True)
+        pair_block, cols = np.divmod(pairs, x.width)    # by block, then column
+        width = np.bincount(pair_block, minlength=len(self.factors))
+        size = self._block_len * width
+        start, offset = np.cumsum(width) - width, np.cumsum(size) - size
+        flat = np.zeros(int(size.sum()), dtype=np.complex128)
+        flat[offset[blocks] + self._pos[x.rows] * width[blocks]
+             + slot - start[blocks]] = x.vals
+        touched = np.flatnonzero(width)
+        return {b: (cols[s:s + w], flat[o:o + w * n].reshape(n, w))
+                for b, s, w, o, n in zip(touched.tolist(), start[touched].tolist(),
+                                         width[touched].tolist(),
+                                         offset[touched].tolist(),
+                                         self._block_len[touched].tolist())}
 
     def _apply(self, x: CatalogColumns) -> np.ndarray:
         """B (X (x) I_h): the dilation-space images of the columns of x,
@@ -236,19 +320,17 @@ class DilationResult:
     def _gram_form(self, x: CatalogColumns, y: CatalogColumns) -> np.ndarray:
         """(X (x) I_h)* G (Y (x) I_h), summed block by block."""
         h = self.h
-        out = np.zeros((x.width, h, y.width, h), dtype=np.complex128)
+        out = np.zeros((x.width, y.width, h, h), dtype=np.complex128)
         ys = self._pieces(y)
-        slot = np.arange(h)
         for b, (cx, xb) in self._pieces(x).items():
             if b not in ys:
                 continue
             cy, yb = ys[b]
             nb = xb.shape[0]
-            g4 = self.assembly.blocks[b].matrix.reshape(nb, h, nb, h)
-            form = np.tensordot(np.tensordot(xb.conj(), g4, axes=(0, 0)), yb,
-                                axes=(2, 0))                  # (cx, h, h, cy)
-            out[np.ix_(cx, slot, cy, slot)] += form.transpose(0, 1, 3, 2)
-        return out.reshape(x.width * h, y.width * h)
+            g = self.assembly.blocks[b].matrix.reshape(nb, h, nb, h)
+            form = xb.conj().T @ g.transpose(1, 3, 0, 2) @ yb   # (h, h, cx, cy)
+            out[cx[:, None], cy] += form.transpose(2, 3, 0, 1)
+        return out.transpose(0, 2, 1, 3).reshape(x.width * h, y.width * h)
 
     def _transfer(self, target: int, source: int) -> np.ndarray:
         """B_t C_s: the block (t, s) of pi(atom (x) e_ic) over its
@@ -329,7 +411,7 @@ class DilationResult:
         else:
             sg.validate_element(p)
             interior = self.interiors[level]
-            shifted = self._expansion(self._shifted(p, c) for c in interior.columns)
+            shifted = self._expansion(self._shifted(p, interior.columns))
             # V(p) B X = B S_p X on the interior, and B X W S^-1 = U
             out = (self._apply(shifted) @ interior.pullback) @ interior.basis.conj().T
         self._v_cache[p] = out
@@ -343,17 +425,24 @@ class DilationResult:
 
 
 def _interiors_for(result: DilationResult) -> dict[int, Interior]:
-    sys_ = result.sys
-    sg = sys_.semigroup
-    degree = result.degree
-    out = {0: Interior([], np.eye(result.rank, dtype=np.complex128), None)}
-    for level in range(1, degree + 1):
-        d = degree - level
-        columns = []
-        for q in sg.enumerate_up_to(d):
-            corner = sys_.corner_basis(sg.identity, q, d)
-            columns += [(tuple(q), atom, corner.depth, result._units[i, j])
-                        for atom, i, j in corner.keys]
+    """Interior k: the indices (q, atom (x) e_ij) with q of length at most
+    d = degree - k and the atom one at depth d under E_q, in catalog order,
+    and the SVD of their image.  An atom lies under E_q when its first child
+    at the catalog depth does, which the row table tells."""
+    model, units = result.sys.model, len(result._unit_stack)
+    i, j = result.sys.base.unit_positions()[0]
+    lengths = np.array([result.sys.semigroup.length(q) for q in result._words])
+    out = {0: Interior(None, np.eye(result.rank, dtype=np.complex128), None)}
+    for level in range(1, result.degree + 1):
+        d = result.degree - level
+        depth = model.normalize_depth(d)
+        atoms = np.array([result._atom_at[a] for a in model.atoms(depth)])
+        first = [result._children(a, depth)[0] for a in atoms.tolist()]
+        # the catalog lists its words by length, so the short ones lead
+        word, atom = np.nonzero(result._rows[:np.sum(lengths <= d)][:, first, i, j] >= 0)
+        columns = IndexColumns(np.repeat(word, units), np.repeat(atom, units),
+                               np.tile(np.arange(units), word.size), atoms,
+                               result._unit_stack, depth)
         image = result._apply(result._expansion(columns))
         u, s, wh = np.linalg.svd(image, full_matrices=False)
         keep = int(np.sum(s > result.tolerances.rank * s.max(initial=0.0)))
@@ -740,34 +829,39 @@ def _adjoint_formula_residual(result: DilationResult) -> list:
     h = result.h
     cases = []
     catalog = result.assembly.catalog[:ADJOINT_PAIRS]
-    u = result._expansion((idx.q, idx.key[0], result._depth, result._units[idx.key[1:]])
-                          for idx in catalog)
+    m = len(catalog)      # u runs over these catalog indices: unit columns
+    u = CatalogColumns(np.arange(m), np.arange(m), np.ones(m, dtype=np.complex128), m)
+    unit_at = {pos: k for k, pos in enumerate(result.sys.base.unit_positions())}
     for letter, gen in enumerate(sg.generators, start=1):
         if sg.length(gen) > result.degree:
             continue
-        interior = result.interiors[sg.length(gen)]
-        first = interior.columns[:ADJOINT_PAIRS]
+        first = result.interiors[sg.length(gen)].columns.head(ADJOINT_PAIRS)
         n_t = len(first)
         z = result._expansion(first)
-        vz = result._expansion(result._shifted(gen, c) for c in first)
+        vz = result._expansion(result._shifted(gen, first))
         # alpha_gen^-1 of a catalog index: the catalog depth holds E_gen, so
-        # the atom unshifts as it is, and off E_gen the column is zero
-        depth = model.unshift_depth(result._depth, letter)
-        formula, t_facs = [], []
-        for idx in catalog:
+        # the atom unshifts as it is; off E_gen, or without an lcm, V* u = 0
+        # and its column of W is empty
+        cols, index, t_facs = [], [], []
+        for c, idx in enumerate(catalog):
             r = sg.lcm(gen, idx.q)
             atom, i, j = idx.key
             b = None if r is None else model.unshift(atom, letter)
-            if b is None:        # V* u = 0: an empty column
-                formula.append(None)
+            if b is None:
                 t_facs.append(np.zeros((h, h)))
             else:
-                value = result.sys.maps[letter - 1].apply_inverse(result._units[i, j])
-                formula.append((sg.left_divide(gen, r), b, depth, value))
+                cols.append(c)
+                index.append((result._word_at[sg.left_divide(gen, r)],
+                              result._atom_at[b], unit_at[i, j]))
                 t_facs.append(result.T(sg.left_divide(idx.q, r)))
-        w = result._expansion(formula)
+        word, atom, value = np.array(index, dtype=np.intp).reshape(-1, 3).T
+        w = result._expansion(IndexColumns(
+            word, np.arange(word.size), value, atom,
+            result.sys.maps[letter - 1].apply_inverse(result._unit_stack),
+            model.unshift_depth(result._depth, letter)))
+        w = CatalogColumns(w.rows, np.array(cols, dtype=np.intp)[w.cols], w.vals, m)
         lhs = result._gram_form(u, vz)                      # <V z, u>
-        core = result._gram_form(w, z).reshape(len(catalog), h, n_t * h)
-        rhs = (np.array(t_facs) @ core).reshape(len(catalog) * h, n_t * h)
+        core = result._gram_form(w, z).reshape(m, h, n_t * h)
+        rhs = (np.array(t_facs) @ core).reshape(m * h, n_t * h)
         cases.append((float(np.abs(lhs - rhs).max()), f"p={gen}"))
     return cases

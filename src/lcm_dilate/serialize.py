@@ -85,13 +85,46 @@ def report_hash(report_doc: dict) -> str:
     return sha256_of(_strip_timing(report_doc))
 
 
+def _pointer_to(doc, target: dict, pointer: str = ""):
+    """The JSON pointer of the object ``target`` inside ``doc``, or None."""
+    if doc is target:
+        return pointer
+    members = (doc.items() if isinstance(doc, dict)
+               else enumerate(doc) if isinstance(doc, list) else ())
+    for k, v in members:
+        step = str(k).replace("~", "~0").replace("/", "~1")
+        found = _pointer_to(v, target, f"{pointer}/{step}")
+        if found is not None:
+            return found
+    return None
+
+
 def load_json(path: str) -> Any:
+    """The JSON document in a UTF-8 file.  A missing or unreadable file,
+    bytes that are not UTF-8, invalid JSON and an object that repeats a key
+    are refused with SchemaError."""
+    repeats = []       # (object, its first repeated key), innermost first
+
+    def pairs_hook(pairs: list) -> dict:
+        out = dict(pairs)
+        if len(out) < len(pairs):
+            seen: set = set()
+            repeats.append((out, next(k for k, _ in pairs if k in seen or seen.add(k))))
+        return out
+
     try:
-        with open(path, "r") as fh:
-            return json.load(fh)
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh, object_pairs_hook=pairs_hook)
     except FileNotFoundError:
         raise SchemaError(f"no such file: {path}")
     except OSError as exc:      # a directory, say
         raise SchemaError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not UTF-8 text: byte {exc.start} does not decode",
+                          path) from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}", f"{path}:{exc.lineno}")
+    if repeats:
+        obj, key = repeats[0]
+        raise SchemaError(f"duplicate key {key!r}", _pointer_to(doc, obj) or "/")
+    return doc

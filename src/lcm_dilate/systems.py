@@ -58,18 +58,18 @@ class GeneratorMap:
         self._linear_inv = None
 
     def apply(self, a: np.ndarray) -> np.ndarray:
+        """The map on a value, or on each of a stack of values (the last
+        two axes); a linear map acts on row-major vectors."""
         if self.unitary is not None:
             return self.unitary @ a @ self.unitary.conj().T
-        d = int(round(np.sqrt(self.linear.shape[1])))
-        return (self.linear @ np.asarray(a).reshape(-1)).reshape(d, d)
+        return (self.linear @ a.reshape(*a.shape[:-2], -1, 1)).reshape(a.shape)
 
     def apply_inverse(self, a: np.ndarray) -> np.ndarray:
         if self.unitary is not None:
             return self.unitary.conj().T @ a @ self.unitary
         if self._linear_inv is None:
             self._linear_inv = np.linalg.inv(self.linear)
-        d = int(round(np.sqrt(self.linear.shape[1])))
-        return (self._linear_inv @ np.asarray(a).reshape(-1)).reshape(d, d)
+        return (self._linear_inv @ a.reshape(*a.shape[:-2], -1, 1)).reshape(a.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +140,6 @@ class ValidationReport:
             value, witness = float(sign * worst), cases[int(np.argmax(near))][1]
         return self.add(name, sign * value <= sign * bound, value, bound,
                         str(witness) if detail is None else detail, witness)
-
-    def failures(self) -> list[CheckRecord]:
-        return [c for c in self.checks if not c.passed]
 
 
 # ---------------------------------------------------------------------------

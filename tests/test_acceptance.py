@@ -340,7 +340,7 @@ def test_criterion_7_kernel_property_suite(fixtures_dir):
             return val
 
     report = check_kernel_properties(Corrupted(), depth=2)
-    failed = {c.name: c for c in report.failures()}
+    failed = {c.name: c for c in report.checks if not c.passed}
     assert "kernel.hermitian" in failed and failed["kernel.hermitian"].detail
     announce(7, f"kernel property suite on {n_checked} bundled instances",
              "corrupted fixture fails Hermitian with witness "

@@ -184,6 +184,54 @@ def test_malformed_instance_exits_2_without_traceback(fixtures_dir, tmp_path,
         assert f"(at {location})" in err, (command, err)
 
 
+def test_non_utf8_instance_exits_2_at_the_file(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"depth": 1}'.encode("utf-16-le"))
+    for command in ("validate", "check-cp", "dilate"):
+        code = main([command, str(path), "--output", str(tmp_path / "r.npz")]
+                    if command == "dilate" else [command, str(path)])
+        err = capsys.readouterr().err
+        assert code == 2, command
+        assert "Traceback" not in err
+        assert f"not UTF-8 text: byte 0 does not decode (at {path})" in err
+
+
+@pytest.mark.parametrize("key, member, location", [
+    ("depth", '"depth": ', "/"),
+    ("kind", '"kind": "free_abelian"', "/system/semigroup"),
+])
+def test_duplicate_key_exits_2_at_its_object(fixtures_dir, tmp_path, capsys,
+                                             key, member, location):
+    # an earlier copy of the key, which the last one would silently override
+    text = json.dumps(json.loads((fixtures_dir / "sznagy_half.json").read_text()))
+    assert text.count(member) == 1
+    path = tmp_path / "repeated.json"
+    path.write_text(text.replace(member, f'"{key}": 1, {member}'))
+    for command in ("validate", "check-cp", "dilate"):
+        code = main([command, str(path), "--output", str(tmp_path / "r.npz")]
+                    if command == "dilate" else [command, str(path)])
+        err = capsys.readouterr().err
+        assert code == 2, command
+        assert "Traceback" not in err
+        assert f"duplicate key '{key}' (at {location})" in err
+
+
+def test_choi_entries_near_the_float_maximum_exit_without_traceback(
+        fixtures_dir, tmp_path, capsys):
+    # the transpose map with its values scaled by 1e308: the symmetrized
+    # Choi blocks stay finite
+    doc = json.loads((fixtures_dir / "transpose_m2.json").read_text())
+    doc["phi"] = {"kind": "base_values",
+                  "values": [encode_matrix(1e308 * np.outer(np.eye(2)[j], np.eye(2)[i]))
+                             for i in range(2) for j in range(2)]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code = main(["check-cp", str(path)])
+    err = capsys.readouterr().err
+    assert code in (1, 2)
+    assert "Traceback" not in err
+
+
 def test_unknown_tolerance_names_the_known_ones(fixtures_dir, tmp_path, capsys):
     doc = json.loads((fixtures_dir / "sznagy_half.json").read_text())
     path = tmp_path / "bad.json"
@@ -930,3 +978,44 @@ def test_output_digest_is_one_deterministic_pathless_line_per_command(
     assert len(lines[3]["result_sha256"]) == 64
     assert str(fixtures_dir) not in runs[0]
     assert tempfile.gettempdir() not in runs[0]
+
+
+def test_output_digest_compare_holds_values_to_the_tolerance(fixtures_dir,
+                                                             tmp_path, capsys):
+    digest = _load_script("output_digest")
+    with tempfile.TemporaryDirectory() as tmp:
+        lines = [digest.digest(name, str(fixtures_dir / name), command, {}, tmp)
+                 for name in ("sznagy_half.json", "transpose_m2.json")
+                 for command in ("check-cp", "dilate")]
+
+    def write(name, doc):
+        path = tmp_path / name
+        path.write_text("".join(json.dumps(d, sort_keys=True) + "\n" for d in doc))
+        return str(path)
+
+    base = write("a.txt", lines)
+    assert digest.main(["--compare", base, base, "--tol", "1e-12"]) == 0
+    assert "0 differences" in capsys.readouterr().out
+    # a value moved by rounding, and a moved result hash, pass and are listed
+    near = json.loads(json.dumps(lines))
+    near[1]["checks"][0][2] += 1e-13
+    near[1]["result_sha256"] = "0" * 64
+    assert digest.main(["--compare", base, write("b.txt", near), "--tol", "1e-12"]) == 0
+    out = capsys.readouterr().out
+    assert "MOVED line 2 (sznagy_half.json dilate)" in out
+    assert "1 result hashes moved" in out
+    # a value beyond the tolerance, a detail, a verdict or an exit code fail
+    for change in ("value", "detail", "passed", "exit_code"):
+        far = json.loads(json.dumps(lines))
+        check = far[1]["checks"][0]
+        if change == "value":
+            check[2] += 1e-9
+        elif change == "detail":
+            check[3] += "!"
+        elif change == "passed":
+            check[1] = not check[1]
+        else:
+            far[3]["exit_code"] = 2
+        assert digest.main(["--compare", base, write("c.txt", far),
+                            "--tol", "1e-12"]) == 1, change
+        assert "DIFF line" in capsys.readouterr().out

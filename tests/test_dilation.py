@@ -252,7 +252,7 @@ def test_abelian_rank2_depth4_rank_invariant():
     ext = extend_phi_T(sys_, T, (4, 4))
     assert ext.accepted
     res = covariant_dilate(sys_, ext.map, T, 4)
-    assert res.passed, [c.name for c in res.report.failures()]
+    assert res.passed, [c.name for c in res.report.checks if not c.passed]
     assert res.assembly.size == 450
     assert res.rank == 2 * (4 + 1) ** 2 == 50
 
@@ -269,7 +269,7 @@ def test_free_rank2_scalar_pair_rank_invariant(depth):
     ext = extend_phi_T(sys_, T, depth)
     assert ext.accepted
     res = covariant_dilate(sys_, ext.map, T, depth)
-    assert res.passed, [c.name for c in res.report.failures()]
+    assert res.passed, [c.name for c in res.report.checks if not c.passed]
     assert res.rank == 2 ** (depth + 1) - 1
 
 
@@ -290,7 +290,7 @@ def test_rank_invariants_on_the_block_factor(workload, depth, rank, tmp_path):
     assert instance.degree == depth
     sys_, phi, T, _ = build_pair(instance)
     res = covariant_dilate(sys_, phi, T, depth)
-    assert res.passed, [c.name for c in res.report.failures()]
+    assert res.passed, [c.name for c in res.report.checks if not c.passed]
     assert res.rank == rank
     # the dilation space is the direct sum of the blocks' factor ranges
     assert [f.span.start for f in res.factors] == list(
@@ -393,7 +393,7 @@ def test_uniqueness_probe_quick():
     res = halfline_dilation(np.array([[0.5]], dtype=complex), 3)
     K = KernelSystem(res.sys, res.phi, res.T)
     rep = uniqueness_probe(K, 3, seeds=[0, 1, 2])
-    assert rep.passed, [(c.name, c.value) for c in rep.failures()]
+    assert rep.passed, [(c.name, c.value) for c in rep.checks if not c.passed]
 
 
 def test_tolerances_are_threaded_through():

@@ -196,7 +196,7 @@ def test_common_multiple_blocks_are_psd():
 ])
 def test_property_suite_passes(make):
     report = check_kernel_properties(make(), depth=2)
-    assert report.passed, [(c.name, c.value) for c in report.failures()]
+    assert report.passed, [(c.name, c.value) for c in report.checks if not c.passed]
 
 
 class _Corrupted:
@@ -217,7 +217,7 @@ class _Corrupted:
 
 def test_corrupted_kernel_fails_hermitian_with_witness():
     report = check_kernel_properties(_Corrupted(sznagy_kernel()), depth=2)
-    failed = {c.name: c for c in report.failures()}
+    failed = {c.name: c for c in report.checks if not c.passed}
     assert "kernel.hermitian" in failed
     assert failed["kernel.hermitian"].detail   # carries the witness indices
 
