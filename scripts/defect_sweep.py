@@ -18,7 +18,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from lcm_dilate.algebras import AbelianToeplitzModel, BaseAlgebra  # noqa: E402
+from lcm_dilate.algebras import BaseAlgebra, ToeplitzModel  # noqa: E402
 from lcm_dilate.cpmaps import ContractionFamily, extend_phi_T, nica_defect  # noqa: E402
 from lcm_dilate.kernel import KernelSystem, assemble_gram  # noqa: E402
 from lcm_dilate.semigroup import FreeAbelian  # noqa: E402
@@ -28,7 +28,7 @@ from lcm_dilate.systems import LcmSystem  # noqa: E402
 def main() -> int:
     steps = int(sys.argv[1]) if len(sys.argv) > 1 else 12
     sg = FreeAbelian(2)
-    sys_ = LcmSystem(sg, AbelianToeplitzModel(2), BaseAlgebra((1,)))
+    sys_ = LcmSystem(sg, ToeplitzModel(sg), BaseAlgebra((1,)))
     pool = [p for p in sg.enumerate_up_to(2) if max(p) >= 1]
 
     print(f"{'scale':>7} {'worst defect':>13} {'extension':>10} {'gram min':>12}")
@@ -42,7 +42,7 @@ def main() -> int:
             for combo in itertools.combinations(pool, size):
                 worst = min(worst, float(np.linalg.eigvalsh(
                     nica_defect(T, combo))[0]))
-        ext = extend_phi_T(sys_, T, (2, 2))
+        ext = extend_phi_T(sys_, T, 2)
         w = assemble_gram(KernelSystem(sys_, ext.map, T, validate=False),
                           2).eigenvalues()
         gmin = float(w[0])

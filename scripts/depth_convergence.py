@@ -15,7 +15,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from lcm_dilate.algebras import AbelianToeplitzModel, BaseAlgebra  # noqa: E402
+from lcm_dilate.algebras import BaseAlgebra, ToeplitzModel  # noqa: E402
 from lcm_dilate.cpmaps import ContractionFamily, extend_phi_T  # noqa: E402
 from lcm_dilate.dilation import covariant_dilate  # noqa: E402
 from lcm_dilate.semigroup import FreeAbelian  # noqa: E402
@@ -30,14 +30,14 @@ def main() -> int:
     t = 0.9 * t / np.linalg.norm(t, 2)
 
     sg = FreeAbelian(1)
-    sys_ = LcmSystem(sg, AbelianToeplitzModel(1), BaseAlgebra((1,)))
+    sys_ = LcmSystem(sg, ToeplitzModel(sg), BaseAlgebra((1,)))
     T = ContractionFamily(sg, [t])
 
     print(f"seed {seed}: ||T|| = {np.linalg.norm(t, 2):.4f}")
     print(f"{'depth':>5} {'space':>6} {'rank':>5} {'worst power residual':>22}")
     prev = {}
     for depth in range(1, max_depth + 1):
-        ext = extend_phi_T(sys_, T, (depth,))
+        ext = extend_phi_T(sys_, T, depth)
         res = covariant_dilate(sys_, ext.map, T, depth)
         worst = 0.0
         for n in range(depth + 1):

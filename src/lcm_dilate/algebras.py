@@ -20,30 +20,29 @@ is where alpha_letter moves it and ``unshift`` the left inverse, ``None`` off
 the range projection of the letter; ``shift_depth``/``unshift_depth`` move
 depths alike.
 
-* abelian Toeplitz, rank m: m-tuples with coordinate i in ``0..d_i``, the
-  value ``d_i`` the tail of the half-line, smaller values point masses.  A
-  tail coordinate's children run up to its target; letter i adds 1 to
-  coordinate i-1.  Depth is a per-coordinate tuple.
-* free Toeplitz, rank k: defect atoms ``("d", w)`` at words shorter than the
-  depth and leaf cylinders ``("c", w)`` at words of the depth's length.  A
-  cylinder's children are the defect atoms at its extensions shorter than
-  the target and the cylinders at the target; a letter is prepended to w.
-* free boundary: cylinders only; a cylinder's children are the cylinders
-  at the target extending it.
-* point model: one trivial atom at the single depth 0.  A letter leaves
+* ``ToeplitzModel(semigroup, boundary=False)``: the diagonal of the Toeplitz
+  algebra of a right LCM monoid, or of its boundary quotient.  Range
+  projections multiply by E_p E_q = E_lcm(p,q), so every rule is derived
+  from the monoid's primitives, once for all monoids.  A depth is a finite
+  set D of elements closed under left divisors and lcm; the atom of p in D
+  is E_p prod_{f in F} (1 - E_f) with F the elements pg of D for g a
+  generator, labelled p; the boundary quotient drops the atoms whose cut,
+  divided by p, is a foundation set.  A letter g moves the atom p to gp and
+  D to the left divisors of gD.
+* ``PointModel``: one trivial atom at the single depth 0.  A letter leaves
   the atom and the depth where they are, so alpha_letter is its value map
   alone, an automorphism, and ``unshift`` is never ``None``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from .errors import SpecMismatchError
+from .semigroup import Semigroup
 
 Complex = np.complex128
 
@@ -136,157 +135,150 @@ def operator_norm(mat: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 Atom = tuple
-Depth = Union[int, tuple[int, ...]]
+Depth = Union[int, frozenset]
 
 
-def _bump(t: tuple, coord: int, step: int) -> tuple:
-    return t[:coord] + (t[coord] + step,) + t[coord + 1:]
+@dataclass(frozen=True)
+class ToeplitzModel:
+    """The diagonal of the Toeplitz algebra of a right LCM monoid at finite
+    depth, or of its boundary quotient, stated by the monoid's primitives.
 
+    A depth is a finite set D of elements closed under left divisors and
+    lcm; the int d stands for every element of length at most d.  The atom
+    of p in D is E_p prod_{f in F} (1 - E_f), its cut F the elements pg of D
+    for g a generator, and ``cylinder`` returns (p, F).  The boundary
+    quotient drops each atom whose nonempty cut, divided on the left by p,
+    is a foundation set (the product vanishes there).  Joins and shifts
+    stay closed under lcm on monoids where three elements with pairwise
+    common multiples have one, as both built-in families do.  The rules are
+    cached per depth on the model.
+    """
 
-class AbelianToeplitzModel:
-    """Diagonal model for the free abelian monoid: stage algebras of the
-    one-point-compactified half-line, tensored coordinatewise."""
+    semigroup: Semigroup
+    boundary: bool = False
 
-    kind = "toeplitz_abelian"
+    def __post_init__(self):
+        object.__setattr__(self, "_gens", self.semigroup.generators)
+        object.__setattr__(self, "_memo", {})
 
-    def __init__(self, rank: int):
-        if rank < 1:
-            raise SpecMismatchError("rank must be >= 1")
-        self.rank = rank
+    def _cached(self, key, make):
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = make()
+        return hit
 
-    def zero_depth(self) -> Depth:
-        return (0,) * self.rank
+    # -- depths ------------------------------------------------------------------
 
-    def normalize_depth(self, depth) -> Depth:
-        if isinstance(depth, int):
-            return (depth,) * self.rank
-        depth = tuple(int(d) for d in depth)
-        if len(depth) != self.rank or any(d < 0 for d in depth):
+    def _grow(self, keep, start=None) -> set:
+        """The closure of ``start`` (the identity by default) under
+        generator steps onto elements ``keep`` accepts."""
+        sg = self.semigroup
+        start = sg.identity if start is None else start
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            grown = []
+            for q in frontier:
+                for g in self._gens:
+                    r = sg.multiply(q, g)
+                    if r not in seen and keep(r):
+                        seen.add(r)
+                        grown.append(r)
+            frontier = grown
+        return seen
+
+    def _interned(self, depth: frozenset) -> frozenset:
+        return self._memo.setdefault(("depth", depth), depth)
+
+    def normalize_depth(self, depth) -> frozenset:
+        """A depth as it is, or the int d as every element of length at
+        most d (closed under lcm by the grading's contract)."""
+        if isinstance(depth, frozenset):
+            return depth
+        if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
             raise SpecMismatchError(f"bad depth {depth!r}")
-        return depth
+        return self._cached(("int", depth), lambda: self._interned(
+            frozenset(self.semigroup.enumerate_up_to(depth))))
 
-    def join_depth(self, d1: Depth, d2: Depth) -> Depth:
-        return tuple(max(a, b) for a, b in zip(d1, d2))
+    def zero_depth(self) -> frozenset:
+        return self.normalize_depth(0)
 
-    def depth_leq(self, d1: Depth, d2: Depth) -> bool:
-        return all(a <= b for a, b in zip(d1, d2))
+    def join_depth(self, d1: frozenset, d2: frozenset) -> frozenset:
+        """The union with the left divisors of the lcms across the two."""
+        def make():
+            sg = self.semigroup
+            tops = {r for p in d1 - d2 for q in d2 - d1
+                    if (r := sg.lcm(p, q)) is not None}
+            return self._interned(d1 | d2 | self._grow(lambda r: any(
+                sg.left_divide(r, x) is not None for x in tops)))
+        return d1 if d1 is d2 else self._cached(("join", d1, d2), make)
 
-    def depth_max(self, depth: Depth) -> int:
-        return max(depth)
+    def depth_leq(self, d1: frozenset, d2: frozenset) -> bool:
+        return d1 is d2 or d1 <= d2
 
-    def atoms(self, depth: Depth) -> list[Atom]:
+    def depth_max(self, depth: frozenset) -> int:
+        return self._cached(("max", depth), lambda: max(
+            self.semigroup.length(p) for p in depth))
+
+    def shift_depth(self, depth: frozenset, letter: int) -> frozenset:
+        """The left divisors of g D: r divides some g p with p in D exactly
+        when lcm(r, g) = g s with s in D."""
+        def make():
+            g, sg = self._gens[letter - 1], self.semigroup
+            return self._interned(frozenset(self._grow(
+                lambda r: (m := sg.lcm(r, g)) is not None
+                and sg.left_divide(g, m) in depth)))
+        return self._cached(("shift", depth, letter), make)
+
+    def unshift_depth(self, depth: frozenset, letter: int) -> frozenset:
+        """{q : g q in D}."""
+        def make():
+            g, sg = self._gens[letter - 1], self.semigroup
+            return self._interned(frozenset(
+                q for p in depth if (q := sg.left_divide(g, p)) is not None))
+        return self._cached(("unshift", depth, letter), make)
+
+    # -- atoms -------------------------------------------------------------------
+
+    def _cuts(self, depth: frozenset) -> dict:
+        """Element of the depth -> its cut, in sorted order."""
+        def make():
+            sg = self.semigroup
+            return {p: [q for g in self._gens if (q := sg.multiply(p, g)) in depth]
+                    for p in sorted(depth)}
+        return self._cached(("cuts", depth), make)
+
+    def atoms(self, depth) -> list[Atom]:
+        def make():
+            sg = self.semigroup
+            return [p for p, cut in self._cuts(depth).items()
+                    if not (self.boundary and cut and sg.is_foundation_set(
+                        sg.left_divide(p, f) for f in cut))]
         depth = self.normalize_depth(depth)
-        return list(itertools.product(*(range(d + 1) for d in depth)))
+        return self._cached(("atoms", depth), make)
 
-    def cylinder(self, atom: Atom, depth: Depth) -> tuple[Atom, list[Atom]]:
-        """(p, F) with atom = E_p prod_{f in F} (1 - E_f): a point coordinate
-        is cut off one step above, a tail coordinate is not."""
-        depth = self.normalize_depth(depth)
-        return atom, [
-            _bump(atom, i, 1) for i in range(self.rank) if atom[i] < depth[i]
-        ]
+    def cylinder(self, atom: Atom, depth) -> tuple[Atom, list[Atom]]:
+        """(p, F) with atom = E_p prod_{f in F} (1 - E_f)."""
+        return atom, self._cuts(self.normalize_depth(depth))[atom]
 
-    def children(self, atom: Atom, depth: Depth, target: Depth) -> list[Atom]:
-        return list(itertools.product(*(
-            range(d, t + 1) if a == d else (a,)
-            for a, d, t in zip(atom, depth, target)
-        )))
+    def children(self, atom: Atom, depth: frozenset, target: frozenset) -> list[Atom]:
+        """The atoms at ``target`` in atom.S above no cut of the atom.  The
+        target holds the left divisors of its elements, and every step from
+        a multiple of a cut element stays one, so they grow from the atom
+        by generator steps within the target that keep off the cut."""
+        def make():
+            sg, cut = self.semigroup, self._cuts(depth)[atom]
+            under = self._grow(lambda r: r in target and all(
+                sg.left_divide(f, r) is None for f in cut), atom)
+            atoms = frozenset(self.atoms(target))
+            return sorted(q for q in under if q in atoms)
+        return self._cached(("children", atom, depth, target), make)
 
     def shift(self, atom: Atom, letter: int) -> Atom:
-        return _bump(atom, letter - 1, 1)
+        return self.semigroup.multiply(self._gens[letter - 1], atom)
 
     def unshift(self, atom: Atom, letter: int) -> Optional[Atom]:
-        return _bump(atom, letter - 1, -1) if atom[letter - 1] else None
-
-    def shift_depth(self, depth: Depth, letter: int) -> Depth:
-        return _bump(depth, letter - 1, 1)
-
-    def unshift_depth(self, depth: Depth, letter: int) -> Depth:
-        return _bump(depth, letter - 1, -1)
-
-
-def _words(rank: int, length: int) -> list[tuple[int, ...]]:
-    return list(itertools.product(range(1, rank + 1), repeat=length))
-
-
-class FreeToeplitzModel:
-    """Diagonal model for the free monoid: defect atoms at interior words
-    plus leaf cylinders at the truncation depth."""
-
-    kind = "toeplitz_free"
-
-    def __init__(self, rank: int):
-        if rank < 1:
-            raise SpecMismatchError("rank must be >= 1")
-        self.rank = rank
-
-    def zero_depth(self) -> Depth:
-        return 0
-
-    def normalize_depth(self, depth) -> Depth:
-        d = int(depth)
-        if d < 0:
-            raise SpecMismatchError(f"bad depth {depth!r}")
-        return d
-
-    def join_depth(self, d1: int, d2: int) -> int:
-        return max(d1, d2)
-
-    def depth_leq(self, d1: int, d2: int) -> bool:
-        return d1 <= d2
-
-    def depth_max(self, depth: int) -> int:
-        return depth
-
-    def atoms(self, depth: int) -> list[Atom]:
-        out: list[Atom] = []
-        for n in range(depth):
-            out.extend(("d", w) for w in _words(self.rank, n))
-        out.extend(("c", w) for w in _words(self.rank, depth))
-        return out
-
-    def cylinder(self, atom: Atom, depth: int) -> tuple[Atom, list[Atom]]:
-        """(p, F) with atom = E_p prod_{f in F} (1 - E_f): a defect atom cuts
-        off every child of its word, a leaf cylinder nothing."""
-        tag, w = atom
-        return w, [w + (i,) for i in range(1, self.rank + 1)] if tag == "d" else []
-
-    def children(self, atom: Atom, depth: int, target: int) -> list[Atom]:
-        tag, w = atom
-        if tag == "d" or depth == target:
-            return [atom]
-        out = [("d", w)]
-        for i in range(1, self.rank + 1):
-            out += self.children(("c", w + (i,)), depth + 1, target)
-        return out
-
-    def shift(self, atom: Atom, letter: int) -> Atom:
-        tag, w = atom
-        return tag, (letter,) + w
-
-    def unshift(self, atom: Atom, letter: int) -> Optional[Atom]:
-        tag, w = atom
-        return (tag, w[1:]) if w[:1] == (letter,) else None
-
-    def shift_depth(self, depth: int, letter: int) -> int:
-        return depth + 1
-
-    def unshift_depth(self, depth: int, letter: int) -> int:
-        return depth - 1
-
-
-class FreeBoundaryModel(FreeToeplitzModel):
-    """Boundary quotient of the free Toeplitz model: cylinders only, and a
-    cylinder refines to the sum of its children."""
-
-    kind = "boundary_free"
-
-    def atoms(self, depth: int) -> list[Atom]:
-        return [("c", w) for w in _words(self.rank, depth)]
-
-    def children(self, atom: Atom, depth: int, target: int) -> list[Atom]:
-        _, w = atom
-        return [("c", w + u) for u in _words(self.rank, target - depth)]
+        return self.semigroup.left_divide(self._gens[letter - 1], atom)
 
 
 class PointModel:
@@ -325,22 +317,7 @@ class PointModel:
     unshift, unshift_depth = shift, shift_depth
 
 
-Model = Union[AbelianToeplitzModel, FreeToeplitzModel, FreeBoundaryModel, PointModel]
-
-_MODEL_KINDS = {
-    "toeplitz_abelian": AbelianToeplitzModel,
-    "toeplitz_free": FreeToeplitzModel,
-    "boundary_free": FreeBoundaryModel,
-    "matrix": PointModel,
-}
-
-
-def model_from_kind(kind: str, rank: int) -> Model:
-    try:
-        cls = _MODEL_KINDS[kind]
-    except KeyError:
-        raise SpecMismatchError(f"unknown model kind {kind!r}") from None
-    return cls(rank)
+Model = Union[ToeplitzModel, PointModel]
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +368,7 @@ class LevelledElement:
     # -- structural helpers ---------------------------------------------------
 
     def _compat(self, other: "LevelledElement") -> None:
-        if self.model is not other.model and (
-            type(self.model) is not type(other.model)
-            or self.model.rank != other.model.rank
-        ):
+        if self.model != other.model:
             raise SpecMismatchError("elements live over different models")
         if self.base != other.base:
             raise SpecMismatchError("elements live over different base algebras")

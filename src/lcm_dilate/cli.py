@@ -61,16 +61,16 @@ from .persist import (
     verify_result,
     write_result,
 )
-from .semigroup import semigroup_from_json
+from .semigroup import DEFAULT_ENUMERATION_CAP, semigroup_from_json
 from .serialize import decode_checks, decode_matrix, load_json, report_hash, sha256_of
-from .systems import ValidationReport, build_system
+from .systems import TOEPLITZ_KINDS, ValidationReport, build_system
 
 REPORT_FORMAT = "lcm-dilate-report-v1"
 
 DEFAULT_MAX_F = 4
 
 PHI_KINDS = ("from_contractions", "base_values", "state", "diagonal", "transpose")
-MODEL_KINDS = ("toeplitz_abelian", "toeplitz_free", "boundary_free", "matrix", "stage")
+MODEL_KINDS = (*TOEPLITZ_KINDS, "matrix", "stage")
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +143,10 @@ def parse_instance(path: str) -> Instance:
     kind = model_doc.get("kind")
     if kind not in MODEL_KINDS:
         raise SchemaError(f"unknown model tag {kind!r}", "/system/model/kind")
+    over = TOEPLITZ_KINDS.get(kind, (sg.kind,))[0]
+    if over != sg.kind:
+        raise SchemaError(f"a {kind} model runs over a {over} semigroup, not a "
+                          f"{sg.kind}", "/system/model/kind")
 
     base_doc = sys_doc.get("base", {})
     if not isinstance(base_doc, dict):
@@ -433,11 +437,17 @@ def _nica_defects(run: _Run) -> None:
     T = ContractionFamily(sys_.semigroup, run.instance.t_mats)
     sg = sys_.semigroup
     pool = [p for p in sg.enumerate_up_to(run.depth) if sg.length(p) >= 1]
+    depth_at = "/depth" if run.flags.get("depth") is None else "--depth"
     if not pool:
         raise SchemaError(
-            f"depth {run.depth} leaves no element to form subsets from",
-            "/depth" if run.flags.get("depth") is None else "--depth",
-        )
+            f"depth {run.depth} leaves no element to form subsets from", depth_at)
+    # counted before any subset is built: each one keeps about a kilobyte
+    count = sum(math.comb(len(pool), k) for k in range(1, max_f + 1))
+    if count > DEFAULT_ENUMERATION_CAP:
+        raise SchemaError(
+            f"{count:,} subsets of {len(pool)} elements up to size {max_f} "
+            f"exceed the cap {DEFAULT_ENUMERATION_CAP:,}",
+            "--max-f" if run.flags.get("max_f") is not None else depth_at)
     combos = [combo for size in range(1, min(max_f, len(pool)) + 1)
               for combo in itertools.combinations(pool, size)]
     defects = np.array([nica_defect(T, combo) for combo in combos])
@@ -662,6 +672,10 @@ def main(argv=None) -> int:
         "tol_rank": args.tol_rank,
         "seed": args.seed,
     }
+    if args.jobs < 1:
+        exc = SchemaError(f"--jobs must be at least 1, got {args.jobs}", "--jobs")
+        print(f"error: {exc}", file=_sys.stderr)
+        return 2
     jobs = [(args.command, path, flags) for path in args.instances]
 
     if args.jobs > 1 and len(jobs) > 1:

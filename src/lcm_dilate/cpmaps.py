@@ -413,7 +413,7 @@ def build_phi_tilde(
     units = sys.base.basis()
     betas = sys.betas
 
-    if sys.model.kind == "boundary_free":
+    if sys.model.boundary:
         total = sum(
             _compressed(phi, betas, T, g, units) for g in sys.semigroup.generators
         )

@@ -23,7 +23,9 @@ re-assembles or re-diagonalizes the Gram operator.
 from __future__ import annotations
 
 import json
+import lzma
 import zipfile
+import zlib
 
 import numpy as np
 
@@ -109,11 +111,14 @@ def load_result(path: str) -> tuple[dict, dict]:
         raise SchemaError("not a persisted dilation result (a result is a "
                           ".npz archive)")
     arrays, name = {}, ""       # the member being read, "" for the archive
+    # a corrupted header may claim encryption or an unknown compression
+    # method (RuntimeError), or send a stream through zlib or lzma
     try:
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             for name in npz.files:
                 arrays[name] = npz[name]
-    except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
+    except (ValueError, OSError, EOFError, RuntimeError, zipfile.BadZipFile,
+            zlib.error, lzma.LZMAError) as exc:
         raise SchemaError(f"unreadable .npz archive: {exc}", name) from None
     text = arrays.pop("meta", None)
     if text is None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import ResourceCapError, SpecMismatchError
 
@@ -27,15 +27,17 @@ class Semigroup(ABC):
 
     A subclass states only its primitives: ``identity``, ``generators``,
     ``validate_element``, ``multiply``, ``lcm``, ``left_divide``, ``length``
-    and ``as_word``.  Enumeration, the foundation-set test and iterated lcm
-    are derived from them here, once.
+    and ``as_word``.  Enumeration and the foundation-set test are derived
+    from them here, once.
 
     User-supplied instances must guarantee left cancellation and that
     ``lcm(p, q)`` returns the unique generator of the intersection of the
     principal right ideals pP and qP (or None when that intersection is
     empty); correctness of ``lcm`` is the instance's contract and is not
     re-derived here.  The grading ``length`` must not decrease under right
-    multiplication and must leave finitely many elements at each length.
+    multiplication, must leave finitely many elements at each length, and
+    must not make lcm(p, q) longer than the longer of p and q, so that the
+    elements up to a length are closed under lcm.
     """
 
     rank: int
@@ -116,15 +118,6 @@ class Semigroup(ABC):
             any(self.lcm(p, f) is not None for f in fs)
             for p in self.enumerate_up_to(m, cap) if self.length(p) == m
         )
-
-    def lcm_of(self, elements: Sequence[Element]) -> Optional[Element]:
-        """Iterated lcm; the empty family has lcm e."""
-        acc: Optional[Element] = self.identity
-        for p in elements:
-            if acc is None:
-                return None
-            acc = self.lcm(acc, p)
-        return acc
 
     def gen_count(self, p: Element) -> int:
         return len(self.as_word(p))

@@ -30,11 +30,11 @@ from .algebras import (
     LevelledElement,
     Model,
     PointModel,
-    model_from_kind,
+    ToeplitzModel,
     operator_norm,
 )
 from .errors import SpecMismatchError
-from .semigroup import Element, FreeAbelian, FreeMonoid, Semigroup
+from .semigroup import Element, Semigroup, semigroup_from_json
 
 IDEAL_RTOL = 1e-9     # residual after projection onto the image subspace
 RANK_CUT = 1e-10      # relative singular-value cut for rank decisions
@@ -260,13 +260,6 @@ class GeneratorAction:
             report.at_most("units.lcm_rule", cases, tol)
 
 
-_COMPATIBLE = {
-    "toeplitz_abelian": FreeAbelian,
-    "toeplitz_free": FreeMonoid,
-    "boundary_free": FreeMonoid,
-}
-
-
 class LcmSystem(GeneratorAction):
     """A semigroup acting on a levelled or fixed finite-dimensional algebra
     through ``maps``, one ``GeneratorMap`` per generator.
@@ -293,12 +286,9 @@ class LcmSystem(GeneratorAction):
                 raise SpecMismatchError("need one generator map per generator")
             self.maps = list(alphas)
         else:
-            expected = _COMPATIBLE[model.kind]
-            if not isinstance(semigroup, expected) or model.rank != semigroup.rank:
-                raise SpecMismatchError(
-                    f"model {model.kind}(rank={model.rank}) does not match "
-                    f"semigroup {semigroup.kind}(rank={semigroup.rank})"
-                )
+            if model.semigroup != semigroup:
+                raise SpecMismatchError(f"the model runs over {model.semigroup!r}, "
+                                        f"not over {semigroup!r}")
             if alphas is not None:
                 raise SpecMismatchError("explicit maps only apply to the point model")
             if betas is None:
@@ -563,11 +553,17 @@ class StageSystem(GeneratorAction):
 # ---------------------------------------------------------------------------
 
 
+# a Toeplitz model kind -> (the kind of semigroup it runs over, boundary)
+TOEPLITZ_KINDS = {
+    "toeplitz_abelian": ("free_abelian", False),
+    "toeplitz_free": ("free_monoid", False),
+    "boundary_free": ("free_monoid", True),
+}
+
+
 def build_system(config: dict):
     """Build a system from a plain mapping (see the instance JSON schema);
     its structural checks are the caller's ``validate()``."""
-    from .semigroup import semigroup_from_json
-
     sg = semigroup_from_json(config["semigroup"])
     model_cfg = config.get("model", {"kind": "matrix"})
     kind = model_cfg["kind"]
@@ -580,6 +576,8 @@ def build_system(config: dict):
         alphas = [GeneratorMap(**entry) for entry in config.get("alphas", [])] or [
             GeneratorMap(unitary=base.unit()) for _ in range(sg.rank)
         ]
-        return LcmSystem(sg, model_from_kind(kind, sg.rank), base, alphas=alphas)
-    return LcmSystem(sg, model_from_kind(kind, sg.rank), base,
+        return LcmSystem(sg, PointModel(sg.rank), base, alphas=alphas)
+    if kind not in TOEPLITZ_KINDS:
+        raise SpecMismatchError(f"unknown model kind {kind!r}")
+    return LcmSystem(sg, ToeplitzModel(sg, boundary=TOEPLITZ_KINDS[kind][1]), base,
                      betas=config.get("betas"))

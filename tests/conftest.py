@@ -104,6 +104,22 @@ def commuting_contraction_pair(rng, h: int = 2) -> list[np.ndarray]:
     return [t1, t2]
 
 
+def box(bounds) -> frozenset:
+    """The free abelian depth of every vector with coordinate i at most
+    ``bounds[i]``."""
+    return frozenset(itertools.product(*(range(b + 1) for b in bounds)))
+
+
+def lcm_of(sg, elements):
+    """Iterated lcm; the empty family has lcm e."""
+    acc = sg.identity
+    for p in elements:
+        if acc is None:
+            return None
+        acc = sg.lcm(acc, p)
+    return acc
+
+
 def element_from_vec(model, base: BaseAlgebra, depth, v) -> LevelledElement:
     """The inverse of ``LevelledElement.vec`` at ``depth``."""
     depth = model.normalize_depth(depth)
@@ -283,7 +299,7 @@ def check_kernel_properties(
     report.add("kernel.bounded", min_gap >= -tol, min_gap, -tol)
 
     # positivity of blocks over indices with a common multiple
-    r = sg.lcm_of(ps)
+    r = lcm_of(sg, ps)
     if r is not None:
         cs = [sys_.corner_basis(sg.identity, r, depth).elements[0]] * n
         m = np.zeros((n * hh, n * hh), dtype=np.complex128)

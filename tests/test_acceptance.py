@@ -23,11 +23,9 @@ from conftest import (
     uniqueness_probe,
 )
 from lcm_dilate.algebras import (
-    AbelianToeplitzModel,
     BaseAlgebra,
-    FreeBoundaryModel,
-    FreeToeplitzModel,
     PointModel,
+    ToeplitzModel,
 )
 from lcm_dilate.cpmaps import (
     BaseOperatorMap,
@@ -64,13 +62,13 @@ def announce(num: int, name: str, detail: str = ""):
 
 def test_criterion_1_single_contraction_reproduction():
     degree = 5
-    sys_ = LcmSystem(FA1, AbelianToeplitzModel(1), C)
+    sys_ = LcmSystem(FA1, ToeplitzModel(FA1), C)
     worst_comp = worst_iso = 0.0
     for seed in range(20):
         rng = np.random.default_rng(seed)
         t = random_contraction(rng, 2, scale=0.95)
         T = ContractionFamily(FA1, [t])
-        ext = extend_phi_T(sys_, T, (degree,))
+        ext = extend_phi_T(sys_, T, degree)
         assert ext.accepted
         res = covariant_dilate(sys_, ext.map, T, degree)
         for n in range(degree + 1):
@@ -92,7 +90,7 @@ def test_criterion_1_single_contraction_reproduction():
 
 
 def _criterion2_pairs():
-    sysb = LcmSystem(FM2, FreeBoundaryModel(2), M2)
+    sysb = LcmSystem(FM2, ToeplitzModel(FM2, boundary=True), M2)
     for seed in (0, 1):
         rng = np.random.default_rng(seed)
         T = ContractionFamily(FM2, random_coisometry_pair(rng, 2))
@@ -102,7 +100,7 @@ def _criterion2_pairs():
     for seed in (2, 3):
         rng = np.random.default_rng(seed)
         betas = [random_unitary(rng, 2), random_unitary(rng, 2)]
-        sysb2 = LcmSystem(FM2, FreeBoundaryModel(2), M2, betas=betas)
+        sysb2 = LcmSystem(FM2, ToeplitzModel(FM2, boundary=True), M2, betas=betas)
         T = ContractionFamily(FM2, random_coisometry_pair(rng, 2))
         phi = build_phi_tilde(sysb2, tr, T, 3)
         yield sysb2, phi, T
@@ -187,7 +185,7 @@ def _exhaustive_defect_verdict(T: ContractionFamily, pool, tol=1e-8):
 
 
 def test_criterion_4_defect_extension_gram_equivalence():
-    sys2 = LcmSystem(FA2, AbelianToeplitzModel(2), C)
+    sys2 = LcmSystem(FA2, ToeplitzModel(FA2), C)
     pool = [p for p in FA2.enumerate_up_to(2) if max(p) >= 1]
 
     def seeded_family():
@@ -203,7 +201,7 @@ def test_criterion_4_defect_extension_gram_equivalence():
     for mats in seeded_family():
         T = ContractionFamily(FA2, mats)
         v_defect, _ = _exhaustive_defect_verdict(T, pool)
-        ext = extend_phi_T(sys2, T, (2, 2))
+        ext = extend_phi_T(sys2, T, 2)
         K = KernelSystem(sys2, ext.map, T, validate=False)
         g = assemble_gram(K, 2)
         w = np.linalg.eigvalsh(g.gram)
@@ -233,7 +231,7 @@ def test_criterion_4_defect_extension_gram_equivalence():
 
 
 def test_criterion_5_cuntz_relations():
-    sysb = LcmSystem(FM2, FreeBoundaryModel(2), M2)
+    sysb = LcmSystem(FM2, ToeplitzModel(FM2, boundary=True), M2)
     T = ContractionFamily(FM2, [E11, E21])
     rho = np.array([[1, 0], [0, 0]], dtype=complex)
     phi = build_phi_tilde(sysb, state_map(M2, rho, 2), T, 3)
@@ -262,9 +260,9 @@ def test_criterion_5_cuntz_relations():
 
 def test_criterion_6_partition_of_unity():
     cases = [
-        (LcmSystem(FA2, AbelianToeplitzModel(2), C),
+        (LcmSystem(FA2, ToeplitzModel(FA2), C),
          [p for p in FA2.enumerate_up_to(2) if max(p) >= 1]),
-        (LcmSystem(FM2, FreeToeplitzModel(2), C),
+        (LcmSystem(FM2, ToeplitzModel(FM2), C),
          [p for p in FM2.enumerate_up_to(2) if len(p) >= 1]),
     ]
     n_families = 0
@@ -370,12 +368,12 @@ def _assert_pullout(K, tol=1e-8):
 def test_criterion_8_uniqueness_up_to_unitary_equivalence():
     seeds = [11, 22, 33, 44, 55]
 
-    sys1 = LcmSystem(FA1, AbelianToeplitzModel(1), C)
+    sys1 = LcmSystem(FA1, ToeplitzModel(FA1), C)
     T1 = ContractionFamily(FA1, [np.array([[0.5]], dtype=complex)])
-    ext = extend_phi_T(sys1, T1, (4,))
+    ext = extend_phi_T(sys1, T1, 4)
     K1 = KernelSystem(sys1, ext.map, T1)
 
-    sysb = LcmSystem(FM2, FreeBoundaryModel(2), M2)
+    sysb = LcmSystem(FM2, ToeplitzModel(FM2, boundary=True), M2)
     T2 = ContractionFamily(FM2, [E11, E21])
     rho = np.array([[1, 0], [0, 0]], dtype=complex)
     K2 = KernelSystem(sysb, build_phi_tilde(sysb, state_map(M2, rho, 2), T2, 3), T2)

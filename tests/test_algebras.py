@@ -3,17 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import element_from_vec, random_matrix
+from conftest import box, element_from_vec, random_matrix
 from lcm_dilate.algebras import (
-    AbelianToeplitzModel,
     BaseAlgebra,
-    FreeBoundaryModel,
-    FreeToeplitzModel,
     LevelledElement,
     PointModel,
+    ToeplitzModel,
     operator_norm,
 )
 from lcm_dilate.errors import SpecMismatchError
+from lcm_dilate.semigroup import FreeAbelian, FreeMonoid
 
 C = BaseAlgebra((1,))
 M2 = BaseAlgebra((2,))
@@ -49,22 +48,25 @@ def test_coefficients_reconstruct():
 @pytest.mark.parametrize(
     "model,depth,count",
     [
-        (AbelianToeplitzModel(1), (3,), 4),
-        (AbelianToeplitzModel(2), (2, 2), 9),
-        (AbelianToeplitzModel(2), (1, 3), 8),
-        (FreeToeplitzModel(2), 2, 3 + 4),
-        (FreeToeplitzModel(3), 2, 4 + 9),
-        (FreeBoundaryModel(2), 3, 8),
+        (ToeplitzModel(FreeAbelian(1)), (3,), 4),
+        (ToeplitzModel(FreeAbelian(2)), (2, 2), 9),
+        (ToeplitzModel(FreeAbelian(2)), (1, 3), 8),
+        (ToeplitzModel(FreeMonoid(2)), 2, 3 + 4),
+        (ToeplitzModel(FreeMonoid(3)), 2, 4 + 9),
+        (ToeplitzModel(FreeMonoid(2), boundary=True), 3, 8),
         (PointModel(1), 0, 1),
     ],
 )
 def test_atom_counts(model, depth, count):
+    if isinstance(depth, tuple):
+        depth = box(depth)
     assert len(model.atoms(depth)) == count
 
 
 @pytest.mark.parametrize(
     "model",
-    [AbelianToeplitzModel(2), FreeToeplitzModel(2), FreeBoundaryModel(2)],
+    [ToeplitzModel(FreeAbelian(2)), ToeplitzModel(FreeMonoid(2)),
+     ToeplitzModel(FreeMonoid(2), boundary=True)],
 )
 def test_refinement_is_unital_star_homomorphism(model):
     rng = np.random.default_rng(7)
@@ -93,13 +95,14 @@ def test_refinement_is_unital_star_homomorphism(model):
 
 
 def test_refinement_preserves_norm():
-    model = FreeToeplitzModel(2)
-    x = LevelledElement.from_atom(model, C, 1, ("c", (2,)), np.array([[2.0]]))
+    model = ToeplitzModel(FreeMonoid(2))
+    x = LevelledElement.from_atom(model, C, 1, (2,), np.array([[2.0]]))
     assert x.norm() == x.refine_to(3).norm() == 2.0
 
 
 def test_atoms_are_orthogonal_idempotents():
-    for model in (AbelianToeplitzModel(1), FreeToeplitzModel(2), FreeBoundaryModel(2)):
+    for model in (ToeplitzModel(FreeAbelian(1)), ToeplitzModel(FreeMonoid(2)),
+                  ToeplitzModel(FreeMonoid(2), boundary=True)):
         d = model.normalize_depth(2)
         atoms = model.atoms(d)
         for i, a in enumerate(atoms):
@@ -111,22 +114,22 @@ def test_atoms_are_orthogonal_idempotents():
 
 
 def test_mixed_depth_arithmetic():
-    model = AbelianToeplitzModel(1)
-    one = LevelledElement.unit(model, C)        # depth (0,)
-    eps0 = LevelledElement.from_atom(model, C, (1,), (0,), np.eye(1))
+    model = ToeplitzModel(FreeAbelian(1))
+    one = LevelledElement.unit(model, C)        # depth {(0,)}
+    eps0 = LevelledElement.from_atom(model, C, 1, (0,), np.eye(1))
     # 1 - eps0 is the tail at depth 1
     tail = one - eps0
-    assert tail.depth == (1,)
+    assert tail.depth == box((1,))
     assert np.allclose(tail.coefficient((1,)), 1.0)
     assert np.allclose(tail.coefficient((0,)), 0.0)
     assert (tail * eps0).norm() == 0.0
 
 
 def test_vec_roundtrip():
-    model = FreeBoundaryModel(2)
+    model = ToeplitzModel(FreeMonoid(2), boundary=True)
     rng = np.random.default_rng(8)
     coeffs = {atom: random_matrix(rng, 2) for atom in model.atoms(2)}
-    x = LevelledElement(model, M2, 2, coeffs)
+    x = LevelledElement(model, M2, model.normalize_depth(2), coeffs)
     v = x.vec()
     assert v.shape == (len(model.atoms(2)) * M2.dim ** 2,)
     back = element_from_vec(model, M2, 2, v)
@@ -134,11 +137,11 @@ def test_vec_roundtrip():
 
 
 def test_depth_mismatch_errors():
-    model = AbelianToeplitzModel(2)
-    x = LevelledElement.unit(model, C, (2, 1))
+    model = ToeplitzModel(FreeAbelian(2))
+    x = LevelledElement.unit(model, C, box((2, 1)))
     with pytest.raises(SpecMismatchError):
-        x.refine_to((1, 1))
-    y = LevelledElement.unit(AbelianToeplitzModel(1), C)
+        x.refine_to(box((1, 1)))
+    y = LevelledElement.unit(ToeplitzModel(FreeAbelian(1)), C)
     with pytest.raises(SpecMismatchError):
         x * y
 
@@ -153,15 +156,15 @@ def test_depth_mismatch_errors():
 def test_algebra_axioms_scalar_halfline(data):
     """Associativity and the *-identity on random elements of the rank-1
     half-line model with scalar values."""
-    model = AbelianToeplitzModel(1)
+    model = ToeplitzModel(FreeAbelian(1))
     xs = []
     for k in range(3):
         coeffs = {}
         for atom, re, im in data[k::3]:
             coeffs[(atom,)] = np.array([[re + 1j * im]])
-        xs.append(LevelledElement(model, C, (2,), coeffs))
+        xs.append(LevelledElement(model, C, model.normalize_depth(2), coeffs))
     while len(xs) < 3:
-        xs.append(LevelledElement.unit(model, C, (2,)))
+        xs.append(LevelledElement.unit(model, C, 2))
     x, y, z = xs
     assert ((x * y) * z - x * (y * z)).norm() <= 1e-12
     assert ((x * y).star() - y.star() * x.star()).norm() <= 1e-12

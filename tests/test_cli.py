@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, encode_matrix, random_unitary
+from lcm_dilate import cli as cli_module
 from lcm_dilate.cli import (
     emit_report,
     main,
@@ -874,6 +875,62 @@ def test_flags_that_evaluate_nothing_exit_2(fixtures_dir, capsys,
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err and f"(at {flag})" in err
+
+
+@pytest.mark.parametrize("fixture,semigroup", [
+    ("sznagy_half", "free_monoid"),       # toeplitz_abelian
+    ("cuntz_m2", "free_abelian"),         # boundary_free
+])
+def test_a_model_over_the_wrong_monoid_exits_2_at_the_model_kind(
+        fixtures_dir, tmp_path, capsys, fixture, semigroup):
+    doc = json.loads((fixtures_dir / f"{fixture}.json").read_text())
+    doc["system"]["semigroup"]["kind"] = semigroup
+    path = tmp_path / "mismatch.json"
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "check-cp", "check-nica", "dilate"):
+        code = main([command, str(path), "--output", str(tmp_path / "r.npz")]
+                    if command == "dilate" else [command, str(path)])
+        err = capsys.readouterr().err
+        assert code == 2, command
+        assert "Traceback" not in err
+        assert "(at /system/model/kind)" in err, (command, err)
+
+
+def test_check_nica_refuses_too_many_subsets_before_building_one(
+        fixtures_dir, capsys, monkeypatch):
+    def no_defects(*args):
+        raise AssertionError("a subset was built")
+
+    monkeypatch.setattr(cli_module, "nica_defect", no_defects)
+    path = str(fixtures_dir / "commuting_unitaries.json")
+    # 48 elements up to depth 6: 1,925,356 subsets of at most five
+    assert main(["check-nica", path, "--depth", "6", "--max-f", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "1,925,356 subsets" in err and "(at --max-f)" in err
+    assert "Traceback" not in err
+    # the depth alone, with the default subset size, names the depth
+    assert main(["check-nica", path, "--depth", "9"]) == 2
+    assert "(at --depth)" in capsys.readouterr().err
+
+
+def test_check_nica_below_the_subset_cap_still_runs(fixtures_dir, capsys):
+    path = str(fixtures_dir / "commuting_unitaries.json")
+    assert main(["check-nica", path, "--depth", "4", "--max-f", "5"]) == 0
+    assert "55454 subsets" in capsys.readouterr().out
+
+
+def test_jobs_below_one_exits_2_before_any_process(fixtures_dir, capsys,
+                                                   monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", no_pool)
+    paths = [str(fixtures_dir / "cuntz_m2.json"), str(fixtures_dir / "sznagy_half.json")]
+    for jobs in ("0", "-3"):
+        assert main(["validate", *paths, "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert f"--jobs must be at least 1, got {jobs} (at --jobs)" in err
+        assert "Traceback" not in err
 
 
 def _phased_instance(path: str, theta: float) -> str:

@@ -21,11 +21,9 @@ from conftest import (
     random_unitary,
 )
 from lcm_dilate.algebras import (
-    AbelianToeplitzModel,
     BaseAlgebra,
-    FreeBoundaryModel,
-    FreeToeplitzModel,
     PointModel,
+    ToeplitzModel,
 )
 from lcm_dilate.cpmaps import (
     ContractionFamily,
@@ -160,7 +158,7 @@ def assert_same_outcome(expected, got):
 def abelian_rank2():
     rng = np.random.default_rng(3)
     sg = FreeAbelian(2)
-    sys_ = LcmSystem(sg, AbelianToeplitzModel(2), C)
+    sys_ = LcmSystem(sg, ToeplitzModel(sg), C)
     u = random_unitary(rng, 2)
     t_mats = [
         u @ np.diag(rng.uniform(0.2, 0.9, 2) * np.exp(2j * np.pi * rng.random(2)))
@@ -168,7 +166,7 @@ def abelian_rank2():
         for _ in range(2)
     ]
     T = ContractionFamily(sg, t_mats)
-    ext = extend_phi_T(sys_, T, (3, 3))
+    ext = extend_phi_T(sys_, T, 3)
     assert ext.accepted
     return KernelSystem(sys_, ext.map, T), 3
 
@@ -176,7 +174,7 @@ def abelian_rank2():
 def toeplitz_free_rank2():
     rng = np.random.default_rng(4)
     sg = FreeMonoid(2)
-    sys_ = LcmSystem(sg, FreeToeplitzModel(2), C)
+    sys_ = LcmSystem(sg, ToeplitzModel(sg), C)
     T = ContractionFamily(sg, [0.8 * t for t in random_coisometry_pair(rng, 2)])
     ext = extend_phi_T(sys_, T, 3)
     assert ext.accepted
@@ -186,7 +184,7 @@ def toeplitz_free_rank2():
 def boundary_free_m2():
     rng = np.random.default_rng(5)
     sg = FreeMonoid(2)
-    sys_ = LcmSystem(sg, FreeBoundaryModel(2), M2)
+    sys_ = LcmSystem(sg, ToeplitzModel(sg, boundary=True), M2)
     T = ContractionFamily(sg, random_coisometry_pair(rng, 2))
     phi = build_phi_tilde(sys_, state_map(M2, np.eye(2) / 2.0, 2), T, 2)
     return KernelSystem(sys_, phi, T), 2
@@ -213,9 +211,9 @@ def blocks_2_1():
     rng = np.random.default_rng(7)
     base = BaseAlgebra((2, 1))
     sg = FreeAbelian(1)
-    sys_ = LcmSystem(sg, AbelianToeplitzModel(1), base)
+    sys_ = LcmSystem(sg, ToeplitzModel(sg), base)
     T = ContractionFamily(sg, [0.5 * np.eye(2)])
-    phi = build_phi_tilde(sys_, random_ucp_map(rng, base, 2), T, (3,))
+    phi = build_phi_tilde(sys_, random_ucp_map(rng, base, 2), T, 3)
     return KernelSystem(sys_, phi, T), 3
 
 
@@ -261,7 +259,7 @@ def test_block_assembly_matches_dense_and_svd_oracles(make):
 
 def abelian_rank2_depth5():
     kernel, _ = abelian_rank2()
-    ext = extend_phi_T(kernel.sys, kernel.T, (5, 5))
+    ext = extend_phi_T(kernel.sys, kernel.T, 5)
     assert ext.accepted
     return KernelSystem(kernel.sys, ext.map, kernel.T), 5
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    box,
     commuting_contraction_pair,
     ewf_projection,
     phi_F,
@@ -14,7 +15,7 @@ from conftest import (
     random_ucp_map,
     random_unitary,
 )
-from lcm_dilate.algebras import AbelianToeplitzModel, BaseAlgebra, FreeBoundaryModel, FreeToeplitzModel
+from lcm_dilate.algebras import BaseAlgebra, ToeplitzModel
 from lcm_dilate.cpmaps import (
     BaseOperatorMap,
     ContractionFamily,
@@ -247,7 +248,7 @@ def test_defect_invariant_under_input_order(perm):
 
 
 def test_ewf_trivial_cases():
-    sys_ = LcmSystem(FA2, AbelianToeplitzModel(2), C)
+    sys_ = LcmSystem(FA2, ToeplitzModel(FA2), C)
     one = ewf_projection(sys_, [], [])
     assert (one - sys_.unit()).norm() <= 1e-10
     with pytest.raises(SpecMismatchError):
@@ -255,8 +256,8 @@ def test_ewf_trivial_cases():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: (LcmSystem(FA2, AbelianToeplitzModel(2), C), [(1, 0), (0, 1), (1, 1)]),
-    lambda: (LcmSystem(FM2, FreeToeplitzModel(2), C), [(1,), (2,), (1, 2)]),
+    lambda: (LcmSystem(FA2, ToeplitzModel(FA2), C), [(1, 0), (0, 1), (1, 1)]),
+    lambda: (LcmSystem(FM2, ToeplitzModel(FM2), C), [(1,), (2,), (1, 2)]),
 ])
 def test_ewf_partition_of_unity(make):
     sys_, F = make()
@@ -275,7 +276,7 @@ def test_ewf_partition_of_unity(make):
 
 
 def test_ewf_annihilates_corner_of_excluded_elements():
-    sys_ = LcmSystem(FM2, FreeToeplitzModel(2), C)
+    sys_ = LcmSystem(FM2, ToeplitzModel(FM2), C)
     F = [(1,), (2,)]
     e = ewf_projection(sys_, [(1,)], F)   # keeps branch 1, kills branch 2
     a = sys_.apply_endo((2,), sys_.unit(1))
@@ -289,61 +290,61 @@ def test_ewf_annihilates_corner_of_excluded_elements():
 
 
 def test_extension_isometry_accepted_with_zero_defect():
-    sys_ = LcmSystem(FA1, AbelianToeplitzModel(1), C)
+    sys_ = LcmSystem(FA1, ToeplitzModel(FA1), C)
     u = random_unitary(np.random.default_rng(25), 2)
-    ext = extend_phi_T(sys_, ContractionFamily(FA1, [u]), (3,))
+    ext = extend_phi_T(sys_, ContractionFamily(FA1, [u]), 3)
     assert ext.accepted
     # point-mass values are the step defects, zero for an isometry
     assert np.abs(ext.map.values[(0,)]).max() <= 1e-12
 
 
 def test_extension_row_coisometry_accepted():
-    sys_ = LcmSystem(FM2, FreeToeplitzModel(2), C)
+    sys_ = LcmSystem(FM2, ToeplitzModel(FM2), C)
     ext = extend_phi_T(sys_, ContractionFamily(FM2, [E11, E21]), 2)
     assert ext.accepted
-    assert np.abs(ext.map.values[("d", ())]).max() <= 1e-12
+    assert np.abs(ext.map.values[()]).max() <= 1e-12
 
 
 def test_extension_rejects_excess_row_norm():
-    sys_ = LcmSystem(FM2, FreeToeplitzModel(2), C)
+    sys_ = LcmSystem(FM2, ToeplitzModel(FM2), C)
     t = 0.9 * np.eye(2)
     ext = extend_phi_T(sys_, ContractionFamily(FM2, [t, t]), 2)
     assert not ext.accepted
     atoms = [a for a, _ in ext.violations]
-    assert ("d", ()) in atoms
+    assert () in atoms
     assert ext.min_eigenvalue < -0.5
 
 
 def test_extension_rejects_nilpotent_commuting_pair():
-    sys_ = LcmSystem(FA2, AbelianToeplitzModel(2), C)
+    sys_ = LcmSystem(FA2, ToeplitzModel(FA2), C)
     n1 = np.array([[0, 0.9], [0, 0]], dtype=complex)
     n2 = np.array([[0, 0.9j], [0, 0]], dtype=complex)
-    ext = extend_phi_T(sys_, ContractionFamily(FA2, [n1, n2]), (2, 2))
+    ext = extend_phi_T(sys_, ContractionFamily(FA2, [n1, n2]), 2)
     assert not ext.accepted and ext.map is not None
 
 
 def test_extension_verdict_is_the_choi_test_of_the_lift():
     # the extension is the lift plus is_completely_positive at rtol: every
     # field is read off that report, and rtol moves the verdict
-    sys_ = LcmSystem(FA2, AbelianToeplitzModel(2), C)
+    sys_ = LcmSystem(FA2, ToeplitzModel(FA2), C)
     s = np.sqrt((1 + 1e-6) / 2)
     n1 = np.array([[0, s], [0, 0]], dtype=complex)
     T = ContractionFamily(FA2, [n1, 1j * n1])
     for rtol, accepted in ((1e-8, False), (1e-4, True)):
-        ext = extend_phi_T(sys_, T, (2, 2), rtol=rtol)
+        ext = extend_phi_T(sys_, T, 2, rtol=rtol)
         cp = is_completely_positive(ext.map, rtol=rtol)
         assert ext.accepted == cp.is_cp == accepted
         assert (ext.min_eigenvalue, ext.scale) == (cp.min_eigenvalue, cp.scale)
         atoms = list(ext.map.atom_maps)
         assert ext.violations == [(atoms[k], m) for k, m in cp.violations]
-    assert [a for a, _ in extend_phi_T(sys_, T, (2, 2)).violations] == [(0, 0)]
+    assert [a for a, _ in extend_phi_T(sys_, T, 2).violations] == [(0, 0)]
     assert abs(ext.min_eigenvalue + 1e-6) <= 1e-12
 
 
 def test_extension_requires_diagonal_model():
-    sys_ = LcmSystem(FA1, AbelianToeplitzModel(1), M2)
+    sys_ = LcmSystem(FA1, ToeplitzModel(FA1), M2)
     with pytest.raises(SpecMismatchError):
-        extend_phi_T(sys_, ContractionFamily(FA1, [0.5 * np.eye(2)]), (2,))
+        extend_phi_T(sys_, ContractionFamily(FA1, [0.5 * np.eye(2)]), 2)
 
 
 def test_extension_agrees_with_defect_condition():
@@ -351,14 +352,14 @@ def test_extension_agrees_with_defect_condition():
     of every defect over subsets of the depth-2 grid, and with positivity of
     the extension on every partition projection (both directions, seeded
     instances)."""
-    sys_ = LcmSystem(FA2, AbelianToeplitzModel(2), C)
+    sys_ = LcmSystem(FA2, ToeplitzModel(FA2), C)
     pool = [p for p in FA2.enumerate_up_to(2) if max(p) >= 1]
     small = pool[:4]
     seen = set()
     for seed in range(12):
         rng = np.random.default_rng(seed)
         T = ContractionFamily(FA2, commuting_contraction_pair(rng))
-        ext = extend_phi_T(sys_, T, (2, 2))
+        ext = extend_phi_T(sys_, T, 2)
         worst = 0.0
         for size in range(1, len(pool) + 1):
             for combo in itertools.combinations(pool, size):
@@ -385,7 +386,7 @@ def test_extension_agrees_with_defect_condition():
     n1 = np.array([[0, 0.9], [0, 0]], dtype=complex)
     n2 = np.array([[0, 0.9j], [0, 0]], dtype=complex)
     Tn = ContractionFamily(FA2, [n1, n2])
-    extn = extend_phi_T(sys_, Tn, (2, 2))
+    extn = extend_phi_T(sys_, Tn, 2)
     assert not extn.accepted
     gens = [(1, 0), (0, 1)]
     val = extn.map.value(ewf_projection(sys_, [], gens))
@@ -445,7 +446,7 @@ def test_lift_values_on_cylinders():
     # it satisfies the stage-consistency premise for any coisometry family
     rng = np.random.default_rng(27)
     u1, u2 = random_unitary(rng, 2), random_unitary(rng, 2)
-    sys_ = LcmSystem(FM2, FreeBoundaryModel(2), M2, betas=[u1, u2])
+    sys_ = LcmSystem(FM2, ToeplitzModel(FM2, boundary=True), M2, betas=[u1, u2])
     tr = BaseOperatorMap(M2, [np.trace(u) / 2 * np.eye(2) for u in M2.basis()])
     Tc = ContractionFamily(FM2, random_coisometry_pair(rng, 2))
     lifted = build_phi_tilde(sys_, tr, Tc, 2)
@@ -460,7 +461,7 @@ def test_lift_values_on_cylinders():
 
 
 def test_lift_rejects_inconsistent_boundary_pair():
-    sys_ = LcmSystem(FM2, FreeBoundaryModel(2), M2)
+    sys_ = LcmSystem(FM2, ToeplitzModel(FM2, boundary=True), M2)
     with pytest.raises(CovarianceError):
         build_phi_tilde(sys_, BaseOperatorMap(M2, M2.basis()),
                         ContractionFamily(FM2, [E11, E21]), 2)
@@ -468,7 +469,7 @@ def test_lift_rejects_inconsistent_boundary_pair():
 
 def test_lift_toeplitz_free_matches_extension():
     # with the trivial base map the lift reduces to the contraction extension
-    sys_ = LcmSystem(FM2, FreeToeplitzModel(2), C)
+    sys_ = LcmSystem(FM2, ToeplitzModel(FM2), C)
     T = ContractionFamily(FM2, [0.6 * np.eye(2), 0.4 * np.eye(2)])
     phi0 = BaseOperatorMap(C, [np.eye(2)])
     lifted = build_phi_tilde(sys_, phi0, T, 2)
@@ -479,10 +480,10 @@ def test_lift_toeplitz_free_matches_extension():
 
 def test_lift_stage_consistency_under_refinement():
     rng = np.random.default_rng(28)
-    sys_ = LcmSystem(FA2, AbelianToeplitzModel(2), C)
+    sys_ = LcmSystem(FA2, ToeplitzModel(FA2), C)
     T = ContractionFamily(FA2, commuting_contraction_pair(rng))
-    ext = extend_phi_T(sys_, T, (3, 3))
-    shallow = sys_.unit((1, 2))
+    ext = extend_phi_T(sys_, T, 3)
+    shallow = sys_.unit(box((1, 2)))
     assert np.allclose(ext.map.value(shallow), np.eye(2), atol=1e-12)
     e10 = sys_.unit_projection((1, 0))
     direct = T((1, 0)) @ T((1, 0)).conj().T

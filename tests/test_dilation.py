@@ -10,11 +10,9 @@ from conftest import (
     uniqueness_probe,
 )
 from lcm_dilate.algebras import (
-    AbelianToeplitzModel,
     BaseAlgebra,
-    FreeBoundaryModel,
-    FreeToeplitzModel,
     PointModel,
+    ToeplitzModel,
     operator_norm,
 )
 from lcm_dilate.cli import build_pair, parse_instance
@@ -49,15 +47,15 @@ E21 = np.array([[0, 0], [1, 0]], dtype=complex)
 
 
 def halfline_dilation(t_mat, degree):
-    sys_ = LcmSystem(FA1, AbelianToeplitzModel(1), C)
+    sys_ = LcmSystem(FA1, ToeplitzModel(FA1), C)
     T = ContractionFamily(FA1, [t_mat])
-    ext = extend_phi_T(sys_, T, (degree,))
+    ext = extend_phi_T(sys_, T, degree)
     assert ext.accepted
     return covariant_dilate(sys_, ext.map, T, degree)
 
 
 def cuntz_dilation(degree=3, rho=None):
-    sys_ = LcmSystem(FM2, FreeBoundaryModel(2), M2)
+    sys_ = LcmSystem(FM2, ToeplitzModel(FM2, boundary=True), M2)
     T = ContractionFamily(FM2, [E11, E21])
     rho = np.array([[1, 0], [0, 0]], dtype=complex) if rho is None else rho
     phi = build_phi_tilde(sys_, state_map(M2, rho, 2), T, degree)
@@ -169,9 +167,9 @@ def test_unitary_inputs_are_fixed_points():
     # dilation space is the original space
     u1 = np.diag(np.exp(1j * np.array([0.3, 1.1])))
     u2 = np.diag(np.exp(1j * np.array([-0.7, 0.4])))
-    sys_ = LcmSystem(FA2, AbelianToeplitzModel(2), C)
+    sys_ = LcmSystem(FA2, ToeplitzModel(FA2), C)
     T = ContractionFamily(FA2, [u1, u2])
-    ext = extend_phi_T(sys_, T, (2, 2))
+    ext = extend_phi_T(sys_, T, 2)
     res = covariant_dilate(sys_, ext.map, T, 2)
     assert res.rank == 2 and res.passed
     for p in FA2.enumerate_up_to(2):
@@ -247,9 +245,9 @@ def test_abelian_rank2_depth4_rank_invariant():
     # rank (d+1)^2, so the dilation has rank 2(d+1)^2 = 50 on a Gram of 450
     t1 = np.diag([0.5, -0.3 + 0.2j])
     t2 = np.diag([0.6j, 0.4])
-    sys_ = LcmSystem(FA2, AbelianToeplitzModel(2), C)
+    sys_ = LcmSystem(FA2, ToeplitzModel(FA2), C)
     T = ContractionFamily(FA2, [t1, t2])
-    ext = extend_phi_T(sys_, T, (4, 4))
+    ext = extend_phi_T(sys_, T, 4)
     assert ext.accepted
     res = covariant_dilate(sys_, ext.map, T, 4)
     assert res.passed, [c.name for c in res.report.checks if not c.passed]
@@ -264,7 +262,7 @@ def test_free_rank2_scalar_pair_rank_invariant(depth):
     # have no common multiple; so the span is that of the V(w)1, one per
     # word w of length <= d: 1 + 2 + ... + 2^d = 2^(d+1) - 1 of them, and
     # the rank says no combination of them vanishes
-    sys_ = LcmSystem(FM2, FreeToeplitzModel(2), C)
+    sys_ = LcmSystem(FM2, ToeplitzModel(FM2), C)
     T = ContractionFamily(FM2, [np.array([[0.5]]), np.array([[0.5]])])
     ext = extend_phi_T(sys_, T, depth)
     assert ext.accepted
@@ -333,7 +331,7 @@ def test_cuntz_dilation_identities():
 def test_reconstruction_with_nontrivial_base_automorphisms():
     rng = np.random.default_rng(7)
     u1, u2 = random_unitary(rng, 2), random_unitary(rng, 2)
-    sys_ = LcmSystem(FM2, FreeBoundaryModel(2), M2, betas=[u1, u2])
+    sys_ = LcmSystem(FM2, ToeplitzModel(FM2, boundary=True), M2, betas=[u1, u2])
     T = ContractionFamily(FM2, random_coisometry_pair(rng, 2))
     tr = BaseOperatorMap(M2, [np.trace(u) / 2 * np.eye(2) for u in M2.basis()])
     phi = build_phi_tilde(sys_, tr, T, 2)

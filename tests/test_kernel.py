@@ -6,15 +6,15 @@ import pytest
 from conftest import (
     check_kernel_properties,
     commuting_contraction_pair,
+    lcm_of,
     random_coisometry_pair,
     random_contraction,
     random_state,
 )
 from lcm_dilate.algebras import (
-    AbelianToeplitzModel,
     BaseAlgebra,
-    FreeBoundaryModel,
     PointModel,
+    ToeplitzModel,
 )
 from lcm_dilate.cpmaps import (
     BaseOperatorMap,
@@ -42,14 +42,14 @@ E21 = np.array([[0, 0], [1, 0]], dtype=complex)
 
 
 def sznagy_kernel(t=0.5, depth=4):
-    sys_ = LcmSystem(FA1, AbelianToeplitzModel(1), C)
+    sys_ = LcmSystem(FA1, ToeplitzModel(FA1), C)
     T = ContractionFamily(FA1, [np.array([[t]], dtype=complex)])
-    ext = extend_phi_T(sys_, T, (depth,))
+    ext = extend_phi_T(sys_, T, depth)
     return KernelSystem(sys_, ext.map, T)
 
 
 def cuntz_kernel(depth=3):
-    sys_ = LcmSystem(FM2, FreeBoundaryModel(2), M2)
+    sys_ = LcmSystem(FM2, ToeplitzModel(FM2, boundary=True), M2)
     T = ContractionFamily(FM2, [E11, E21])
     rho = np.array([[1, 0], [0, 0]], dtype=complex)
     phi = build_phi_tilde(sys_, state_map(M2, rho, 2), T, depth)
@@ -172,7 +172,7 @@ def test_common_multiple_blocks_are_psd():
     K = cuntz_kernel()
     sg = K.sys.semigroup
     ps = [(1,), (1, 2)]
-    r = sg.lcm_of(ps)
+    r = lcm_of(sg, ps)
     corner = K.sys.corner_basis(sg.identity, r, 3)
     cs = corner.elements[:3]
     h = K.h
@@ -264,22 +264,22 @@ def test_positivity_transfer_forward():
     # half-line, scalar diagonal
     for seed in range(3):
         t = random_contraction(np.random.default_rng(seed), 2, scale=0.9)
-        sys_ = LcmSystem(FA1, AbelianToeplitzModel(1), C)
+        sys_ = LcmSystem(FA1, ToeplitzModel(FA1), C)
         T = ContractionFamily(FA1, [t])
-        ext = extend_phi_T(sys_, T, (3,))
+        ext = extend_phi_T(sys_, T, 3)
         assert ext.accepted
         g = assemble_gram(KernelSystem(sys_, ext.map, T), 3)
         w = np.linalg.eigvalsh(g.gram)
         assert w[0] >= -1e-8 * max(1, w[-1])
 
     # quarter-plane
-    sys2 = LcmSystem(FA2, AbelianToeplitzModel(2), C)
+    sys2 = LcmSystem(FA2, ToeplitzModel(FA2), C)
     accepted = 0
     for seed in range(6):
         T = ContractionFamily(
             FA2, commuting_contraction_pair(np.random.default_rng(seed))
         )
-        ext = extend_phi_T(sys2, T, (2, 2))
+        ext = extend_phi_T(sys2, T, 2)
         if not ext.accepted:
             continue
         accepted += 1
@@ -289,7 +289,7 @@ def test_positivity_transfer_forward():
     assert accepted >= 1
 
     # free monoid boundary with matrix coefficients
-    sysb = LcmSystem(FM2, FreeBoundaryModel(2), M2)
+    sysb = LcmSystem(FM2, ToeplitzModel(FM2, boundary=True), M2)
     for seed in range(2):
         rng = np.random.default_rng(100 + seed)
         T = ContractionFamily(FM2, random_coisometry_pair(rng, 2))
@@ -313,7 +313,7 @@ def test_positivity_transfer_converse():
     # stage-consistent, but the state matrix is not PSD
     r = np.array([[1.0, 0.75], [0.75, 0.0]], dtype=complex)
     phi0 = BaseOperatorMap(M2, [np.trace(r @ u) * np.eye(2) for u in M2.basis()])
-    sysb = LcmSystem(FM2, FreeBoundaryModel(2), M2)
+    sysb = LcmSystem(FM2, ToeplitzModel(FM2, boundary=True), M2)
     T = ContractionFamily(FM2, [E11, E21])
     phi = build_phi_tilde(sysb, phi0, T, 2)
     g = assemble_gram(KernelSystem(sysb, phi, T), 2)
@@ -321,11 +321,11 @@ def test_positivity_transfer_converse():
     assert w[0] <= -1e-3 * np.abs(w).max()
 
     # rejected quarter-plane extension: the Gram inherits the violation
-    sys2 = LcmSystem(FA2, AbelianToeplitzModel(2), C)
+    sys2 = LcmSystem(FA2, ToeplitzModel(FA2), C)
     n1 = np.array([[0, 0.9], [0, 0]], dtype=complex)
     n2 = np.array([[0, 0.9j], [0, 0]], dtype=complex)
     T2 = ContractionFamily(FA2, [n1, n2])
-    ext = extend_phi_T(sys2, T2, (2, 2))
+    ext = extend_phi_T(sys2, T2, 2)
     assert not ext.accepted
     g = assemble_gram(KernelSystem(sys2, ext.map, T2), 2)
     w = np.linalg.eigvalsh(g.gram)

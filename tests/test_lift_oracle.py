@@ -4,9 +4,10 @@ The oracles live inside this module only:
 
 * the per-subset sum: every subset's lcm computed from scratch
   (``signed_lcms``) and every signed term added in turn (``signed_sum``);
-* the lift written once per model kind: on abelian atoms an
+* the lift written once per monoid family: on abelian atoms an
   inclusion-exclusion over the point coordinates, on free atoms
-  L(w) - sum_g L(wg) at a defect atom and L(w) at a leaf cylinder, with
+  L(w) - sum_g L(wg) at a defect atom (a word shorter than the depth) and
+  L(w) at a leaf cylinder, with
   L(p) = T(p) phi(beta_p^{-1}(u)) T(p)*.
 """
 
@@ -19,8 +20,10 @@ from hypothesis import strategies as st
 
 from conftest import (
     FIXTURES,
+    box,
     commuting_contraction_pair,
     ewf_projection,
+    lcm_of,
     phi_F,
     random_coisometry_pair,
     random_contraction,
@@ -28,11 +31,9 @@ from conftest import (
     random_unitary,
 )
 from lcm_dilate.algebras import (
-    AbelianToeplitzModel,
     BaseAlgebra,
-    FreeBoundaryModel,
-    FreeToeplitzModel,
     LevelledElement,
+    ToeplitzModel,
 )
 from lcm_dilate.cli import parse_instance, run_command
 from lcm_dilate.cpmaps import (
@@ -64,7 +65,7 @@ def signed_lcms(sg, F, p=None) -> list:
     out = []
     for k in range(len(fs) + 1):
         for combo in itertools.combinations(fs, k):
-            s = sg.lcm_of(head + combo)
+            s = lcm_of(sg, head + combo)
             if s is not None:
                 out.append(((-1) ** k, s))
     return out
@@ -104,7 +105,7 @@ def oracle_lift(sys_, phi, T, depth) -> dict:
         return lifted(sys_.semigroup, sys_.betas, phi, T, p, u)
 
     def abelian_atom_value(atom, u):
-        points = [i for i in range(len(atom)) if atom[i] < d[i]]
+        points = [i for i in range(len(atom)) if atom[i] < max(q[i] for q in d)]
         out = np.zeros((T.h, T.h), dtype=complex)
         for k in range(len(points) + 1):
             for combo in itertools.combinations(points, k):
@@ -114,15 +115,14 @@ def oracle_lift(sys_, phi, T, depth) -> dict:
                 out = out + (-1) ** k * L(tuple(v), u)
         return out
 
-    def free_atom_value(atom, u):
-        tag, w = atom
+    def free_atom_value(w, u):
         v = L(w, u)
-        if tag == "d":
+        if len(w) < sys_.model.depth_max(d):    # a defect atom
             for g in sys_.semigroup.generators:
                 v = v - L(w + g, u)
         return v
 
-    value = (abelian_atom_value if sys_.model.kind == "toeplitz_abelian"
+    value = (abelian_atom_value if isinstance(sys_.semigroup, FreeAbelian)
              else free_atom_value)
     return {atom: np.array([value(atom, u) for u in units])
             for atom in sys_.model.atoms(d)}
@@ -144,7 +144,7 @@ def _diagonal_unitary(rng):
 def abelian_rank1():
     rng = np.random.default_rng(11)
     sg = FreeAbelian(1)
-    sys_ = LcmSystem(sg, AbelianToeplitzModel(1), M2, betas=[random_unitary(rng, 2)])
+    sys_ = LcmSystem(sg, ToeplitzModel(sg), M2, betas=[random_unitary(rng, 2)])
     T = ContractionFamily(sg, [random_contraction(rng, 2)])
     return sys_, random_ucp_map(rng, M2, 2), T, 3
 
@@ -153,16 +153,16 @@ def abelian_rank2():
     rng = np.random.default_rng(12)
     sg = FreeAbelian(2)
     betas = [_diagonal_unitary(rng), _diagonal_unitary(rng)]
-    sys_ = LcmSystem(sg, AbelianToeplitzModel(2), M2, betas=betas)
+    sys_ = LcmSystem(sg, ToeplitzModel(sg), M2, betas=betas)
     T = ContractionFamily(sg, commuting_contraction_pair(rng))
-    return sys_, random_ucp_map(rng, M2, 2), T, (2, 1)
+    return sys_, random_ucp_map(rng, M2, 2), T, box((2, 1))
 
 
 def toeplitz_free_rank2():
     rng = np.random.default_rng(13)
     sg = FreeMonoid(2)
     betas = [random_unitary(rng, 2), random_unitary(rng, 2)]
-    sys_ = LcmSystem(sg, FreeToeplitzModel(2), M2, betas=betas)
+    sys_ = LcmSystem(sg, ToeplitzModel(sg), M2, betas=betas)
     T = ContractionFamily(sg, [0.8 * t for t in random_coisometry_pair(rng, 2)])
     return sys_, random_ucp_map(rng, M2, 2), T, 2
 
@@ -171,7 +171,7 @@ def boundary_free_m2():
     rng = np.random.default_rng(14)
     sg = FreeMonoid(2)
     betas = [random_unitary(rng, 2), random_unitary(rng, 2)]
-    sys_ = LcmSystem(sg, FreeBoundaryModel(2), M2, betas=betas)
+    sys_ = LcmSystem(sg, ToeplitzModel(sg, boundary=True), M2, betas=betas)
     T = ContractionFamily(sg, random_coisometry_pair(rng, 2))
     return sys_, state_map(M2, np.eye(2) / 2.0, 2), T, 2
 
@@ -259,9 +259,9 @@ def _free_pair(rng):
 
 
 RANK2 = {
-    "free": (FreeMonoid(2), FreeToeplitzModel(2), random_unitary, _free_pair,
+    "free": (FreeMonoid(2), ToeplitzModel(FreeMonoid(2)), random_unitary, _free_pair,
              st.lists(st.integers(1, 2), max_size=3).map(tuple)),
-    "abelian": (FreeAbelian(2), AbelianToeplitzModel(2),
+    "abelian": (FreeAbelian(2), ToeplitzModel(FreeAbelian(2)),
                 lambda rng, n: _diagonal_unitary(rng), commuting_contraction_pair,
                 st.tuples(st.integers(0, 3), st.integers(0, 3))),
 }

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURES, encode_matrix
+from lcm_dilate.algebras import PointModel
 from lcm_dilate.cli import build_pair, parse_instance
 from lcm_dilate.dilation import (
     ADJOINT_PAIRS,
@@ -313,7 +314,7 @@ def test_a_shift_beyond_the_headroom_is_refused(dilation):
     res = dilation
     sg = res.sys.semigroup
     g = sg.generators[0]
-    match = ("leaves the truncation catalog" if res.sys.model.kind == "matrix"
+    match = ("leaves the truncation catalog" if isinstance(res.sys.model, PointModel)
              else "cannot refine depth")
     with pytest.raises(SpecMismatchError, match=match):
         res._expansion(res._shifted(sg.multiply(g, g), res.interiors[1].columns))
