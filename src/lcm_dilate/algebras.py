@@ -32,6 +32,16 @@ depths alike.
 * ``PointModel``: one trivial atom at the single depth 0.  A letter leaves
   the atom and the depth where they are, so alpha_letter is its value map
   alone, an automorphism, and ``unshift`` is never ``None``.
+
+Shared tables
+-------------
+A model memoizes what its structure fixes: the depth rules (keyed on the
+depths), ``atoms_under`` (on p and the depth), the corner bases E_p . A . E_q
+(on the base algebra, p, q and the depth) and the kernel's Gram plans (on
+the monoid, the base algebra and the degree).  None depends on a system's
+maps, phi or T, so ``systems.build_system`` hands out one Toeplitz model per
+(monoid, boundary) for the life of the process and every system over it
+reads the same tables.
 """
 
 from __future__ import annotations
@@ -122,12 +132,16 @@ class BaseAlgebra:
 
 def operator_norm(mat: np.ndarray) -> float:
     """Spectral norm; infinite when an entry is not finite, so that every
-    ``norm <= tol`` test fails on it instead of LAPACK raising."""
+    ``norm <= tol`` test fails on it instead of LAPACK raising.  The
+    largest singular value, as ``np.linalg.norm(mat, 2)`` returns it bit
+    for bit, without its wrapper; a zero matrix skips the SVD."""
     if not mat.size:
         return 0.0
     if not np.isfinite(mat).all():
         return float("inf")
-    return float(np.linalg.norm(mat, 2))
+    if not mat.any():
+        return 0.0
+    return float(np.linalg.svd(mat, compute_uv=False)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +152,45 @@ Atom = tuple
 Depth = Union[int, frozenset]
 
 
+class _Tables:
+    """The memo table of a model: everything fixed by the model, a base
+    algebra and a depth, built once per key and shared by every system over
+    the model.  A model states ``atoms_under``; the corners follow."""
+
+    def cached(self, key, make):
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = make()
+        return hit
+
+    def unit_element(self, base: BaseAlgebra, depth, atom: Atom, i: int,
+                     j: int) -> "LevelledElement":
+        """atom (x) e_ij at ``depth``, one object per key, so that every
+        corner holding it holds the same element."""
+        d = self.normalize_depth(depth)
+
+        def make():
+            e = base.zero()
+            e[i, j] = 1.0
+            return LevelledElement.from_atom(self, base, d, atom, e)
+        return self.cached(("unit", base, d, atom, i, j), make)
+
+    def corner(self, base: BaseAlgebra, p, q, depth) -> "CornerBasis":
+        """Matrix-unit basis of E_p . A(depth) . E_q over ``base``: the
+        atoms under both range projections, in atom order, each tensored
+        with the matrix units of every base block."""
+        d = self.normalize_depth(depth)
+
+        def make():
+            under = set(self.atoms_under(q, d))
+            keys = [(a, i, j) for a in self.atoms_under(p, d) if a in under
+                    for i, j in base.unit_positions()]
+            return CornerBasis(d, keys, [self.unit_element(base, d, *k) for k in keys])
+        return self.cached(("corner", base, tuple(p), tuple(q), d), make)
+
+
 @dataclass(frozen=True)
-class ToeplitzModel:
+class ToeplitzModel(_Tables):
     """The diagonal of the Toeplitz algebra of a right LCM monoid at finite
     depth, or of its boundary quotient, stated by the monoid's primitives.
 
@@ -150,8 +201,9 @@ class ToeplitzModel:
     quotient drops each atom whose nonempty cut, divided on the left by p,
     is a foundation set (the product vanishes there).  Joins and shifts
     stay closed under lcm on monoids where three elements with pairwise
-    common multiples have one, as both built-in families do.  The rules are
-    cached per depth on the model.
+    common multiples have one, as both built-in families do.  The rules,
+    the corners and the Gram plans are cached on the model, keyed on the
+    depth (with the base algebra, and the degree for a plan).
     """
 
     semigroup: Semigroup
@@ -160,12 +212,6 @@ class ToeplitzModel:
     def __post_init__(self):
         object.__setattr__(self, "_gens", self.semigroup.generators)
         object.__setattr__(self, "_memo", {})
-
-    def _cached(self, key, make):
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self._memo[key] = make()
-        return hit
 
     # -- depths ------------------------------------------------------------------
 
@@ -197,7 +243,7 @@ class ToeplitzModel:
             return depth
         if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
             raise SpecMismatchError(f"bad depth {depth!r}")
-        return self._cached(("int", depth), lambda: self._interned(
+        return self.cached(("int", depth), lambda: self._interned(
             frozenset(self.semigroup.enumerate_up_to(depth))))
 
     def zero_depth(self) -> frozenset:
@@ -211,13 +257,13 @@ class ToeplitzModel:
                     if (r := sg.lcm(p, q)) is not None}
             return self._interned(d1 | d2 | self._grow(lambda r: any(
                 sg.left_divide(r, x) is not None for x in tops)))
-        return d1 if d1 is d2 else self._cached(("join", d1, d2), make)
+        return d1 if d1 is d2 else self.cached(("join", d1, d2), make)
 
     def depth_leq(self, d1: frozenset, d2: frozenset) -> bool:
         return d1 is d2 or d1 <= d2
 
     def depth_max(self, depth: frozenset) -> int:
-        return self._cached(("max", depth), lambda: max(
+        return self.cached(("max", depth), lambda: max(
             self.semigroup.length(p) for p in depth))
 
     def shift_depth(self, depth: frozenset, letter: int) -> frozenset:
@@ -228,7 +274,7 @@ class ToeplitzModel:
             return self._interned(frozenset(self._grow(
                 lambda r: (m := sg.lcm(r, g)) is not None
                 and sg.left_divide(g, m) in depth)))
-        return self._cached(("shift", depth, letter), make)
+        return self.cached(("shift", depth, letter), make)
 
     def unshift_depth(self, depth: frozenset, letter: int) -> frozenset:
         """{q : g q in D}."""
@@ -236,7 +282,7 @@ class ToeplitzModel:
             g, sg = self._gens[letter - 1], self.semigroup
             return self._interned(frozenset(
                 q for p in depth if (q := sg.left_divide(g, p)) is not None))
-        return self._cached(("unshift", depth, letter), make)
+        return self.cached(("unshift", depth, letter), make)
 
     # -- atoms -------------------------------------------------------------------
 
@@ -246,7 +292,7 @@ class ToeplitzModel:
             sg = self.semigroup
             return {p: [q for g in self._gens if (q := sg.multiply(p, g)) in depth]
                     for p in sorted(depth)}
-        return self._cached(("cuts", depth), make)
+        return self.cached(("cuts", depth), make)
 
     def atoms(self, depth) -> list[Atom]:
         def make():
@@ -255,7 +301,7 @@ class ToeplitzModel:
                     if not (self.boundary and cut and sg.is_foundation_set(
                         sg.left_divide(p, f) for f in cut))]
         depth = self.normalize_depth(depth)
-        return self._cached(("atoms", depth), make)
+        return self.cached(("atoms", depth), make)
 
     def cylinder(self, atom: Atom, depth) -> tuple[Atom, list[Atom]]:
         """(p, F) with atom = E_p prod_{f in F} (1 - E_f)."""
@@ -272,7 +318,21 @@ class ToeplitzModel:
                 sg.left_divide(f, r) is None for f in cut), atom)
             atoms = frozenset(self.atoms(target))
             return sorted(q for q in under if q in atoms)
-        return self._cached(("children", atom, depth, target), make)
+        return self.cached(("children", atom, depth, target), make)
+
+    def atoms_under(self, p, depth) -> list[Atom]:
+        """The atoms at ``depth`` under E_p: those p divides on the left.
+        The depth holds p, and with an atom a it holds every common
+        multiple of p and a, which lies over a cut element of a unless p
+        divides a; so E_p misses every other atom."""
+        depth = self.normalize_depth(depth)
+        p = tuple(p)
+        if p not in depth:
+            raise SpecMismatchError(
+                f"depth {sorted(depth)} cannot host the range projection of {p}")
+        sg = self.semigroup
+        return self.cached(("under", p, depth), lambda: [
+            a for a in self.atoms(depth) if sg.left_divide(p, a) is not None])
 
     def shift(self, atom: Atom, letter: int) -> Atom:
         return self.semigroup.multiply(self._gens[letter - 1], atom)
@@ -281,13 +341,14 @@ class ToeplitzModel:
         return self.semigroup.left_divide(self._gens[letter - 1], atom)
 
 
-class PointModel:
+class PointModel(_Tables):
     """Trivial diagonal: the element is a single base-algebra matrix."""
 
     kind = "matrix"
 
     def __init__(self, rank: int):
         self.rank = rank
+        self._memo = {}
 
     def zero_depth(self) -> Depth:
         return 0
@@ -305,6 +366,10 @@ class PointModel:
         return 0
 
     def atoms(self, depth) -> list[Atom]:
+        return [()]
+
+    def atoms_under(self, p, depth) -> list[Atom]:
+        """The one atom: a unital map fixes the unit, so every E_p is 1."""
         return [()]
 
     def shift(self, atom: Atom, letter: int) -> Atom:
@@ -460,3 +525,41 @@ class LevelledElement:
             f"norm={self.norm():.4g})"
         )
 
+
+@dataclass
+class CornerBasis:
+    """Matrix-unit basis of a compressed subspace E_p . A . E_q.
+
+    Element k is the single-atom element atom (x) e_ij named by
+    ``keys[k] = (atom, i, j)``, at ``depth``.  The elements are orthonormal in
+    the fixed vectorization, so coordinates are entries looked up by key.
+    """
+
+    depth: object
+    keys: list[tuple]
+    elements: list[LevelledElement]
+
+    def __post_init__(self):
+        self.index = {key: k for k, key in enumerate(self.keys)}
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def coefficients(self, x: LevelledElement):
+        """Coordinates of x in this basis plus the relative residual: the
+        norm of the entries outside the corner over max(1, ||x||)."""
+        c = np.zeros(len(self.keys), dtype=Complex)
+        total = outside = 0.0
+        for atom, v in x.refine_to(self.depth).coeffs.items():
+            for i, row in enumerate(np.asarray(v).tolist()):
+                for j, z in enumerate(row):
+                    if z == 0:
+                        continue
+                    w = abs(z) ** 2
+                    total += w
+                    k = self.index.get((atom, i, j))
+                    if k is None:
+                        outside += w
+                    else:
+                        c[k] = z
+        return c, outside ** 0.5 / max(1.0, total ** 0.5)

@@ -58,6 +58,7 @@ class KernelSystem:
         self.phi = phi
         self.T = T
         self.h = T.h
+        self._inner: dict = {}
         if validate:
             self.validate_covariance(tol)
 
@@ -127,8 +128,16 @@ class KernelSystem:
         return _sandwich(self.T(d1), self.inner(r, a), self.T(d2))
 
     def inner(self, r: Element, a: LevelledElement) -> np.ndarray:
-        """phi(inv_r(a)), the middle factor of K(p, a, q) at r = lcm(p, q)."""
-        return self.phi.value(self.sys.alpha_inverse(r, a))
+        """phi(inv_r(a)), the middle factor of K(p, a, q) at r = lcm(p, q),
+        once per (r, element object): the Gram assembly and the corners
+        pass the model's shared unit elements, so ``evaluate`` on a corner
+        element reads what the assembly computed."""
+        key = (r, a)
+        hit = self._inner.get(key)
+        if hit is None:
+            hit = self._inner[key] = self.phi.value(self.sys.alpha_inverse(r, a))
+            hit.flags.writeable = False
+        return hit
 
 
 def _sandwich(left: np.ndarray, middle: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -215,6 +224,86 @@ class GramAssembly:
         ))
 
 
+@dataclass
+class GramPlan:
+    """What the Gram operator at one degree takes from the monoid, the
+    model and the base algebra alone, built once per (semigroup, base,
+    degree) in the model's table and shared by every kernel over them.
+
+    ``catalog`` and the (atom, row) ``groups`` are the assembly's; the
+    entries of a group are ``pairs`` (members s <= t with a common multiple
+    r of q_s and q_t), with the indices into ``words`` of q_s\\r and q_t\\r
+    and into ``keys`` of (r, atom, b, d), whose ``products`` a_s* a_t =
+    atom (x) e_bd (the model's one element of that key, which the corners
+    hold too) the kernel's middle factor is evaluated on once each.  The
+    arrays are read-only.
+    """
+
+    catalog: list[GramIndex]
+    groups: list[tuple]       # ((atom, row), members, pairs, left, middle, right)
+    words: list[Element]
+    keys: list[tuple]
+    products: list[LevelledElement]
+
+
+def _frozen(values, *shape) -> np.ndarray:
+    out = np.array(values, dtype=np.intp).reshape(-1, *shape)
+    out.flags.writeable = False
+    return out
+
+
+def catalog_size(sys_: LcmSystem, degree: int) -> int:
+    """The number of catalog indices at ``degree``, from the atoms under
+    each E_q, before any corner is built."""
+    sg, model = sys_.semigroup, sys_.model
+    return sys_.base.linear_dim * sum(
+        len(model.atoms_under(q, degree)) for q in sg.enumerate_up_to(degree))
+
+
+def gram_plan(sys_: LcmSystem, degree: int) -> GramPlan:
+    """The shared plan of the Gram operator at ``degree`` (see GramPlan)."""
+    sg = sys_.semigroup
+
+    def make():
+        catalog: list[GramIndex] = []
+        for q in sg.enumerate_up_to(degree):
+            corner = sys_.corner_basis(sg.identity, q, degree)
+            for j, (key, elem) in enumerate(zip(corner.keys, corner.elements)):
+                catalog.append(GramIndex(q, j, elem, key))
+        members_of: dict = defaultdict(list)
+        for i, idx in enumerate(catalog):
+            members_of[idx.key[:2]].append(i)
+        quotients: dict = {}     # (q_i, q_j) -> (r, q_i\r, q_j\r), None if disjoint
+        word_at: dict = {}
+        key_at: dict = {}
+        groups = []
+        for key, members in members_of.items():
+            pairs, left, middle, right = [], [], [], []
+            for s, i in enumerate(members):
+                qi = catalog[i].q
+                for t in range(s, len(members)):
+                    j = members[t]
+                    qj = catalog[j].q
+                    if (qi, qj) not in quotients:
+                        r = sg.lcm(qi, qj)
+                        quotients[qi, qj] = None if r is None else (
+                            r, sg.left_divide(qi, r), sg.left_divide(qj, r))
+                    quo = quotients[qi, qj]
+                    if quo is None:
+                        continue
+                    r, d1, d2 = quo
+                    ykey = (r, key[0], catalog[i].key[2], catalog[j].key[2])
+                    pairs.append((s, t))
+                    left.append(word_at.setdefault(d1, len(word_at)))
+                    middle.append(key_at.setdefault(ykey, len(key_at)))
+                    right.append(word_at.setdefault(d2, len(word_at)))
+            groups.append((key, _frozen(members), _frozen(pairs, 2),
+                           _frozen(left), _frozen(middle), _frozen(right)))
+        products = [sys_.model.unit_element(sys_.base, degree, *k[1:]) for k in key_at]
+        return GramPlan(catalog, groups, list(word_at), list(key_at), products)
+    return sys_.model.cached(("gram", sg, sys_.base, degree), make)
+
+
 def assemble_gram(
     kernel: KernelSystem,
     degree: int,
@@ -227,75 +316,46 @@ def assemble_gram(
     uniform truncation depth, so every entry stays inside the depth catalog.
     Only blocks inside one (atom, row) group are nonzero.  Within a group,
     a_i* a_j = atom (x) e_bd and the entry is T(q_i\\r) Y T(q_j\\r)* with
-    r = lcm(q_i, q_j) and Y = phi(inv_r(atom (x) e_bd)); Y is evaluated once
-    per (r, atom, b, d) and each group's entries in one stacked product.
+    r = lcm(q_i, q_j) and Y = phi(inv_r(atom (x) e_bd)).  The shared plan
+    (``gram_plan``) lists the entries; this kernel's part is Y once per
+    (r, atom, b, d), T once per quotient and each group's entries in one
+    stacked product.  The size is checked against ``max_dim`` first.
     """
     sys_ = kernel.sys
-    sg = sys_.semigroup
-    catalog: list[GramIndex] = []
-    for q in sg.enumerate_up_to(degree):
-        corner = sys_.corner_basis(sg.identity, q, degree)
-        for j, (key, elem) in enumerate(zip(corner.keys, corner.elements)):
-            catalog.append(GramIndex(q, j, elem, key))
-    n = len(catalog)
     h = kernel.h
+    n = catalog_size(sys_, degree)
     if n * h > max_dim:
         raise ResourceCapError(
             f"Gram operator of size {n * h} exceeds cap {max_dim}"
         )
-    groups: dict = defaultdict(list)
-    for i, idx in enumerate(catalog):
-        groups[idx.key[:2]].append(i)
-    quotients: dict = {}     # (q_i, q_j) -> (r, q_i\r, q_j\r), None if disjoint
-    inner: dict = {}         # (r, atom, b, d) -> Y
+    plan = gram_plan(sys_, degree)
+    catalog = plan.catalog
+    ts = np.array([kernel.T(w) for w in plan.words])
+    ys = np.array([kernel.inner(key[0], a) for key, a in zip(plan.keys, plan.products)])
     blocks: list[GramBlock] = []
     herm_defect = 0.0
-    for key, members in groups.items():
+    for key, members, pairs, left, middle, right in plan.groups:
         k = len(members)
-        pairs, lefts, middles, rights = [], [], [], []
-        for s, i in enumerate(members):
-            qi, ai = catalog[i].q, catalog[i].element.star()
-            for t in range(s, k):
-                j = members[t]
-                qj = catalog[j].q
-                if (qi, qj) not in quotients:
-                    r = sg.lcm(qi, qj)
-                    quotients[qi, qj] = None if r is None else (
-                        r, sg.left_divide(qi, r), sg.left_divide(qj, r))
-                quo = quotients[qi, qj]
-                if quo is None:
-                    continue
-                r, d1, d2 = quo
-                ykey = (r, key[0], catalog[i].key[2], catalog[j].key[2])
-                y = inner.get(ykey)
-                if y is None:
-                    y = inner[ykey] = kernel.inner(r, ai * catalog[j].element)
-                pairs.append((s, t))
-                lefts.append(kernel.T(d1))
-                middles.append(y)
-                rights.append(kernel.T(d2))
         block = np.zeros((k, h, k, h), dtype=np.complex128)
-        if pairs:
-            vals = _sandwich(np.array(lefts), np.array(middles), np.array(rights))
-            finite = np.isfinite(vals).all(axis=(1, 2))
-            if not finite.all():
-                s, t = pairs[int(np.argmin(finite))]
-                a, b = catalog[members[s]], catalog[members[t]]
-                raise SpecMismatchError(
-                    f"non-finite Gram block ({a.label}, {b.label}) at "
-                    f"(q_i, q_j) = ({a.q}, {b.q})"
-                )
-            st = np.array(pairs)
-            ss, tt = st[:, 0], st[:, 1]
-            adj = np.swapaxes(vals.conj(), 1, 2)
-            diag = ss == tt
-            if diag.any():
-                herm_defect = max(herm_defect, float(np.linalg.norm(
-                    vals[diag] - adj[diag], 2, axis=(1, 2)).max()))
-                vals[diag] = (vals[diag] + adj[diag]) / 2.0
-            block[ss, :, tt, :] = vals
-            off = ~diag
-            block[tt[off], :, ss[off], :] = adj[off]
-        blocks.append(GramBlock(key, np.array(members, dtype=np.intp),
-                                block.reshape(k * h, k * h)))
+        # every member pairs with itself (lcm(q, q) = q): no group lacks
+        # pairs, nor diagonal ones
+        vals = _sandwich(ts[left], ys[middle], ts[right])
+        finite = np.isfinite(vals).all(axis=(1, 2))
+        if not finite.all():
+            s, t = pairs[int(np.argmin(finite))]
+            a, b = catalog[members[s]], catalog[members[t]]
+            raise SpecMismatchError(
+                f"non-finite Gram block ({a.label}, {b.label}) at "
+                f"(q_i, q_j) = ({a.q}, {b.q})"
+            )
+        ss, tt = pairs[:, 0], pairs[:, 1]
+        adj = np.swapaxes(vals.conj(), 1, 2)
+        diag = ss == tt
+        herm_defect = max(herm_defect, float(np.linalg.norm(
+            vals[diag] - adj[diag], 2, axis=(1, 2)).max()))
+        vals[diag] = (vals[diag] + adj[diag]) / 2.0
+        block[ss, :, tt, :] = vals
+        off = ~diag
+        block[tt[off], :, ss[off], :] = adj[off]
+        blocks.append(GramBlock(key, members, block.reshape(k * h, k * h)))
     return GramAssembly(kernel, degree, catalog, blocks, herm_defect)

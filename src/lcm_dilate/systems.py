@@ -27,6 +27,7 @@ import numpy as np
 from .algebras import (
     BaseAlgebra,
     Complex,
+    CornerBasis,
     LevelledElement,
     Model,
     PointModel,
@@ -87,13 +88,19 @@ class CheckRecord:
     witness: object = field(default="", compare=False, repr=False)  # not persisted
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "value": None if self.value is None else float(self.value),
-            "threshold": None if self.threshold is None else float(self.threshold),
-            "detail": self.detail,
-        }
+        """The record as JSON: a value or threshold that is not finite
+        (an overflowed residual) is null, and named in the detail."""
+        out = {"name": self.name, "passed": bool(self.passed),
+               "value": self.value, "threshold": self.threshold}
+        notes = [self.detail] if self.detail else []
+        for key in ("value", "threshold"):
+            if out[key] is not None:
+                out[key] = float(out[key])
+                if not np.isfinite(out[key]):
+                    notes.append(f"{key} {out[key]}")
+                    out[key] = None
+        out["detail"] = "; ".join(notes)
+        return out
 
 
 WITNESS_SLACK = 1e-3   # cases within this fraction of |bound| of the worst tie
@@ -140,50 +147,6 @@ class ValidationReport:
             value, witness = float(sign * worst), cases[int(np.argmax(near))][1]
         return self.add(name, sign * value <= sign * bound, value, bound,
                         str(witness) if detail is None else detail, witness)
-
-
-# ---------------------------------------------------------------------------
-# corner bases
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CornerBasis:
-    """Matrix-unit basis of a compressed subspace E_p . A . E_q.
-
-    Element k is the single-atom element atom (x) e_ij named by
-    ``keys[k] = (atom, i, j)``, at ``depth``.  The elements are orthonormal in
-    the fixed vectorization, so coordinates are entries looked up by key.
-    """
-
-    depth: object
-    keys: list[tuple]
-    elements: list[LevelledElement]
-
-    def __post_init__(self):
-        self.index = {key: k for k, key in enumerate(self.keys)}
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def coefficients(self, x: LevelledElement):
-        """Coordinates of x in this basis plus the relative residual: the
-        norm of the entries outside the corner over max(1, ||x||)."""
-        c = np.zeros(len(self.keys), dtype=Complex)
-        total = outside = 0.0
-        for atom, v in x.refine_to(self.depth).coeffs.items():
-            for i, row in enumerate(np.asarray(v).tolist()):
-                for j, z in enumerate(row):
-                    if z == 0:
-                        continue
-                    w = abs(z) ** 2
-                    total += w
-                    k = self.index.get((atom, i, j))
-                    if k is None:
-                        outside += w
-                    else:
-                        c[k] = z
-        return c, outside ** 0.5 / max(1.0, total ** 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +265,6 @@ class LcmSystem(GeneratorAction):
                 if operator_norm(b @ b.conj().T - base.unit()) > 1e-10:
                     raise SpecMismatchError("base automorphisms must be unitary")
             self.maps = [GeneratorMap(unitary=b) for b in betas]
-        self._corner_cache: dict = {}
 
     @property
     def betas(self) -> list[np.ndarray]:
@@ -391,47 +353,25 @@ class LcmSystem(GeneratorAction):
     # -- corners -----------------------------------------------------------------
 
     def corner_basis(self, p: Element, q: Element, depth) -> CornerBasis:
-        """Matrix-unit basis of E_p . A(depth) . E_q.
+        """Matrix-unit basis of E_p . A(depth) . E_q, from the model's table.
 
         Range projections take the value 0 or the unit on every atom, so the
         corner is spanned by the atoms under both projections tensored with
         the matrix units of every base block, in atom-major order.  Empty
-        when pP and qP do not intersect.
+        when pP and qP do not intersect.  A levelled model's unitary betas
+        fix the unit, so its atoms alone say which lie under E_p; the maps
+        of a point model need not, so its one atom is read off E_p E_q.
         """
-        d = self.model.normalize_depth(depth)
-        key = (tuple(p), tuple(q), d)
-        hit = self._corner_cache.get(key)
-        if hit is not None:
-            return hit
-        ep = self.unit_projection(p)
-        eq = self.unit_projection(q)
-        if not (
-            self.model.depth_leq(ep.depth, d) and self.model.depth_leq(eq.depth, d)
-        ):
-            raise SpecMismatchError(
-                f"corner depth {d} cannot host projections at {ep.depth}, {eq.depth}"
-            )
-        epq = (ep * eq).refine_to(d)
-        unit = self.base.unit()
-        units = list(zip(self.base.unit_positions(), self.base.basis()))
-        keys, elements = [], []
-        for atom in self.model.atoms(d):
-            v = epq.coeffs.get(atom)
-            if v is None or np.abs(v).max() <= PROJECTION_TOL:
-                continue
-            if not np.abs(v - unit).max() <= PROJECTION_TOL:
+        if isinstance(self.model, PointModel):
+            v = (self.unit_projection(p) * self.unit_projection(q)).coefficient(())
+            if np.abs(v).max() <= PROJECTION_TOL:
+                return CornerBasis(0, [], [])
+            if not np.abs(v - self.base.unit()).max() <= PROJECTION_TOL:
                 raise SpecMismatchError(
                     f"E{tuple(p)} E{tuple(q)} is neither 0 nor the unit at atom "
-                    f"{atom}: the range projections are not sums of atoms"
+                    f"(): the range projections are not sums of atoms"
                 )
-            for (i, j), e in units:
-                keys.append((atom, i, j))
-                elements.append(
-                    LevelledElement.from_atom(self.model, self.base, d, atom, e)
-                )
-        basis = CornerBasis(d, keys, elements)
-        self._corner_cache[key] = basis
-        return basis
+        return self.model.corner(self.base, p, q, depth)
 
     # -- validation ---------------------------------------------------------------
 
@@ -561,9 +501,17 @@ TOEPLITZ_KINDS = {
 }
 
 
+# (semigroup, boundary) -> the one Toeplitz model of the process over them,
+# so that its tables (depths, atoms, corners, Gram plans) are built once
+_MODELS: dict = {}
+
+
 def build_system(config: dict):
     """Build a system from a plain mapping (see the instance JSON schema);
-    its structural checks are the caller's ``validate()``."""
+    its structural checks are the caller's ``validate()``.  Every Toeplitz
+    system over one monoid and boundary shares one model, and with it the
+    model's tables; a point model's maps say where its range projections
+    lie, so each matrix system gets its own."""
     sg = semigroup_from_json(config["semigroup"])
     model_cfg = config.get("model", {"kind": "matrix"})
     kind = model_cfg["kind"]
@@ -579,5 +527,8 @@ def build_system(config: dict):
         return LcmSystem(sg, PointModel(sg.rank), base, alphas=alphas)
     if kind not in TOEPLITZ_KINDS:
         raise SpecMismatchError(f"unknown model kind {kind!r}")
-    return LcmSystem(sg, ToeplitzModel(sg, boundary=TOEPLITZ_KINDS[kind][1]), base,
-                     betas=config.get("betas"))
+    key = (sg, TOEPLITZ_KINDS[kind][1])
+    model = _MODELS.get(key)
+    if model is None:
+        model = _MODELS[key] = ToeplitzModel(*key)
+    return LcmSystem(sg, model, base, betas=config.get("betas"))

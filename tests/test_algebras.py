@@ -35,6 +35,24 @@ def test_cstar_identity():
         assert abs(operator_norm(a.conj().T @ a) - operator_norm(a) ** 2) < 1e-10
 
 
+@pytest.mark.parametrize("shape,scale", [
+    ((1, 1), 1.0), ((2, 2), 1.0), ((32, 8), 1.0), ((32, 32), 1.0),
+    ((2, 2), 1e-300), ((32, 32), 1e-300), ((2, 2), 1e308), ((32, 8), 1e308),
+])
+def test_operator_norm_is_the_spectral_norm_bit_for_bit(shape, scale):
+    rng = np.random.default_rng(sum(shape))
+    # entries of modulus below 1 times the scale stay finite
+    m = (rng.uniform(-0.7, 0.7, shape) + 1j * rng.uniform(-0.7, 0.7, shape)) * scale
+    for mat in (m, m.real, np.zeros(shape), -np.zeros(shape)):
+        assert np.isfinite(mat).all()
+        want = np.float64(np.linalg.norm(mat, 2)).tobytes()
+        assert np.float64(operator_norm(mat)).tobytes() == want
+    assert operator_norm(np.zeros((0, 3))) == 0.0
+    bad = m.copy()
+    bad[0, 0] = np.nan
+    assert operator_norm(bad) == float("inf")
+
+
 def test_coefficients_reconstruct():
     rng = np.random.default_rng(6)
     a = np.zeros((3, 3), dtype=complex)

@@ -27,6 +27,7 @@ from lcm_dilate.dilation import Tolerances
 from lcm_dilate.errors import SchemaError
 from lcm_dilate.persist import load_result
 from lcm_dilate.serialize import report_hash
+from lcm_dilate.systems import LcmSystem
 
 FLAGS = {"depth": None, "max_dim": None, "output": None, "result": None,
          "max_f": None}
@@ -854,6 +855,22 @@ def test_max_dim_resource_guard(fixtures_dir, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "exceeds cap" in err
+
+
+def test_max_dim_refuses_before_any_corner(fixtures_dir, tmp_path, capsys,
+                                           monkeypatch):
+    # the catalog is counted from the atoms under each E_q, so a refused
+    # size builds no corner
+    def no_corner(*args):
+        raise AssertionError("a corner was built before the size check")
+
+    monkeypatch.setattr(LcmSystem, "corner_basis", no_corner)
+    code = main(["dilate", str(fixtures_dir / "commuting_unitaries.json"),
+                 "--depth", "20", "--output", str(tmp_path / "r.npz")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Gram operator of size 106722 exceeds cap 4096" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command,name,flag,value", [
