@@ -41,13 +41,16 @@ depths), ``atoms_under`` (on p and the depth), the corner bases E_p . A . E_q
 the monoid, the base algebra and the degree).  None depends on a system's
 maps, phi or T, so ``systems.build_system`` hands out one Toeplitz model per
 (monoid, boundary) for the life of the process and every system over it
-reads the same tables.
+reads the same tables; the same table holds the one system of each (base
+algebra, betas).
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -142,6 +145,26 @@ def operator_norm(mat: np.ndarray) -> float:
     if not mat.any():
         return 0.0
     return float(np.linalg.svd(mat, compute_uv=False)[0])
+
+
+def operator_norms(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """``operator_norm`` of each matrix, bit for bit, by one batched SVD
+    per shape and dtype: empty and all-zero matrices are 0.0 and a matrix
+    with an entry that is not finite is inf, without an SVD."""
+    out = np.zeros(len(mats))
+    groups = defaultdict(list)
+    for k, m in enumerate(mats):
+        if m.size:
+            groups[m.shape, m.dtype].append(k)
+    for idx in groups.values():
+        idx = np.array(idx)
+        stack = np.array([mats[k] for k in idx])
+        finite = np.isfinite(stack).all(axis=(-2, -1))
+        live = finite & stack.any(axis=(-2, -1))
+        out[idx[~finite]] = np.inf
+        if live.any():
+            out[idx[live]] = np.linalg.svd(stack[live], compute_uv=False)[:, 0]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +357,45 @@ class ToeplitzModel(_Tables):
         return self.cached(("under", p, depth), lambda: [
             a for a in self.atoms(depth) if sg.left_divide(p, a) is not None])
 
+    def under_count(self, p, depth) -> int:
+        """``len(atoms_under(p, depth))``, without testing each atom.  The
+        elements of D in pS are p and those of D in the union of the pgS,
+        and the pgS of a set F of generators meet in p lcm(F) S; so by
+        inclusion-exclusion the counts of all of D follow from those of
+        longer multiples, each once.  An element outside D counts 0, as D
+        holds the left divisors of its elements."""
+        depth = self.normalize_depth(depth)
+        return self.cached(("counts", depth), lambda: self._counts(depth))[tuple(p)]
+
+    def _counts(self, depth: frozenset) -> dict:
+        sg = self.semigroup
+        terms = []          # (lcm(F), (-1)^(|F| + 1)) for each F with an lcm
+        for size in range(1, len(self._gens) + 1):
+            for fs in itertools.combinations(self._gens, size):
+                m = fs[0]
+                for f in fs[1:]:
+                    m = m if m is None else sg.lcm(m, f)
+                if m is not None:
+                    terms.append((m, 1 if size % 2 else -1))
+        atoms = set(self.atoms(depth))
+        counts: dict = {}
+        for root in depth:
+            stack = [root]
+            while stack:
+                q = stack[-1]
+                if q in counts:
+                    stack.pop()
+                    continue
+                above = [r for m, _ in terms
+                         if (r := sg.multiply(q, m)) in depth and r not in counts]
+                if above:
+                    stack.extend(above)
+                    continue
+                stack.pop()
+                counts[q] = (q in atoms) + sum(
+                    sign * counts.get(sg.multiply(q, m), 0) for m, sign in terms)
+        return counts
+
     def shift(self, atom: Atom, letter: int) -> Atom:
         return self.semigroup.multiply(self._gens[letter - 1], atom)
 
@@ -371,6 +433,9 @@ class PointModel(_Tables):
     def atoms_under(self, p, depth) -> list[Atom]:
         """The one atom: a unital map fixes the unit, so every E_p is 1."""
         return [()]
+
+    def under_count(self, p, depth) -> int:
+        return 1
 
     def shift(self, atom: Atom, letter: int) -> Atom:
         return atom

@@ -269,8 +269,9 @@ def parse_instance(path: str) -> Instance:
     )
 
 
-def build_pair(instance: Instance, degree: Optional[int] = None):
-    """Construct (system, phi, T, extension) for an instance.
+def build_pair(instance: Instance, degree: Optional[int] = None, sys_=None):
+    """Construct (system, phi, T, extension) for an instance, over the
+    instance's system or the given one built from it.
 
     ``extension`` is the lift with its Choi test at the instance's
     ``tolerances.psd`` when phi is derived from the contractions (None
@@ -281,7 +282,7 @@ def build_pair(instance: Instance, degree: Optional[int] = None):
         raise SchemaError("stage systems support only validate and check-nica",
                           "/system/model/kind")
     degree = instance.degree if degree is None else degree
-    sys_ = build_system(instance.system_config)
+    sys_ = build_system(instance.system_config) if sys_ is None else sys_
     sg = sys_.semigroup
     T = ContractionFamily(sg, instance.t_mats) if instance.t_mats else None
 
@@ -384,8 +385,8 @@ class _Run:
 
 
 def _system_checks(run: _Run, depth: int) -> None:
-    sys_ = build_system(run.instance.system_config)
-    run.report.checks.extend(sys_.validate(depth=max(1, depth)).checks)
+    run.sys = build_system(run.instance.system_config)
+    run.report.checks.extend(run.sys.validate(depth=max(1, depth)).checks)
 
 
 def _extension_check(run: _Run) -> None:
@@ -403,7 +404,7 @@ def _pair(run: _Run) -> None:
     """Build (system, phi, T); a rejected phi extension is a failed check."""
     if not run.instance.t_mats:
         raise SchemaError("dilate needs T", "/T")
-    run.sys, run.phi, run.T, run.ext = build_pair(run.instance, degree=run.depth)
+    run.sys, run.phi, run.T, run.ext = build_pair(run.instance, run.depth, run.sys)
     if run.ext is not None and not run.ext.accepted:
         _extension_check(run)
 

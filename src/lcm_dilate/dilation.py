@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebras import LevelledElement, operator_norm
+from .algebras import LevelledElement, operator_norms
 from .cpmaps import (
     ContractionFamily,
     OperatorMap,
@@ -48,6 +48,7 @@ from .kernel import (
     GramAssembly,
     KernelSystem,
     assemble_gram,
+    check_gram_size,
 )
 from .semigroup import Element
 from .systems import LcmSystem, ValidationReport
@@ -160,7 +161,6 @@ class DilationResult:
         self._block_at = {blk.key: b for b, blk in enumerate(assembly.blocks)}
         self._v_cache: dict[Element, np.ndarray] = {}
         self._pi_cache: dict[bytes, np.ndarray] = {}
-        self._transfers: dict[tuple[int, int], np.ndarray] = {}
 
         # The gather tables.  Words are the catalog's; atoms are every atom
         # up to the catalog depth, those at the catalog depth first.  A
@@ -189,6 +189,10 @@ class DilationResult:
                    [idx.key[2] for idx in catalog]] = np.arange(n)
         self._kids: dict[tuple, np.ndarray] = {}
         self._unit_stack = np.array(self.sys.base.basis())
+        blocks = self.sys.base.blocks
+        block_id = np.repeat(np.arange(len(blocks)), blocks)
+        self._off_block = block_id[:, None] != block_id    # (i, c) across blocks
+        self._pi_table = self._pi_entries()
 
         self.interiors = _interiors_for(self)
         zero = model.zero_depth()
@@ -332,38 +336,40 @@ class DilationResult:
             out[cx[:, None], cy] += form.transpose(2, 3, 0, 1)
         return out.transpose(0, 2, 1, 3).reshape(x.width * h, y.width * h)
 
-    def _transfer(self, target: int, source: int) -> np.ndarray:
-        """B_t C_s: the block (t, s) of pi(atom (x) e_ic) over its
-        coefficient, for the groups t = (atom, i) and s = (atom, c) of one
-        base block.  Both list their members in one (q, d) order (see
-        ``GramAssembly``), so the member map between them is the identity."""
-        key = (target, source)
-        hit = self._transfers.get(key)
-        if hit is None:
-            hit = self.factors[target].factor @ self.factors[source].cofactor
-            self._transfers[key] = hit
-        return hit
+    def _pi_entries(self) -> tuple:
+        """pi as a linear table over the coefficients of an element at the
+        catalog depth, in ``vec`` order: (positions, coefficient, values),
+        so that pi(a) is zero but at the flat positions of the rank x rank
+        matrix, where it is a's coefficient number ``coefficient`` times
+        ``values``.  Left multiplication takes atom (x) e_cd to atom (x)
+        (a[atom] e_cd), so the coefficient a[atom][i, c] of rows i and c of
+        one base block carries the block of group (atom, c) to that of
+        (atom, i) by B_t C_s: the groups list their members in one (q, d)
+        order (see ``GramAssembly``), so the member map between them is the
+        identity, and a group to itself is the identity."""
+        rank, dim = self.rank, self.sys.base.dim
+        spans = [np.arange(f.span.start, f.span.stop) for f in self.factors]
+        pos, coef, vals = [], [], []    # every atom at the catalog depth has groups
+        for k, atom in enumerate(self.sys.model.atoms(self._depth)):
+            for sl in self.sys.base.block_slices():
+                for c in range(sl.start, sl.stop):
+                    s = self._block_at.get((atom, c))
+                    if s is None:
+                        continue
+                    for i in range(sl.start, sl.stop):
+                        t = self._block_at[(atom, i)]
+                        block = (np.eye(spans[s].size, dtype=np.complex128) if t == s
+                                 else self.factors[t].factor @ self.factors[s].cofactor)
+                        pos.append((spans[t][:, None] * rank + spans[s]).ravel())
+                        coef.append(np.full(block.size, (k * dim + i) * dim + c))
+                        vals.append(block.ravel())
+        return tuple(np.concatenate(x) for x in (pos, coef, vals))
 
-    # -- operators ---------------------------------------------------------------
-
-    def pi(self, a: LevelledElement) -> np.ndarray:
-        """The representation matrix of an algebra element (exact on the
-        whole truncated space as long as products stay inside the catalog).
-
-        Left multiplication takes atom (x) e_cd to atom (x) (a[atom] e_cd),
-        so the block of group (atom, c) goes to the blocks (atom, i) with
-        weight a[atom][i, c]; over a scalar base pi(atom (x) z) is z times
-        the projection onto the block of atom.
-        """
-        ar = a.refine_to(self._depth)
-        key = ar.vec().tobytes()
-        hit = self._pi_cache.get(key)
-        if hit is not None:
-            return hit
-        base = self.sys.base
-        out = np.zeros((self.rank, self.rank), dtype=np.complex128)
+    def _check_blocks(self, ar: LevelledElement) -> None:
+        """A coefficient's column at (atom, c) may carry at most the corner
+        tolerance outside the base block of c."""
         for atom, v in ar.coeffs.items():
-            for sl in base.block_slices():
+            for sl in self.sys.base.block_slices():
                 for c in range(sl.start, sl.stop):
                     s = self._block_at.get((atom, c))
                     if s is None:
@@ -377,16 +383,30 @@ class DilationResult:
                             self.assembly.catalog[self.factors[s].rows[0]].q,
                             (outside / max(1.0, total)) ** 0.5,
                         )
-                    span = self.factors[s].span
-                    for i in range(sl.start, sl.stop):
-                        z = col[i]
-                        if z == 0:
-                            continue
-                        t = self._block_at[(atom, i)]
-                        if t == s:
-                            out[span, span] = z * np.eye(span.stop - span.start)
-                        else:
-                            out[self.factors[t].span, span] = z * self._transfer(t, s)
+
+    # -- operators ---------------------------------------------------------------
+
+    def pi(self, a: LevelledElement) -> np.ndarray:
+        """The representation matrix of an algebra element (exact on the
+        whole truncated space as long as products stay inside the catalog),
+        one scatter of the table ``_pi_entries`` builds with the result; over
+        a scalar base pi(atom (x) z) is z times the projection onto the block
+        of atom."""
+        ar = a.refine_to(self._depth)
+        vec = ar.vec()
+        key = vec.tobytes()
+        hit = self._pi_cache.get(key)
+        if hit is not None:
+            return hit
+        dim = self.sys.base.dim
+        if vec.reshape(-1, dim, dim)[:, self._off_block].any():
+            self._check_blocks(ar)
+        pos, coef, vals = self._pi_table
+        z = vec[coef]
+        live = z != 0
+        out = np.zeros(self.rank * self.rank, dtype=np.complex128)
+        out[pos[live]] = z[live] * vals[live]
+        out = out.reshape(self.rank, self.rank)
         self._pi_cache[key] = out
         return out
 
@@ -526,9 +546,8 @@ def naimark_dilate(
     report.at_most("gram.factorization", fdefs, tols.psd * scale)
 
     result = DilationResult(assembly, tols, w, factors, report)
-    _check_embedding(result, report)
-    _check_representation(result, report)
-    _check_reproduces_kernel(result, report)
+    _run_checks(result, report, (
+        _check_embedding, _check_representation, _check_reproduces_kernel))
     return result
 
 
@@ -574,18 +593,34 @@ def _depth(src, x: LevelledElement) -> int:
 def identity_suite(src) -> ValidationReport:
     """Every identity that needs only the operators of ``src``, in the order
     ``covariant_dilate`` reports them."""
-    report = ValidationReport()
-    for check in (_check_embedding, _check_representation, _check_covariance,
-                  _check_compressions):
-        check(src, report)
+    return _run_checks(src, ValidationReport(), (
+        _check_embedding, _check_representation, _check_covariance,
+        _check_compressions))
+
+
+def _run_checks(src, report: ValidationReport, checks) -> ValidationReport:
+    """Run the checks in order.  A residual that overflows is inf or NaN
+    and fails its record, so numpy's overflow and invalid-value warnings
+    say nothing more and are off."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for check in checks:
+            check(src, report)
     return report
 
 
+def _normed(cases) -> list:
+    """(operator norm, label) of each (residual matrix, label) case, the
+    norms batched by ``operator_norms``."""
+    cases = list(cases)
+    norms = operator_norms([mat for mat, _ in cases])
+    return [(v, label) for v, (_, label) in zip(norms.tolist(), cases)]
+
+
 def _check_embedding(src, report: ValidationReport) -> None:
-    tol = src.tolerances.identity
     emb = src.embedding
-    edef = operator_norm(emb.conj().T @ emb - np.eye(emb.shape[1]))
-    report.at_most("embedding.isometric", [(edef, "")], tol)
+    report.at_most("embedding.isometric",
+                   _normed([(emb.conj().T @ emb - np.eye(emb.shape[1]), "")]),
+                   src.tolerances.identity)
 
 
 def _check_representation(src, report: ValidationReport) -> None:
@@ -597,40 +632,37 @@ def _check_representation(src, report: ValidationReport) -> None:
     basis = _pi_basis(src)
     pis = {lbl: src.pi(b) for lbl, b in basis}
 
-    one = src.pi(src.sys.unit())
-    err = operator_norm(one - np.eye(src.rank))
-    report.at_most("pi.unital", [(err, "")], tol)
+    report.at_most("pi.unital",
+                   _normed([(src.pi(src.sys.unit()) - np.eye(src.rank), "")]), tol)
 
-    report.at_most("pi.star",
-                   [(operator_norm(src.pi(b.star()) - pis[lbl].conj().T), lbl)
-                    for lbl, b in basis], tol)
+    report.at_most("pi.star", _normed((src.pi(b.star()) - pis[lbl].conj().T, lbl)
+                                      for lbl, b in basis), tol)
 
     small = basis[: min(len(basis), 8)]
     report.at_most("pi.multiplicative",
-                   [(operator_norm(pis[l1] @ pis[l2] - src.pi(b1 * b2)),
-                     f"({l1}, {l2})")
-                    for (l1, b1), (l2, b2) in itertools.product(small, repeat=2)], tol)
+                   _normed((pis[l1] @ pis[l2] - src.pi(b1 * b2), f"({l1}, {l2})")
+                           for (l1, b1), (l2, b2) in itertools.product(small, repeat=2)),
+                   tol)
 
     if src.degree >= 1:
         _check_isometries(src, report)
 
     # intertwining V(p) pi(a) = pi(alpha_p(a)) V(p); the interior level must
     # absorb both the word and the depth of a
-    cases = []
-    for p in _sample_words(sg, src.degree):
-        level = src.word_level(p)
-        vp = src.v_word(p)
-        for lbl, a in basis:
-            lvl = level + _depth(src, a)
-            if lvl > src.degree:
-                continue
-            shifted = src.sys.apply_endo(p, a)
-            if _depth(src, shifted) > src.pi_depth:
-                continue
-            qb = src.interior_basis(lvl)
-            resid = operator_norm((vp @ pis[lbl] - src.pi(shifted) @ vp) @ qb)
-            cases.append((resid, f"(p={p}, a={lbl})"))
-    report.at_most("covariance.intertwine", cases, tol)
+    def intertwine():
+        for p in _sample_words(sg, src.degree):
+            level = src.word_level(p)
+            vp = src.v_word(p)
+            for lbl, a in basis:
+                lvl = level + _depth(src, a)
+                if lvl > src.degree:
+                    continue
+                shifted = src.sys.apply_endo(p, a)
+                if _depth(src, shifted) > src.pi_depth:
+                    continue
+                qb = src.interior_basis(lvl)
+                yield ((vp @ pis[lbl] - src.pi(shifted) @ vp) @ qb, f"(p={p}, a={lbl})")
+    report.at_most("covariance.intertwine", _normed(intertwine()), tol)
 
 
 def _check_isometries(src, report: ValidationReport) -> None:
@@ -640,30 +672,32 @@ def _check_isometries(src, report: ValidationReport) -> None:
     shift vanishes off the first interior, as it is built to."""
     tol = src.tolerances.identity
     sg = src.sys.semigroup
-    cases = []
-    for k in range(1, src.degree + 1):
-        qb = src.interior_basis(k)
-        cases.append((operator_norm(qb.conj().T @ qb - np.eye(qb.shape[1])),
-                      f"level {k}"))
-    report.at_most("interior.orthonormal", cases, tol)
 
-    def isometry_defect(p) -> float:
+    def orthonormality(k):
+        qb = src.interior_basis(k)
+        return qb.conj().T @ qb - np.eye(qb.shape[1])
+
+    report.at_most("interior.orthonormal",
+                   _normed((orthonormality(k), f"level {k}")
+                           for k in range(1, src.degree + 1)), tol)
+
+    def isometry_defect(p) -> np.ndarray:
         v, qb = src.v_word(p), src.interior_basis(sg.gen_count(p))
-        return operator_norm(qb.conj().T @ (v.conj().T @ v) @ qb
-                             - np.eye(qb.shape[1]))
+        return qb.conj().T @ (v.conj().T @ v) @ qb - np.eye(qb.shape[1])
 
     for g, gen in enumerate(sg.generators, start=1):
-        report.at_most(f"isometry.V[{g}]", [(isometry_defect(gen), "")], tol)
+        report.at_most(f"isometry.V[{g}]", _normed([(isometry_defect(gen), "")]), tol)
     if src.degree >= 2:
-        report.at_most("isometry.V[w]", [(isometry_defect(p), f"w={p}")
-                                         for p in sg.enumerate_up_to(src.degree)
-                                         if 2 <= sg.gen_count(p) <= src.degree], tol)
+        report.at_most("isometry.V[w]", _normed((isometry_defect(p), f"w={p}")
+                                                for p in sg.enumerate_up_to(src.degree)
+                                                if 2 <= sg.gen_count(p) <= src.degree),
+                       tol)
 
     q1 = src.interior_basis(1)
     off = np.eye(src.rank) - q1 @ q1.conj().T
     report.at_most("isometry.zero_off_interior",
-                   [(operator_norm(src.v_word(gen) @ off), f"V[{g}]")
-                    for g, gen in enumerate(sg.generators, start=1)], tol)
+                   _normed((src.v_word(gen) @ off, f"V[{g}]")
+                           for g, gen in enumerate(sg.generators, start=1)), tol)
 
 
 def _check_covariance(src, report: ValidationReport) -> None:
@@ -678,35 +712,34 @@ def _check_covariance(src, report: ValidationReport) -> None:
     report.at_least("phi.completely_positive", cp.cases, -tols.psd * cp.scale)
 
     # range projections: V(p)V(p)* = pi(E_p) on the matching interior
-    cases = []
-    for p in _sample_words(sg, degree):
-        level = src.word_level(p)
-        e_p = src.sys.unit_projection(p)
-        if level > degree or _depth(src, e_p) > src.pi_depth:
-            continue
-        vp = src.v_word(p)
-        qb = src.interior_basis(level)
-        cases.append((operator_norm((vp @ vp.conj().T - src.pi(e_p)) @ qb),
-                      f"p={p}"))
-    report.at_most("covariance.range_projection", cases, tol)
+    def range_projections():
+        for p in _sample_words(sg, degree):
+            level = src.word_level(p)
+            e_p = src.sys.unit_projection(p)
+            if level > degree or _depth(src, e_p) > src.pi_depth:
+                continue
+            vp = src.v_word(p)
+            qb = src.interior_basis(level)
+            yield (vp @ vp.conj().T - src.pi(e_p)) @ qb, f"p={p}"
+    report.at_most("covariance.range_projection", _normed(range_projections()), tol)
 
     # Nica rule for the dilated range projections
-    cases = []
-    for p, q_el in itertools.product(sg.generators, repeat=2):
-        lp, lq = src.word_level(p), src.word_level(q_el)
-        if lp + lq > degree:
-            continue
-        vp, vq = src.v_word(p), src.v_word(q_el)
-        r = sg.lcm(p, q_el)
-        lhs = vp @ vp.conj().T @ vq @ vq.conj().T
-        if r is None:
-            rhs = np.zeros_like(lhs)
-        else:
-            vr = src.v_word(r)
-            rhs = vr @ vr.conj().T
-        qb = src.interior_basis(lp + lq)
-        cases.append((operator_norm((lhs - rhs) @ qb), f"(p={p}, q={q_el})"))
-    report.at_most("covariance.nica", cases, tol)
+    def nica():
+        for p, q_el in itertools.product(sg.generators, repeat=2):
+            lp, lq = src.word_level(p), src.word_level(q_el)
+            if lp + lq > degree:
+                continue
+            vp, vq = src.v_word(p), src.v_word(q_el)
+            r = sg.lcm(p, q_el)
+            lhs = vp @ vp.conj().T @ vq @ vq.conj().T
+            if r is None:
+                rhs = np.zeros_like(lhs)
+            else:
+                vr = src.v_word(r)
+                rhs = vr @ vr.conj().T
+            qb = src.interior_basis(lp + lq)
+            yield (lhs - rhs) @ qb, f"(p={p}, q={q_el})"
+    report.at_most("covariance.nica", _normed(nica()), tol)
 
 
 def _check_compressions(src, report: ValidationReport) -> None:
@@ -717,45 +750,47 @@ def _check_compressions(src, report: ValidationReport) -> None:
     emb = src.embedding
 
     report.at_most("compression.phi",
-                   [(operator_norm(emb.conj().T @ src.pi(a) @ emb - src.phi.value(a)),
-                     lbl) for lbl, a in _pi_basis(src)], tol)
+                   _normed((emb.conj().T @ src.pi(a) @ emb - src.phi.value(a), lbl)
+                           for lbl, a in _pi_basis(src)), tol)
     report.at_most("compression.T",
-                   [(operator_norm(emb.conj().T @ src.v_word(p) @ emb - src.T(p)),
-                     f"p={p}") for p in sg.enumerate_up_to(src.degree)
-                    if src.word_level(p) <= src.degree], tol)
+                   _normed((emb.conj().T @ src.v_word(p) @ emb - src.T(p), f"p={p}")
+                           for p in sg.enumerate_up_to(src.degree)
+                           if src.word_level(p) <= src.degree), tol)
 
     # co-invariance: P_H V(p) vanishes on the complement of H inside interiors
-    cases = []
     ph = emb @ emb.conj().T
-    for p in _sample_words(sg, src.degree):
-        level = src.word_level(p)
-        if level > src.degree:
-            continue
-        qb = src.interior_basis(level)
-        cases.append((operator_norm(
-            emb.conj().T @ src.v_word(p) @ (np.eye(src.rank) - ph) @ qb), f"p={p}"))
-    report.at_most("covariance.coinvariant", cases, tol)
+
+    def coinvariance():
+        for p in _sample_words(sg, src.degree):
+            level = src.word_level(p)
+            if level > src.degree:
+                continue
+            qb = src.interior_basis(level)
+            yield (emb.conj().T @ src.v_word(p) @ (np.eye(src.rank) - ph) @ qb,
+                   f"p={p}")
+    report.at_most("covariance.coinvariant", _normed(coinvariance()), tol)
 
 
 def _check_reproduces_kernel(result: DilationResult,
                              report: ValidationReport) -> None:
     """Compressing V(p)* pi(a) V(q) to the embedded space reproduces the
     kernel (needs the kernel, so a live result only)."""
-    tols = result.tolerances
     sg = result.sys.semigroup
-    cases = []
     words = _sample_words(sg, result.degree, 1) + [sg.identity]
-    for p, q in itertools.product(words, repeat=2):
-        corner = result.sys.corner_basis(p, q, result.degree)
-        for k, a in enumerate(corner.elements[:4]):
-            lhs = result.kernel.evaluate(p, a, q, check_corner=False)
-            rhs = (
-                (result.v_word(p) @ result.embedding).conj().T
-                @ result.pi(a)
-                @ (result.v_word(q) @ result.embedding)
-            )
-            cases.append((operator_norm(lhs - rhs), f"(p={p}, q={q}, a#{k})"))
-    report.at_most("dilation.reproduces_kernel", cases, tols.identity)
+
+    def residuals():
+        for p, q in itertools.product(words, repeat=2):
+            corner = result.sys.corner_basis(p, q, result.degree)
+            for k, a in enumerate(corner.elements[:4]):
+                lhs = result.kernel.evaluate(p, a, q, check_corner=False)
+                rhs = (
+                    (result.v_word(p) @ result.embedding).conj().T
+                    @ result.pi(a)
+                    @ (result.v_word(q) @ result.embedding)
+                )
+                yield lhs - rhs, f"(p={p}, q={q}, a#{k})"
+    report.at_most("dilation.reproduces_kernel", _normed(residuals()),
+                   result.tolerances.identity)
 
 
 # ---------------------------------------------------------------------------
@@ -773,41 +808,43 @@ def covariant_dilate(
 ) -> DilationResult:
     """Dilate a contractive covariant pair to an isometric covariant one.
 
-    Builds the kernel from the pair (validating covariance), runs the core
-    construction, then verifies the covariant identities: range projections
-    match the represented unit projections, the adjoint of the shift acts by
-    the lcm formula, the compressions reproduce (phi, T), the original space
-    is co-invariant, and the range projections satisfy the Nica rule.
+    Refuses a Gram operator above ``max_dim`` first, then builds the kernel
+    from the pair (validating covariance), runs the core construction, and
+    verifies the covariant identities: range projections match the
+    represented unit projections, the adjoint of the shift acts by the lcm
+    formula, the compressions reproduce (phi, T), the original space is
+    co-invariant, and the range projections satisfy the Nica rule.
     """
     tols = tolerances or Tolerances()
+    check_gram_size(sys, T.h, degree, max_dim)
     kernel = KernelSystem(sys, phi, T, validate=True, tol=tols.covariance)
     result = naimark_dilate(kernel, degree, tolerances=tols, max_dim=max_dim)
-    report = result.report
-
-    _check_covariance(result, report)
-
-    report.at_most("covariance.adjoint_formula", _adjoint_formula_residual(result),
-                   tols.identity)
-
-    _check_word_product(result, report)
-    _check_compressions(result, report)
+    _run_checks(result, result.report, (
+        _check_covariance, _check_adjoint_formula, _check_word_product,
+        _check_compressions))
     return result
 
 
 def _check_word_product(result: DilationResult, report: ValidationReport) -> None:
     """Composite shifts: the per-word construction agrees with products of
     generator matrices wherever the generator chain stays inside interiors."""
-    tol = result.tolerances.identity
     sg = result.sys.semigroup
-    cases = []
-    if result.degree >= 2:
+
+    def residuals():
+        if result.degree < 2:
+            return
         q2 = result.interior_basis(2)
         for g1, g2 in itertools.product(sg.generators, repeat=2):
             w = sg.multiply(g1, g2)
             chained = result.v_word(g1) @ result.v_word(g2)
-            cases.append((operator_norm((result.v_word(w) - chained) @ q2),
-                          f"w={w}"))
-    report.at_most("covariance.word_product", cases, tol)
+            yield (result.v_word(w) - chained) @ q2, f"w={w}"
+    report.at_most("covariance.word_product", _normed(residuals()),
+                   result.tolerances.identity)
+
+
+def _check_adjoint_formula(result: DilationResult, report: ValidationReport) -> None:
+    report.at_most("covariance.adjoint_formula", _adjoint_formula_residual(result),
+                   result.tolerances.identity)
 
 
 ADJOINT_PAIRS = 24   # catalog rows and interior columns the adjoint formula pairs

@@ -252,12 +252,17 @@ def _frozen(values, *shape) -> np.ndarray:
     return out
 
 
-def catalog_size(sys_: LcmSystem, degree: int) -> int:
-    """The number of catalog indices at ``degree``, from the atoms under
-    each E_q, before any corner is built."""
+def check_gram_size(sys_: LcmSystem, h: int, degree: int, max_dim: int) -> None:
+    """Refuse a Gram operator of more than ``max_dim`` rows at ``degree``,
+    counted from the number of atoms under each E_q before any corner or
+    kernel value is built."""
     sg, model = sys_.semigroup, sys_.model
-    return sys_.base.linear_dim * sum(
-        len(model.atoms_under(q, degree)) for q in sg.enumerate_up_to(degree))
+    n = sys_.base.linear_dim * sum(
+        model.under_count(q, degree) for q in sg.enumerate_up_to(degree))
+    if n * h > max_dim:
+        raise ResourceCapError(
+            f"Gram operator of size {n * h} exceeds cap {max_dim}"
+        )
 
 
 def gram_plan(sys_: LcmSystem, degree: int) -> GramPlan:
@@ -323,11 +328,7 @@ def assemble_gram(
     """
     sys_ = kernel.sys
     h = kernel.h
-    n = catalog_size(sys_, degree)
-    if n * h > max_dim:
-        raise ResourceCapError(
-            f"Gram operator of size {n * h} exceeds cap {max_dim}"
-        )
+    check_gram_size(sys_, h, degree, max_dim)
     plan = gram_plan(sys_, degree)
     catalog = plan.catalog
     ts = np.array([kernel.T(w) for w in plan.words])

@@ -19,7 +19,8 @@ it runs on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -265,6 +266,21 @@ class LcmSystem(GeneratorAction):
                 if operator_norm(b @ b.conj().T - base.unit()) > 1e-10:
                     raise SpecMismatchError("base automorphisms must be unitary")
             self.maps = [GeneratorMap(unitary=b) for b in betas]
+        self._memo: dict = {}
+
+    def _cached(self, key, make):
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = make()
+        return hit
+
+    def _per_element(self, key, x: LevelledElement, make) -> LevelledElement:
+        """``make()`` once per (key, element object), held while x is."""
+        memo = self._cached(key, weakref.WeakKeyDictionary)
+        hit = memo.get(x)
+        if hit is None:
+            hit = memo[x] = make()
+        return hit
 
     @property
     def betas(self) -> list[np.ndarray]:
@@ -274,7 +290,9 @@ class LcmSystem(GeneratorAction):
     # -- elements -------------------------------------------------------------
 
     def unit(self, depth=None) -> LevelledElement:
-        return LevelledElement.unit(self.model, self.base, depth)
+        d = self.model.zero_depth() if depth is None else self.model.normalize_depth(depth)
+        return self._cached(("unit", d),
+                            lambda: LevelledElement.unit(self.model, self.base, d))
 
     def zero(self, depth=None) -> LevelledElement:
         return LevelledElement.zero(self.model, self.base, depth)
@@ -286,11 +304,9 @@ class LcmSystem(GeneratorAction):
         d = self.model.normalize_depth(
             self.model.zero_depth() if depth is None else depth
         )
-        out = []
-        for atom in self.model.atoms(d):
-            for u in self.base.basis():
-                out.append(LevelledElement.from_atom(self.model, self.base, d, atom, u))
-        return out
+        return self._cached(("basis", d), lambda: [
+            LevelledElement.from_atom(self.model, self.base, d, atom, u)
+            for atom in self.model.atoms(d) for u in self.base.basis()])
 
     def basis_labels(self, depth=None) -> list[str]:
         d = self.model.normalize_depth(
@@ -329,19 +345,25 @@ class LcmSystem(GeneratorAction):
     def apply_endo(self, p: Element, x: LevelledElement) -> LevelledElement:
         """The endomorphism at p, composed from generator steps."""
         self.semigroup.validate_element(p)
-        out = x
-        for letter in reversed(self.semigroup.as_word(p)):
-            out = self.apply_generator(letter, out)
-        return out
+
+        def make():
+            out = x
+            for letter in reversed(self.semigroup.as_word(p)):
+                out = self.apply_generator(letter, out)
+            return out
+        return self._per_element(("endo", tuple(p)), x, make)
 
     def alpha_inverse(self, p: Element, x: LevelledElement) -> LevelledElement:
         """Left inverse of the endomorphism at p (mask by the range
         projection of p, then invert); composes generator inverses."""
         self.semigroup.validate_element(p)
-        out = x
-        for letter in self.semigroup.as_word(p):
-            out = self.apply_generator_inverse(letter, out)
-        return out
+
+        def make():
+            out = x
+            for letter in self.semigroup.as_word(p):
+                out = self.apply_generator_inverse(letter, out)
+            return out
+        return self._per_element(("inverse", tuple(p)), x, make)
 
     def unit_projection(self, p: Element) -> LevelledElement:
         return self.apply_endo(p, self.unit())
@@ -376,6 +398,12 @@ class LcmSystem(GeneratorAction):
     # -- validation ---------------------------------------------------------------
 
     def validate(self, depth: int = 1) -> ValidationReport:
+        """The structural checks at ``depth``, run once per depth; each call
+        returns fresh copies of the records."""
+        checks = self._cached(("validate", depth), lambda: self._validate(depth).checks)
+        return ValidationReport([replace(c) for c in checks])
+
+    def _validate(self, depth: int) -> ValidationReport:
         report, tol = ValidationReport(), CHECK_TOL
         name = "alpha" if isinstance(self.model, PointModel) else "beta"
         for i, m in enumerate(self.maps, start=1):
@@ -502,16 +530,23 @@ TOEPLITZ_KINDS = {
 
 
 # (semigroup, boundary) -> the one Toeplitz model of the process over them,
-# so that its tables (depths, atoms, corners, Gram plans) are built once
+# so that its tables (depths, atoms, corners, Gram plans, systems) are built
+# once
 _MODELS: dict = {}
 
 
 def build_system(config: dict):
     """Build a system from a plain mapping (see the instance JSON schema);
-    its structural checks are the caller's ``validate()``.  Every Toeplitz
-    system over one monoid and boundary shares one model, and with it the
-    model's tables; a point model's maps say where its range projections
-    lie, so each matrix system gets its own."""
+    its structural checks are the caller's ``validate()``.
+
+    Every Toeplitz system over one monoid and boundary shares one model,
+    and with it the model's tables; the model's table holds one system per
+    base algebra and ``betas``, so every configuration of a Toeplitz system
+    gets the same object for the life of the process (or until ``_MODELS``
+    is cleared), with its memoised checks, bases and endomorphism images.
+    A shared system and what it hands out must be treated as immutable.  A
+    point model's maps say where its range projections lie, so each matrix
+    system gets its own model and is built anew."""
     sg = semigroup_from_json(config["semigroup"])
     model_cfg = config.get("model", {"kind": "matrix"})
     kind = model_cfg["kind"]
@@ -531,4 +566,8 @@ def build_system(config: dict):
     model = _MODELS.get(key)
     if model is None:
         model = _MODELS[key] = ToeplitzModel(*key)
-    return LcmSystem(sg, model, base, betas=config.get("betas"))
+    betas = config.get("betas")
+    tag = None if betas is None else tuple(
+        (a.shape, a.tobytes()) for a in (np.asarray(b, dtype=Complex) for b in betas))
+    return model.cached(("system", base, tag),
+                        lambda: LcmSystem(sg, model, base, betas=betas))

@@ -10,6 +10,7 @@ from lcm_dilate.algebras import (
     PointModel,
     ToeplitzModel,
     operator_norm,
+    operator_norms,
 )
 from lcm_dilate.errors import SpecMismatchError
 from lcm_dilate.semigroup import FreeAbelian, FreeMonoid
@@ -51,6 +52,40 @@ def test_operator_norm_is_the_spectral_norm_bit_for_bit(shape, scale):
     bad = m.copy()
     bad[0, 0] = np.nan
     assert operator_norm(bad) == float("inf")
+
+
+NORM_SHAPES = [((1, 1), 1.0), ((2, 2), 1.0), ((32, 8), 1.0), ((32, 32), 1.0),
+               ((2, 2), 1e-300), ((32, 32), 1e-300), ((2, 2), 1e308), ((32, 8), 1e308)]
+
+
+def norm_inputs() -> list:
+    """Every input of the operator_norm test above, then matrices that are
+    zero, empty, NaN or +-inf in one entry, of the same shapes."""
+    mats = []
+    for shape, scale in NORM_SHAPES:
+        rng = np.random.default_rng(sum(shape))
+        m = (rng.uniform(-0.7, 0.7, shape) + 1j * rng.uniform(-0.7, 0.7, shape)) * scale
+        mats += [m, m.real, np.zeros(shape), -np.zeros(shape)]
+        for bad in (np.nan, np.inf, -np.inf, complex(0, np.inf)):
+            x = m.copy()
+            x[-1, 0] = bad
+            mats.append(x)
+    mats += [np.zeros((0, 3)), np.zeros((3, 0)), np.zeros((0, 0), dtype=complex)]
+    return mats
+
+
+def test_batched_norms_are_operator_norm_bit_for_bit():
+    # interleaved shapes and dtypes, and stacks that mix zero, empty and
+    # non-finite matrices with live ones
+    mats = norm_inputs()
+    rng = np.random.default_rng(3)
+    for order in (np.arange(len(mats)), rng.permutation(len(mats))):
+        stream = [mats[k] for k in order]
+        got = operator_norms(stream)
+        assert got.dtype == np.float64 and got.shape == (len(stream),)
+        for k, m in enumerate(stream):
+            assert got[k].tobytes() == np.float64(operator_norm(m)).tobytes(), k
+    assert operator_norms([]).shape == (0,)
 
 
 def test_coefficients_reconstruct():

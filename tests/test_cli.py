@@ -25,6 +25,7 @@ from lcm_dilate.cli import (
 )
 from lcm_dilate.dilation import Tolerances
 from lcm_dilate.errors import SchemaError
+from lcm_dilate.kernel import KernelSystem
 from lcm_dilate.persist import load_result
 from lcm_dilate.serialize import report_hash
 from lcm_dilate.systems import LcmSystem
@@ -865,6 +866,22 @@ def test_max_dim_refuses_before_any_corner(fixtures_dir, tmp_path, capsys,
         raise AssertionError("a corner was built before the size check")
 
     monkeypatch.setattr(LcmSystem, "corner_basis", no_corner)
+    code = main(["dilate", str(fixtures_dir / "commuting_unitaries.json"),
+                 "--depth", "20", "--output", str(tmp_path / "r.npz")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Gram operator of size 106722 exceeds cap 4096" in err
+    assert "Traceback" not in err
+
+
+def test_max_dim_refuses_before_the_covariance_check(fixtures_dir, tmp_path, capsys,
+                                                    monkeypatch):
+    # the size is counted before the kernel validates covariance, so an
+    # oversized instance exits 2 whether or not its pair is covariant
+    def no_covariance(*args):
+        raise AssertionError("covariance was validated before the size check")
+
+    monkeypatch.setattr(KernelSystem, "validate_covariance", no_covariance)
     code = main(["dilate", str(fixtures_dir / "commuting_unitaries.json"),
                  "--depth", "20", "--output", str(tmp_path / "r.npz")])
     err = capsys.readouterr().err
