@@ -50,6 +50,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -125,12 +126,17 @@ class BaseAlgebra:
                     out.append(f"b{b}e{i + 1}{j + 1}" if n > 1 else f"b{b}e11")
         return out
 
+    @cached_property
+    def _unit_flat(self) -> np.ndarray:
+        """The flat position of every matrix unit in a dim x dim matrix."""
+        return np.array([i * self.dim + j for i, j in self.unit_positions()],
+                        dtype=np.intp)
+
     def coefficients(self, mat: np.ndarray) -> np.ndarray:
-        """Coordinates of ``mat`` in the matrix-unit basis (just its entries)."""
-        coeffs = []
-        for sl in self.block_slices():
-            coeffs.append(np.asarray(mat)[sl, sl].reshape(-1))
-        return np.concatenate(coeffs)
+        """Coordinates in the matrix-unit basis (just the block entries) of
+        ``mat``, or of each matrix of a stack, by one gather."""
+        mat = np.asarray(mat)
+        return mat.reshape(*mat.shape[:-2], -1)[..., self._unit_flat]
 
 
 def operator_norm(mat: np.ndarray) -> float:
@@ -175,16 +181,21 @@ Atom = tuple
 Depth = Union[int, frozenset]
 
 
-class _Tables:
-    """The memo table of a model: everything fixed by the model, a base
-    algebra and a depth, built once per key and shared by every system over
-    the model.  A model states ``atoms_under``; the corners follow."""
+class Memo:
+    """A memo table ``_memo``: ``cached(key, make)`` calls ``make()`` once
+    per key and hands out what it returned."""
 
     def cached(self, key, make):
         hit = self._memo.get(key)
         if hit is None:
             hit = self._memo[key] = make()
         return hit
+
+
+class _Tables(Memo):
+    """The memo table of a model: everything fixed by the model, a base
+    algebra and a depth, built once per key and shared by every system over
+    the model.  A model states ``atoms_under``; the corners follow."""
 
     def unit_element(self, base: BaseAlgebra, depth, atom: Atom, i: int,
                      j: int) -> "LevelledElement":

@@ -1,25 +1,35 @@
 """Linear maps into operators on a finite Hilbert space.
 
-Provides the two map representations used throughout (on a base algebra and
-on a levelled algebra at fixed depth), the blockwise Choi test for complete
-positivity, contraction families indexed by semigroup generators, the
-inclusion-exclusion defect operators attached to finite subsets of the
-semigroup, the partition-of-unity projections built from range projections,
-and the extension machinery that turns a contraction family into a map on a
-diagonal (or diagonal-tensor) algebra.
+Provides the linear maps out of the algebra: a map on a levelled algebra at
+fixed depth (the point model's map is its one-atom case), given by one stack
+of values on the atom (x) matrix-unit basis and evaluated by one product,
+and the map on a base algebra it is lifted from.  Beside them: the blockwise
+Choi test for complete positivity, contraction families indexed by
+semigroup generators, the inclusion-exclusion defect operators attached to
+finite subsets of the semigroup, and the extension machinery that turns a
+contraction family into a map on a diagonal (or diagonal-tensor) algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .algebras import BaseAlgebra, Complex, LevelledElement, PointModel, operator_norm
+from .algebras import (
+    BaseAlgebra,
+    Complex,
+    LevelledElement,
+    PointModel,
+    operator_norm,
+    operator_norms,
+)
 from .errors import CovarianceError, ResourceCapError, SpecMismatchError
 from .semigroup import Element, Semigroup
-from .systems import LcmSystem
+
+if TYPE_CHECKING:   # systems imports this module for its maps
+    from .systems import LcmSystem
 
 PSD_RTOL = 1e-8
 CONTRACTION_SLACK = 1e-12
@@ -33,124 +43,104 @@ COMMUTE_TOL = 1e-10      # the two factorizations of an lcm of generators
 # ---------------------------------------------------------------------------
 
 
+def _value_stack(values, n: int) -> np.ndarray:
+    """``values`` as one (n, h, h) stack, refused unless it holds n square
+    values of one shape with finite entries."""
+    vals = [np.asarray(v, dtype=Complex) for v in values]
+    if len(vals) != n:
+        raise SpecMismatchError(f"need {n} basis values, got {len(vals)}")
+    shape = vals[0].shape
+    if len(shape) != 2 or shape[0] != shape[1] or any(v.shape != shape for v in vals):
+        raise SpecMismatchError("operator values must share one shape")
+    stack = np.array(vals)
+    bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
+    if bad.size:
+        raise SpecMismatchError(f"the value at basis #{bad[0]} has a non-finite entry")
+    return stack
+
+
+def _combine(coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] values[k] over a value stack: one (1, N) x (N, h*h)
+    product, the one ``np.tensordot`` forms, so the sum is the same bits."""
+    n = len(values)
+    return np.dot(coeffs.reshape(1, n), values.reshape(n, -1)).reshape(values.shape[1:])
+
+
 class BaseOperatorMap:
     """A linear map from a base algebra to h x h matrices, given by its
-    values on the matrix-unit basis."""
+    values on the matrix-unit basis, one (linear dim, h, h) stack."""
 
     def __init__(self, base: BaseAlgebra, values: Sequence[np.ndarray]):
         self.base = base
-        self.values = [np.asarray(v, dtype=Complex) for v in values]
-        if len(self.values) != base.linear_dim:
-            raise SpecMismatchError(
-                f"need {base.linear_dim} basis values, got {len(self.values)}"
-            )
-        self.h = self.values[0].shape[0]
-        for i, v in enumerate(self.values):
-            if v.shape != (self.h, self.h):
-                raise SpecMismatchError("operator values must share one shape")
-            if not np.isfinite(v).all():
-                raise SpecMismatchError(
-                    f"the value at basis #{i} has a non-finite entry"
-                )
-        self._tensor = np.stack(self.values)  # (linear_dim, h, h)
+        self.values = _value_stack(values, base.linear_dim)
+        self.h = self.values.shape[-1]
 
-    def value(self, a) -> np.ndarray:
-        if isinstance(a, LevelledElement):
-            if not isinstance(a.model, PointModel):
-                raise SpecMismatchError("this map is defined on the base algebra")
-            a = a.coefficient(())
-        coeff = self.base.coefficients(np.asarray(a, dtype=Complex))
-        return np.tensordot(coeff, self._tensor, axes=(0, 0))
-
-    def unital_defect(self) -> float:
-        return operator_norm(self.value(self.base.unit()) - np.eye(self.h))
-
-    def selfadjoint_defect(self) -> float:
-        worst = 0.0
-        for u in self.base.basis():
-            worst = max(
-                worst, operator_norm(self.value(u.conj().T) - self.value(u).conj().T)
-            )
-        return worst
-
-    def choi_blocks(self) -> list[tuple[str, np.ndarray]]:
-        """One Choi matrix per direct summand of the domain."""
-        out = []
-        offset = 0
-        for bi, n in enumerate(self.base.blocks):
-            c = np.zeros((n * self.h, n * self.h), dtype=Complex)
-            for i in range(n):
-                for j in range(n):
-                    val = self.values[offset + i * n + j]
-                    c[
-                        i * self.h: (i + 1) * self.h, j * self.h: (j + 1) * self.h
-                    ] = val
-            out.append((f"block{bi}", c))
-            offset += n * n
-        return out
+    def value(self, mat: np.ndarray) -> np.ndarray:
+        return _combine(self.base.coefficients(np.asarray(mat, dtype=Complex)),
+                        self.values)
 
 
 class LevelledOperatorMap:
     """A linear map from a levelled algebra at fixed depth to h x h matrices.
 
-    ``values[atom]`` is an array of shape (base linear dim, h, h): one value
-    per atom (x) matrix-unit basis element.  Atoms are orthogonal central
-    projections, so the map is one ``BaseOperatorMap`` per atom
-    (``atom_maps``).  Evaluation refines the argument up to the map's depth,
-    so the map represents a function on the whole inductive stage tower below
-    it (and on anything above when the values are stage-consistent, which the
-    builders below guarantee).
+    ``values`` is one stack, a value per atom (x) matrix unit, atom-major in
+    the order of ``atoms``: shape (atoms x base linear dim, h, h).  The point
+    model's map is the one-atom case.  Evaluation refines the argument up to
+    the map's depth, so the map represents a function on the whole inductive
+    stage tower below it (and on anything above when the values are
+    stage-consistent, which the builders below guarantee).
     """
 
-    def __init__(self, sys: LcmSystem, depth, values: dict):
-        self.sys = sys
+    def __init__(self, sys: LcmSystem, depth, values):
         self.model = sys.model
         self.base = sys.base
         self.depth = self.model.normalize_depth(depth)
-        atoms = self.model.atoms(self.depth)
-        self.atom_maps = {}
-        for atom in atoms:
-            v = np.asarray(values[atom], dtype=Complex)
-            if v.ndim == 2:
-                v = v[np.newaxis]
-            self.atom_maps[atom] = BaseOperatorMap(self.base, v)
-        self.h = self.atom_maps[atoms[0]].h
-        for atom, m in self.atom_maps.items():
-            if m.h != self.h:
-                raise SpecMismatchError(f"bad value shape at atom {atom}")
-        self.values = {atom: m._tensor for atom, m in self.atom_maps.items()}
-        self._atom_pos = {atom: k for k, atom in enumerate(atoms)}
-        self._tensor = np.stack([self.values[a] for a in atoms])
+        self.atoms = self.model.atoms(self.depth)
+        self.values = _value_stack(values, len(self.atoms) * self.base.linear_dim)
+        self.h = self.values.shape[-1]
+        self._row = {atom: k for k, atom in enumerate(self.atoms)}
 
     def value(self, x: LevelledElement) -> np.ndarray:
+        """The stack combined with the coefficients of x at the map's depth:
+        each atom of x gives its row by one gather of its block entries."""
         if not self.model.depth_leq(x.depth, self.depth):
             raise SpecMismatchError(
                 f"element at depth {x.depth} exceeds map depth {self.depth}"
             )
         y = x.refine_to(self.depth)
-        coeff = np.zeros(self._tensor.shape[:2], dtype=Complex)
-        for atom, mat in y.coeffs.items():
-            coeff[self._atom_pos[atom]] = self.base.coefficients(mat)
-        return np.tensordot(coeff, self._tensor, axes=([0, 1], [0, 1]))
+        coeffs = np.zeros((len(self.atoms), self.base.linear_dim), dtype=Complex)
+        if y.coeffs:
+            coeffs[[self._row[atom] for atom in y.coeffs]] = self.base.coefficients(
+                np.array(list(y.coeffs.values())))
+        return _combine(coeffs, self.values)
 
     def unital_defect(self) -> float:
         one = LevelledElement.unit(self.model, self.base, self.depth)
         return operator_norm(self.value(one) - np.eye(self.h))
 
     def selfadjoint_defect(self) -> float:
-        return max(m.selfadjoint_defect() for m in self.atom_maps.values())
+        """The largest ||phi(u*) - phi(u)*|| over the basis: the adjoint of
+        atom (x) e_ij is atom (x) e_ji."""
+        positions = self.base.unit_positions()
+        at = {ij: k for k, ij in enumerate(positions)}
+        star = [at[j, i] for i, j in positions]
+        vals = self.values.reshape(len(self.atoms), len(positions), self.h, self.h)
+        defects = vals[:, star] - vals.conj().swapaxes(-1, -2)
+        return float(operator_norms(defects.reshape(-1, self.h, self.h)).max())
 
     def choi_blocks(self) -> list[tuple[str, np.ndarray]]:
         """One Choi matrix per atom per base-algebra summand: at fixed depth
-        the domain is the direct sum of one base-algebra copy per atom."""
-        return [
-            (f"{atom}|{label}", c)
-            for atom, m in self.atom_maps.items()
-            for label, c in m.choi_blocks()
-        ]
-
-
-OperatorMap = Union[BaseOperatorMap, LevelledOperatorMap]
+        the domain is the direct sum of one base-algebra copy per atom.  The
+        label names the atom, but for the point model's one atom."""
+        h, out, k = self.h, [], 0
+        point = isinstance(self.model, PointModel)
+        for atom in self.atoms:
+            for b, n in enumerate(self.base.blocks):
+                choi = self.values[k:k + n * n].reshape(n, n, h, h)
+                out.append((f"block{b}" if point else f"{atom}|block{b}",
+                            choi.transpose(0, 2, 1, 3).reshape(n * h, n * h)))
+                k += n * n
+        return out
 
 
 # -- convenience constructors -------------------------------------------------
@@ -186,7 +176,7 @@ class CPReport:
     violations: list  # (position in choi_blocks(), least eigenvalue)
 
 
-def is_completely_positive(phi: OperatorMap, rtol: float = PSD_RTOL) -> CPReport:
+def is_completely_positive(phi: LevelledOperatorMap, rtol: float = PSD_RTOL) -> CPReport:
     """Blockwise Choi-matrix test.
 
     The verdict is relative: the smallest eigenvalue must stay above
@@ -213,6 +203,15 @@ def is_completely_positive(phi: OperatorMap, rtol: float = PSD_RTOL) -> CPReport
 # ---------------------------------------------------------------------------
 # contraction families
 # ---------------------------------------------------------------------------
+
+
+def _word_product(semigroup: Semigroup, mats, p: Element) -> np.ndarray:
+    """The product of the generator matrices ``mats`` along the word of p,
+    left to right."""
+    out = np.eye(len(mats[0]), dtype=Complex)
+    for letter in semigroup.as_word(tuple(p)):
+        out = out @ mats[letter - 1]
+    return out
 
 
 class ContractionFamily:
@@ -250,7 +249,8 @@ class ContractionFamily:
                 r = semigroup.lcm(gi, gj)
                 if r is None:
                     continue
-                a, b = (self.mats[k] @ self._product(semigroup.left_divide(g, r))
+                a, b = (self.mats[k] @ _word_product(semigroup, self.mats,
+                                                    semigroup.left_divide(g, r))
                         for k, g in ((i, gi), (j, gj)))
                 err = operator_norm(a - b)
                 if not err <= COMMUTE_TOL:
@@ -259,12 +259,6 @@ class ContractionFamily:
                         f"{r}; the two factorizations differ by {err:.3e}"
                     )
 
-    def _product(self, p: Element) -> np.ndarray:
-        out = np.eye(self.h, dtype=Complex)
-        for letter in self.semigroup.as_word(p):
-            out = out @ self.mats[letter - 1]
-        return out
-
     def __call__(self, p: Element) -> np.ndarray:
         """T(p), evaluated once per word; the stored array is read-only, so
         a caller that mutates it in place raises instead of corrupting it."""
@@ -272,7 +266,7 @@ class ContractionFamily:
         out = self._words.get(p)
         if out is None:
             self.semigroup.validate_element(p)
-            out = self._product(p)
+            out = _word_product(self.semigroup, self.mats, p)
             out.flags.writeable = False
             self._words[p] = out
         return out
@@ -370,19 +364,11 @@ def nica_defect(T: ContractionFamily, F, cap: int = MAX_SUBSET_SIZE) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _beta_unitary(semigroup: Semigroup, betas, p: Element) -> np.ndarray:
-    """The base automorphism unitary along any factorization of p."""
-    u = np.eye(len(betas[0]), dtype=Complex)
-    for letter in semigroup.as_word(tuple(p)):
-        u = u @ betas[letter - 1]
-    return u
-
-
 def _compressed(phi: BaseOperatorMap, betas, T: ContractionFamily,
                 p: Element, units) -> np.ndarray:
     """T(p) phi(beta_p^{-1}(u)) T(p)* for every u in ``units``, stacked."""
     tp = T(p)
-    bu = _beta_unitary(T.semigroup, betas, p)
+    bu = _word_product(T.semigroup, betas, p)   # beta_p's unitary
     return np.array([tp @ phi.value(bu.conj().T @ u @ bu) @ tp.conj().T
                      for u in units])
 
@@ -401,12 +387,12 @@ def build_phi_tilde(
     subsets of F.  For the boundary model this is stage-consistent only when
     phi(a) = sum_i T_i phi(beta_i^{-1}(a)) T_i*, which is verified here.
 
-    For point-model systems the base map is already the whole story.
+    On a point model the lift is the base map as the one-atom map.
     """
-    if isinstance(sys.model, PointModel):
-        return phi
     if phi.base != sys.base:
         raise SpecMismatchError("base map domain does not match the system")
+    if isinstance(sys.model, PointModel):
+        return LevelledOperatorMap(sys, 0, phi.values)
     if T.semigroup != sys.semigroup:
         raise SpecMismatchError("contraction family indexed by the wrong semigroup")
     d = sys.model.normalize_depth(depth)
@@ -429,10 +415,10 @@ def build_phi_tilde(
         return _compressed(phi, betas, T, s, units)
 
     memo: dict = {}   # shared by the atoms, whose cylinders overlap
-    values = {}
+    values = []
     for atom in sys.model.atoms(d):
         p, F = sys.model.cylinder(atom, d)
-        values[atom] = inclusion_exclusion(sys.semigroup, term, p, tuple(F), memo)
+        values.extend(inclusion_exclusion(sys.semigroup, term, p, tuple(F), memo))
     return LevelledOperatorMap(sys, d, values)
 
 
@@ -465,6 +451,5 @@ def extend_phi_T(
     phi0 = BaseOperatorMap(sys.base, [np.eye(T.h, dtype=Complex)])
     lifted = build_phi_tilde(sys, phi0, T, depth)
     cp = is_completely_positive(lifted, rtol)
-    atoms = list(lifted.atom_maps)
     return PhiTExtension(lifted, cp.is_cp, cp.min_eigenvalue, cp.scale,
-                         [(atoms[k], m) for k, m in cp.violations])
+                         [(lifted.atoms[k], m) for k, m in cp.violations])

@@ -38,7 +38,7 @@ import numpy as np
 from .algebras import LevelledElement, operator_norms
 from .cpmaps import (
     ContractionFamily,
-    OperatorMap,
+    LevelledOperatorMap,
     is_completely_positive,
     nica_defect,  # unused here: perfbench's tracer patches dilation.nica_defect
 )
@@ -800,7 +800,7 @@ def _check_reproduces_kernel(result: DilationResult,
 
 def covariant_dilate(
     sys: LcmSystem,
-    phi: OperatorMap,
+    phi: LevelledOperatorMap,
     T: ContractionFamily,
     degree: int,
     tolerances: Optional[Tolerances] = None,

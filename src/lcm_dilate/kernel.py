@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebras import LevelledElement, operator_norm
-from .cpmaps import BaseOperatorMap, ContractionFamily, OperatorMap
+from .cpmaps import ContractionFamily, LevelledOperatorMap
 from .errors import (
     CornerMembershipError,
     CovarianceError,
@@ -45,7 +45,7 @@ class KernelSystem:
     def __init__(
         self,
         sys: LcmSystem,
-        phi: OperatorMap,
+        phi: LevelledOperatorMap,
         T: ContractionFamily,
         validate: bool = True,
         tol: float = COVARIANCE_TOL,
@@ -83,11 +83,10 @@ class KernelSystem:
         return worst
 
     def _covariance_basis(self, g: int) -> list[LevelledElement]:
-        """The basis covariance at g is checked on: for a levelled phi, the
-        depth alpha_g maps onto phi's, or none when E_g lies deeper."""
+        """The basis covariance at g is checked on: the depth alpha_g maps
+        onto phi's, or none when E_g lies deeper (on the point model, the
+        one depth)."""
         sys_ = self.sys
-        if isinstance(self.phi, BaseOperatorMap):
-            return sys_.algebra_basis()
         model, depth = sys_.model, self.phi.depth
         if not model.depth_leq(model.shift_depth(model.zero_depth(), g), depth):
             return []

@@ -29,7 +29,7 @@ import zlib
 
 import numpy as np
 
-from .cpmaps import ContractionFamily, OperatorMap
+from .cpmaps import ContractionFamily, LevelledOperatorMap
 from .dilation import DilationResult, Tolerances, identity_suite, stored_pi_depth
 from .errors import SchemaError
 from .semigroup import Element
@@ -185,7 +185,8 @@ class StoredDilation:
     """
 
     def __init__(self, meta: dict, arrays: dict, sys: LcmSystem,
-                 phi: OperatorMap, T: ContractionFamily, tolerances: Tolerances):
+                 phi: LevelledOperatorMap, T: ContractionFamily,
+                 tolerances: Tolerances):
         self.sys, self.phi, self.T, self.tolerances = sys, phi, T, tolerances
         self.degree = stored_degree(meta)
         self.rank = rank = _natural(meta, "rank")
@@ -206,7 +207,8 @@ class StoredDilation:
         self.interiors = {0: np.eye(rank, dtype=np.complex128)}
         for k in levels:
             self.interiors[k] = _array(arrays, f"interior_{k}", (rank, None))
-        self._pi = _array(arrays, "pi", (len(labels), rank, rank))
+        self._pi = LevelledOperatorMap(
+            sys, self.pi_depth, _array(arrays, "pi", (len(labels), rank, rank)))
         self._products = {(): np.eye(rank, dtype=np.complex128)}
         self.residuals = stored_residuals(meta)
 
@@ -214,13 +216,7 @@ class StoredDilation:
         return self.interiors[level]
 
     def pi(self, x) -> np.ndarray:
-        depth = self.sys.model.normalize_depth(self.pi_depth)
-        y = x.refine_to(depth)
-        coeffs = np.concatenate([
-            self.sys.base.coefficients(y.coefficient(atom))
-            for atom in self.sys.model.atoms(depth)
-        ])
-        return np.tensordot(coeffs, self._pi, axes=1)
+        return self._pi.value(x)
 
     def word_level(self, p: Element) -> int:
         """A product of k generator shifts is exact on the interior of level k."""
@@ -244,7 +240,7 @@ def verify_result(
     meta: dict,
     arrays: dict,
     sys: LcmSystem,
-    phi: OperatorMap,
+    phi: LevelledOperatorMap,
     T: ContractionFamily,
     tolerances: Tolerances,
 ) -> ValidationReport:

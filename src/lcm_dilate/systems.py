@@ -30,11 +30,13 @@ from .algebras import (
     Complex,
     CornerBasis,
     LevelledElement,
+    Memo,
     Model,
     PointModel,
     ToeplitzModel,
     operator_norm,
 )
+from .cpmaps import BaseOperatorMap
 from .errors import SpecMismatchError
 from .semigroup import Element, Semigroup, semigroup_from_json
 
@@ -224,7 +226,7 @@ class GeneratorAction:
             report.at_most("units.lcm_rule", cases, tol)
 
 
-class LcmSystem(GeneratorAction):
+class LcmSystem(GeneratorAction, Memo):
     """A semigroup acting on a levelled or fixed finite-dimensional algebra
     through ``maps``, one ``GeneratorMap`` per generator.
 
@@ -268,15 +270,9 @@ class LcmSystem(GeneratorAction):
             self.maps = [GeneratorMap(unitary=b) for b in betas]
         self._memo: dict = {}
 
-    def _cached(self, key, make):
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self._memo[key] = make()
-        return hit
-
     def _per_element(self, key, x: LevelledElement, make) -> LevelledElement:
         """``make()`` once per (key, element object), held while x is."""
-        memo = self._cached(key, weakref.WeakKeyDictionary)
+        memo = self.cached(key, weakref.WeakKeyDictionary)
         hit = memo.get(x)
         if hit is None:
             hit = memo[x] = make()
@@ -291,8 +287,8 @@ class LcmSystem(GeneratorAction):
 
     def unit(self, depth=None) -> LevelledElement:
         d = self.model.zero_depth() if depth is None else self.model.normalize_depth(depth)
-        return self._cached(("unit", d),
-                            lambda: LevelledElement.unit(self.model, self.base, d))
+        return self.cached(("unit", d),
+                           lambda: LevelledElement.unit(self.model, self.base, d))
 
     def zero(self, depth=None) -> LevelledElement:
         return LevelledElement.zero(self.model, self.base, depth)
@@ -304,7 +300,7 @@ class LcmSystem(GeneratorAction):
         d = self.model.normalize_depth(
             self.model.zero_depth() if depth is None else depth
         )
-        return self._cached(("basis", d), lambda: [
+        return self.cached(("basis", d), lambda: [
             LevelledElement.from_atom(self.model, self.base, d, atom, u)
             for atom in self.model.atoms(d) for u in self.base.basis()])
 
@@ -400,7 +396,7 @@ class LcmSystem(GeneratorAction):
     def validate(self, depth: int = 1) -> ValidationReport:
         """The structural checks at ``depth``, run once per depth; each call
         returns fresh copies of the records."""
-        checks = self._cached(("validate", depth), lambda: self._validate(depth).checks)
+        checks = self.cached(("validate", depth), lambda: self._validate(depth).checks)
         return ValidationReport([replace(c) for c in checks])
 
     def _validate(self, depth: int) -> ValidationReport:
@@ -480,7 +476,7 @@ class StageSystem(GeneratorAction):
                 raise SpecMismatchError(
                     f"need one {shape} image per domain basis element"
                 )
-        self.basis_images = [np.array(images, dtype=Complex) for images in basis_images]
+        self.maps = [BaseOperatorMap(domain, images) for images in basis_images]
         self._point = PointModel(semigroup.rank)
 
     def _element(self, depth: int, mat: np.ndarray) -> LevelledElement:
@@ -492,10 +488,7 @@ class StageSystem(GeneratorAction):
         return [self._element(depth, u) for u in algebra.basis()]
 
     def apply_generator(self, letter: int, x: LevelledElement) -> LevelledElement:
-        coeff = self.domain.coefficients(x.coefficient(()))
-        return self._element(
-            1, np.tensordot(coeff, self.basis_images[letter - 1], axes=(0, 0))
-        )
+        return self._element(1, self.maps[letter - 1].value(x.coefficient(())))
 
     def unit_projection(self, generator: Element) -> LevelledElement:
         (letter,) = self.semigroup.as_word(generator)

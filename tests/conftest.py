@@ -9,20 +9,23 @@ from typing import Optional, Sequence
 import numpy as np
 import pytest
 
-from lcm_dilate.algebras import BaseAlgebra, LevelledElement, operator_norm
+from lcm_dilate.algebras import BaseAlgebra, LevelledElement, PointModel, operator_norm
 from lcm_dilate.cpmaps import (
     MAX_SUBSET_SIZE,
     BaseOperatorMap,
     ContractionFamily,
+    LevelledOperatorMap,
     _check_subset_cap,
     _compressed,
     _sorted_elements,
+    build_phi_tilde,
     inclusion_exclusion,
 )
 from lcm_dilate.dilation import DilationResult, Tolerances, naimark_dilate
 from lcm_dilate.errors import SpecMismatchError
 from lcm_dilate.kernel import GramAssembly, GramBlock, KernelSystem, assemble_gram
-from lcm_dilate.systems import LcmSystem, ValidationReport
+from lcm_dilate.semigroup import FreeAbelian
+from lcm_dilate.systems import GeneratorMap, LcmSystem, ValidationReport
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 PERFBENCH = FIXTURES.parent / "perfbench"
@@ -89,6 +92,19 @@ def random_ucp_map(rng, base: BaseAlgebra, h: int, env: int = 2):
     for u in base.basis():
         values.append(q.conj().T @ np.kron(u, np.eye(env)) @ q)
     return BaseOperatorMap(base, values)
+
+
+def on_point(phi: BaseOperatorMap) -> LevelledOperatorMap:
+    """A base map lifted to the one-atom map of a point model whose
+    generator fixes everything, as a matrix system's commands lift it."""
+    sys_ = LcmSystem(FreeAbelian(1), PointModel(1), phi.base,
+                     alphas=[GeneratorMap(unitary=phi.base.unit())])
+    return build_phi_tilde(sys_, phi, None, 0)
+
+
+def atom_values(phi: LevelledOperatorMap) -> dict:
+    """Atom -> the (base linear dim, h, h) values of a map at that atom."""
+    return dict(zip(phi.atoms, phi.values.reshape(len(phi.atoms), -1, phi.h, phi.h)))
 
 
 def commuting_contraction_pair(rng, h: int = 2) -> list[np.ndarray]:

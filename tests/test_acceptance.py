@@ -144,6 +144,7 @@ def test_criterion_3_non_cp_inputs_refused():
     worst_choi = 0.0
     worst_rel = 0.0
     for phi in fixtures:
+        phi = build_phi_tilde(sys_, phi, T, 0)
         cp = is_completely_positive(phi)
         assert not cp.is_cp and cp.min_eigenvalue <= -0.1
         worst_choi = min(worst_choi, cp.min_eigenvalue)

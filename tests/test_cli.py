@@ -1041,7 +1041,6 @@ def test_run_fixtures_main_reports_a_wrong_verdict(monkeypatch, capsys):
 # the experiment scripts run to their agreement line
 @pytest.mark.parametrize("args,last_line", [
     (("defect_sweep.py", "4"), "all three verdicts agree at every scale"),
-    (("depth_convergence.py",), "compressions stable across depths (drift <= 1e-9)"),
     (("run_fixtures.py",), "14/14 fixture verdicts reproduced"),
 ])
 def test_experiment_script_agrees(args, last_line):

@@ -203,8 +203,9 @@ def point_diagonal_alphas():
         w @ np.diag(np.exp(2j * np.pi * rng.random(3))) @ w.conj().T
         for _ in range(2)
     ]
-    phi = state_map(M2, np.diag([0.3, 0.7]), 3)
-    return KernelSystem(sys_, phi, ContractionFamily(sg, t_mats)), 2
+    T = ContractionFamily(sg, t_mats)
+    phi = build_phi_tilde(sys_, state_map(M2, np.diag([0.3, 0.7]), 3), T, 0)
+    return KernelSystem(sys_, phi, T), 2
 
 
 def blocks_2_1():

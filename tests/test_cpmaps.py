@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    atom_values,
     box,
     commuting_contraction_pair,
     ewf_projection,
+    on_point,
     phi_F,
     random_coisometry_pair,
     random_matrix,
@@ -46,9 +48,9 @@ E21 = np.array([[0, 0], [1, 0]], dtype=complex)
 
 
 def test_cp_examples():
-    assert is_completely_positive(diagonal_compression_map(M3)).is_cp
-    assert is_completely_positive(BaseOperatorMap(M2, M2.basis())).is_cp
-    rep = is_completely_positive(transpose_map(M2))
+    assert is_completely_positive(on_point(diagonal_compression_map(M3))).is_cp
+    assert is_completely_positive(on_point(BaseOperatorMap(M2, M2.basis()))).is_cp
+    rep = is_completely_positive(on_point(transpose_map(M2)))
     assert not rep.is_cp
     # the Choi matrix of the transpose is the swap, with eigenvalue -1
     assert rep.min_eigenvalue <= -0.999
@@ -59,10 +61,10 @@ def test_cp_examples():
 def test_cp_blockwise_domain():
     alg = BaseAlgebra((2, 1))
     values = [u.conj().T.T for u in alg.basis()]  # identity representation
-    assert is_completely_positive(BaseOperatorMap(alg, values)).is_cp
+    assert is_completely_positive(on_point(BaseOperatorMap(alg, values))).is_cp
     # transpose on the 2-block only: the violation names that block alone
     values = [u.T for u in alg.basis()]
-    rep = is_completely_positive(BaseOperatorMap(alg, values))
+    rep = is_completely_positive(on_point(BaseOperatorMap(alg, values)))
     assert rep.violations == [(0, rep.min_eigenvalue)]
     assert [label for _, label in rep.cases] == ["block0", "block1"]
 
@@ -89,15 +91,15 @@ def test_cp_matches_bruteforce_positivity_oracle():
 
     for seed in range(4):
         phi = random_ucp_map(np.random.default_rng(seed), M2, h=2)
-        assert is_completely_positive(phi).is_cp
+        assert is_completely_positive(on_point(phi)).is_cp
         assert oracle(phi)
     bad = transpose_map(M2)
-    assert not is_completely_positive(bad).is_cp
+    assert not is_completely_positive(on_point(bad)).is_cp
     assert not oracle(bad)
 
 
 def test_unital_selfadjoint_defects():
-    phi = state_map(M2, np.diag([0.5, 0.5]).astype(complex), 3)
+    phi = on_point(state_map(M2, np.diag([0.5, 0.5]).astype(complex), 3))
     assert phi.unital_defect() <= 1e-14
     assert phi.selfadjoint_defect() <= 1e-14
 
@@ -295,14 +297,14 @@ def test_extension_isometry_accepted_with_zero_defect():
     ext = extend_phi_T(sys_, ContractionFamily(FA1, [u]), 3)
     assert ext.accepted
     # point-mass values are the step defects, zero for an isometry
-    assert np.abs(ext.map.values[(0,)]).max() <= 1e-12
+    assert np.abs(atom_values(ext.map)[(0,)]).max() <= 1e-12
 
 
 def test_extension_row_coisometry_accepted():
     sys_ = LcmSystem(FM2, ToeplitzModel(FM2), C)
     ext = extend_phi_T(sys_, ContractionFamily(FM2, [E11, E21]), 2)
     assert ext.accepted
-    assert np.abs(ext.map.values[()]).max() <= 1e-12
+    assert np.abs(atom_values(ext.map)[()]).max() <= 1e-12
 
 
 def test_extension_rejects_excess_row_norm():
@@ -335,8 +337,7 @@ def test_extension_verdict_is_the_choi_test_of_the_lift():
         cp = is_completely_positive(ext.map, rtol=rtol)
         assert ext.accepted == cp.is_cp == accepted
         assert (ext.min_eigenvalue, ext.scale) == (cp.min_eigenvalue, cp.scale)
-        atoms = list(ext.map.atom_maps)
-        assert ext.violations == [(atoms[k], m) for k, m in cp.violations]
+        assert ext.violations == [(ext.map.atoms[k], m) for k, m in cp.violations]
     assert [a for a, _ in extend_phi_T(sys_, T, 2).violations] == [(0, 0)]
     assert abs(ext.min_eigenvalue + 1e-6) <= 1e-12
 
@@ -432,7 +433,7 @@ def test_phi_F_is_cp_checkable():
     phi = random_ucp_map(rng, M2, h=2)
     T = ContractionFamily(FM2, [0.5 * E11, 0.5 * E21])
     out = phi_F(phi, [np.eye(2)] * 2, T, [(1,), (2,)])
-    rep = is_completely_positive(out)
+    rep = is_completely_positive(on_point(out))
     assert rep.min_eigenvalue is not None
 
 
@@ -475,7 +476,7 @@ def test_lift_toeplitz_free_matches_extension():
     lifted = build_phi_tilde(sys_, phi0, T, 2)
     ext = extend_phi_T(sys_, T, 2)
     for atom in sys_.model.atoms(2):
-        assert np.allclose(lifted.values[atom], ext.map.values[atom])
+        assert np.allclose(atom_values(lifted)[atom], atom_values(ext.map)[atom])
 
 
 def test_lift_stage_consistency_under_refinement():

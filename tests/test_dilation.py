@@ -180,7 +180,7 @@ def test_refusal_carries_negative_eigenvalue_witness():
     sys_ = LcmSystem(FA1, PointModel(1), M2,
                      alphas=[GeneratorMap(unitary=np.eye(2))])
     T = ContractionFamily(FA1, [np.eye(2)])
-    K = KernelSystem(sys_, transpose_map(M2), T)
+    K = KernelSystem(sys_, build_phi_tilde(sys_, transpose_map(M2), T, 0), T)
     with pytest.raises(GramNotPositiveError) as exc:
         naimark_dilate(K, 2)
     assert exc.value.min_eigenvalue < -0.5
@@ -204,7 +204,8 @@ def test_nan_gram_is_refused_before_eigh(where):
     sys_ = LcmSystem(FA1, PointModel(1), M2,
                      alphas=[GeneratorMap(unitary=np.eye(2))])
     T = ContractionFamily(FA1, [np.eye(2)])
-    K = KernelSystem(sys_, BaseOperatorMap(M2, M2.basis()), T)
+    phi = build_phi_tilde(sys_, BaseOperatorMap(M2, M2.basis()), T, 0)
+    K = KernelSystem(sys_, phi, T)
     good = assemble_gram(K, 1)
     blocks = [GramBlock(b.key, b.rows, np.eye(len(b.matrix), dtype=complex))
               for b in good.blocks]
@@ -228,7 +229,8 @@ def test_hermitian_assembly_measures_the_factored_blocks():
     sys_ = LcmSystem(FA1, PointModel(1), M2,
                      alphas=[GeneratorMap(unitary=np.eye(2))])
     T = ContractionFamily(FA1, [np.eye(2)])
-    K = KernelSystem(sys_, BaseOperatorMap(M2, M2.basis()), T)
+    phi = build_phi_tilde(sys_, BaseOperatorMap(M2, M2.basis()), T, 0)
+    K = KernelSystem(sys_, phi, T)
     good = assemble_gram(K, 1)
     blocks = [GramBlock(b.key, b.rows, b.matrix.copy()) for b in good.blocks]
     blocks[0].matrix[0, 1] += 0.5

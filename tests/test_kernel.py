@@ -60,7 +60,7 @@ def matrix_kernel(phi_map, h=2):
     sys_ = LcmSystem(FA1, PointModel(1), M2,
                      alphas=[GeneratorMap(unitary=np.eye(2))])
     T = ContractionFamily(FA1, [np.eye(h)])
-    return KernelSystem(sys_, phi_map, T)
+    return KernelSystem(sys_, build_phi_tilde(sys_, phi_map, T, 0), T)
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +104,8 @@ def test_covariance_validated_at_construction():
     # a strict contraction with the trivial action is not covariant
     sys_ = LcmSystem(FA1, PointModel(1), M2,
                      alphas=[GeneratorMap(unitary=np.eye(2))])
-    phi = BaseOperatorMap(M2, M2.basis())
     T = ContractionFamily(FA1, [0.5 * np.eye(2)])
+    phi = build_phi_tilde(sys_, BaseOperatorMap(M2, M2.basis()), T, 0)
     with pytest.raises(CovarianceError):
         KernelSystem(sys_, phi, T)
     KernelSystem(sys_, phi, T, validate=False)  # negative controls may opt out
@@ -115,11 +115,11 @@ def nan_identity_kernel(validate):
     """The identity map over M2 with one non-finite entry in its values,
     written after construction (the constructor refuses it), so the guards
     behind it are still exercised."""
-    phi = BaseOperatorMap(M2, M2.basis())
-    phi.values[1][0, 1] = phi._tensor[1, 0, 1] = np.nan
     sys_ = LcmSystem(FA1, PointModel(1), M2,
                      alphas=[GeneratorMap(unitary=np.eye(2))])
     T = ContractionFamily(FA1, [np.eye(2)])
+    phi = build_phi_tilde(sys_, BaseOperatorMap(M2, M2.basis()), T, 0)
+    phi.values[1, 0, 1] = np.nan
     return KernelSystem(sys_, phi, T, validate=validate)
 
 
