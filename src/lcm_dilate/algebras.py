@@ -35,14 +35,14 @@ depths alike.
 
 Shared tables
 -------------
-A model memoizes what its structure fixes: the depth rules (keyed on the
-depths), ``atoms_under`` (on p and the depth), the corner bases E_p . A . E_q
-(on the base algebra, p, q and the depth) and the kernel's Gram plans (on
-the monoid, the base algebra and the degree).  None depends on a system's
-maps, phi or T, so ``systems.build_system`` hands out one Toeplitz model per
-(monoid, boundary) for the life of the process and every system over it
-reads the same tables; the same table holds the one system of each (base
-algebra, betas).
+A model memoizes what its structure fixes: the depth rules and atom positions
+(keyed on the depths), ``atoms_under`` (on p and the depth), the corner bases
+E_p . A . E_q (on the base algebra, p, q and the depth) and the kernel's Gram
+plans (on the monoid, the base algebra and the degree).  None depends on a
+system's maps, phi or T, so ``systems.build_system`` hands out one Toeplitz
+model per (monoid, boundary) for the life of the process and every system
+over it reads the same tables; the same table holds the one system of each
+(base algebra, betas).
 """
 
 from __future__ import annotations
@@ -197,17 +197,11 @@ class _Tables(Memo):
     algebra and a depth, built once per key and shared by every system over
     the model.  A model states ``atoms_under``; the corners follow."""
 
-    def unit_element(self, base: BaseAlgebra, depth, atom: Atom, i: int,
-                     j: int) -> "LevelledElement":
-        """atom (x) e_ij at ``depth``, one object per key, so that every
-        corner holding it holds the same element."""
+    def atom_rows(self, depth) -> dict:
+        """Atom -> its position in ``atoms(depth)``."""
         d = self.normalize_depth(depth)
-
-        def make():
-            e = base.zero()
-            e[i, j] = 1.0
-            return LevelledElement.from_atom(self, base, d, atom, e)
-        return self.cached(("unit", base, d, atom, i, j), make)
+        return self.cached(("rows", d), lambda: {
+            a: k for k, a in enumerate(self.atoms(d))})
 
     def corner(self, base: BaseAlgebra, p, q, depth) -> "CornerBasis":
         """Matrix-unit basis of E_p . A(depth) . E_q over ``base``: the
@@ -216,10 +210,14 @@ class _Tables(Memo):
         d = self.normalize_depth(depth)
 
         def make():
-            under = set(self.atoms_under(q, d))
+            under, rows, n = set(self.atoms_under(q, d)), self.atom_rows(d), base.dim
+            units = dict(zip(base.unit_positions(), base.basis()))
             keys = [(a, i, j) for a in self.atoms_under(p, d) if a in under
-                    for i, j in base.unit_positions()]
-            return CornerBasis(d, keys, [self.unit_element(base, d, *k) for k in keys])
+                    for i, j in units]
+            elements = [LevelledElement.from_atom(self, base, d, a, units[i, j])
+                        for a, i, j in keys]
+            positions = [(rows[a] * n + i) * n + j for a, i, j in keys]
+            return CornerBasis(d, keys, elements, np.array(positions, dtype=np.intp))
         return self.cached(("corner", base, tuple(p), tuple(q), d), make)
 
 
@@ -454,6 +452,9 @@ class PointModel(_Tables):
     def shift_depth(self, depth, letter: int) -> int:
         return 0
 
+    def children(self, atom: Atom, depth, target) -> list[Atom]:
+        return [atom]
+
     # a letter moves nothing, so its left inverse is the same rule
     unshift, unshift_depth = shift, shift_depth
 
@@ -533,6 +534,12 @@ class LevelledElement:
     def coefficient(self, atom: Atom) -> np.ndarray:
         return self.coeffs.get(atom, self.base.zero())
 
+    def coordinates(self, depth) -> np.ndarray:
+        """Coordinates in the atom (x) matrix-unit basis at ``depth``,
+        atom-major in ``atoms`` order: the block entries of ``vec`` there."""
+        n = self.base.dim
+        return self.base.coefficients(self.vec(depth).reshape(-1, n, n)).reshape(-1)
+
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other: "LevelledElement") -> "LevelledElement":
@@ -586,14 +593,11 @@ class LevelledElement:
     def vec(self, depth=None) -> np.ndarray:
         """Flatten to a complex vector in the fixed catalog order at ``depth``."""
         x = self if depth is None else self.refine_to(depth)
-        atoms = x.model.atoms(x.depth)
-        n = self.base.dim
-        out = np.zeros(len(atoms) * n * n, dtype=Complex)
-        for k, atom in enumerate(atoms):
-            v = x.coeffs.get(atom)
-            if v is not None:
-                out[k * n * n: (k + 1) * n * n] = np.asarray(v).reshape(-1)
-        return out
+        rows, n = x.model.atom_rows(x.depth), self.base.dim
+        out = np.zeros((len(rows), n, n), dtype=Complex)
+        for atom, v in x.coeffs.items():
+            out[rows[atom]] = v
+        return out.reshape(-1)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -607,16 +611,15 @@ class CornerBasis:
     """Matrix-unit basis of a compressed subspace E_p . A . E_q.
 
     Element k is the single-atom element atom (x) e_ij named by
-    ``keys[k] = (atom, i, j)``, at ``depth``.  The elements are orthonormal in
-    the fixed vectorization, so coordinates are entries looked up by key.
+    ``keys[k] = (atom, i, j)``, at ``depth``, and ``positions[k]`` is its
+    entry in ``vec`` there.  The elements are orthonormal in the fixed
+    vectorization, so coordinates are entries gathered by position.
     """
 
     depth: object
     keys: list[tuple]
     elements: list[LevelledElement]
-
-    def __post_init__(self):
-        self.index = {key: k for k, key in enumerate(self.keys)}
+    positions: np.ndarray
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -624,18 +627,8 @@ class CornerBasis:
     def coefficients(self, x: LevelledElement):
         """Coordinates of x in this basis plus the relative residual: the
         norm of the entries outside the corner over max(1, ||x||)."""
-        c = np.zeros(len(self.keys), dtype=Complex)
-        total = outside = 0.0
-        for atom, v in x.refine_to(self.depth).coeffs.items():
-            for i, row in enumerate(np.asarray(v).tolist()):
-                for j, z in enumerate(row):
-                    if z == 0:
-                        continue
-                    w = abs(z) ** 2
-                    total += w
-                    k = self.index.get((atom, i, j))
-                    if k is None:
-                        outside += w
-                    else:
-                        c[k] = z
-        return c, outside ** 0.5 / max(1.0, total ** 0.5)
+        v = x.vec(self.depth)
+        w = np.abs(v) ** 2
+        total = w.sum()
+        w[self.positions] = 0.0
+        return v[self.positions], float(w.sum() ** 0.5 / max(1.0, total ** 0.5))

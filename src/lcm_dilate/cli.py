@@ -10,8 +10,8 @@ verify      re-check a persisted dilation against its instance
 report      render a persisted report or result as text
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 bad usage
-or unparsable input.  Reports are deterministic for a fixed instance, flags,
-and seed; timing fields are excluded from the report hash.
+or unparsable input.  Reports are deterministic for a fixed instance and
+flags; timing fields are excluded from the report hash.
 """
 
 from __future__ import annotations
@@ -557,13 +557,9 @@ def _job(args):
         instance.tolerances = replace(instance.tolerances, **{
             key: _tolerance(flags[f"tol_{key}"], f"--tol-{key}")
             for key in ("psd", "rank") if flags.get(f"tol_{key}") is not None})
-        if flags.get("seed") is not None:
-            instance.seed = flags["seed"]
         report = run_command(command, instance, flags)
         return path, report, report["exit_code"]
-    except SchemaError as exc:
-        return path, {"error": str(exc), "exit_code": 2}, 2
-    except (SpecMismatchError, ResourceCapError) as exc:
+    except (SchemaError, SpecMismatchError, ResourceCapError) as exc:
         return path, {"error": str(exc), "exit_code": 2}, 2
 
 
@@ -587,7 +583,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the instance truncation depth")
         p.add_argument("--tol-psd", type=float, default=None)
         p.add_argument("--tol-rank", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--jobs", type=int, default=1,
                        help="run independent instances in parallel")
@@ -671,7 +666,6 @@ def main(argv=None) -> int:
         "max_f": getattr(args, "max_f", None),
         "tol_psd": args.tol_psd,
         "tol_rank": args.tol_rank,
-        "seed": args.seed,
     }
     if args.jobs < 1:
         exc = SchemaError(f"--jobs must be at least 1, got {args.jobs}", "--jobs")

@@ -98,21 +98,14 @@ class LevelledOperatorMap:
         self.atoms = self.model.atoms(self.depth)
         self.values = _value_stack(values, len(self.atoms) * self.base.linear_dim)
         self.h = self.values.shape[-1]
-        self._row = {atom: k for k, atom in enumerate(self.atoms)}
 
     def value(self, x: LevelledElement) -> np.ndarray:
-        """The stack combined with the coefficients of x at the map's depth:
-        each atom of x gives its row by one gather of its block entries."""
+        """The stack combined with the coordinates of x at the map's depth."""
         if not self.model.depth_leq(x.depth, self.depth):
             raise SpecMismatchError(
                 f"element at depth {x.depth} exceeds map depth {self.depth}"
             )
-        y = x.refine_to(self.depth)
-        coeffs = np.zeros((len(self.atoms), self.base.linear_dim), dtype=Complex)
-        if y.coeffs:
-            coeffs[[self._row[atom] for atom in y.coeffs]] = self.base.coefficients(
-                np.array(list(y.coeffs.values())))
-        return _combine(coeffs, self.values)
+        return _combine(x.coordinates(self.depth), self.values)
 
     def unital_defect(self) -> float:
         one = LevelledElement.unit(self.model, self.base, self.depth)

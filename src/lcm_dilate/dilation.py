@@ -192,6 +192,9 @@ class DilationResult:
         blocks = self.sys.base.blocks
         block_id = np.repeat(np.arange(len(blocks)), blocks)
         self._off_block = block_id[:, None] != block_id    # (i, c) across blocks
+        # the block of group (atom, c) at each (atom, column c), or -1
+        self._col_block = np.array([[self._block_at.get((a, c), -1) for c in range(dim)]
+                                    for a in top], dtype=np.intp)
         self._pi_table = self._pi_entries()
 
         self.interiors = _interiors_for(self)
@@ -350,14 +353,14 @@ class DilationResult:
         rank, dim = self.rank, self.sys.base.dim
         spans = [np.arange(f.span.start, f.span.stop) for f in self.factors]
         pos, coef, vals = [], [], []    # every atom at the catalog depth has groups
-        for k, atom in enumerate(self.sys.model.atoms(self._depth)):
+        for k, blocks in enumerate(self._col_block.tolist()):
             for sl in self.sys.base.block_slices():
                 for c in range(sl.start, sl.stop):
-                    s = self._block_at.get((atom, c))
-                    if s is None:
+                    s = blocks[c]
+                    if s < 0:
                         continue
                     for i in range(sl.start, sl.stop):
-                        t = self._block_at[(atom, i)]
+                        t = blocks[i]
                         block = (np.eye(spans[s].size, dtype=np.complex128) if t == s
                                  else self.factors[t].factor @ self.factors[s].cofactor)
                         pos.append((spans[t][:, None] * rank + spans[s]).ravel())
@@ -365,24 +368,21 @@ class DilationResult:
                         vals.append(block.ravel())
         return tuple(np.concatenate(x) for x in (pos, coef, vals))
 
-    def _check_blocks(self, ar: LevelledElement) -> None:
+    def _check_blocks(self, vec: np.ndarray) -> None:
         """A coefficient's column at (atom, c) may carry at most the corner
-        tolerance outside the base block of c."""
-        for atom, v in ar.coeffs.items():
-            for sl in self.sys.base.block_slices():
-                for c in range(sl.start, sl.stop):
-                    s = self._block_at.get((atom, c))
-                    if s is None:
-                        continue
-                    col = v[:, c]
-                    outside = float(np.sum(np.abs(col[:sl.start]) ** 2)
-                                    + np.sum(np.abs(col[sl.stop:]) ** 2))
-                    if outside:
-                        total = float(np.linalg.norm(col)) ** 2
-                        self._check_corner(
-                            self.assembly.catalog[self.factors[s].rows[0]].q,
-                            (outside / max(1.0, total)) ** 0.5,
-                        )
+        tolerance outside the base block of c: one weight per (atom, column)
+        of ``vec`` at the catalog depth."""
+        dim = self.sys.base.dim
+        w = np.abs(vec.reshape(-1, dim, dim)) ** 2
+        outside = np.where(self._off_block, w, 0.0).sum(axis=1)
+        resid = (outside / np.maximum(1.0, w.sum(axis=1))) ** 0.5
+        bad = np.argwhere((self._col_block >= 0) & (outside != 0)
+                          & ~(resid <= self.tolerances.corner))
+        if bad.size:
+            k, c = bad[0]
+            s = self._col_block[k, c]
+            self._check_corner(self.assembly.catalog[self.factors[s].rows[0]].q,
+                               resid[k, c])
 
     # -- operators ---------------------------------------------------------------
 
@@ -392,15 +392,14 @@ class DilationResult:
         one scatter of the table ``_pi_entries`` builds with the result; over
         a scalar base pi(atom (x) z) is z times the projection onto the block
         of atom."""
-        ar = a.refine_to(self._depth)
-        vec = ar.vec()
+        vec = a.vec(self._depth)
         key = vec.tobytes()
         hit = self._pi_cache.get(key)
         if hit is not None:
             return hit
         dim = self.sys.base.dim
         if vec.reshape(-1, dim, dim)[:, self._off_block].any():
-            self._check_blocks(ar)
+            self._check_blocks(vec)
         pos, coef, vals = self._pi_table
         z = vec[coef]
         live = z != 0
@@ -777,17 +776,14 @@ def _check_reproduces_kernel(result: DilationResult,
     kernel (needs the kernel, so a live result only)."""
     sg = result.sys.semigroup
     words = _sample_words(sg, result.degree, 1) + [sg.identity]
+    lifts = {p: result.v_word(p) @ result.embedding for p in words}
 
     def residuals():
         for p, q in itertools.product(words, repeat=2):
             corner = result.sys.corner_basis(p, q, result.degree)
             for k, a in enumerate(corner.elements[:4]):
                 lhs = result.kernel.evaluate(p, a, q, check_corner=False)
-                rhs = (
-                    (result.v_word(p) @ result.embedding).conj().T
-                    @ result.pi(a)
-                    @ (result.v_word(q) @ result.embedding)
-                )
+                rhs = lifts[p].conj().T @ result.pi(a) @ lifts[q]
                 yield lhs - rhs, f"(p={p}, q={q}, a#{k})"
     report.at_most("dilation.reproduces_kernel", _normed(residuals()),
                    result.tolerances.identity)

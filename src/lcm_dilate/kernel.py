@@ -5,10 +5,12 @@ A kernel system attached to a pair (phi, T) over a validated system evaluates
     K(p, a, q) = T(p\\r) phi(inv_r(a)) T(q\\r)*        r = lcm(p, q),
 
 and 0 when pP and qP are disjoint, where p\\r is the left quotient and inv_r
-the left inverse of the endomorphism at r.  The block matrix of values
+the left inverse of the endomorphism at r.  The middle factor is linear in
+a: per (r, depth) a kernel keeps its values on the basis there, one stack,
+and combines a's coordinates with it.  The block matrix of values
 K(q_i, b_i* b_j, q_j) over a truncated index catalog is the Gram operator
 whose positivity is equivalent to complete positivity of phi and drives the
-dilation construction.
+dilation construction; its middle factors are rows of the stacks.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebras import LevelledElement, operator_norm
-from .cpmaps import ContractionFamily, LevelledOperatorMap
+from .cpmaps import ContractionFamily, LevelledOperatorMap, _combine
 from .errors import (
     CornerMembershipError,
     CovarianceError,
@@ -58,7 +60,7 @@ class KernelSystem:
         self.phi = phi
         self.T = T
         self.h = T.h
-        self._inner: dict = {}
+        self._stacks: dict = {}
         if validate:
             self.validate_covariance(tol)
 
@@ -111,9 +113,9 @@ class KernelSystem:
             if check_corner and a.norm() > CORNER_RTOL:
                 raise CornerMembershipError(a.norm(), CORNER_RTOL)
             return np.zeros((self.h, self.h), dtype=np.complex128)
+        # E_p E_q = E_r, so the depth of E_r holds both projections
+        depth = self.sys.model.join_depth(a.depth, self.sys.depth_of(r))
         if check_corner:
-            # E_p E_q = E_r, so the depth of E_r holds both projections
-            depth = self.sys.model.join_depth(a.depth, self.sys.depth_of(r))
             corner = self.sys.corner_basis(p, q, depth)
             if len(corner) == 0:
                 if a.norm() > CORNER_RTOL:
@@ -122,19 +124,22 @@ class KernelSystem:
             _, resid = corner.coefficients(a)
             if not resid <= CORNER_RTOL:
                 raise CornerMembershipError(resid, CORNER_RTOL)
-        d1 = sg.left_divide(p, r)
-        d2 = sg.left_divide(q, r)
-        return _sandwich(self.T(d1), self.inner(r, a), self.T(d2))
+        # the middle factor phi(inv_r(a)): a's coordinates on the stack
+        middle = _combine(a.coordinates(depth), self.inner_stack(r, depth))
+        return _sandwich(self.T(sg.left_divide(p, r)), middle,
+                         self.T(sg.left_divide(q, r)))
 
-    def inner(self, r: Element, a: LevelledElement) -> np.ndarray:
-        """phi(inv_r(a)), the middle factor of K(p, a, q) at r = lcm(p, q),
-        once per (r, element object): the Gram assembly and the corners
-        pass the model's shared unit elements, so ``evaluate`` on a corner
-        element reads what the assembly computed."""
-        key = (r, a)
-        hit = self._inner.get(key)
+    def inner_stack(self, r: Element, depth) -> np.ndarray:
+        """phi(inv_r(b)) for every basis element b at ``depth`` (which holds
+        E_r), one read-only (N, h, h) stack per (r, depth): row k is row k
+        of ``inverse_matrix`` combined with phi's value stack, the product
+        ``LevelledOperatorMap.value`` forms."""
+        key = (tuple(r), depth)
+        hit = self._stacks.get(key)
         if hit is None:
-            hit = self._inner[key] = self.phi.value(self.sys.alpha_inverse(r, a))
+            m = self.sys.inverse_matrix(r, depth, self.phi.depth)
+            hit = self._stacks[key] = np.array(
+                [_combine(row, self.phi.values) for row in m])
             hit.flags.writeable = False
         return hit
 
@@ -232,17 +237,17 @@ class GramPlan:
     ``catalog`` and the (atom, row) ``groups`` are the assembly's; the
     entries of a group are ``pairs`` (members s <= t with a common multiple
     r of q_s and q_t), with the indices into ``words`` of q_s\\r and q_t\\r
-    and into ``keys`` of (r, atom, b, d), whose ``products`` a_s* a_t =
-    atom (x) e_bd (the model's one element of that key, which the corners
-    hold too) the kernel's middle factor is evaluated on once each.  The
-    arrays are read-only.
+    and into ``keys`` of (r, atom, b, d): the product a_s* a_t is atom (x)
+    e_bd, basis element ``rows[k]`` at the degree's depth, so the middle
+    factor of key k is that row of the kernel's stack at r.  The arrays are
+    read-only.
     """
 
     catalog: list[GramIndex]
     groups: list[tuple]       # ((atom, row), members, pairs, left, middle, right)
     words: list[Element]
     keys: list[tuple]
-    products: list[LevelledElement]
+    rows: np.ndarray
 
 
 def _frozen(values, *shape) -> np.ndarray:
@@ -303,8 +308,10 @@ def gram_plan(sys_: LcmSystem, degree: int) -> GramPlan:
                     right.append(word_at.setdefault(d2, len(word_at)))
             groups.append((key, _frozen(members), _frozen(pairs, 2),
                            _frozen(left), _frozen(middle), _frozen(right)))
-        products = [sys_.model.unit_element(sys_.base, degree, *k[1:]) for k in key_at]
-        return GramPlan(catalog, groups, list(word_at), list(key_at), products)
+        atom_rows, n = sys_.model.atom_rows(degree), sys_.base.linear_dim
+        unit_at = {ij: k for k, ij in enumerate(sys_.base.unit_positions())}
+        rows = _frozen([atom_rows[k[1]] * n + unit_at[k[2:]] for k in key_at])
+        return GramPlan(catalog, groups, list(word_at), list(key_at), rows)
     return sys_.model.cached(("gram", sg, sys_.base, degree), make)
 
 
@@ -321,9 +328,9 @@ def assemble_gram(
     Only blocks inside one (atom, row) group are nonzero.  Within a group,
     a_i* a_j = atom (x) e_bd and the entry is T(q_i\\r) Y T(q_j\\r)* with
     r = lcm(q_i, q_j) and Y = phi(inv_r(atom (x) e_bd)).  The shared plan
-    (``gram_plan``) lists the entries; this kernel's part is Y once per
-    (r, atom, b, d), T once per quotient and each group's entries in one
-    stacked product.  The size is checked against ``max_dim`` first.
+    (``gram_plan``) lists the entries; this kernel's part is Y, a row of
+    its stack at (r, degree), T once per quotient and each group's entries
+    in one stacked product.  The size is checked against ``max_dim`` first.
     """
     sys_ = kernel.sys
     h = kernel.h
@@ -331,7 +338,9 @@ def assemble_gram(
     plan = gram_plan(sys_, degree)
     catalog = plan.catalog
     ts = np.array([kernel.T(w) for w in plan.words])
-    ys = np.array([kernel.inner(key[0], a) for key, a in zip(plan.keys, plan.products)])
+    depth = sys_.model.normalize_depth(degree)
+    ys = np.array([kernel.inner_stack(key[0], depth)[row]
+                   for key, row in zip(plan.keys, plan.rows.tolist())])
     blocks: list[GramBlock] = []
     herm_defect = 0.0
     for key, members, pairs, left, middle, right in plan.groups:

@@ -270,14 +270,6 @@ class LcmSystem(GeneratorAction, Memo):
             self.maps = [GeneratorMap(unitary=b) for b in betas]
         self._memo: dict = {}
 
-    def _per_element(self, key, x: LevelledElement, make) -> LevelledElement:
-        """``make()`` once per (key, element object), held while x is."""
-        memo = self.cached(key, weakref.WeakKeyDictionary)
-        hit = memo.get(x)
-        if hit is None:
-            hit = memo[x] = make()
-        return hit
-
     @property
     def betas(self) -> list[np.ndarray]:
         """The unitaries beta_g of a levelled model's maps."""
@@ -324,49 +316,59 @@ class LcmSystem(GeneratorAction, Memo):
         return LevelledElement(x.model, x.base, model.shift_depth(x.depth, letter),
                                coeffs)
 
-    def apply_generator_inverse(self, letter: int, x: LevelledElement) -> LevelledElement:
-        """Left inverse of one generator: keep the atoms under its range
-        projection and shift them back.  Defined on the whole algebra."""
-        model, m = self.model, self.maps[letter - 1]
-        e_depth = model.shift_depth(model.zero_depth(), letter)  # of E_letter
-        y = x.refine_to(model.join_depth(x.depth, e_depth))
-        coeffs = {}
-        for a, v in y.coeffs.items():
-            b = model.unshift(a, letter)
-            if b is not None:
-                coeffs[b] = m.apply_inverse(v)
-        return LevelledElement(x.model, x.base, model.unshift_depth(y.depth, letter),
-                               coeffs)
-
     def apply_endo(self, p: Element, x: LevelledElement) -> LevelledElement:
-        """The endomorphism at p, composed from generator steps."""
+        """The endomorphism at p, composed from generator steps, once per
+        (p, element object) while x is held."""
         self.semigroup.validate_element(p)
-
-        def make():
+        memo = self.cached(("endo", tuple(p)), weakref.WeakKeyDictionary)
+        out = memo.get(x)
+        if out is None:
             out = x
             for letter in reversed(self.semigroup.as_word(p)):
                 out = self.apply_generator(letter, out)
-            return out
-        return self._per_element(("endo", tuple(p)), x, make)
+            memo[x] = out
+        return out
 
-    def alpha_inverse(self, p: Element, x: LevelledElement) -> LevelledElement:
-        """Left inverse of the endomorphism at p (mask by the range
-        projection of p, then invert); composes generator inverses."""
-        self.semigroup.validate_element(p)
+    def inverse_matrix(self, r: Element, depth, target) -> np.ndarray:
+        """The left inverse of the endomorphism at r as a matrix: row k holds
+        the coordinates at ``target`` (``LevelledElement.coordinates``) of
+        the image of basis element k at ``depth``, which must hold E_r.
+        From the atom rules: the atoms off E_r map to 0 (``unshift`` is
+        ``None`` at some letter of r); letter by letter, those under it
+        unshift and the stack of matrix units goes through the letter's
+        inverse map; the atoms reached refine to ``target``.  Kept per key
+        are the (atom, child) position pairs and the units' coordinates,
+        O(atoms) rather than the dense matrix."""
+        model, r = self.model, tuple(r)
+        depth, target = model.normalize_depth(depth), model.normalize_depth(target)
 
         def make():
-            out = x
-            for letter in self.semigroup.as_word(p):
-                out = self.apply_generator_inverse(letter, out)
-            return out
-        return self._per_element(("inverse", tuple(p)), x, make)
+            moved, d = {a: a for a in model.atoms_under(r, depth)}, depth
+            units = np.array(self.base.basis())
+            for letter in self.semigroup.as_word(r):
+                moved = {a: model.unshift(c, letter) for a, c in moved.items()}
+                units = self.maps[letter - 1].apply_inverse(units)
+                d = model.unshift_depth(d, letter)
+            if not model.depth_leq(d, target):
+                raise SpecMismatchError(f"cannot refine depth {d} to {target}")
+            rows, cols = model.atom_rows(depth), model.atom_rows(target)
+            pairs = [(rows[a], cols[kid]) for a, c in moved.items()
+                     for kid in model.children(c, d, target)]
+            return (np.array(pairs, dtype=np.intp).reshape(-1, 2),
+                    self.base.coefficients(units))
+        pairs, block = self.cached(("inverse_matrix", r, depth, target), make)
+        n = self.base.linear_dim
+        out = np.zeros((len(model.atoms(depth)), n, len(model.atoms(target)), n),
+                       dtype=Complex)
+        out[pairs[:, 0], :, pairs[:, 1]] = block
+        return out.reshape(out.shape[0] * n, -1)
 
     def unit_projection(self, p: Element) -> LevelledElement:
         return self.apply_endo(p, self.unit())
 
     def depth_of(self, p: Element):
-        """Depth occupied by the range projection of p."""
-        return self.unit_projection(p).depth
+        """Depth occupied by the range projection of p, once per p."""
+        return self.cached(("depth", tuple(p)), lambda: self.unit_projection(p).depth)
 
     # -- corners -----------------------------------------------------------------
 
@@ -383,7 +385,7 @@ class LcmSystem(GeneratorAction, Memo):
         if isinstance(self.model, PointModel):
             v = (self.unit_projection(p) * self.unit_projection(q)).coefficient(())
             if np.abs(v).max() <= PROJECTION_TOL:
-                return CornerBasis(0, [], [])
+                return CornerBasis(0, [], [], np.zeros(0, dtype=np.intp))
             if not np.abs(v - self.base.unit()).max() <= PROJECTION_TOL:
                 raise SpecMismatchError(
                     f"E{tuple(p)} E{tuple(q)} is neither 0 nor the unit at atom "

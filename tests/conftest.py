@@ -406,3 +406,34 @@ def _spanning_gram(result: DilationResult) -> np.ndarray:
                 vecs.append(block[:, k])
     m = np.array(vecs)
     return m.conj() @ m.T
+
+
+# ---------------------------------------------------------------------------
+# the left inverse on elements: the reference ``LcmSystem.inverse_matrix``
+# and the kernel's middle factors are checked against
+# ---------------------------------------------------------------------------
+
+
+def apply_generator_inverse(sys_: LcmSystem, letter: int,
+                            x: LevelledElement) -> LevelledElement:
+    """Left inverse of one generator: keep the atoms under its range
+    projection and shift them back.  Defined on the whole algebra."""
+    model, m = sys_.model, sys_.maps[letter - 1]
+    e_depth = model.shift_depth(model.zero_depth(), letter)  # of E_letter
+    y = x.refine_to(model.join_depth(x.depth, e_depth))
+    coeffs = {}
+    for a, v in y.coeffs.items():
+        b = model.unshift(a, letter)
+        if b is not None:
+            coeffs[b] = m.apply_inverse(v)
+    return LevelledElement(x.model, x.base, model.unshift_depth(y.depth, letter),
+                           coeffs)
+
+
+def alpha_inverse(sys_: LcmSystem, p, x: LevelledElement) -> LevelledElement:
+    """Left inverse of the endomorphism at p (mask by the range projection
+    of p, then invert); composes generator inverses."""
+    sys_.semigroup.validate_element(p)
+    for letter in sys_.semigroup.as_word(p):
+        x = apply_generator_inverse(sys_, letter, x)
+    return x

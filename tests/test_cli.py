@@ -445,6 +445,15 @@ def test_non_finite_tolerance_flag_exits_2_without_traceback(fixtures_dir,
     assert "Traceback" not in err and "--tol-psd" in err
 
 
+def test_seed_flag_is_refused_without_traceback(fixtures_dir, tmp_path, capsys):
+    # the library draws no random number: the instance's seed is only echoed
+    code = main(["dilate", str(fixtures_dir / "sznagy_half.json"), "--seed", "3",
+                 "--output", str(tmp_path / "r.npz")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "--seed" in err
+
+
 def test_negative_tolerance_flag_exits_2_without_traceback(fixtures_dir,
                                                            tmp_path, capsys):
     code = main(["dilate", str(fixtures_dir / "sznagy_half.json"),

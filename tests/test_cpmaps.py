@@ -219,7 +219,7 @@ def test_defect_subset_cap():
     ts=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
     mask=st.lists(st.booleans(), min_size=8, max_size=8),
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 def test_scalar_abelian_defects_are_never_negative(ts, mask):
     """For scalar commuting contractions the defect factors through the
     one-variable case coordinatewise and stays nonnegative; any subset of
@@ -235,7 +235,7 @@ def test_scalar_abelian_defects_are_never_negative(ts, mask):
 
 
 @given(perm=st.permutations(list(range(3))))
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
 def test_defect_invariant_under_input_order(perm):
     rng = np.random.default_rng(77)
     T = ContractionFamily(FA2, commuting_contraction_pair(rng))

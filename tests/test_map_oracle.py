@@ -24,6 +24,7 @@ import pytest
 
 from conftest import (
     FIXTURES,
+    alpha_inverse,
     random_coisometry_pair,
     random_matrix,
     random_ucp_map,
@@ -109,7 +110,7 @@ def elements(rng, sys_, depth, count=12) -> list:
     out += [a * b for a, b in zip(out[-count:], out[-2 * count:-count])]
     for g in sys_.semigroup.generators:
         for x in out[-count:]:
-            out.append(sys_.alpha_inverse(g, x))
+            out.append(alpha_inverse(sys_, g, x))
             pushed = sys_.apply_endo(g, x)
             if model.depth_leq(pushed.depth, top):
                 out.append(pushed)

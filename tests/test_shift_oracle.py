@@ -19,7 +19,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, encode_matrix
+from conftest import FIXTURES, alpha_inverse, encode_matrix
 from lcm_dilate.algebras import PointModel
 from lcm_dilate.cli import build_pair, parse_instance
 from lcm_dilate.dilation import (
@@ -165,7 +165,7 @@ def oracle_adjoint_residual(res) -> float:
                 t_facs.append(np.zeros((h, h)))
             else:
                 formula.append((sg.left_divide(gen, r),
-                                sys_.alpha_inverse(gen, idx.element)))
+                                alpha_inverse(sys_, gen, idx.element)))
                 t_facs.append(res.T(sg.left_divide(idx.q, r)))
         w = columns_of(oracle_expansion(res, formula))
         lhs = res._gram_form(u, vz)

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import box, random_matrix, random_unitary
+from conftest import alpha_inverse, box, random_matrix, random_unitary
 from lcm_dilate.algebras import (
     BaseAlgebra,
     LevelledElement,
@@ -310,7 +310,7 @@ def test_alpha_inverse_left_inverse(make_sys, p):
     depth = sys_.model.normalize_depth(1)
     for b in sys_.algebra_basis(depth):
         image = sys_.apply_endo(p, b)
-        back = sys_.alpha_inverse(p, image)
+        back = alpha_inverse(sys_, p, image)
         assert (back - b.refine_to(back.depth)).norm() <= 1e-10
 
 
@@ -322,7 +322,7 @@ def test_alpha_inverse_is_multiplication_by_unit():
     d = sys_.model.normalize_depth(2)
     coeffs = {atom: random_matrix(rng, 2) for atom in sys_.model.atoms(d)}
     a = LevelledElement(sys_.model, sys_.base, d, coeffs)
-    lhs = sys_.apply_endo(p, sys_.alpha_inverse(p, a))
+    lhs = sys_.apply_endo(p, alpha_inverse(sys_, p, a))
     rhs = sys_.unit_projection(p) * a
     assert (lhs - rhs).norm() <= 1e-10
 
@@ -335,8 +335,8 @@ def test_alpha_inverse_composes_contravariantly():
     a = LevelledElement(sys_.model, sys_.base, d, coeffs)
     p, q = (1, 0), (0, 1)
     pq = sys_.semigroup.multiply(p, q)
-    lhs = sys_.alpha_inverse(pq, a)
-    rhs = sys_.alpha_inverse(q, sys_.alpha_inverse(p, a))
+    lhs = alpha_inverse(sys_, pq, a)
+    rhs = alpha_inverse(sys_, q, alpha_inverse(sys_, p, a))
     assert (lhs - rhs).norm() <= 1e-12
 
 
@@ -352,11 +352,11 @@ def test_alpha_inverse_star_endomorphism():
         elems.append(LevelledElement(sys_.model, sys_.base, d, coeffs))
     a, b = elems
     g = (1,)
-    lhs = sys_.alpha_inverse(g, a * b)
-    rhs = sys_.alpha_inverse(g, a) * sys_.alpha_inverse(g, b)
+    lhs = alpha_inverse(sys_, g, a * b)
+    rhs = alpha_inverse(sys_, g, a) * alpha_inverse(sys_, g, b)
     assert (lhs - rhs).norm() <= 1e-12
-    assert (sys_.alpha_inverse(g, a.star())
-            - sys_.alpha_inverse(g, a).star()).norm() <= 1e-12
+    assert (alpha_inverse(sys_, g, a.star())
+            - alpha_inverse(sys_, g, a).star()).norm() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +444,17 @@ def test_product_set_identity():
         assert resid <= 1e-10
     assert (sys_.unit_projection(p) * sys_.unit_projection(q)
             - sys_.unit_projection(r)).norm() <= 1e-12
+
+
+def test_a_point_corner_under_a_vanishing_projection_is_empty():
+    # a map that kills the unit makes E_g zero: its corners hold nothing, and
+    # every entry of an element lies outside them
+    sys_ = LcmSystem(FreeAbelian(1), PointModel(1), C,
+                     alphas=[GeneratorMap(linear=np.zeros((1, 1)))])
+    corner = sys_.corner_basis((1,), (0,), 0)
+    assert len(corner) == 0
+    coeffs, resid = corner.coefficients(sys_.unit() * 2.0)
+    assert coeffs.shape == (0,) and resid == 1.0
 
 
 def test_endo_maps_corners_into_shifted_corners():
