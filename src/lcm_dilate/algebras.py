@@ -247,24 +247,6 @@ class ToeplitzModel(_Tables):
 
     # -- depths ------------------------------------------------------------------
 
-    def _grow(self, keep, start=None) -> set:
-        """The closure of ``start`` (the identity by default) under
-        generator steps onto elements ``keep`` accepts."""
-        sg = self.semigroup
-        start = sg.identity if start is None else start
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            grown = []
-            for q in frontier:
-                for g in self._gens:
-                    r = sg.multiply(q, g)
-                    if r not in seen and keep(r):
-                        seen.add(r)
-                        grown.append(r)
-            frontier = grown
-        return seen
-
     def _interned(self, depth: frozenset) -> frozenset:
         return self._memo.setdefault(("depth", depth), depth)
 
@@ -287,7 +269,7 @@ class ToeplitzModel(_Tables):
             sg = self.semigroup
             tops = {r for p in d1 - d2 for q in d2 - d1
                     if (r := sg.lcm(p, q)) is not None}
-            return self._interned(d1 | d2 | self._grow(lambda r: any(
+            return self._interned(d1 | d2 | sg.closure(lambda r: any(
                 sg.left_divide(r, x) is not None for x in tops)))
         return d1 if d1 is d2 else self.cached(("join", d1, d2), make)
 
@@ -303,7 +285,7 @@ class ToeplitzModel(_Tables):
         when lcm(r, g) = g s with s in D."""
         def make():
             g, sg = self._gens[letter - 1], self.semigroup
-            return self._interned(frozenset(self._grow(
+            return self._interned(frozenset(sg.closure(
                 lambda r: (m := sg.lcm(r, g)) is not None
                 and sg.left_divide(g, m) in depth)))
         return self.cached(("shift", depth, letter), make)
@@ -346,7 +328,7 @@ class ToeplitzModel(_Tables):
         by generator steps within the target that keep off the cut."""
         def make():
             sg, cut = self.semigroup, self._cuts(depth)[atom]
-            under = self._grow(lambda r: r in target and all(
+            under = sg.closure(lambda r: r in target and all(
                 sg.left_divide(f, r) is None for f in cut), atom)
             atoms = frozenset(self.atoms(target))
             return sorted(q for q in under if q in atoms)

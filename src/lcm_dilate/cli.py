@@ -270,13 +270,12 @@ def parse_instance(path: str) -> Instance:
 
 
 def build_pair(instance: Instance, degree: Optional[int] = None, sys_=None):
-    """Construct (system, phi, T, extension) for an instance, over the
-    instance's system or the given one built from it.
+    """Construct (system, phi, T) for an instance, over the instance's
+    system or the given one built from it.
 
-    ``extension`` is the lift with its Choi test at the instance's
-    ``tolerances.psd`` when phi is derived from the contractions (None
-    otherwise); phi is the lifted map even when the extension is rejected.
-    Stage systems support only ``validate`` and ``check-nica``.
+    When phi is derived from the contractions it is their extension, even
+    when its Choi test rejects it.  Stage systems support only ``validate``
+    and ``check-nica``.
     """
     if instance.system_config["model"]["kind"] == "stage":
         raise SchemaError("stage systems support only validate and check-nica",
@@ -290,8 +289,7 @@ def build_pair(instance: Instance, degree: Optional[int] = None, sys_=None):
     if pk == "from_contractions":
         if T is None:
             raise SchemaError("phi.from_contractions needs T", "/T")
-        ext = extend_phi_T(sys_, T, degree, rtol=instance.tolerances.psd)
-        return sys_, ext.map, T, ext
+        return sys_, extend_phi_T(sys_, T, degree), T
     base = sys_.base
     if pk == "state":
         if T is None:
@@ -307,7 +305,7 @@ def build_pair(instance: Instance, degree: Optional[int] = None, sys_=None):
         raise SchemaError(f"unhandled phi kind {pk}", "/phi/kind")
     if T is None and instance.system_config["model"]["kind"] != "matrix":
         raise SchemaError("lifting phi needs T", "/T")
-    return sys_, build_phi_tilde(sys_, phi0, T, degree), T, None
+    return sys_, build_phi_tilde(sys_, phi0, T, degree), T
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +379,6 @@ class _Run:
     sys: object = None
     phi: object = None
     T: object = None
-    ext: object = None
 
 
 def _system_checks(run: _Run, depth: int) -> None:
@@ -389,13 +386,13 @@ def _system_checks(run: _Run, depth: int) -> None:
     run.report.checks.extend(run.sys.validate(depth=max(1, depth)).checks)
 
 
-def _extension_check(run: _Run) -> None:
-    """The contraction extension's Choi test as one record."""
-    ext = run.ext
-    atoms = [str(a) for a, _ in ext.violations]
+def _extension_check(run: _Run, cp) -> None:
+    """The contraction extension's Choi test as one record; over C the
+    Choi block k is the atom ``phi.atoms[k]``."""
+    atoms = [str(run.phi.atoms[k]) for k, _ in cp.violations]
     run.report.at_least(
-        "phi.extension_accepted", [(ext.min_eigenvalue, "")],
-        -run.instance.tolerances.psd * ext.scale,
+        "phi.extension_accepted", [(cp.min_eigenvalue, "")],
+        -run.instance.tolerances.psd * cp.scale,
         detail=f"violating atoms: {atoms}" if atoms else "",
     )
 
@@ -404,28 +401,30 @@ def _pair(run: _Run) -> None:
     """Build (system, phi, T); a rejected phi extension is a failed check."""
     if not run.instance.t_mats:
         raise SchemaError("dilate needs T", "/T")
-    run.sys, run.phi, run.T, run.ext = build_pair(run.instance, run.depth, run.sys)
-    if run.ext is not None and not run.ext.accepted:
-        _extension_check(run)
+    run.sys, run.phi, run.T = build_pair(run.instance, run.depth, run.sys)
+    if run.instance.phi_config["kind"] == "from_contractions":
+        cp = is_completely_positive(run.phi, rtol=run.instance.tolerances.psd)
+        if not cp.is_cp:
+            _extension_check(run, cp)
 
 
 def _complete_positivity(run: _Run) -> None:
-    """One Choi test: the extension's own when phi is the contraction
-    extension, else one of the given map."""
-    run.sys, run.phi, run.T, run.ext = build_pair(run.instance, degree=run.depth)
-    ext = run.ext
-    if ext is None:
-        tol = run.instance.tolerances.psd
-        cp = is_completely_positive(run.phi, rtol=tol)
+    """One Choi test of phi, recorded as the extension's verdict when phi
+    is the contraction extension."""
+    run.sys, run.phi, run.T = build_pair(run.instance, degree=run.depth)
+    tol = run.instance.tolerances.psd
+    cp = is_completely_positive(run.phi, rtol=tol)
+    if run.instance.phi_config["kind"] != "from_contractions":
         run.report.at_least("phi.completely_positive", cp.cases, -tol * cp.scale)
         run.extra["min_eigenvalue"] = cp.min_eigenvalue
         return
-    _extension_check(run)
-    if ext.accepted:
-        run.extra["min_eigenvalue"] = ext.min_eigenvalue
+    _extension_check(run, cp)
+    if cp.is_cp:
+        run.extra["min_eigenvalue"] = cp.min_eigenvalue
     else:
         run.extra["violations"] = [
-            {"atom": str(a), "min_eigenvalue": m} for a, m in ext.violations
+            {"atom": str(run.phi.atoms[k]), "min_eigenvalue": m}
+            for k, m in cp.violations
         ]
 
 
@@ -495,7 +494,7 @@ def _verify(run: _Run) -> None:
             f"instance hash {instance.hash[:12]}...)",
             result_path,
         )
-    sys_, phi, T, _ = build_pair(instance, degree=stored_degree(meta))
+    sys_, phi, T = build_pair(instance, degree=stored_degree(meta))
     rep = verify_result(meta, arrays, sys_, phi, T, instance.tolerances)
     run.report.checks.extend(rep.checks)
     run.extra.update(result_path=result_path, rank=meta.get("rank"))

@@ -21,6 +21,7 @@ from .algebras import (
     BaseAlgebra,
     Complex,
     LevelledElement,
+    Memo,
     PointModel,
     operator_norm,
     operator_norms,
@@ -80,7 +81,7 @@ class BaseOperatorMap:
                         self.values)
 
 
-class LevelledOperatorMap:
+class LevelledOperatorMap(Memo):
     """A linear map from a levelled algebra at fixed depth to h x h matrices.
 
     ``values`` is one stack, a value per atom (x) matrix unit, atom-major in
@@ -88,7 +89,8 @@ class LevelledOperatorMap:
     model's map is the one-atom case.  Evaluation refines the argument up to
     the map's depth, so the map represents a function on the whole inductive
     stage tower below it (and on anything above when the values are
-    stage-consistent, which the builders below guarantee).
+    stage-consistent, which the builders below guarantee).  Its memo holds
+    the Choi test's report per rtol.
     """
 
     def __init__(self, sys: LcmSystem, depth, values):
@@ -98,6 +100,7 @@ class LevelledOperatorMap:
         self.atoms = self.model.atoms(self.depth)
         self.values = _value_stack(values, len(self.atoms) * self.base.linear_dim)
         self.h = self.values.shape[-1]
+        self._memo: dict = {}
 
     def value(self, x: LevelledElement) -> np.ndarray:
         """The stack combined with the coordinates of x at the map's depth."""
@@ -160,7 +163,7 @@ def diagonal_compression_map(base: BaseAlgebra) -> BaseOperatorMap:
     return BaseOperatorMap(base, [np.diag(np.diag(u)) for u in base.basis()])
 
 
-@dataclass
+@dataclass(frozen=True)
 class CPReport:
     is_cp: bool
     min_eigenvalue: float
@@ -170,7 +173,8 @@ class CPReport:
 
 
 def is_completely_positive(phi: LevelledOperatorMap, rtol: float = PSD_RTOL) -> CPReport:
-    """Blockwise Choi-matrix test.
+    """Blockwise Choi-matrix test, run once per map and rtol (the report is
+    kept in the map's memo).
 
     The verdict is relative: the smallest eigenvalue must stay above
     -rtol * scale with scale the largest eigenvalue magnitude seen (floored
@@ -180,17 +184,19 @@ def is_completely_positive(phi: LevelledOperatorMap, rtol: float = PSD_RTOL) -> 
     none.  The per-block least eigenvalues are the cases of the
     ``phi.completely_positive`` record.
     """
-    scale = 1.0
-    cases = []
-    for label, choi in phi.choi_blocks():
-        # halve first: the sum of two entries near the float maximum overflows
-        w, _ = np.linalg.eigh(choi / 2 + choi.conj().T / 2)
-        scale = max(scale, float(np.abs(w).max()))
-        cases.append((float(w[0]), label))
-    min_eig = float(np.min([m for m, _ in cases])) if cases else 0.0
-    violations = [(k, m) for k, (m, _) in enumerate(cases)
-                  if not m >= -rtol * scale]
-    return CPReport(not violations, min_eig, scale, cases, violations)
+    def make() -> CPReport:
+        scale = 1.0
+        cases = []
+        for label, choi in phi.choi_blocks():
+            # halve first: the sum of two entries near the float maximum overflows
+            w, _ = np.linalg.eigh(choi / 2 + choi.conj().T / 2)
+            scale = max(scale, float(np.abs(w).max()))
+            cases.append((float(w[0]), label))
+        min_eig = float(np.min([m for m, _ in cases])) if cases else 0.0
+        violations = [(k, m) for k, (m, _) in enumerate(cases)
+                      if not m >= -rtol * scale]
+        return CPReport(not violations, min_eig, scale, cases, violations)
+    return phi.cached(("cp", rtol), make)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +238,6 @@ class ContractionFamily:
                     f"generator norm {operator_norm(m):.12f} exceeds 1"
                 )
         self._words: dict[Element, np.ndarray] = {}
-        self._ranges: dict[Element, np.ndarray] = {}
         # nica_defect's memo and the sort keys of the elements it validated
         self._defects: dict = {}
         self._keys: dict = {}
@@ -265,14 +270,11 @@ class ContractionFamily:
         return out
 
     def range_operator(self, p: Element) -> np.ndarray:
-        """T(p)T(p)*, evaluated once per word and read-only like T(p)."""
-        p = tuple(p)
-        out = self._ranges.get(p)
-        if out is None:
-            tp = self(p)
-            out = tp @ tp.conj().T
-            out.flags.writeable = False
-            self._ranges[p] = out
+        """T(p)T(p)*, read-only like T(p); ``nica_defect``'s memo keeps it
+        once per word."""
+        tp = self(p)
+        out = tp @ tp.conj().T
+        out.flags.writeable = False
         return out
 
 
@@ -343,8 +345,9 @@ def nica_defect(T: ContractionFamily, F, cap: int = MAX_SUBSET_SIZE) -> np.ndarr
 
     Hermitian by construction.  Nonnegativity of these operators over all
     finite F is the dilation obstruction tested by `check-nica`.  The sum
-    runs over ``T``'s memo and its cache of T(s)T(s)*, so defects of sets
-    sharing a prefix share their work; the returned array is read-only.
+    runs over ``T``'s memo, which holds each T(s)T(s)* under (s, ()), so
+    defects of sets sharing a prefix share their work; the returned array
+    is read-only.
     """
     sg = T.semigroup
     fs = _sorted_elements(sg, F, T._keys)
@@ -415,34 +418,18 @@ def build_phi_tilde(
     return LevelledOperatorMap(sys, d, values)
 
 
-@dataclass
-class PhiTExtension:
-    """The contraction extension and the verdict of its Choi test."""
-
-    map: LevelledOperatorMap   # the linear extension, even if rejected
-    accepted: bool
-    min_eigenvalue: float
-    scale: float
-    violations: list  # (atom, least eigenvalue)
-
-
-def extend_phi_T(
-    sys: LcmSystem, T: ContractionFamily, depth, rtol: float = PSD_RTOL
-) -> PhiTExtension:
+def extend_phi_T(sys: LcmSystem, T: ContractionFamily, depth) -> LevelledOperatorMap:
     """Extend p -> T(p)T(p)* to the truncated diagonal algebra.
 
     Requires a diagonal model (base C).  Atom values are computed by
     inclusion-exclusion; the extension is positive on the truncation exactly
-    when it is completely positive, so ``is_completely_positive`` at ``rtol``
-    is the acceptance test.  Over C each atom has one Choi block, its value,
-    so rejections name the violating atoms.
+    when it is completely positive, so ``is_completely_positive`` of the
+    returned map is the acceptance test.  Over C each atom has one Choi
+    block, its value, so violation k names the atom ``atoms[k]``.
     """
     if isinstance(sys.model, PointModel) or sys.base.dim != 1:
         raise SpecMismatchError(
             "the contraction extension needs a diagonal model over scalars"
         )
     phi0 = BaseOperatorMap(sys.base, [np.eye(T.h, dtype=Complex)])
-    lifted = build_phi_tilde(sys, phi0, T, depth)
-    cp = is_completely_positive(lifted, rtol)
-    return PhiTExtension(lifted, cp.is_cp, cp.min_eigenvalue, cp.scale,
-                         [(lifted.atoms[k], m) for k, m in cp.violations])
+    return build_phi_tilde(sys, phi0, T, depth)

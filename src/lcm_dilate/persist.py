@@ -74,9 +74,12 @@ def result_payload(result: DilationResult, instance_hash: str) -> dict:
 
 def write_result(path: str, payload: dict) -> None:
     """Write the members to exactly ``path`` (``np.savez`` given a name
-    would append ``.npz``)."""
-    with open(path, "wb") as fh:
-        np.savez(fh, **payload)
+    would append ``.npz``); a path that cannot be written is refused."""
+    try:
+        with open(path, "wb") as fh:
+            np.savez(fh, **payload)
+    except OSError as exc:      # a missing directory, or a directory
+        raise SchemaError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def is_result_file(path: str) -> bool:

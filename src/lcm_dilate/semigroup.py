@@ -72,30 +72,41 @@ class Semigroup(ABC):
     def as_word(self, p: Element) -> tuple[int, ...]:
         """A factorization of p into generator letters (1-based)."""
 
+    def closure(self, keep, start: Optional[Element] = None,
+                cap: Optional[int] = None) -> set[Element]:
+        """The closure of ``start`` (the identity by default) under right
+        multiplication by generators onto the elements ``keep`` accepts,
+        grown breadth first; more than ``cap`` elements raise
+        ``ResourceCapError``."""
+        start = self.identity if start is None else start
+        gens = self.generators      # read once: a subclass may build it anew
+        seen, frontier = {start}, [start]
+        while frontier:
+            grown = []
+            for p in frontier:
+                for g in gens:
+                    q = self.multiply(p, g)
+                    if q in seen or not keep(q):
+                        continue
+                    seen.add(q)
+                    grown.append(q)
+                    if cap is not None and len(seen) > cap:
+                        raise ResourceCapError(f"closure exceeds cap {cap}")
+            frontier = grown
+        return seen
+
     def enumerate_up_to(
         self, depth: int, cap: int = DEFAULT_ENUMERATION_CAP
     ) -> list[Element]:
         """Every element of length at most ``depth``, in (length, element)
-        order: the closure of the identity under right multiplication by
-        generators, pruned above ``depth``."""
+        order: the closure of the identity, pruned above ``depth``."""
         if depth < 0:
             raise SpecMismatchError("depth must be >= 0")
-        seen = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            grown = []
-            for p in frontier:
-                for g in self.generators:
-                    q = self.multiply(p, g)
-                    if q in seen or self.length(q) > depth:
-                        continue
-                    seen.add(q)
-                    grown.append(q)
-                    if len(seen) > cap:
-                        raise ResourceCapError(
-                            f"enumeration up to length {depth} exceeds cap {cap}"
-                        )
-            frontier = grown
+        try:
+            seen = self.closure(lambda q: self.length(q) <= depth, cap=cap)
+        except ResourceCapError:
+            raise ResourceCapError(
+                f"enumeration up to length {depth} exceeds cap {cap}") from None
         return sorted(seen, key=lambda p: (self.length(p), p))
 
     def is_foundation_set(

@@ -4,10 +4,12 @@ import importlib.util
 import itertools
 import pathlib
 import sys
+import tempfile
 from typing import Optional, Sequence
 
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from lcm_dilate.algebras import BaseAlgebra, LevelledElement, PointModel, operator_norm
 from lcm_dilate.cpmaps import (
@@ -29,6 +31,11 @@ from lcm_dilate.systems import GeneratorMap, LcmSystem, ValidationReport
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 PERFBENCH = FIXTURES.parent / "perfbench"
+
+# hypothesis caches literals of the source under its home directory whatever
+# a test's database setting is; the suite keeps that out of the checkout
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 def load_perfbench(name: str):

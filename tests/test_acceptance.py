@@ -69,8 +69,8 @@ def test_criterion_1_single_contraction_reproduction():
         t = random_contraction(rng, 2, scale=0.95)
         T = ContractionFamily(FA1, [t])
         ext = extend_phi_T(sys_, T, degree)
-        assert ext.accepted
-        res = covariant_dilate(sys_, ext.map, T, degree)
+        assert is_completely_positive(ext).is_cp
+        res = covariant_dilate(sys_, ext, T, degree)
         for n in range(degree + 1):
             resid = np.linalg.norm(
                 res.compress_v((n,)) - np.linalg.matrix_power(t, n), 2
@@ -203,12 +203,12 @@ def test_criterion_4_defect_extension_gram_equivalence():
         T = ContractionFamily(FA2, mats)
         v_defect, _ = _exhaustive_defect_verdict(T, pool)
         ext = extend_phi_T(sys2, T, 2)
-        K = KernelSystem(sys2, ext.map, T, validate=False)
+        K = KernelSystem(sys2, ext, T, validate=False)
         g = assemble_gram(K, 2)
         w = np.linalg.eigvalsh(g.gram)
         v_gram = w[0] >= -1e-8 * max(1.0, float(np.abs(w).max()))
-        assert v_defect == ext.accepted == v_gram, (
-            mats, v_defect, ext.accepted, v_gram
+        assert v_defect == is_completely_positive(ext).is_cp == v_gram, (
+            mats, v_defect, is_completely_positive(ext).is_cp, v_gram
         )
         verdicts.append(v_defect)
     # cross-check the oracle against the library defect on one instance
@@ -301,9 +301,8 @@ def _bundled_kernels(fixtures_dir):
     for name in ("sznagy_half.json", "cuntz_m2.json", "commuting_unitaries.json",
                  "transpose_m2.json", "nica_nilpotent.json"):
         inst = parse_instance(str(fixtures_dir / name))
-        sys_, phi, T, ext = build_pair(inst)
-        positive = ext.accepted if ext is not None else \
-            is_completely_positive(phi).is_cp
+        sys_, phi, T = build_pair(inst)
+        positive = is_completely_positive(phi).is_cp
         yield name, KernelSystem(sys_, phi, T, validate=False), positive
 
 
@@ -372,7 +371,7 @@ def test_criterion_8_uniqueness_up_to_unitary_equivalence():
     sys1 = LcmSystem(FA1, ToeplitzModel(FA1), C)
     T1 = ContractionFamily(FA1, [np.array([[0.5]], dtype=complex)])
     ext = extend_phi_T(sys1, T1, 4)
-    K1 = KernelSystem(sys1, ext.map, T1)
+    K1 = KernelSystem(sys1, ext, T1)
 
     sysb = LcmSystem(FM2, ToeplitzModel(FM2, boundary=True), M2)
     T2 = ContractionFamily(FM2, [E11, E21])

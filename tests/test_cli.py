@@ -23,6 +23,7 @@ from lcm_dilate.cli import (
     parse_instance,
     run_command,
 )
+from lcm_dilate.cpmaps import LevelledOperatorMap
 from lcm_dilate.dilation import Tolerances
 from lcm_dilate.errors import SchemaError
 from lcm_dilate.kernel import KernelSystem
@@ -845,6 +846,41 @@ def test_unreadable_paths_exit_2_without_traceback(fixtures_dir, tmp_path,
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert "Is a directory" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_output_exits_2_naming_it(fixtures_dir, tmp_path, capsys,
+                                             where):
+    out = str(tmp_path / "missing" / "r.npz" if where == "missing directory"
+              else tmp_path)
+    sz = str(fixtures_dir / "sznagy_half.json")
+    assert main(["dilate", sz, "--output", out]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {out}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["sznagy_half.json", "commuting_unitaries.json"])
+def test_each_command_runs_one_choi_test(fixtures_dir, tmp_path, monkeypatch,
+                                         name):
+    """check-cp, dilate and verify read one Choi test of phi each: the
+    extension's verdict and the suite's phi.completely_positive record
+    share it."""
+    calls = []
+    choi_blocks = LevelledOperatorMap.choi_blocks
+
+    def counted(self):
+        calls.append(self)
+        return choi_blocks(self)
+
+    monkeypatch.setattr(LevelledOperatorMap, "choi_blocks", counted)
+    out = str(tmp_path / "r.npz")
+    for command, flags in (("check-cp", FLAGS),
+                           ("dilate", dict(FLAGS, output=out)),
+                           ("verify", dict(FLAGS, result=out))):
+        calls.clear()
+        rep = run_command(command, _load(fixtures_dir, name), flags)
+        assert rep["exit_code"] == 0, command
+        assert len(calls) == 1, command
 
 
 def test_main_batch_jobs(fixtures_dir, capsys):

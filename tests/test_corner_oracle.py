@@ -29,6 +29,7 @@ from lcm_dilate.cpmaps import (
     ContractionFamily,
     build_phi_tilde,
     extend_phi_T,
+    is_completely_positive,
     state_map,
 )
 from lcm_dilate.cli import build_pair, parse_instance
@@ -167,8 +168,8 @@ def abelian_rank2():
     ]
     T = ContractionFamily(sg, t_mats)
     ext = extend_phi_T(sys_, T, 3)
-    assert ext.accepted
-    return KernelSystem(sys_, ext.map, T), 3
+    assert is_completely_positive(ext).is_cp
+    return KernelSystem(sys_, ext, T), 3
 
 
 def toeplitz_free_rank2():
@@ -177,8 +178,8 @@ def toeplitz_free_rank2():
     sys_ = LcmSystem(sg, ToeplitzModel(sg), C)
     T = ContractionFamily(sg, [0.8 * t for t in random_coisometry_pair(rng, 2)])
     ext = extend_phi_T(sys_, T, 3)
-    assert ext.accepted
-    return KernelSystem(sys_, ext.map, T), 3
+    assert is_completely_positive(ext).is_cp
+    return KernelSystem(sys_, ext, T), 3
 
 
 def boundary_free_m2():
@@ -261,8 +262,8 @@ def test_block_assembly_matches_dense_and_svd_oracles(make):
 def abelian_rank2_depth5():
     kernel, _ = abelian_rank2()
     ext = extend_phi_T(kernel.sys, kernel.T, 5)
-    assert ext.accepted
-    return KernelSystem(kernel.sys, ext.map, kernel.T), 5
+    assert is_completely_positive(ext).is_cp
+    return KernelSystem(kernel.sys, ext, kernel.T), 5
 
 
 def matrix_dense(position, tmp_path):
@@ -271,7 +272,7 @@ def matrix_dense(position, tmp_path):
     workloads = load_perfbench("workloads")
     instances = workloads.generate("matrix_dense", 1, str(tmp_path), 2)
     inst = parse_instance(instances[position].path)
-    sys_, phi, T, _ = build_pair(inst)
+    sys_, phi, T = build_pair(inst)
     return KernelSystem(sys_, phi, T), inst.degree
 
 

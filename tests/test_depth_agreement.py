@@ -14,7 +14,7 @@ import pytest
 from conftest import FIXTURES, random_coisometry_pair
 from lcm_dilate.algebras import BaseAlgebra, ToeplitzModel
 from lcm_dilate.cli import build_pair, parse_instance
-from lcm_dilate.cpmaps import ContractionFamily, extend_phi_T
+from lcm_dilate.cpmaps import ContractionFamily, extend_phi_T, is_completely_positive
 from lcm_dilate.dilation import covariant_dilate
 from lcm_dilate.semigroup import FreeMonoid
 from lcm_dilate.systems import LcmSystem
@@ -27,7 +27,7 @@ def _instance(path):
     inst = parse_instance(str(path))
 
     def dilate(degree):
-        sys_, phi, T, _ = build_pair(inst, degree=degree)
+        sys_, phi, T = build_pair(inst, degree=degree)
         return covariant_dilate(sys_, phi, T, degree, inst.tolerances)
     return dilate
 
@@ -38,8 +38,8 @@ def _free_rank2(degree):
     T = ContractionFamily(sg, [0.9 * t for t in random_coisometry_pair(
         np.random.default_rng(11), 2)])
     ext = extend_phi_T(sys_, T, degree)
-    assert ext.accepted
-    return covariant_dilate(sys_, ext.map, T, degree)
+    assert is_completely_positive(ext).is_cp
+    return covariant_dilate(sys_, ext, T, degree)
 
 
 # kind -> (the dilation at a degree, given a scratch directory; the degrees)

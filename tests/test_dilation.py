@@ -21,6 +21,7 @@ from lcm_dilate.cpmaps import (
     ContractionFamily,
     build_phi_tilde,
     extend_phi_T,
+    is_completely_positive,
     nica_defect,
     state_map,
     transpose_map,
@@ -50,8 +51,8 @@ def halfline_dilation(t_mat, degree):
     sys_ = LcmSystem(FA1, ToeplitzModel(FA1), C)
     T = ContractionFamily(FA1, [t_mat])
     ext = extend_phi_T(sys_, T, degree)
-    assert ext.accepted
-    return covariant_dilate(sys_, ext.map, T, degree)
+    assert is_completely_positive(ext).is_cp
+    return covariant_dilate(sys_, ext, T, degree)
 
 
 def cuntz_dilation(degree=3, rho=None):
@@ -170,7 +171,7 @@ def test_unitary_inputs_are_fixed_points():
     sys_ = LcmSystem(FA2, ToeplitzModel(FA2), C)
     T = ContractionFamily(FA2, [u1, u2])
     ext = extend_phi_T(sys_, T, 2)
-    res = covariant_dilate(sys_, ext.map, T, 2)
+    res = covariant_dilate(sys_, ext, T, 2)
     assert res.rank == 2 and res.passed
     for p in FA2.enumerate_up_to(2):
         assert np.linalg.norm(res.compress_v(p) - T(p), 2) <= 1e-10
@@ -250,8 +251,8 @@ def test_abelian_rank2_depth4_rank_invariant():
     sys_ = LcmSystem(FA2, ToeplitzModel(FA2), C)
     T = ContractionFamily(FA2, [t1, t2])
     ext = extend_phi_T(sys_, T, 4)
-    assert ext.accepted
-    res = covariant_dilate(sys_, ext.map, T, 4)
+    assert is_completely_positive(ext).is_cp
+    res = covariant_dilate(sys_, ext, T, 4)
     assert res.passed, [c.name for c in res.report.checks if not c.passed]
     assert res.assembly.size == 450
     assert res.rank == 2 * (4 + 1) ** 2 == 50
@@ -267,8 +268,8 @@ def test_free_rank2_scalar_pair_rank_invariant(depth):
     sys_ = LcmSystem(FM2, ToeplitzModel(FM2), C)
     T = ContractionFamily(FM2, [np.array([[0.5]]), np.array([[0.5]])])
     ext = extend_phi_T(sys_, T, depth)
-    assert ext.accepted
-    res = covariant_dilate(sys_, ext.map, T, depth)
+    assert is_completely_positive(ext).is_cp
+    res = covariant_dilate(sys_, ext, T, depth)
     assert res.passed, [c.name for c in res.report.checks if not c.passed]
     assert res.rank == 2 ** (depth + 1) - 1
 
@@ -288,7 +289,7 @@ def test_rank_invariants_on_the_block_factor(workload, depth, rank, tmp_path):
         inst = workloads.generate(workload, 1, str(tmp_path), 1)[0]
     instance = parse_instance(inst.path)
     assert instance.degree == depth
-    sys_, phi, T, _ = build_pair(instance)
+    sys_, phi, T = build_pair(instance)
     res = covariant_dilate(sys_, phi, T, depth)
     assert res.passed, [c.name for c in res.report.checks if not c.passed]
     assert res.rank == rank

@@ -21,6 +21,7 @@ from lcm_dilate.cpmaps import (
     ContractionFamily,
     build_phi_tilde,
     extend_phi_T,
+    is_completely_positive,
     state_map,
     transpose_map,
 )
@@ -45,7 +46,7 @@ def sznagy_kernel(t=0.5, depth=4):
     sys_ = LcmSystem(FA1, ToeplitzModel(FA1), C)
     T = ContractionFamily(FA1, [np.array([[t]], dtype=complex)])
     ext = extend_phi_T(sys_, T, depth)
-    return KernelSystem(sys_, ext.map, T)
+    return KernelSystem(sys_, ext, T)
 
 
 def cuntz_kernel(depth=3):
@@ -267,8 +268,8 @@ def test_positivity_transfer_forward():
         sys_ = LcmSystem(FA1, ToeplitzModel(FA1), C)
         T = ContractionFamily(FA1, [t])
         ext = extend_phi_T(sys_, T, 3)
-        assert ext.accepted
-        g = assemble_gram(KernelSystem(sys_, ext.map, T), 3)
+        assert is_completely_positive(ext).is_cp
+        g = assemble_gram(KernelSystem(sys_, ext, T), 3)
         w = np.linalg.eigvalsh(g.gram)
         assert w[0] >= -1e-8 * max(1, w[-1])
 
@@ -280,10 +281,10 @@ def test_positivity_transfer_forward():
             FA2, commuting_contraction_pair(np.random.default_rng(seed))
         )
         ext = extend_phi_T(sys2, T, 2)
-        if not ext.accepted:
+        if not is_completely_positive(ext).is_cp:
             continue
         accepted += 1
-        g = assemble_gram(KernelSystem(sys2, ext.map, T), 2)
+        g = assemble_gram(KernelSystem(sys2, ext, T), 2)
         w = np.linalg.eigvalsh(g.gram)
         assert w[0] >= -1e-8 * max(1, w[-1])
     assert accepted >= 1
@@ -326,7 +327,7 @@ def test_positivity_transfer_converse():
     n2 = np.array([[0, 0.9j], [0, 0]], dtype=complex)
     T2 = ContractionFamily(FA2, [n1, n2])
     ext = extend_phi_T(sys2, T2, 2)
-    assert not ext.accepted
-    g = assemble_gram(KernelSystem(sys2, ext.map, T2), 2)
+    assert not is_completely_positive(ext).is_cp
+    g = assemble_gram(KernelSystem(sys2, ext, T2), 2)
     w = np.linalg.eigvalsh(g.gram)
     assert w[0] <= -1e-3 * np.abs(w).max()

@@ -224,7 +224,7 @@ def test_stored_pi_is_the_concatenated_evaluation_bit_for_bit(name, tmp_path):
     assert run_command("dilate", parse_instance(path), {"output": out})["exit_code"] == 0
     meta, arrays = load_result(out)
     inst = parse_instance(path)
-    sys_, phi, T, _ = build_pair(inst, degree=meta["degree"])
+    sys_, phi, T = build_pair(inst, degree=meta["degree"])
     stack = arrays["pi"].copy()
     stored = StoredDilation(meta, arrays, sys_, phi, T, inst.tolerances)
     xs = elements(np.random.default_rng(42), sys_, stored.pi_depth)

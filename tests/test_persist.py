@@ -23,7 +23,7 @@ from lcm_dilate.serialize import decode_matrix
 
 def test_result_round_trips_bit_exactly(fixtures_dir, tmp_path):
     inst = parse_instance(str(fixtures_dir / "cuntz_m2.json"))
-    sys_, phi, T, _ = build_pair(inst)
+    sys_, phi, T = build_pair(inst)
     payload = result_payload(
         covariant_dilate(sys_, phi, T, inst.degree, inst.tolerances), inst.hash)
     path = str(tmp_path / "r.result.json")      # written to exactly this path
@@ -145,7 +145,7 @@ def test_stored_pi_is_exactly_the_table_verify_reads(fixtures_dir, tmp_path,
     assert arrays["pi"].shape[0] == len(labels)
     assert "interior_0" not in arrays
     inst = parse_instance(path)
-    sys_, phi, T, _ = build_pair(inst, degree=meta["degree"])
+    sys_, phi, T = build_pair(inst, degree=meta["degree"])
     arrays = _ReadKeys(arrays)
     StoredDilation(meta, arrays, sys_, phi, T, inst.tolerances)
     assert arrays.read == set(arrays)       # every stored member is read
@@ -223,7 +223,7 @@ def test_verify_fails_on_a_bump_of_any_stored_entry(fixtures_dir, tmp_path,
                        {"output": out})["exit_code"] == 0
     meta, arrays = load_result(out)
     inst = parse_instance(path)
-    sys_, phi, T, _ = build_pair(inst, degree=meta["degree"])
+    sys_, phi, T = build_pair(inst, degree=meta["degree"])
     assert verify_result(meta, arrays, sys_, phi, T, inst.tolerances).passed
     for member, a in arrays.items():
         for entry in _entries(a):

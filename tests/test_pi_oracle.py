@@ -69,7 +69,7 @@ def _dilate_doc(doc, tmp_path):
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(doc))
     instance = parse_instance(str(path))
-    sys_, phi, T, _ = build_pair(instance)
+    sys_, phi, T = build_pair(instance)
     return covariant_dilate(sys_, phi, T, instance.degree)
 
 

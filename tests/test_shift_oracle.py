@@ -243,7 +243,7 @@ def dilation(request, tmp_path_factory):
     path = tmp_path_factory.mktemp("shift") / f"{request.param}.json"
     path.write_text(json.dumps(CASES[request.param]()))
     instance = parse_instance(str(path))
-    sys_, phi, T, _ = build_pair(instance)
+    sys_, phi, T = build_pair(instance)
     res = covariant_dilate(sys_, phi, T, instance.degree)
     assert res.passed, [c.name for c in res.report.checks if not c.passed]
     assert res.degree >= 2
