@@ -118,13 +118,8 @@ class BaseAlgebra:
         return out
 
     def basis_labels(self) -> list[str]:
-        out = []
-        for b, sl in enumerate(self.block_slices()):
-            n = sl.stop - sl.start
-            for i in range(n):
-                for j in range(n):
-                    out.append(f"b{b}e{i + 1}{j + 1}" if n > 1 else f"b{b}e11")
-        return out
+        return [f"b{b}e{i + 1}{j + 1}" for b, n in enumerate(self.blocks)
+                for i in range(n) for j in range(n)]
 
     @cached_property
     def _unit_flat(self) -> np.ndarray:
@@ -469,11 +464,6 @@ class LevelledElement:
         d = model.zero_depth() if depth is None else model.normalize_depth(depth)
         eye = base.unit()
         return cls(model, base, d, {atom: eye for atom in model.atoms(d)})
-
-    @classmethod
-    def zero(cls, model: Model, base: BaseAlgebra, depth=None) -> "LevelledElement":
-        d = model.zero_depth() if depth is None else model.normalize_depth(depth)
-        return cls(model, base, d, {})
 
     @classmethod
     def from_atom(

@@ -35,8 +35,9 @@ from typing import Optional
 
 import numpy as np
 
-from .algebras import LevelledElement, operator_norms
+from .algebras import BaseAlgebra, LevelledElement, operator_norms
 from .cpmaps import (
+    PSD_RTOL,
     ContractionFamily,
     LevelledOperatorMap,
     is_completely_positive,
@@ -44,6 +45,8 @@ from .cpmaps import (
 )
 from .errors import GramNotPositiveError, SpecMismatchError
 from .kernel import (
+    CORNER_RTOL,
+    COVARIANCE_TOL,
     DEFAULT_MAX_GRAM_DIM,
     GramAssembly,
     KernelSystem,
@@ -51,16 +54,16 @@ from .kernel import (
     check_gram_size,
 )
 from .semigroup import Element
-from .systems import LcmSystem, ValidationReport
+from .systems import CHECK_TOL, RANK_CUT, LcmSystem, ValidationReport
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    psd: float = 1e-8          # relative PSD verdicts
-    rank: float = 1e-10        # relative eigenvalue / singular value cut
-    identity: float = 1e-8     # residuals of verified operator identities
-    covariance: float = 1e-9   # pair covariance at kernel construction
-    corner: float = 1e-8       # corner membership residual
+    psd: float = PSD_RTOL                  # relative PSD verdicts
+    rank: float = RANK_CUT                 # relative eigenvalue / singular value cut
+    identity: float = CHECK_TOL            # residuals of verified operator identities
+    covariance: float = COVARIANCE_TOL     # pair covariance at kernel construction
+    corner: float = CORNER_RTOL            # corner membership residual
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -144,6 +147,7 @@ class DilationResult:
         self.T = assembly.kernel.T
         self.phi = assembly.kernel.phi
         self.degree = assembly.degree
+        self.pi_depth = self.degree     # pi is built for the whole truncation
         self.h = assembly.h
         self.tolerances = tolerances
         self.eigenvalues = eigenvalues
@@ -195,7 +199,7 @@ class DilationResult:
         # the block of group (atom, c) at each (atom, column c), or -1
         self._col_block = np.array([[self._block_at.get((a, c), -1) for c in range(dim)]
                                     for a in top], dtype=np.intp)
-        self._pi_table = self._pi_entries()
+        self.pi_table = self._pi_entries()
 
         self.interiors = _interiors_for(self)
         zero = model.zero_depth()
@@ -206,11 +210,6 @@ class DilationResult:
             np.array([self._atom_at[atom]]), self.sys.base.unit()[None], zero)))
 
     # -- geometry ---------------------------------------------------------------
-
-    @property
-    def pi_depth(self) -> int:
-        """Deepest element depth pi is built for: the whole truncation."""
-        return self.degree
 
     def word_level(self, p: Element) -> int:
         """Interior level on which v_word(p) is exact: the length of p."""
@@ -340,33 +339,21 @@ class DilationResult:
         return out.transpose(0, 2, 1, 3).reshape(x.width * h, y.width * h)
 
     def _pi_entries(self) -> tuple:
-        """pi as a linear table over the coefficients of an element at the
-        catalog depth, in ``vec`` order: (positions, coefficient, values),
-        so that pi(a) is zero but at the flat positions of the rank x rank
-        matrix, where it is a's coefficient number ``coefficient`` times
-        ``values``.  Left multiplication takes atom (x) e_cd to atom (x)
-        (a[atom] e_cd), so the coefficient a[atom][i, c] of rows i and c of
-        one base block carries the block of group (atom, c) to that of
-        (atom, i) by B_t C_s: the groups list their members in one (q, d)
-        order (see ``GramAssembly``), so the member map between them is the
-        identity, and a group to itself is the identity."""
-        rank, dim = self.rank, self.sys.base.dim
-        spans = [np.arange(f.span.start, f.span.stop) for f in self.factors]
-        pos, coef, vals = [], [], []    # every atom at the catalog depth has groups
-        for k, blocks in enumerate(self._col_block.tolist()):
-            for sl in self.sys.base.block_slices():
-                for c in range(sl.start, sl.stop):
-                    s = blocks[c]
-                    if s < 0:
-                        continue
-                    for i in range(sl.start, sl.stop):
-                        t = blocks[i]
-                        block = (np.eye(spans[s].size, dtype=np.complex128) if t == s
-                                 else self.factors[t].factor @ self.factors[s].cofactor)
-                        pos.append((spans[t][:, None] * rank + spans[s]).ravel())
-                        coef.append(np.full(block.size, (k * dim + i) * dim + c))
-                        vals.append(block.ravel())
-        return tuple(np.concatenate(x) for x in (pos, coef, vals))
+        """pi as the linear table ``scatter_pi`` reads, over the coefficients
+        of an element at the catalog depth in ``vec`` order.  The positions
+        are ``pi_layout``'s; the block a coefficient a[atom][i, c] places,
+        from the group (atom, c) to (atom, i), is B_t C_s: the groups list
+        their members in one (q, d) order (see ``GramAssembly``), so the
+        member map between them is the identity, and a group to itself is
+        the identity."""
+        spans = np.array([(f.span.start, f.span.stop) for f in self.factors]
+                         + [(0, 0)])[self._col_block]     # no group (-1): empty
+        keys, pos, coef = pi_layout(spans, self.sys.base, self.rank)
+        blocks, factors = self._col_block, self.factors
+        return pos, coef, np.concatenate([np.zeros(0, dtype=np.complex128)] + [
+            (np.eye(np.ptp(spans[k, c]), dtype=np.complex128) if i == c else
+             factors[blocks[k, i]].factor @ factors[blocks[k, c]].cofactor).ravel()
+            for k, i, c in keys])
 
     def _check_blocks(self, vec: np.ndarray) -> None:
         """A coefficient's column at (atom, c) may carry at most the corner
@@ -389,9 +376,9 @@ class DilationResult:
     def pi(self, a: LevelledElement) -> np.ndarray:
         """The representation matrix of an algebra element (exact on the
         whole truncated space as long as products stay inside the catalog),
-        one scatter of the table ``_pi_entries`` builds with the result; over
-        a scalar base pi(atom (x) z) is z times the projection onto the block
-        of atom."""
+        one ``scatter_pi`` of the table ``_pi_entries`` builds with the
+        result; over a scalar base pi(atom (x) z) is z times the projection
+        onto the block of atom."""
         vec = a.vec(self._depth)
         key = vec.tobytes()
         hit = self._pi_cache.get(key)
@@ -400,13 +387,7 @@ class DilationResult:
         dim = self.sys.base.dim
         if vec.reshape(-1, dim, dim)[:, self._off_block].any():
             self._check_blocks(vec)
-        pos, coef, vals = self._pi_table
-        z = vec[coef]
-        live = z != 0
-        out = np.zeros(self.rank * self.rank, dtype=np.complex128)
-        out[pos[live]] = z[live] * vals[live]
-        out = out.reshape(self.rank, self.rank)
-        self._pi_cache[key] = out
+        out = self._pi_cache[key] = scatter_pi(self.pi_table, self.rank, vec)
         return out
 
     def pi_of_matrix(self, mat: np.ndarray) -> np.ndarray:
@@ -441,6 +422,38 @@ class DilationResult:
 
     def compress_v(self, p: Element) -> np.ndarray:
         return self.embedding.conj().T @ self.v_word(p) @ self.embedding
+
+
+def pi_layout(spans: np.ndarray, base: BaseAlgebra, rank: int) -> tuple:
+    """Where pi's table puts a[atom k][i, c], i and c in one base block:
+    at the rows of the span of the group (atom k, i) and the columns of
+    that of (atom k, c), ``spans[k, x]`` the (start, stop) of the group
+    (atom k, x), empty without one.  Returns the (k, i, c) of the nonempty
+    blocks in table order and their flat positions and coefficient numbers."""
+    atoms, dim = spans.shape[:2]
+    # atom-major, then (c, i) in the order of the base's unit positions
+    c, i = np.tile(np.array(base.unit_positions(), dtype=np.intp), (atoms, 1)).T
+    k = np.repeat(np.arange(atoms), base.linear_dim)
+    start, size = spans[..., 0], spans[..., 1] - spans[..., 0]
+    count = size[k, i] * size[k, c]
+    block = np.repeat(np.arange(k.size), count)     # row-major in each block
+    local = np.arange(block.size) - np.repeat(np.cumsum(count) - count, count)
+    row, col = np.divmod(local, size[k, c][block])
+    pos = (start[k, i][block] + row) * rank + start[k, c][block] + col
+    return (np.stack([k, i, c], -1)[count > 0].tolist(), pos,
+            ((k * dim + i) * dim + c)[block])
+
+
+def scatter_pi(table: tuple, rank: int, vec: np.ndarray) -> np.ndarray:
+    """pi(a) off a table (positions, coefficient, values) and the ``vec``
+    of a at the catalog depth: zero but at the flat positions, where it is
+    a's coefficient number ``coefficient`` times ``values``."""
+    pos, coef, vals = table
+    z = vec[coef]
+    live = z != 0
+    out = np.zeros(rank * rank, dtype=np.complex128)
+    out[pos[live]] = z[live] * vals[live]
+    return out.reshape(rank, rank)
 
 
 def _interiors_for(result: DilationResult) -> dict[int, Interior]:
@@ -555,19 +568,16 @@ def _sample_words(sg, degree: int, max_len: int = 2) -> list[Element]:
 
 
 def stored_pi_depth(sys: LcmSystem, degree: int) -> int:
-    """Depth of the algebra basis a persisted pi is stored on: 1 at degree
-    >= 1, since the depth-1 basis spans every depth-0 element, else 0, in
-    the model's own depths (so 0 on the point model)."""
+    """Depth of the algebra basis the suite reads pi on, and a persisted
+    result's pi up to: 1 at degree >= 1, since the depth-1 basis spans every
+    depth-0 element, else 0, in the model's own depths (0 on point models)."""
     return sys.model.depth_max(sys.model.normalize_depth(min(degree, 1)))
 
 
 def _pi_basis(src) -> list[tuple[str, LevelledElement]]:
-    sys_ = src.sys
-    return [
-        (f"d{depth}:{lbl}", b)
-        for depth in range(stored_pi_depth(sys_, src.degree) + 1)
-        for lbl, b in zip(sys_.basis_labels(depth), sys_.algebra_basis(depth))
-    ]
+    sys_, top = src.sys, stored_pi_depth(src.sys, src.degree)
+    return [(f"d{d}:{lbl}", b) for d in range(top + 1)
+            for lbl, b in zip(sys_.basis_labels(d), sys_.algebra_basis(d))]
 
 
 # ---------------------------------------------------------------------------
@@ -580,9 +590,11 @@ def _pi_basis(src) -> list[tuple[str, LevelledElement]]:
 # on the interior of level word_level(p), ``embedding`` and
 # interior_basis(level), plus sys, T, phi, degree, rank and tolerances.  A
 # case whose pi argument is deeper than ``pi_depth``, or whose word needs more
-# headroom than the degree, is skipped; only a stored source, which keeps pi
-# on the depth-1 basis (depth 0 on point models or at degree 0) and builds
-# V(p) as a product of generator shifts, skips any.
+# headroom than the degree, is skipped.  Both sources scatter one pi table,
+# but only a stored one skips any: it builds V(p) as a product of generator
+# shifts, and keeps ``pi_depth`` at ``stored_pi_depth``, since its residual
+# table vouches for the deeper cases and running them made ``verify`` 16 % and
+# 45 % slower on the perfbench ``abelian_gram`` and ``free_boundary`` results.
 
 
 def _depth(src, x: LevelledElement) -> int:

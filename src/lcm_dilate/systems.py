@@ -282,29 +282,19 @@ class LcmSystem(GeneratorAction, Memo):
         return self.cached(("unit", d),
                            lambda: LevelledElement.unit(self.model, self.base, d))
 
-    def zero(self, depth=None) -> LevelledElement:
-        return LevelledElement.zero(self.model, self.base, depth)
-
     def from_matrix(self, mat) -> LevelledElement:
         return LevelledElement.from_matrix(self.model, self.base, mat)
 
     def algebra_basis(self, depth=None) -> list[LevelledElement]:
-        d = self.model.normalize_depth(
-            self.model.zero_depth() if depth is None else depth
-        )
+        d = self.model.zero_depth() if depth is None else self.model.normalize_depth(depth)
         return self.cached(("basis", d), lambda: [
             LevelledElement.from_atom(self.model, self.base, d, atom, u)
             for atom in self.model.atoms(d) for u in self.base.basis()])
 
-    def basis_labels(self, depth=None) -> list[str]:
-        d = self.model.normalize_depth(
-            self.model.zero_depth() if depth is None else depth
-        )
-        out = []
-        for atom in self.model.atoms(d):
-            for lbl in self.base.basis_labels():
-                out.append(f"{atom}|{lbl}" if atom != () else lbl)
-        return out
+    def basis_labels(self, depth) -> list[str]:
+        return [f"{atom}|{lbl}" if atom != () else lbl
+                for atom in self.model.atoms(self.model.normalize_depth(depth))
+                for lbl in self.base.basis_labels()]
 
     # -- the action -------------------------------------------------------------
 

@@ -143,6 +143,13 @@ def lcm_of(sg, elements):
     return acc
 
 
+def zero_element(sys_: LcmSystem, depth=None) -> LevelledElement:
+    """The element with no atoms, at ``depth`` (depth 0 by default)."""
+    model = sys_.model
+    d = model.zero_depth() if depth is None else model.normalize_depth(depth)
+    return LevelledElement(model, sys_.base, d, {})
+
+
 def element_from_vec(model, base: BaseAlgebra, depth, v) -> LevelledElement:
     """The inverse of ``LevelledElement.vec`` at ``depth``."""
     depth = model.normalize_depth(depth)

@@ -16,7 +16,13 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import apply_generator_inverse, box, random_matrix, random_unitary
+from conftest import (
+    apply_generator_inverse,
+    box,
+    random_matrix,
+    random_unitary,
+    zero_element,
+)
 from lcm_dilate.algebras import (
     BaseAlgebra,
     LevelledElement,
@@ -269,7 +275,7 @@ def test_point_model_action_matches_its_explicit_maps(blocks, kind):
               else GeneratorMap(linear=random_matrix(rng, n * n)) for _ in range(2)]
     sys_ = LcmSystem(sg, PointModel(2), base, alphas=alphas)
     for x in (LevelledElement(sys_.model, base, 0, {(): random_matrix(rng, n)}),
-              sys_.zero()):
+              zero_element(sys_)):
         for letter in (1, 2):
             for inverse in (False, True):
                 act = (functools.partial(apply_generator_inverse, sys_) if inverse

@@ -350,9 +350,29 @@ MALFORMED_STORED = {
         "verify", lambda r, _: _npz(r, interior_1=r["interior_1"][:2]),
         "interior_1"),
     "degree_text": ("verify", lambda r, _: _meta(r, degree="abc"), "meta/degree"),
-    # one pi matrix where the table is expected
-    "pi_list": ("verify", lambda r, _: _npz(r, pi=r["pi"][0]), "pi"),
-    "pi_shape": ("verify", lambda r, _: _npz(r, pi=r["pi"][:, :1, :1]), "pi"),
+    # the table's values as a one-row matrix where a list is expected
+    "pi_list": ("verify", lambda r, _: _npz(r, pi_values=r["pi_values"][None]),
+                "pi_values"),
+    "pi_shape": ("verify", lambda r, _: _npz(r, pi_positions=r["pi_positions"][1:]),
+                 "pi_positions"),
+    "pi_old_stack": ("verify", lambda r, _: _npz(r, pi=np.zeros((2, 5, 5), complex)),
+                     "pi"),
+    "pi_positions_float": (
+        "verify", lambda r, _: _npz(r, pi_positions=r["pi_positions"] * 1.0),
+        "pi_positions"),
+    "pi_position_past_the_matrix": (
+        "verify", lambda r, _: _npz(r, pi_positions=r["pi_positions"] + 25),
+        "pi_positions"),
+    "pi_coefficient_negative": (
+        "verify", lambda r, _: _npz(r, pi_coefficients=r["pi_coefficients"] - 1),
+        "pi_coefficients"),
+    "pi_coefficients_swapped": (
+        "verify", lambda r, _: _npz(r, pi_coefficients=r["pi_coefficients"][::-1]),
+        "pi_coefficients"),
+    # the identity blocks of two atoms interleaved: their spans overlap
+    "pi_blocks_overlapping": (
+        "verify", lambda r, _: _npz(r, pi_coefficients=r["pi_coefficients"] % 2),
+        "pi_positions"),
     "isometries_short": (
         "verify", lambda r, _: _npz(r, isometry_1=None), "isometry_1"),
     "isometry_shape": (
@@ -369,7 +389,8 @@ MALFORMED_STORED = {
                                                               np.nan)),
         "interior_2"),
     "pi_pickled_objects": (
-        "verify", lambda r, _: _npz(r, pi=np.array([{}, None], dtype=object)), "pi"),
+        "verify", lambda r, _: _npz(r, pi_values=np.array([{}, None], dtype=object)),
+        "pi_values"),
     "truncated": ("verify", lambda r, _: _npz(r)[:200], "/"),
     "not_a_zip": ("verify", lambda r, _: b"\x00\x01 not an archive", "/"),
     "meta_missing": ("verify", lambda r, _: _npz(r, meta=None), "meta"),
@@ -417,6 +438,19 @@ def test_v1_json_result_is_refused_by_name(fixtures_dir, tmp_path, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "format v1 JSON result; re-run dilate (at /format)" in err
+        assert "Traceback" not in err
+
+
+def test_v2_result_is_refused_by_name(fixtures_dir, tmp_path, capsys,
+                                     stored_documents):
+    # a result whose meta names the format of the dense pi stack
+    path = tmp_path / "old.result.npz"
+    path.write_bytes(_meta(stored_documents[0], format="lcm-dilate-result-v2"))
+    for argv in (["verify", str(fixtures_dir / "sznagy_half.json"),
+                  "--result", str(path)], ["report", str(path)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "format v2 result; re-run dilate (at meta/format)" in err
         assert "Traceback" not in err
 
 

@@ -10,6 +10,7 @@ from conftest import (
     random_coisometry_pair,
     random_contraction,
     random_state,
+    zero_element,
 )
 from lcm_dilate.algebras import (
     BaseAlgebra,
@@ -87,7 +88,7 @@ def test_scalar_formula_value():
 
 def test_disjoint_ideals_give_zero():
     K = cuntz_kernel()
-    a = K.sys.zero(1)
+    a = zero_element(K.sys, 1)
     assert np.abs(K.evaluate((1,), a, (2,))).max() == 0.0
 
 

@@ -11,8 +11,6 @@ before:
 * ``oracle_value``: a levelled map atom by atom, one coefficient row per
   atom of x and ``np.tensordot`` over (atom, unit); on the point model the
   base map of the one atom's value, ``np.tensordot`` over the units;
-* ``oracle_stored_pi``: the coefficients of every atom at the stored pi
-  depth concatenated and ``np.tensordot`` with the stored stack;
 * ``oracle_stage``: the domain coefficients ``np.tensordot`` with the
   generator's basis images.
 
@@ -31,12 +29,10 @@ from conftest import (
     random_unitary,
 )
 from lcm_dilate.algebras import BaseAlgebra, LevelledElement, PointModel, ToeplitzModel
-from lcm_dilate.cli import build_pair, parse_instance, run_command
+from lcm_dilate.cli import parse_instance
 from lcm_dilate.cpmaps import ContractionFamily, build_phi_tilde, state_map
-from lcm_dilate.persist import StoredDilation, load_result
 from lcm_dilate.semigroup import FreeAbelian, FreeMonoid
 from lcm_dilate.systems import GeneratorMap, LcmSystem, build_system
-from test_persist import _point_model_instance
 
 C, M2 = BaseAlgebra((1,)), BaseAlgebra((2,))
 
@@ -64,15 +60,6 @@ def oracle_value(phi, x: LevelledElement) -> np.ndarray:
     for atom, mat in y.coeffs.items():
         coeff[row[atom]] = oracle_coefficients(phi.base, mat)
     return np.tensordot(coeff, stack, axes=([0, 1], [0, 1]))
-
-
-def oracle_stored_pi(stored: StoredDilation, stack, x) -> np.ndarray:
-    model = stored.sys.model
-    depth = model.normalize_depth(stored.pi_depth)
-    y = x.refine_to(depth)
-    coeffs = np.concatenate([oracle_coefficients(stored.sys.base, y.coefficient(atom))
-                             for atom in model.atoms(depth)])
-    return np.tensordot(coeffs, stack, axes=1)
 
 
 def oracle_stage(domain: BaseAlgebra, images, x) -> np.ndarray:
@@ -212,25 +199,8 @@ def test_coefficients_are_the_block_slices(blocks):
 
 
 # ---------------------------------------------------------------------------
-# the stored pi and the stage maps
+# the stage maps
 # ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("name", ["sznagy_half.json", "point_state"])
-def test_stored_pi_is_the_concatenated_evaluation_bit_for_bit(name, tmp_path):
-    path = (_point_model_instance(tmp_path) if name == "point_state"
-            else str(FIXTURES / name))
-    out = str(tmp_path / "r.npz")
-    assert run_command("dilate", parse_instance(path), {"output": out})["exit_code"] == 0
-    meta, arrays = load_result(out)
-    inst = parse_instance(path)
-    sys_, phi, T = build_pair(inst, degree=meta["degree"])
-    stack = arrays["pi"].copy()
-    stored = StoredDilation(meta, arrays, sys_, phi, T, inst.tolerances)
-    xs = elements(np.random.default_rng(42), sys_, stored.pi_depth)
-    assert len(xs) >= 30
-    for k, x in enumerate(xs):
-        assert_bit_equal(stored.pi(x), oracle_stored_pi(stored, stack, x), k)
 
 
 def test_stage_maps_are_the_image_combinations_bit_for_bit():

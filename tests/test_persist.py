@@ -2,16 +2,20 @@
 codec, and ``verify`` running the shared identity suite on stored
 matrices."""
 
+import contextlib
+import io
 import json
+import time
 
 import numpy as np
 import pytest
 
-from conftest import encode_matrix
-from lcm_dilate.cli import build_pair, parse_instance, run_command
-from lcm_dilate.dilation import covariant_dilate
+from conftest import FIXTURES, encode_matrix
+from lcm_dilate.cli import build_pair, main, parse_instance, run_command
+from lcm_dilate.dilation import _pi_basis, covariant_dilate
 from lcm_dilate.errors import SchemaError
 from lcm_dilate.persist import (
+    PI_MEMBERS,
     StoredDilation,
     load_result,
     result_payload,
@@ -33,7 +37,8 @@ def test_result_round_trips_bit_exactly(fixtures_dir, tmp_path):
     assert meta["instance_hash"] == inst.hash and meta["degree"] == inst.degree
     assert arrays.keys() == payload.keys()
     for name, a in payload.items():
-        assert arrays[name].dtype == np.complex128, name
+        index = name in ("pi_positions", "pi_coefficients")
+        assert arrays[name].dtype == (np.int64 if index else np.complex128), name
         assert arrays[name].tobytes() == a.tobytes(), name
     # instances keep the JSON codec: real entries or [re, im] pairs
     m = np.array([[-0.0, 1e-300 - 2.5j], [1.5, 3j]])
@@ -130,25 +135,61 @@ class _ReadKeys(dict):
         return super().__getitem__(key)
 
 
+def _instance_path(name: str, tmp_path) -> str:
+    """A fixture by file name, ``point_state``, or ``cuntz_m2_toeplitz``:
+    the Cuntz pair on the full Fock space, the free Toeplitz model."""
+    if name == "point_state":
+        return _point_model_instance(tmp_path)
+    if name == "cuntz_m2_toeplitz":
+        doc = json.loads((FIXTURES / "cuntz_m2.json").read_text())
+        doc["system"]["model"] = {"kind": "toeplitz_free"}
+        path = tmp_path / "cuntz_toeplitz.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+    return str(FIXTURES / name)
+
+
 @pytest.mark.parametrize("name,prefix", [("sznagy_half.json", "d1:"),
                                          ("point_state", "d0:")])
 def test_stored_pi_is_exactly_the_table_verify_reads(fixtures_dir, tmp_path,
                                                      name, prefix):
-    path = (_point_model_instance(tmp_path) if name == "point_state"
-            else str(fixtures_dir / name))
+    # the stored table is the live one, every member is read, and the
+    # suite takes pi on the basis up to depth 1 (0 on the point model)
+    path = _instance_path(name, tmp_path)
     out = str(tmp_path / "r.npz")
     assert run_command("dilate", parse_instance(path),
                        {"output": out})["exit_code"] == 0
     meta, arrays = load_result(out)
-    labels = meta["pi_labels"]
-    assert labels and all(k.startswith(prefix) for k in labels)
-    assert arrays["pi"].shape[0] == len(labels)
-    assert "interior_0" not in arrays
+    assert "interior_0" not in arrays and "pi_labels" not in meta
     inst = parse_instance(path)
     sys_, phi, T = build_pair(inst, degree=meta["degree"])
     arrays = _ReadKeys(arrays)
-    StoredDilation(meta, arrays, sys_, phi, T, inst.tolerances)
+    stored = StoredDilation(meta, arrays, sys_, phi, T, inst.tolerances)
     assert arrays.read == set(arrays)       # every stored member is read
+    labels = [lbl for lbl, _ in _pi_basis(stored)]
+    assert labels[0].startswith("d0:") and labels[-1].startswith(prefix)
+    live = covariant_dilate(sys_, phi, T, inst.degree, inst.tolerances)
+    for member, want in zip(PI_MEMBERS, live.pi_table):
+        assert arrays[member].tobytes() == want.tobytes(), member
+
+
+@pytest.mark.parametrize("name", ["sznagy_half.json", "point_state",
+                                  "commuting_unitaries.json", "cuntz_m2.json",
+                                  "cuntz_m2_toeplitz"])
+def test_stored_pi_is_the_live_pi_bit_for_bit(tmp_path, name):
+    # abelian, point-model, boundary and free Toeplitz results: both
+    # sources scatter one table, so pi agrees to the bit on every basis
+    # element the suite can read
+    inst = parse_instance(_instance_path(name, tmp_path))
+    sys_, phi, T = build_pair(inst)
+    live = covariant_dilate(sys_, phi, T, inst.degree, inst.tolerances)
+    out = str(tmp_path / "r.npz")
+    write_result(out, result_payload(live, inst.hash))
+    stored = StoredDilation(*load_result(out), sys_, phi, T, inst.tolerances)
+    elements = [b for d in range(stored.pi_depth + 1) for b in sys_.algebra_basis(d)]
+    assert len(elements) >= 2
+    for k, b in enumerate(elements):
+        assert stored.pi(b).tobytes() == live.pi(b).tobytes(), k
 
 
 def _tampered(fixtures_dir, tmp_path, edit, name="sznagy_half.json"):
@@ -214,9 +255,12 @@ def _entries(a: np.ndarray) -> list[tuple]:
 def test_verify_fails_on_a_bump_of_any_stored_entry(fixtures_dir, tmp_path,
                                                     name):
     # Every member is read by some identity: bumping one entry of any stored
-    # array by 1e-3 fails verify.  On cuntz_m2 an isometry column or an
-    # interior row outside the first interior is seen only by
-    # isometry.zero_off_interior or interior.orthonormal.
+    # complex array by 1e-3 fails verify.  On cuntz_m2 an isometry column or
+    # an interior row outside the first interior is seen only by
+    # isometry.zero_off_interior or interior.orthonormal.  Moving any index
+    # of pi's table by one fails verify or is refused (exit 2): the suite
+    # reads pi only up to depth 1, so a table that no longer has pi's block
+    # layout is refused before it runs.
     path = str(fixtures_dir / name)
     out = str(tmp_path / "r.npz")
     assert run_command("dilate", parse_instance(path),
@@ -226,9 +270,32 @@ def test_verify_fails_on_a_bump_of_any_stored_entry(fixtures_dir, tmp_path,
     sys_, phi, T = build_pair(inst, degree=meta["degree"])
     assert verify_result(meta, arrays, sys_, phi, T, inst.tolerances).passed
     for member, a in arrays.items():
-        for entry in _entries(a):
-            bumped = a.copy()
-            bumped[entry] += 1e-3
-            rep = verify_result(meta, dict(arrays, **{member: bumped}), sys_,
-                                phi, T, inst.tolerances)
-            assert not rep.passed, (member, entry)
+        index = a.dtype == np.int64
+        for entry in (np.ndindex(a.shape) if index else _entries(a)):
+            for step in ((1, -1) if index else (1e-3,)):
+                bumped = a.copy()
+                bumped[entry] += step
+                try:
+                    rep = verify_result(meta, dict(arrays, **{member: bumped}),
+                                        sys_, phi, T, inst.tolerances)
+                except SchemaError:
+                    continue
+                assert not rep.passed, (member, entry, step)
+
+
+def test_a_tampered_degree_exits_2_at_once(tmp_path):
+    # the member names are checked against the degree, not the degree
+    # against every name it would allow
+    path = _point_model_instance(tmp_path)
+    out = str(tmp_path / "r.npz")
+    assert main(["dilate", path, "--output", out]) == 0
+    meta, arrays = load_result(out)
+    meta["degree"] = 10 ** 12
+    write_result(out, dict(arrays, meta=np.array(json.dumps(meta).encode())))
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["verify", path, "--result", out])
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and "Traceback" not in err.getvalue()
+    assert "missing member (at interior_3)" in err.getvalue()

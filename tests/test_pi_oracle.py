@@ -16,7 +16,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, load_perfbench, random_ucp_map
+from conftest import FIXTURES, load_perfbench, random_ucp_map, zero_element
 from lcm_dilate.algebras import BaseAlgebra, LevelledElement, ToeplitzModel
 from lcm_dilate.cli import build_pair, parse_instance
 from lcm_dilate.cpmaps import ContractionFamily, build_phi_tilde
@@ -125,7 +125,7 @@ def random_element(res, rng, signs) -> LevelledElement:
 def test_pi_table_is_bit_equal_to_the_per_element_construction(result):
     res, rng = result, np.random.default_rng(11)
     elements = [b for d in range(res.pi_depth + 1) for b in res.sys.algebra_basis(d)]
-    elements += [res.sys.unit(), res.sys.zero()]
+    elements += [res.sys.unit(), zero_element(res.sys)]
     elements += [random_element(res, rng, signs)
                  for signs in ((1, 1), (-1, 1), (1, -1), (-1, -1))]
     elements += [b.star() * (-1.5 + 0.5j) for b in res.sys.algebra_basis(1)]

@@ -19,7 +19,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, alpha_inverse, encode_matrix
+from conftest import FIXTURES, alpha_inverse, encode_matrix, zero_element
 from lcm_dilate.algebras import PointModel
 from lcm_dilate.cli import build_pair, parse_instance
 from lcm_dilate.dilation import (
@@ -161,7 +161,7 @@ def oracle_adjoint_residual(res) -> float:
         for idx in catalog:
             r = sg.lcm(gen, idx.q)
             if r is None:
-                formula.append((sg.identity, sys_.zero(res.degree)))
+                formula.append((sg.identity, zero_element(sys_, res.degree)))
                 t_facs.append(np.zeros((h, h)))
             else:
                 formula.append((sg.left_divide(gen, r),
