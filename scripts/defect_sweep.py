@@ -10,7 +10,6 @@ the same scale.
 Usage: defect_sweep.py [steps]
 """
 
-import itertools
 import pathlib
 import sys
 
@@ -23,7 +22,7 @@ from lcm_dilate.cpmaps import (  # noqa: E402
     ContractionFamily,
     extend_phi_T,
     is_completely_positive,
-    nica_defect,
+    nica_defects,
 )
 from lcm_dilate.kernel import KernelSystem, assemble_gram  # noqa: E402
 from lcm_dilate.semigroup import FreeAbelian  # noqa: E402
@@ -42,11 +41,8 @@ def main() -> int:
         t1 = np.array([[0, s], [0, 0]], dtype=complex)
         t2 = np.array([[0, 1j * s], [0, 0]], dtype=complex)
         T = ContractionFamily(sg, [t1, t2])
-        worst = 0.0
-        for size in (1, 2, 3):
-            for combo in itertools.combinations(pool, size):
-                worst = min(worst, float(np.linalg.eigvalsh(
-                    nica_defect(T, combo))[0]))
+        worst = min(0.0, *(float(np.linalg.eigvalsh(defects)[:, 0].min())
+                           for defects in nica_defects(T, pool, 3)))
         phi = extend_phi_T(sys_, T, 2)
         accepted = is_completely_positive(phi).is_cp
         w = assemble_gram(KernelSystem(sys_, phi, T, validate=False),

@@ -47,7 +47,6 @@ over it reads the same tables; the same table holds the one system of each
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -56,7 +55,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import SpecMismatchError
-from .semigroup import Semigroup
+from .semigroup import Semigroup, lcm_levels
 
 Complex = np.complex128
 
@@ -355,14 +354,10 @@ class ToeplitzModel(_Tables):
 
     def _counts(self, depth: frozenset) -> dict:
         sg = self.semigroup
-        terms = []          # (lcm(F), (-1)^(|F| + 1)) for each F with an lcm
-        for size in range(1, len(self._gens) + 1):
-            for fs in itertools.combinations(self._gens, size):
-                m = fs[0]
-                for f in fs[1:]:
-                    m = m if m is None else sg.lcm(m, f)
-                if m is not None:
-                    terms.append((m, 1 if size % 2 else -1))
+        # (lcm(F), -c) for c the coefficient of E_lcm(F) in prod_g (1 - E_g)
+        own = sg.enumerate_up_to(max(map(sg.length, self._gens)))
+        *_, (row,) = lcm_levels(sg, own, sg.identity, self._gens, len(self._gens))
+        terms = [(s, -int(c)) for s, c in zip(own, row) if c and s != sg.identity]
         atoms = set(self.atoms(depth))
         counts: dict = {}
         for root in depth:

@@ -12,6 +12,8 @@ contraction family into a map on a diagonal (or diagonal-tensor) algebra.
 
 from __future__ import annotations
 
+import collections
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -27,7 +29,7 @@ from .algebras import (
     operator_norms,
 )
 from .errors import CovarianceError, ResourceCapError, SpecMismatchError
-from .semigroup import Element, Semigroup
+from .semigroup import BLOCK_ROWS, Element, Semigroup, lcm_levels
 
 if TYPE_CHECKING:   # systems imports this module for its maps
     from .systems import LcmSystem
@@ -238,9 +240,6 @@ class ContractionFamily:
                     f"generator norm {operator_norm(m):.12f} exceeds 1"
                 )
         self._words: dict[Element, np.ndarray] = {}
-        # nica_defect's memo and the sort keys of the elements it validated
-        self._defects: dict = {}
-        self._keys: dict = {}
         gens = semigroup.generators
         for i, gi in enumerate(gens):
             for j, gj in enumerate(gens[i + 1:], start=i + 1):
@@ -270,8 +269,7 @@ class ContractionFamily:
         return out
 
     def range_operator(self, p: Element) -> np.ndarray:
-        """T(p)T(p)*, read-only like T(p); ``nica_defect``'s memo keeps it
-        once per word."""
+        """T(p)T(p)*, read-only like T(p)."""
         tp = self(p)
         out = tp @ tp.conj().T
         out.flags.writeable = False
@@ -279,64 +277,29 @@ class ContractionFamily:
 
 
 # ---------------------------------------------------------------------------
-# inclusion-exclusion defects and partitions of unity
+# inclusion-exclusion by integer lcm coefficients
 # ---------------------------------------------------------------------------
 
 
-def _sorted_elements(sg: Semigroup, elements, keys=None) -> tuple[Element, ...]:
-    """The distinct elements in (length, element) order, each validated.
-
-    ``keys`` maps elements already validated to their sort keys; elements
-    seen for the first time are validated and added to it.
-    """
-    keys = {} if keys is None else keys
-    es = set(map(tuple, elements))
-    for e in es:
-        if e not in keys:
-            sg.validate_element(e)
-            keys[e] = (sg.length(e), e)
-    return tuple(sorted(es, key=keys.__getitem__))
+def _signed_sums(rows: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """sum_s rows[:, s] terms[s]: one real product over the terms' float view."""
+    out = rows.astype(np.float64) @ terms.reshape(len(terms), -1).view(np.float64)
+    return out.view(Complex).reshape((len(rows),) + terms.shape[1:])
 
 
-def _check_subset_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise ResourceCapError(
-            f"inclusion-exclusion over {n} elements needs 2^{n} terms (cap {cap})"
-        )
-
-
-def inclusion_exclusion(sg: Semigroup, term, head: Element, F: tuple,
-                        memo: dict) -> np.ndarray:
-    """D(head, F) = sum over subsets U of F of (-1)^|U| term(lcm(head, vU)),
-    subsets without a common multiple left out.
-
-    This is the one inclusion-exclusion sum here: the range projection
-    E_head prod_{f in F} (1 - E_f) is the signed sum of the E at these lcms.
-    It is evaluated by the recurrence (Moebius inversion on the lcm lattice)
-
-        D(head, ()) = term(head)
-        D(head, F + (f,)) = D(head, F) - D(lcm(head, f), F),
-
-    the second term dropped when lcm(head, f) does not exist (and lcm(e, f)
-    = f taken without a call).  Every D is
-    memoised on (head, F) in ``memo``, so sets sharing a prefix share the
-    work; the stored arrays are read-only, so an in-place write raises
-    instead of corrupting the memo.
-    """
-    key = (head, F)
-    out = memo.get(key)
-    if out is None:
-        if not F:
-            out = term(head)
-        else:
-            rest, f = F[:-1], F[-1]
-            out = inclusion_exclusion(sg, term, head, rest, memo)
-            top = f if head == sg.identity else sg.lcm(head, f)
-            if top is not None:
-                out = out - inclusion_exclusion(sg, term, top, rest, memo)
-        out.flags.writeable = False
-        memo[key] = out
-    return out
+def nica_defects(T: ContractionFamily, pool, max_size: int):
+    """The defect of every set of 1..``max_size`` elements of ``pool`` in
+    (size, ``itertools.combinations``) order, as (sets, h, h) stacks of at
+    most ``BLOCK_ROWS`` sets.  The sums run over the identity and the pool,
+    which must hold every lcm of its elements (those up to a length do)."""
+    sg = T.semigroup
+    universe = [sg.identity, *pool]
+    ranges = np.array([T.range_operator(s) for s in universe])
+    levels = lcm_levels(sg, universe, sg.identity, pool, max_size)
+    next(levels)                    # the empty set
+    for rows in levels:
+        for lo in range(0, len(rows), BLOCK_ROWS):
+            yield _signed_sums(rows[lo:lo + BLOCK_ROWS], ranges)
 
 
 def nica_defect(T: ContractionFamily, F, cap: int = MAX_SUBSET_SIZE) -> np.ndarray:
@@ -344,15 +307,25 @@ def nica_defect(T: ContractionFamily, F, cap: int = MAX_SUBSET_SIZE) -> np.ndarr
     of U; subsets without a common multiple contribute nothing.
 
     Hermitian by construction.  Nonnegativity of these operators over all
-    finite F is the dilation obstruction tested by `check-nica`.  The sum
-    runs over ``T``'s memo, which holds each T(s)T(s)* under (s, ()), so
-    defects of sets sharing a prefix share their work; the returned array
-    is read-only.
-    """
+    finite F is the dilation obstruction tested by `check-nica`.  One set
+    of ``nica_defects``' sums, over the lcm-closure of the identity and F;
+    the returned array is read-only."""
     sg = T.semigroup
-    fs = _sorted_elements(sg, F, T._keys)
-    _check_subset_cap(len(fs), cap)
-    return inclusion_exclusion(sg, T.range_operator, sg.identity, fs, T._defects)
+    fs = list(dict.fromkeys(map(tuple, F)))
+    for f in fs:
+        sg.validate_element(f)
+    if len(fs) > cap:
+        raise ResourceCapError(f"inclusion-exclusion over {len(fs)} elements "
+                               f"needs 2^{len(fs)} terms (cap {cap})")
+    closure = {sg.identity}
+    for f in fs:
+        closure |= {r for s in closure if (r := sg.lcm(s, f)) is not None}
+    universe = sorted(closure, key=lambda e: (sg.length(e), e))
+    levels = lcm_levels(sg, universe, sg.identity, fs, len(fs))
+    out = _signed_sums(collections.deque(levels, maxlen=1)[0],
+                       np.array([T.range_operator(s) for s in universe]))[0]
+    out.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +352,9 @@ def build_phi_tilde(
 
     On a cylinder (or range projection) at p tensored with a, the lifted map
     is T(p) phi(beta_p^{-1}(a)) T(p)*; the value at the atom
-    E_p prod_{f in F} (1 - E_f) follows by inclusion-exclusion over the
-    subsets of F.  For the boundary model this is stage-consistent only when
+    E_p prod_{f in F} (1 - E_f) is the combination ``lcm_levels`` gives of
+    those at the depth's elements, all atoms in one product.  For the
+    boundary model this is stage-consistent only when
     phi(a) = sum_i T_i phi(beta_i^{-1}(a)) T_i*, which is verified here.
 
     On a point model the lift is the base map as the one-atom map.
@@ -391,11 +365,12 @@ def build_phi_tilde(
         return LevelledOperatorMap(sys, 0, phi.values)
     if T.semigroup != sys.semigroup:
         raise SpecMismatchError("contraction family indexed by the wrong semigroup")
-    d = sys.model.normalize_depth(depth)
+    sg, model = sys.semigroup, sys.model
+    d = model.normalize_depth(depth)
     units = sys.base.basis()
     betas = sys.betas
 
-    if sys.model.boundary:
+    if model.boundary:
         total = sum(
             _compressed(phi, betas, T, g, units) for g in sys.semigroup.generators
         )
@@ -407,15 +382,28 @@ def build_phi_tilde(
                     f"stage consistency of the boundary lift at basis #{ui}",
                 )
 
-    def term(s: Element) -> np.ndarray:
-        return _compressed(phi, betas, T, s, units)
+    def coefficients():
+        # fixed by the model and the depth: a cut is p G for generators G and
+        # lcm(px, py) = p lcm(x, y), so an atom's row is its G's moved by p
+        own = sg.enumerate_up_to(max(map(sg.length, sg.generators)))
+        levels = lcm_levels(sg, own, sg.identity, sg.generators, sg.rank)
+        of = {G: row for size, rows in enumerate(levels)
+              for G, row in zip(itertools.combinations(sg.generators, size), rows)}
+        universe = sorted(d, key=lambda e: (sg.length(e), e))
+        at = {s: k for k, s in enumerate(universe)}
+        rows = np.zeros((len(model.atoms(d)), len(universe)), dtype=np.intp)
+        for r, (p, F) in enumerate(model.cylinder(atom, d) for atom in model.atoms(d)):
+            row = of[tuple(sg.left_divide(p, f) for f in F)]
+            for s in np.flatnonzero(row):
+                rows[r, at[sg.multiply(p, own[s])]] = row[s]
+        used = np.flatnonzero(rows.any(axis=0))
+        rows = rows[:, used]
+        rows.flags.writeable = False
+        return [universe[k] for k in used], rows
 
-    memo: dict = {}   # shared by the atoms, whose cylinders overlap
-    values = []
-    for atom in sys.model.atoms(d):
-        p, F = sys.model.cylinder(atom, d)
-        values.extend(inclusion_exclusion(sys.semigroup, term, p, tuple(F), memo))
-    return LevelledOperatorMap(sys, d, values)
+    elements, rows = model.cached(("lift", d), coefficients)
+    terms = np.array([_compressed(phi, betas, T, s, units) for s in elements])
+    return LevelledOperatorMap(sys, d, _signed_sums(rows, terms).reshape(-1, T.h, T.h))
 
 
 def extend_phi_T(sys: LcmSystem, T: ContractionFamily, depth) -> LevelledOperatorMap:

@@ -1,4 +1,5 @@
-"""Exact combinatorics of the two built-in right LCM monoid families.
+"""Exact combinatorics of the two built-in right LCM monoid families, and
+the integer inclusion-exclusion coefficients of any right LCM monoid.
 
 Elements are plain tuples of ints interpreted by the monoid object: a word
 over letters ``1..k`` for the free monoid, a vector of naturals for the free
@@ -9,10 +10,13 @@ operation below is well defined without any unit-orbit bookkeeping.
 
 from __future__ import annotations
 
+import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
+
+import numpy as np
 
 from .errors import ResourceCapError, SpecMismatchError
 
@@ -20,6 +24,7 @@ Element = tuple[int, ...]
 
 # Guard for enumerate_up_to / foundation-set decisions.
 DEFAULT_ENUMERATION_CAP = 200_000
+BLOCK_ROWS = 4096   # coefficient rows an lcm step or a product takes at once
 
 
 class Semigroup(ABC):
@@ -237,6 +242,44 @@ class FreeAbelian(Semigroup):
         for i, n in enumerate(p):
             letters.extend([i + 1] * n)
         return tuple(letters)
+
+
+def lcm_levels(sg: Semigroup, universe, head: Element, F, max_size: int):
+    """Integer inclusion-exclusion coefficients over ``universe``: for each
+    set G of at most ``max_size`` elements of F, E_head prod_{f in G}
+    (1 - E_f) = sum_s c(s) E_s with c = prod_{f in G} (I - P_f) e_head,
+    where P_f moves a coefficient at s to lcm(f, s).  The P_f commute, so
+    c depends on the set alone.  Yields one (sets, universe) array per size
+    from the empty set up, the sets in ``itertools.combinations`` order
+    over F, each row grown from its prefix row by a gather and a bincount,
+    in the narrowest integer type that holds it (|c| <= 2^size).  A column
+    past the universe collects "no common multiple" (E = 0); an lcm outside
+    the universe is refused, never read as that."""
+    at = {e: k for k, e in enumerate(universe)}
+    m = len(at)
+    table = np.full((len(F), m + 1), m, dtype=np.intp)
+    for (i, f), (k, s) in itertools.product(enumerate(F), enumerate(at)):
+        if (r := sg.lcm(f, s)) is not None and r not in at:
+            raise SpecMismatchError(f"lcm({f}, {s}) = {r} lies outside the {m} elements "
+                                    "the inclusion-exclusion sums run over")
+        table[i, k] = at.get(r, m)
+    rows = np.zeros((1, m + 1), dtype=np.int8)
+    rows[0, at[head]] = 1               # the empty set
+    last = np.array([-1])               # the position in F of each set's last
+    yield rows[:, :m]
+    for size in range(1, max_size + 1):
+        count = len(F) - 1 - last       # a set grows by every later element
+        prefix = np.repeat(np.arange(len(last)), count)
+        start = np.cumsum(count) - count - last - 1   # first new set, less its last
+        last = np.arange(len(prefix)) - np.repeat(start, count)
+        grown = np.empty((len(prefix), m + 1), np.min_scalar_type(-(2 ** size) - 1))
+        for lo in range(0, len(prefix), BLOCK_ROWS):
+            prev, hi = rows[prefix[lo:lo + BLOCK_ROWS]], lo + BLOCK_ROWS
+            dest = table[last[lo:hi]] + (m + 1) * np.arange(len(prev))[:, None]
+            pushed = np.bincount(dest.ravel(), prev.ravel(), prev.size)
+            grown[lo:hi] = prev - pushed.reshape(prev.shape)
+        rows = grown
+        yield rows[:, :m]
 
 
 def semigroup_from_json(doc: dict) -> Semigroup:

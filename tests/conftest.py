@@ -17,16 +17,14 @@ from lcm_dilate.cpmaps import (
     BaseOperatorMap,
     ContractionFamily,
     LevelledOperatorMap,
-    _check_subset_cap,
     _compressed,
-    _sorted_elements,
+    _signed_sums,
     build_phi_tilde,
-    inclusion_exclusion,
 )
 from lcm_dilate.dilation import DilationResult, Tolerances, naimark_dilate
-from lcm_dilate.errors import SpecMismatchError
+from lcm_dilate.errors import ResourceCapError, SpecMismatchError
 from lcm_dilate.kernel import GramAssembly, GramBlock, KernelSystem, assemble_gram
-from lcm_dilate.semigroup import FreeAbelian
+from lcm_dilate.semigroup import FreeAbelian, lcm_levels
 from lcm_dilate.systems import GeneratorMap, LcmSystem, ValidationReport
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -165,6 +163,14 @@ def element_from_vec(model, base: BaseAlgebra, depth, v) -> LevelledElement:
 # ---------------------------------------------------------------------------
 
 
+def sorted_elements(sg, elements) -> list:
+    """The distinct elements in (length, element) order, each validated."""
+    es = set(map(tuple, elements))
+    for e in es:
+        sg.validate_element(e)
+    return sorted(es, key=lambda e: (sg.length(e), e))
+
+
 def ewf_projection(sys: LcmSystem, W, F) -> LevelledElement:
     """Product of range projections over W and their complements over F - W.
 
@@ -172,8 +178,8 @@ def ewf_projection(sys: LcmSystem, W, F) -> LevelledElement:
     orthogonal projections.
     """
     sg = sys.semigroup
-    ws = _sorted_elements(sg, W)
-    fs = _sorted_elements(sg, F)
+    ws = sorted_elements(sg, W)
+    fs = sorted_elements(sg, F)
     if not set(ws) <= set(fs):
         raise SpecMismatchError("W must be a subset of F")
     out = sys.unit()
@@ -200,14 +206,31 @@ def phi_F(
     tensor construction.
     """
     sg = T.semigroup
-    fs = _sorted_elements(sg, F)
-    _check_subset_cap(len(fs), cap)
+    fs = sorted_elements(sg, F)
+    if len(fs) > cap:
+        raise ResourceCapError(f"inclusion-exclusion over {len(fs)} elements "
+                               f"needs 2^{len(fs)} terms (cap {cap})")
     betas = [np.asarray(b, dtype=complex) for b in betas]
     units = phi.base.basis()
-    values = inclusion_exclusion(
-        sg, lambda s: _compressed(phi, betas, T, s, units), sg.identity, fs, {}
-    )
+    universe = lcm_closure(sg, sg.identity, fs)
+    terms = np.array([_compressed(phi, betas, T, s, units) for s in universe])
+    (values,) = _signed_sums(last_level(sg, universe, sg.identity, fs), terms)
     return BaseOperatorMap(phi.base, list(values))
+
+
+def lcm_closure(sg, head, F) -> list:
+    """lcm(head, vU) over the subsets U of F with a common multiple, in
+    (length, element) order."""
+    out = {tuple(head)}
+    for f in F:
+        out |= {r for s in out if (r := sg.lcm(s, tuple(f))) is not None}
+    return sorted(out, key=lambda e: (sg.length(e), e))
+
+
+def last_level(sg, universe, head, F) -> np.ndarray:
+    """The coefficient row of E_head prod_{f in F} (1 - E_f), one row."""
+    *_, rows = lcm_levels(sg, universe, head, F, len(F))
+    return rows
 
 
 CHECK_TOL = 1e-8

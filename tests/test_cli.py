@@ -1014,7 +1014,7 @@ def test_check_nica_refuses_too_many_subsets_before_building_one(
     def no_defects(*args):
         raise AssertionError("a subset was built")
 
-    monkeypatch.setattr(cli_module, "nica_defect", no_defects)
+    monkeypatch.setattr(cli_module, "nica_defects", no_defects)
     path = str(fixtures_dir / "commuting_unitaries.json")
     # 48 elements up to depth 6: 1,925,356 subsets of at most five
     assert main(["check-nica", path, "--depth", "6", "--max-f", "5"]) == 2

@@ -1,4 +1,5 @@
-"""The memoised inclusion-exclusion against the sums it replaces.
+"""The inclusion-exclusion by integer lcm coefficients against the sums it
+replaces.
 
 The oracles live inside this module only:
 
@@ -24,6 +25,8 @@ from conftest import (
     box,
     commuting_contraction_pair,
     ewf_projection,
+    last_level,
+    lcm_closure,
     lcm_of,
     phi_F,
     random_coisometry_pair,
@@ -31,6 +34,7 @@ from conftest import (
     random_ucp_map,
     random_unitary,
 )
+from lcm_dilate import cpmaps, semigroup
 from lcm_dilate.algebras import (
     BaseAlgebra,
     LevelledElement,
@@ -40,13 +44,14 @@ from lcm_dilate.cli import parse_instance, run_command
 from lcm_dilate.cpmaps import (
     BaseOperatorMap,
     ContractionFamily,
+    _signed_sums,
     build_phi_tilde,
-    inclusion_exclusion,
     nica_defect,
+    nica_defects,
     state_map,
 )
-from lcm_dilate.errors import ResourceCapError
-from lcm_dilate.semigroup import FreeAbelian, FreeMonoid
+from lcm_dilate.errors import ResourceCapError, SpecMismatchError
+from lcm_dilate.semigroup import FreeAbelian, FreeMonoid, lcm_levels
 from lcm_dilate.systems import LcmSystem, build_system
 
 C = BaseAlgebra((1,))
@@ -271,7 +276,7 @@ RANK2 = {
 @pytest.mark.parametrize("kind", sorted(RANK2))
 @given(data=st.data())
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
-def test_memoised_sums_match_the_per_subset_oracle(kind, data):
+def test_lcm_coefficient_sums_match_the_per_subset_oracle(kind, data):
     sg, model, unitary, pair, element = RANK2[kind]
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
     T = ContractionFamily(sg, pair(rng))
@@ -283,7 +288,9 @@ def test_memoised_sums_match_the_per_subset_oracle(kind, data):
     def term(s):
         return np.array([lifted(sg, betas, phi, T, s, u) for u in M2.basis()])
 
-    assert_close(inclusion_exclusion(sg, term, head, F, {}),
+    universe = lcm_closure(sg, head, F)
+    terms = np.array([term(s) for s in universe])
+    assert_close(_signed_sums(last_level(sg, universe, head, F), terms)[0],
                  signed_sum(signed_lcms(sg, F, head), term))
     assert_close(nica_defect(T, F), oracle_defect(T, F))
     assert_close(np.array(phi_F(phi, betas, T, F).values),
@@ -295,6 +302,101 @@ def test_memoised_sums_match_the_per_subset_oracle(kind, data):
     for atom, vals in atom_values(lift).items():
         p, cut = model.cylinder(atom, model.normalize_depth(depth))
         assert_close(vals, signed_sum(signed_lcms(sg, cut, p), term))
+
+
+# ---------------------------------------------------------------------------
+# the integer lcm coefficients against the per-subset counts
+# ---------------------------------------------------------------------------
+
+
+def brute_row(sg, elements, F, head=None) -> np.ndarray:
+    """sum over U of (-1)^|U| e_lcm(head, vU), every subset of the list F
+    counted, as integers over the positions of ``elements``."""
+    at = {e: k for k, e in enumerate(elements)}
+    out = np.zeros(len(elements), dtype=np.int64)
+    for sign, s in signed_lcms(sg, F, head):
+        out[at[s]] += sign
+    return out
+
+
+LATTICES = [(FreeMonoid(1), 5), (FreeMonoid(2), 2), (FreeMonoid(3), 2),
+            (FreeAbelian(1), 5), (FreeAbelian(2), 2), (FreeAbelian(3), 1)]
+
+
+@pytest.mark.parametrize("sg,depth", LATTICES, ids=str)
+def test_level_rows_are_the_signed_lcm_counts_in_combination_order(sg, depth):
+    elements = sg.enumerate_up_to(depth)      # the identity among them
+    levels = list(lcm_levels(sg, elements, sg.identity, elements, 5))
+    assert len(levels) == 6
+    for size, rows in enumerate(levels):
+        sets = list(itertools.combinations(elements, size))
+        assert rows.shape == (len(sets), len(elements))
+        assert rows.dtype == np.int8
+        for F, row in zip(sets, rows):
+            assert np.array_equal(row, brute_row(sg, elements, F)), F
+            if sg.identity in F:
+                assert not row.any(), F
+
+
+@pytest.mark.parametrize("sg,depth", LATTICES, ids=str)
+def test_set_rows_with_heads_and_repeats_are_the_signed_lcm_counts(sg, depth):
+    rng = np.random.default_rng(31)
+    elements = sg.enumerate_up_to(depth)
+    heads = [elements[k] for k in rng.integers(len(elements), size=40)]
+    sets = [[elements[k] for k in rng.integers(len(elements), size=n)]
+            for n in rng.integers(0, 6, size=37)]
+    sets += [[elements[-1]] * 3, [sg.identity, elements[1]], []]
+    for head, F in zip(heads, sets):
+        (row,) = last_level(sg, elements, head, F)
+        assert np.array_equal(row, brute_row(sg, elements, F, head)), (head, F)
+        # the same row over the lcm-closure of the head and F alone
+        closure = lcm_closure(sg, head, F)
+        (own,) = last_level(sg, closure, head, F)
+        assert np.array_equal(own, brute_row(sg, closure, F, head)), (head, F)
+
+
+def _diagonal_contractions(rng, rank):
+    return [np.diag(0.95 * rng.random(2) * np.exp(2j * np.pi * rng.random(2)))
+            for _ in range(rank)]
+
+
+@pytest.mark.parametrize("sg,depth", LATTICES, ids=str)
+def test_batched_defects_match_the_per_subset_oracle(sg, depth, monkeypatch):
+    rng = np.random.default_rng(32)
+    mats = ([random_contraction(rng, 2) for _ in range(sg.rank)]
+            if isinstance(sg, FreeMonoid) else _diagonal_contractions(rng, sg.rank))
+    T = ContractionFamily(sg, mats)
+    pool = [p for p in sg.enumerate_up_to(depth) if sg.length(p) >= 1]
+    sets = [F for k in range(1, 6) for F in itertools.combinations(pool, k)]
+    got = np.concatenate(list(nica_defects(T, pool, 5)))
+    assert got.shape == (len(sets), 2, 2)
+    for F, d in zip(sets, got):
+        assert_close(d, oracle_defect(T, F), rtol=1e-14)
+    # the blocks a level is cut into do not move a bit
+    monkeypatch.setattr(cpmaps, "BLOCK_ROWS", 7)
+    monkeypatch.setattr(semigroup, "BLOCK_ROWS", 5)
+    assert np.array_equal(np.concatenate(list(nica_defects(T, pool, 5))), got)
+
+
+class _SumLcm(FreeAbelian):
+    """A common multiple that is not the least: longer than both."""
+
+    def lcm(self, p, q):
+        return tuple(a + b for a, b in zip(p, q))
+
+
+def test_an_lcm_outside_the_universe_is_refused_not_dropped():
+    sg = _SumLcm(2)
+    pool = [(1, 0), (0, 1)]
+    message = (r"lcm\(\(1, 0\), \(1, 0\)\) = \(2, 0\) lies outside the 3 "
+               "elements")
+    with pytest.raises(SpecMismatchError, match=message):
+        next(lcm_levels(sg, [sg.identity, *pool], sg.identity, pool, 2))
+    T = ContractionFamily(sg, [0.5 * np.eye(1), 0.5 * np.eye(1)])
+    with pytest.raises(SpecMismatchError, match=message):
+        next(nica_defects(T, pool, 2))
+    with pytest.raises(SpecMismatchError, match="lies outside the 4 elements"):
+        nica_defect(T, pool)
 
 
 # ---------------------------------------------------------------------------
