@@ -15,8 +15,9 @@ goes first alternating per instance; every command is timed on its own
 
 Printed per command: the median seconds of each side, the median and
 quartiles of the paired ratio change/parent, and how many pairs the change
-won.  A ratio below 1 means the change is faster.  Pairs whose exit codes
-differ are counted and make the exit code 1.
+won.  A ratio below 1 means the change is faster.  On workloads that
+dilate, the median size in bytes of each side's persisted results follows.
+Pairs whose exit codes differ are counted and make the exit code 1.
 """
 
 import argparse
@@ -103,6 +104,7 @@ def main(argv=None) -> int:
                 run_chain(clis[side], inst, path)
 
         seconds = {}            # command -> side -> [seconds], paired by index
+        sizes = {side: [] for side in SIDES}    # bytes of each persisted result
         disagreements = 0
         for rep in range(args.reps):
             for k, inst in enumerate(insts):
@@ -114,8 +116,10 @@ def main(argv=None) -> int:
                     disagreements += 1
                     continue
                 for side in SIDES:
-                    for cmd, s, _ in steps[side]:
+                    for cmd, s, code in steps[side]:
                         seconds.setdefault(cmd, {p: [] for p in SIDES})[side].append(s)
+                        if cmd == "dilate" and code == 0:
+                            sizes[side].append(os.path.getsize(results[side][k]))
 
     print(f"# {args.workload} seed {SEED}: {len(insts)} instances x "
           f"{args.reps} rounds, change / parent")
@@ -129,6 +133,9 @@ def main(argv=None) -> int:
         print(f"{cmd:<12}{statistics.median(a):>12.4f}{statistics.median(b):>12.4f}"
               f"{q2:>11.3f}{f'[{q1:.3f}, {q3:.3f}]':>20}"
               f"{f'{wins}/{len(ratios)}':>13}")
+    if sizes["parent"]:
+        print(f"# result bytes p50: parent {statistics.median(sizes['parent']):,.0f}, "
+              f"change {statistics.median(sizes['change']):,.0f}")
     if disagreements:
         print(f"# {disagreements} pairs with different exit codes, left out")
     return 1 if disagreements else 0

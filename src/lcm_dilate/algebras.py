@@ -467,13 +467,6 @@ class LevelledElement:
         d = model.normalize_depth(depth)
         return cls(model, base, d, {atom: np.asarray(value, dtype=Complex)})
 
-    @classmethod
-    def from_matrix(cls, model: Model, base: BaseAlgebra, mat) -> "LevelledElement":
-        """Embed a base-algebra matrix at depth zero (i.e. 1 (x) mat)."""
-        mat = np.asarray(mat, dtype=Complex)
-        d = model.zero_depth()
-        return cls(model, base, d, {atom: mat for atom in model.atoms(d)})
-
     # -- structural helpers ---------------------------------------------------
 
     def _compat(self, other: "LevelledElement") -> None:

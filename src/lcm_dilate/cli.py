@@ -25,7 +25,7 @@ import platform
 import sys as _sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -552,11 +552,7 @@ def run_command(command: str, instance: Instance, flags: dict) -> dict:
 def _job(args):
     command, path, flags = args
     try:
-        instance = parse_instance(path)
-        instance.tolerances = replace(instance.tolerances, **{
-            key: _tolerance(flags[f"tol_{key}"], f"--tol-{key}")
-            for key in ("psd", "rank") if flags.get(f"tol_{key}") is not None})
-        report = run_command(command, instance, flags)
+        report = run_command(command, parse_instance(path), flags)
         return path, report, report["exit_code"]
     except (SchemaError, SpecMismatchError, ResourceCapError) as exc:
         return path, {"error": str(exc), "exit_code": 2}, 2
@@ -580,8 +576,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("instances", nargs="+", help="instance JSON file(s)")
         p.add_argument("--depth", type=int, default=None,
                        help="override the instance truncation depth")
-        p.add_argument("--tol-psd", type=float, default=None)
-        p.add_argument("--tol-rank", type=float, default=None)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--jobs", type=int, default=1,
                        help="run independent instances in parallel")
@@ -663,8 +657,6 @@ def main(argv=None) -> int:
         "output": getattr(args, "output", None),
         "result": getattr(args, "result", None),
         "max_f": getattr(args, "max_f", None),
-        "tol_psd": args.tol_psd,
-        "tol_rank": args.tol_rank,
     }
     if args.jobs < 1:
         exc = SchemaError(f"--jobs must be at least 1, got {args.jobs}", "--jobs")

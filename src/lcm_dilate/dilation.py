@@ -199,6 +199,9 @@ class DilationResult:
         # the block of group (atom, c) at each (atom, column c), or -1
         self._col_block = np.array([[self._block_at.get((a, c), -1) for c in range(dim)]
                                     for a in top], dtype=np.intp)
+        # the span of group (atom, c) at each (atom, column c), empty without one
+        self.pi_spans = np.array([(f.span.start, f.span.stop) for f in factors]
+                                 + [(0, 0)], dtype=np.int64)[self._col_block]
         self.pi_table = self._pi_entries()
 
         self.interiors = _interiors_for(self)
@@ -346,8 +349,7 @@ class DilationResult:
         their members in one (q, d) order (see ``GramAssembly``), so the
         member map between them is the identity, and a group to itself is
         the identity."""
-        spans = np.array([(f.span.start, f.span.stop) for f in self.factors]
-                         + [(0, 0)])[self._col_block]     # no group (-1): empty
+        spans = self.pi_spans
         keys, pos, coef = pi_layout(spans, self.sys.base, self.rank)
         blocks, factors = self._col_block, self.factors
         return pos, coef, np.concatenate([np.zeros(0, dtype=np.complex128)] + [
@@ -390,9 +392,6 @@ class DilationResult:
         out = self._pi_cache[key] = scatter_pi(self.pi_table, self.rank, vec)
         return out
 
-    def pi_of_matrix(self, mat: np.ndarray) -> np.ndarray:
-        return self.pi(self.sys.from_matrix(mat))
-
     def v_word(self, p: Element) -> np.ndarray:
         """The shift matrix of a word, built from the interior with matching
         headroom; correct on that interior and zero on its complement."""
@@ -416,12 +415,6 @@ class DilationResult:
             out = (self._apply(shifted) @ interior.pullback) @ interior.basis.conj().T
         self._v_cache[p] = out
         return out
-
-    def generator_isometries(self) -> list[np.ndarray]:
-        return [self.v_word(g) for g in self.sys.semigroup.generators]
-
-    def compress_v(self, p: Element) -> np.ndarray:
-        return self.embedding.conj().T @ self.v_word(p) @ self.embedding
 
 
 def pi_layout(spans: np.ndarray, base: BaseAlgebra, rank: int) -> tuple:

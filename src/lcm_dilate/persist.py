@@ -1,29 +1,33 @@
 """Persistence of dilation results and re-verification without reconstruction.
 
-A persisted result (format v3) is one uncompressed ``.npz`` archive of
-complex128 arrays, but for two int64 ones, of the shapes their roles fix:
+A persisted result (format v4) is one uncompressed ``.npz`` archive of six
+members, whatever the degree and the generator count.  Five are arrays of
+the shapes their roles fix, complex128 but for ``pi_spans``:
 
 * ``embedding``: rank x h;
-* ``isometry_<g>``: rank x rank, one per generator g = 1..n (none at
-  degree 0);
-* ``interior_<k>``: rank rows, one basis per level k = 1..degree (level 0
-  is the whole space, with the identity as basis);
-* ``pi_positions`` and ``pi_coefficients`` (int64) and ``pi_values``, of
-  one length: the table of pi that ``dilation.scatter_pi`` reads.
+* ``isometries``: n x rank x rank, the generator isometries V(g) for
+  g = 1..n (n = 0 at degree 0);
+* ``interiors``: the orthonormal bases of the levels k = 1..degree side by
+  side, rank x the sum of their widths (level 0 is the whole space, with
+  the identity as basis);
+* ``pi_spans`` (int64): atoms x dim x 2, the [start, stop) in the dilation
+  space of the group (atom at the catalog depth, base column), empty where
+  there is none;
+* ``pi_values``: the values of pi's table, laid out by
+  ``dilation.pi_layout`` from the spans.
 
-One JSON string member, ``meta`` (UTF-8 bytes), holds the format tag, the
+The sixth, ``meta``, is a JSON string (UTF-8 bytes): the format tag, the
 hash of the instance that produced the result, the degree, the rank, the
-tolerances the residual table was computed with and the residual table.
-``verify_result`` runs the identity suite of ``dilation`` on those stored
-arrays; it rebuilds the (cheap) system and pair from the instance but never
-re-assembles or re-diagonalizes the Gram operator.
+widths of the interiors and the residual table.  ``verify_result`` runs the
+identity suite of ``dilation`` on those stored arrays; it rebuilds the
+(cheap) system and pair from the instance but never re-assembles or
+re-diagonalizes the Gram operator.
 """
 
 from __future__ import annotations
 
 import json
 import lzma
-import re
 import zipfile
 import zlib
 
@@ -37,29 +41,34 @@ from .semigroup import Element
 from .serialize import decode_checks, load_json
 from .systems import LcmSystem, ValidationReport
 
-RESULT_FORMAT = "lcm-dilate-result-v3"
+RESULT_FORMAT = "lcm-dilate-result-v4"
 V1_FORMAT = "lcm-dilate-result-v1"
-V2_FORMAT = "lcm-dilate-result-v2"
+RETIRED_FORMATS = ("lcm-dilate-result-v2", "lcm-dilate-result-v3")
 ZIP_MAGIC = b"PK\x03\x04"
-PI_MEMBERS = ("pi_positions", "pi_coefficients", "pi_values")
+ARRAYS = ("embedding", "isometries", "interiors", "pi_spans", "pi_values")
 
 
 def result_payload(result: DilationResult, instance_hash: str) -> dict:
     """The members of the persisted result, by name."""
+    rank = result.rank
+    gens = result.sys.semigroup.generators if result.degree >= 1 else ()
+    bases = [result.interiors[k].basis for k in range(1, result.degree + 1)]
     meta = {
         "format": RESULT_FORMAT,
         "instance_hash": instance_hash,
         "degree": result.degree,
-        "rank": result.rank,
-        "tolerances": result.tolerances.as_dict(),
+        "rank": rank,
+        "interior_widths": [b.shape[1] for b in bases],
         "residuals": [c.as_dict() for c in result.report.checks],
     }
-    out = {"embedding": result.embedding, **dict(zip(PI_MEMBERS, result.pi_table))}
-    if result.degree >= 1:
-        for g, gen in enumerate(result.sys.semigroup.generators, start=1):
-            out[f"isometry_{g}"] = result.v_word(gen)
-    for level in range(1, result.degree + 1):
-        out[f"interior_{level}"] = result.interiors[level].basis
+    out = {
+        "embedding": result.embedding,
+        "isometries": np.array([result.v_word(g) for g in gens],
+                               dtype=np.complex128).reshape(len(gens), rank, rank),
+        "interiors": np.hstack([np.zeros((rank, 0), dtype=np.complex128), *bases]),
+        "pi_spans": result.pi_spans,
+        "pi_values": result.pi_table[2],
+    }
     out = {name: np.ascontiguousarray(a) for name, a in out.items()}
     out["meta"] = np.array(json.dumps(meta, sort_keys=True).encode())
     return out
@@ -96,8 +105,8 @@ def refuse_v1(doc) -> None:
 def load_result(path: str) -> tuple[dict, dict]:
     """(metadata, arrays by member name) of the result at ``path``.  A file
     that is not a zip archive, a member that cannot be read without
-    unpickling, or metadata that is not a JSON object of the v3 format is
-    refused at its location; a v2 result by name."""
+    unpickling, or metadata that is not a JSON object of the v4 format is
+    refused at its location; a v2 or v3 result by name."""
     if not is_result_file(path):
         try:
             doc = load_json(path)
@@ -128,8 +137,9 @@ def load_result(path: str) -> tuple[dict, dict]:
         raise SchemaError(f"metadata is not JSON: {exc}", "meta") from None
     if not isinstance(meta, dict):
         raise SchemaError("metadata must be a JSON object", "meta")
-    if meta.get("format") == V2_FORMAT:
-        raise SchemaError("format v2 result; re-run dilate", "meta/format")
+    if meta.get("format") in RETIRED_FORMATS:
+        raise SchemaError(f"format {meta['format'][-2:]} result; re-run dilate",
+                          "meta/format")
     if meta.get("format") != RESULT_FORMAT:
         raise SchemaError(f"not a persisted dilation result (format "
                           f"{meta.get('format')!r})", "meta/format")
@@ -152,47 +162,49 @@ def _natural(meta: dict, key: str) -> int:
     return value
 
 
-def _array(arrays: dict, name: str, shape: tuple, dtype=np.complex128,
-           bound: int = 0) -> np.ndarray:
-    """The member ``name``: of ``dtype``, finite, of ``shape`` (None leaves
-    that axis free), and with a ``bound`` its entries in [0, bound)."""
+def _array(arrays: dict, name: str, shape: tuple,
+           dtype=np.complex128) -> np.ndarray:
+    """The member ``name``: of ``dtype``, finite, of ``shape``."""
     if name not in arrays:
         raise SchemaError("missing member", name)
     a = arrays[name]
     if not isinstance(a, np.ndarray) or a.dtype != dtype:
         got = a.dtype if isinstance(a, np.ndarray) else "raw bytes"
         raise SchemaError(f"expected {np.dtype(dtype)} entries, got {got}", name)
-    if a.ndim != len(shape) or any(
-            want is not None and got != want for got, want in zip(a.shape, shape)):
-        want = "x".join("*" if n is None else str(n) for n in shape)
-        raise SchemaError(f"expected shape {want}, got {a.shape}", name)
+    if a.shape != shape:
+        raise SchemaError(f"expected shape {'x'.join(map(str, shape))}, "
+                          f"got {a.shape}", name)
     if not np.isfinite(a).all():
         raise SchemaError("non-finite entry", name)
-    if bound and a.size and not (a.min() >= 0 and a.max() < bound):
-        raise SchemaError(f"entries must lie in [0, {bound})", name)
     return a
 
 
+def _widths(meta: dict, degree: int) -> list[int]:
+    """The widths of the interiors of levels 1..degree."""
+    widths = meta.get("interior_widths")
+    if not (isinstance(widths, list) and len(widths) == degree and all(
+            type(w) is int and w >= 0 for w in widths)):
+        raise SchemaError(f"interior_widths must be {degree} natural numbers",
+                          "meta/interior_widths")
+    return widths
+
+
 def _pi_table(arrays: dict, sys: LcmSystem, depth, rank: int) -> tuple:
-    """The stored table of pi, refused unless it is ``pi_layout``'s for the
-    disjoint group spans that its identity blocks, of a[atom][c, c], cover."""
-    dim, atoms = sys.base.dim, len(sys.model.atoms(depth))
-    vals = _array(arrays, "pi_values", (None,))
-    pos = _array(arrays, "pi_positions", vals.shape, np.int64, rank * rank)
-    coef = _array(arrays, "pi_coefficients", vals.shape, np.int64, atoms * dim * dim)
-    k, i, c = coef // (dim * dim), coef // dim % dim, coef % dim
-    start, stop = np.full((atoms, dim), rank), np.zeros((atoms, dim), dtype=np.intp)
-    np.minimum.at(start, (k[i == c], c[i == c]), pos[i == c] // rank)
-    np.maximum.at(stop, (k[i == c], c[i == c]), pos[i == c] // rank + 1)
-    spans = np.stack([np.minimum(start, stop), stop], -1)
-    if np.ptp(spans, axis=-1).sum() > rank:
-        raise SchemaError("the blocks of pi overlap", "pi_positions")
-    _, want_pos, want_coef = pi_layout(spans, sys.base, rank)
-    for name, got, want in (("pi_coefficients", coef, want_coef),
-                            ("pi_positions", pos, want_pos)):
-        if not np.array_equal(got, want):
-            raise SchemaError("not the block layout of pi", name)
-    return pos, coef, vals
+    """The table of pi that ``pi_layout`` lays out from the stored group
+    spans, as the live result builds it.  The spans must be disjoint
+    intervals of [0, rank], which bounds the layout by rank^2, and the
+    values as many as its positions."""
+    spans = _array(arrays, "pi_spans", (len(sys.model.atoms(depth)), sys.base.dim, 2),
+                   np.int64)
+    start, stop = spans[..., 0], spans[..., 1]
+    if not ((0 <= start) & (start <= stop) & (stop <= rank)).all():
+        raise SchemaError(f"spans must have 0 <= start <= stop <= {rank}", "pi_spans")
+    full = spans[start < stop]
+    full = full[np.argsort(full[:, 0])]
+    if (full[:-1, 1] > full[1:, 0]).any():
+        raise SchemaError("the spans of pi overlap", "pi_spans")
+    _, pos, coef = pi_layout(spans, sys.base, rank)
+    return pos, coef, _array(arrays, "pi_values", pos.shape)
 
 
 class StoredDilation:
@@ -203,7 +215,7 @@ class StoredDilation:
     generator isometries along p, exact on the interior of level
     gen_count(p).  Every member is checked on construction, each array for
     the dtype and shape its role fixes, and refused with a ``SchemaError``
-    at its location; so is a member the suite does not read.
+    at its location; so is any other member.
     """
 
     def __init__(self, meta: dict, arrays: dict, sys: LcmSystem, phi,
@@ -211,19 +223,19 @@ class StoredDilation:
         self.sys, self.phi, self.T, self.tolerances = sys, phi, T, tolerances
         self.degree = stored_degree(meta)
         self.rank = rank = _natural(meta, "rank")
+        widths = _widths(meta, self.degree)
+        unexpected = sorted(set(arrays) - set(ARRAYS))
+        if unexpected:
+            raise SchemaError("unexpected member", unexpected[0])
         self.pi_depth = stored_pi_depth(sys, self.degree)
-        gens = range(1, sys.semigroup.rank + 1) if self.degree >= 1 else ()
-        expected = {"embedding", *PI_MEMBERS, *(f"isometry_{g}" for g in gens)}
-        for name in sorted(arrays):     # the degree may be far above the levels
-            level = re.fullmatch("interior_([1-9][0-9]*)", name)
-            if name not in expected and not (level and int(level[1]) <= self.degree):
-                raise SchemaError("unexpected member", name)
+        n = sys.semigroup.rank if self.degree >= 1 else 0
         self.embedding = _array(arrays, "embedding", (rank, T.h))
-        self.isometries = [_array(arrays, f"isometry_{g}", (rank, rank))
-                           for g in gens]
-        self.interiors = {0: np.eye(rank, dtype=np.complex128)}
-        for k in range(1, self.degree + 1):
-            self.interiors[k] = _array(arrays, f"interior_{k}", (rank, None))
+        self.isometries = _array(arrays, "isometries", (n, rank, rank))
+        bases = _array(arrays, "interiors", (rank, sum(widths)))
+        edges = np.cumsum([0, *widths]).tolist()
+        self.interiors = {k: bases[:, edges[k - 1]:edges[k]]
+                          for k in range(1, self.degree + 1)}
+        self.interiors[0] = np.eye(rank, dtype=np.complex128)
         self._depth = sys.model.normalize_depth(self.degree)
         self.pi_table = _pi_table(arrays, sys, self._depth, rank)
         self._products = {(): np.eye(rank, dtype=np.complex128)}

@@ -282,9 +282,6 @@ class LcmSystem(GeneratorAction, Memo):
         return self.cached(("unit", d),
                            lambda: LevelledElement.unit(self.model, self.base, d))
 
-    def from_matrix(self, mat) -> LevelledElement:
-        return LevelledElement.from_matrix(self.model, self.base, mat)
-
     def algebra_basis(self, depth=None) -> list[LevelledElement]:
         d = self.model.zero_depth() if depth is None else self.model.normalize_depth(depth)
         return self.cached(("basis", d), lambda: [

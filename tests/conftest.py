@@ -148,6 +148,29 @@ def zero_element(sys_: LcmSystem, depth=None) -> LevelledElement:
     return LevelledElement(model, sys_.base, d, {})
 
 
+def from_matrix(sys_: LcmSystem, mat) -> LevelledElement:
+    """1 (x) mat: a base-algebra matrix on every atom at depth zero."""
+    d = sys_.model.zero_depth()
+    mat = np.asarray(mat, dtype=complex)
+    return LevelledElement(sys_.model, sys_.base, d,
+                           {atom: mat for atom in sys_.model.atoms(d)})
+
+
+def pi_of_matrix(result: DilationResult, mat) -> np.ndarray:
+    """pi(1 (x) mat) of a dilation."""
+    return result.pi(from_matrix(result.sys, mat))
+
+
+def generator_isometries(result: DilationResult) -> list[np.ndarray]:
+    """V(g) for the generators g, in order."""
+    return [result.v_word(g) for g in result.sys.semigroup.generators]
+
+
+def compress_v(result: DilationResult, p) -> np.ndarray:
+    """iota* V(p) iota: the compression of the shift of p to the base space."""
+    return result.embedding.conj().T @ result.v_word(p) @ result.embedding
+
+
 def element_from_vec(model, base: BaseAlgebra, depth, v) -> LevelledElement:
     """The inverse of ``LevelledElement.vec`` at ``depth``."""
     depth = model.normalize_depth(depth)

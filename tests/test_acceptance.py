@@ -15,7 +15,10 @@ import pytest
 from conftest import (
     check_kernel_properties,
     commuting_contraction_pair,
+    compress_v,
     ewf_projection,
+    generator_isometries,
+    pi_of_matrix,
     random_coisometry_pair,
     random_contraction,
     random_state,
@@ -73,7 +76,7 @@ def test_criterion_1_single_contraction_reproduction():
         res = covariant_dilate(sys_, ext, T, degree)
         for n in range(degree + 1):
             resid = np.linalg.norm(
-                res.compress_v((n,)) - np.linalg.matrix_power(t, n), 2
+                compress_v(res, (n,)) - np.linalg.matrix_power(t, n), 2
             )
             worst_comp = max(worst_comp, resid)
         iso = next(c for c in res.report.checks if c.name == "isometry.V[1]")
@@ -238,7 +241,7 @@ def test_criterion_5_cuntz_relations():
     phi = build_phi_tilde(sysb, state_map(M2, rho, 2), T, 3)
     res = covariant_dilate(sysb, phi, T, 3)
     assert res.passed
-    v1, v2 = res.generator_isometries()
+    v1, v2 = generator_isometries(res)
     q1 = res.interior_basis(1)
     cuntz = np.linalg.norm(
         (v1 @ v1.conj().T + v2 @ v2.conj().T - np.eye(res.rank)) @ q1, 2
@@ -246,7 +249,7 @@ def test_criterion_5_cuntz_relations():
     assert cuntz <= 1e-8, cuntz
     worst = 0.0
     for a in M2.basis():
-        pa = res.pi_of_matrix(a)
+        pa = pi_of_matrix(res, a)
         rhs = v1 @ pa @ v1.conj().T + v2 @ pa @ v2.conj().T
         worst = max(worst, np.linalg.norm((pa - rhs) @ q1, 2))
     assert worst <= 1e-8, worst

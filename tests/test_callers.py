@@ -10,9 +10,6 @@ any attribute of its name is, whatever the object: the syntax tree does not
 know types.  Dunder methods are reached by the language itself.  Code only
 the tests call belongs in the tests, as a reference implementation beside
 them.
-
-The README's quick start is the one caller outside the code: the methods
-it shows are listed in ``QUICK_START``.
 """
 
 import ast
@@ -22,7 +19,6 @@ from collections import Counter
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "lcm_dilate"
 CALLER_DIRS = (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
-QUICK_START = frozenset({"compress_v", "generator_isometries", "pi_of_matrix"})
 
 
 def _dunder(name: str) -> bool:
@@ -85,8 +81,6 @@ def uncalled_names() -> list[str]:
             continue
         for qualified, node in _definitions(tree).items():
             name = qualified.rpartition(".")[2]
-            if name in QUICK_START and qualified != name:
-                continue
             if total[name] - _references(node)[name] <= 0:
                 missing.append(f"{path.stem}.{qualified}")
     return sorted(missing)

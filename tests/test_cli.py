@@ -342,42 +342,52 @@ MALFORMED_STORED = {
         "verify", lambda r, _: _meta(r, residuals=[1]), "meta/residuals/0"),
     # the interiors stacked into one array
     "interiors_list": (
-        "verify", lambda r, _: _npz(r, interior_1=np.array([r["interior_1"]])),
-        "interior_1"),
+        "verify", lambda r, _: _npz(r, interiors=np.array([r["interiors"]])),
+        "interiors"),
     "interior_key_not_level": (
-        "verify", lambda r, _: _npz(r, interior_x=r["interior_1"]), "interior_x"),
+        "verify", lambda r, _: _npz(r, interior_x=r["interiors"]), "interior_x"),
     "interior_rows": (
-        "verify", lambda r, _: _npz(r, interior_1=r["interior_1"][:2]),
-        "interior_1"),
+        "verify", lambda r, _: _npz(r, interiors=r["interiors"][:2]), "interiors"),
+    # one level wider than the stored columns
+    "interior_widths_off": (
+        "verify", lambda r, _: _meta(r, interior_widths=[
+            w + (k == 0) for k, w in enumerate(r["meta"]["interior_widths"])]),
+        "interiors"),
+    "interior_widths_missing": (
+        "verify", lambda r, _: _npz(r, meta=_without(r["meta"], "interior_widths")),
+        "meta/interior_widths"),
     "degree_text": ("verify", lambda r, _: _meta(r, degree="abc"), "meta/degree"),
     # the table's values as a one-row matrix where a list is expected
     "pi_list": ("verify", lambda r, _: _npz(r, pi_values=r["pi_values"][None]),
                 "pi_values"),
-    "pi_shape": ("verify", lambda r, _: _npz(r, pi_positions=r["pi_positions"][1:]),
-                 "pi_positions"),
+    "pi_values_one_short": (
+        "verify", lambda r, _: _npz(r, pi_values=r["pi_values"][1:]), "pi_values"),
+    "pi_shape": ("verify", lambda r, _: _npz(r, pi_spans=r["pi_spans"][1:]),
+                 "pi_spans"),
     "pi_old_stack": ("verify", lambda r, _: _npz(r, pi=np.zeros((2, 5, 5), complex)),
                      "pi"),
-    "pi_positions_float": (
-        "verify", lambda r, _: _npz(r, pi_positions=r["pi_positions"] * 1.0),
-        "pi_positions"),
+    "pi_spans_float": (
+        "verify", lambda r, _: _npz(r, pi_spans=r["pi_spans"] * 1.0), "pi_spans"),
+    "pi_spans_missing": ("verify", lambda r, _: _npz(r, pi_spans=None), "pi_spans"),
     "pi_position_past_the_matrix": (
-        "verify", lambda r, _: _npz(r, pi_positions=r["pi_positions"] + 25),
-        "pi_positions"),
-    "pi_coefficient_negative": (
-        "verify", lambda r, _: _npz(r, pi_coefficients=r["pi_coefficients"] - 1),
-        "pi_coefficients"),
-    "pi_coefficients_swapped": (
-        "verify", lambda r, _: _npz(r, pi_coefficients=r["pi_coefficients"][::-1]),
-        "pi_coefficients"),
-    # the identity blocks of two atoms interleaved: their spans overlap
+        "verify", lambda r, _: _npz(r, pi_spans=r["pi_spans"] + 25), "pi_spans"),
+    "pi_span_negative": (
+        "verify", lambda r, _: _npz(r, pi_spans=r["pi_spans"] - 1), "pi_spans"),
+    "pi_span_backwards": (
+        "verify", lambda r, _: _npz(r, pi_spans=r["pi_spans"][..., ::-1]),
+        "pi_spans"),
+    # two groups on [0, 1), as many values as their layout: without the
+    # refusal the identity suite fails it (exit 1), starting at pi.unital
     "pi_blocks_overlapping": (
-        "verify", lambda r, _: _npz(r, pi_coefficients=r["pi_coefficients"] % 2),
-        "pi_positions"),
+        "verify", lambda r, _: _npz(r, pi_spans=np.concatenate(
+            [r["pi_spans"][:1], r["pi_spans"][:1], r["pi_spans"][2:]])),
+        "pi_spans"),
     "isometries_short": (
-        "verify", lambda r, _: _npz(r, isometry_1=None), "isometry_1"),
+        "verify", lambda r, _: _npz(r, isometries=r["isometries"][:0]),
+        "isometries"),
     "isometry_shape": (
-        "verify", lambda r, _: _npz(r, isometry_1=np.eye(1, dtype=complex)),
-        "isometry_1"),
+        "verify", lambda r, _: _npz(r, isometries=np.eye(1, dtype=complex)[None]),
+        "isometries"),
     "embedding_shape": (
         "verify", lambda r, _: _npz(r, embedding=r["embedding"][:2]), "embedding"),
     "embedding_missing": (
@@ -385,9 +395,8 @@ MALFORMED_STORED = {
     "embedding_float64": (
         "verify", lambda r, _: _npz(r, embedding=r["embedding"].real), "embedding"),
     "interior_nan": (
-        "verify", lambda r, _: _npz(r, interior_2=np.full_like(r["interior_2"],
-                                                              np.nan)),
-        "interior_2"),
+        "verify", lambda r, _: _npz(r, interiors=np.full_like(r["interiors"], np.nan)),
+        "interiors"),
     "pi_pickled_objects": (
         "verify", lambda r, _: _npz(r, pi_values=np.array([{}, None], dtype=object)),
         "pi_values"),
@@ -443,15 +452,18 @@ def test_v1_json_result_is_refused_by_name(fixtures_dir, tmp_path, capsys):
 
 def test_v2_result_is_refused_by_name(fixtures_dir, tmp_path, capsys,
                                      stored_documents):
-    # a result whose meta names the format of the dense pi stack
+    # results whose meta names a retired format: v2 (the dense pi stack) and
+    # v3 (per-level members, pi's positions and coefficients)
     path = tmp_path / "old.result.npz"
-    path.write_bytes(_meta(stored_documents[0], format="lcm-dilate-result-v2"))
-    for argv in (["verify", str(fixtures_dir / "sznagy_half.json"),
-                  "--result", str(path)], ["report", str(path)]):
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert "format v2 result; re-run dilate (at meta/format)" in err
-        assert "Traceback" not in err
+    for version in ("v2", "v3"):
+        path.write_bytes(_meta(stored_documents[0],
+                               format=f"lcm-dilate-result-{version}"))
+        for argv in (["verify", str(fixtures_dir / "sznagy_half.json"),
+                      "--result", str(path)], ["report", str(path)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"format {version} result; re-run dilate (at meta/format)" in err
+            assert "Traceback" not in err
 
 
 def test_result_and_report_are_told_apart_by_content(fixtures_dir, tmp_path,
@@ -470,16 +482,6 @@ def test_result_and_report_are_told_apart_by_content(fixtures_dir, tmp_path,
     assert "# verify" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("value", ["inf", "nan"])
-def test_non_finite_tolerance_flag_exits_2_without_traceback(fixtures_dir,
-                                                            capsys, value):
-    code = main(["check-cp", str(fixtures_dir / "transpose_m2.json"),
-                 "--tol-psd", value])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "Traceback" not in err and "--tol-psd" in err
-
-
 def test_seed_flag_is_refused_without_traceback(fixtures_dir, tmp_path, capsys):
     # the library draws no random number: the instance's seed is only echoed
     code = main(["dilate", str(fixtures_dir / "sznagy_half.json"), "--seed", "3",
@@ -489,13 +491,16 @@ def test_seed_flag_is_refused_without_traceback(fixtures_dir, tmp_path, capsys):
     assert "Traceback" not in err and "--seed" in err
 
 
-def test_negative_tolerance_flag_exits_2_without_traceback(fixtures_dir,
-                                                           tmp_path, capsys):
-    code = main(["dilate", str(fixtures_dir / "sznagy_half.json"),
-                 "--tol-rank", "-1", "--output", str(tmp_path / "r.json")])
+@pytest.mark.parametrize("flag", ["--tol-psd", "--tol-rank"])
+def test_tolerance_flags_are_refused_without_traceback(fixtures_dir, tmp_path,
+                                                       capsys, flag):
+    # tolerances come from the instance, whose hash a result pins
+    code = main(["dilate", str(fixtures_dir / "sznagy_half.json"), flag, "1e-4",
+                 "--output", str(tmp_path / "r.npz")])
     err = capsys.readouterr().err
     assert code == 2
-    assert "Traceback" not in err and "(at --tol-rank)" in err
+    assert "Traceback" not in err and flag in err
+    assert not (tmp_path / "r.npz").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -546,15 +551,17 @@ def test_extension_verdict_honours_tol_psd(tmp_path, capsys):
     # the origin has least eigenvalue -1e-6
     s = np.sqrt((1 + 1e-6) / 2)
     t1 = np.array([[0, s], [0, 0]], dtype=complex)
-    path = tmp_path / "nilpotent_edge.json"
-    path.write_text(json.dumps({
+    doc = {
         "system": {"semigroup": {"kind": "free_abelian", "rank": 2},
                    "model": {"kind": "toeplitz_abelian"}},
         "T": [encode_matrix(t1), encode_matrix(1j * t1)],
         "depth": 2,
-    }))
-    assert main(["check-cp", str(path)]) == 1
-    assert main(["check-cp", str(path), "--tol-psd", "1e-4"]) == 0
+    }
+    strict, loose = tmp_path / "strict.json", tmp_path / "loose.json"
+    strict.write_text(json.dumps(doc))
+    loose.write_text(json.dumps(dict(doc, tolerances={"psd": 1e-4})))
+    assert main(["check-cp", str(strict)]) == 1
+    assert main(["check-cp", str(loose)]) == 0
     out = capsys.readouterr().out
     assert "FAIL  phi.extension_accepted" in out
     assert "PASS  phi.extension_accepted  value=-1.000e-06  tol=-1.0e-04" in out

@@ -10,6 +10,7 @@ from conftest import (
     box,
     commuting_contraction_pair,
     ewf_projection,
+    from_matrix,
     on_point,
     phi_F,
     random_coisometry_pair,
@@ -462,7 +463,7 @@ def test_lift_values_on_cylinders():
     # compression T(w) phi(a) T(w)*
     for w in [(1,), (2,), (1, 2)]:
         a = random_matrix(rng, 2)
-        elem = sys_.apply_endo(w, sys_.from_matrix(a))
+        elem = sys_.apply_endo(w, from_matrix(sys_, a))
         expected = Tc(w) @ tr.value(a) @ Tc(w).conj().T
         assert np.allclose(lifted.value(elem), expected, atol=1e-12)
 

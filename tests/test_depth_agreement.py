@@ -11,7 +11,7 @@ rank 2 and its boundary quotient, and the point model.
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, random_coisometry_pair
+from conftest import FIXTURES, compress_v, random_coisometry_pair
 from lcm_dilate.algebras import BaseAlgebra, ToeplitzModel
 from lcm_dilate.cli import build_pair, parse_instance
 from lcm_dilate.cpmaps import ContractionFamily, extend_phi_T, is_completely_positive
@@ -58,7 +58,7 @@ def compressions(res) -> dict:
     """iota* V(p) iota per word and iota* pi(a) iota per basis element,
     keyed by word and by (depth, label)."""
     sys_, emb = res.sys, res.embedding
-    out = {("V", p): res.compress_v(p)
+    out = {("V", p): compress_v(res, p)
            for p in sys_.semigroup.enumerate_up_to(res.degree)}
     for k in range(res.degree + 1):
         for label, a in zip(sys_.basis_labels(k), sys_.algebra_basis(k)):

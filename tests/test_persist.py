@@ -15,7 +15,7 @@ from lcm_dilate.cli import build_pair, main, parse_instance, run_command
 from lcm_dilate.dilation import _pi_basis, covariant_dilate
 from lcm_dilate.errors import SchemaError
 from lcm_dilate.persist import (
-    PI_MEMBERS,
+    ARRAYS,
     StoredDilation,
     load_result,
     result_payload,
@@ -36,8 +36,9 @@ def test_result_round_trips_bit_exactly(fixtures_dir, tmp_path):
     assert meta == json.loads(payload.pop("meta")[()])
     assert meta["instance_hash"] == inst.hash and meta["degree"] == inst.degree
     assert arrays.keys() == payload.keys()
+    assert list(arrays) == list(ARRAYS)
     for name, a in payload.items():
-        index = name in ("pi_positions", "pi_coefficients")
+        index = name == "pi_spans"
         assert arrays[name].dtype == (np.int64 if index else np.complex128), name
         assert arrays[name].tobytes() == a.tobytes(), name
     # instances keep the JSON codec: real entries or [re, im] pairs
@@ -160,7 +161,7 @@ def test_stored_pi_is_exactly_the_table_verify_reads(fixtures_dir, tmp_path,
     assert run_command("dilate", parse_instance(path),
                        {"output": out})["exit_code"] == 0
     meta, arrays = load_result(out)
-    assert "interior_0" not in arrays and "pi_labels" not in meta
+    assert arrays.keys() == set(ARRAYS) and "tolerances" not in meta
     inst = parse_instance(path)
     sys_, phi, T = build_pair(inst, degree=meta["degree"])
     arrays = _ReadKeys(arrays)
@@ -169,8 +170,9 @@ def test_stored_pi_is_exactly_the_table_verify_reads(fixtures_dir, tmp_path,
     labels = [lbl for lbl, _ in _pi_basis(stored)]
     assert labels[0].startswith("d0:") and labels[-1].startswith(prefix)
     live = covariant_dilate(sys_, phi, T, inst.degree, inst.tolerances)
-    for member, want in zip(PI_MEMBERS, live.pi_table):
-        assert arrays[member].tobytes() == want.tobytes(), member
+    assert arrays["pi_spans"].tobytes() == live.pi_spans.tobytes()
+    for got, want in zip(stored.pi_table, live.pi_table):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", ["sznagy_half.json", "point_state",
@@ -192,6 +194,25 @@ def test_stored_pi_is_the_live_pi_bit_for_bit(tmp_path, name):
         assert stored.pi(b).tobytes() == live.pi(b).tobytes(), k
 
 
+@pytest.mark.parametrize("name,degree", [
+    ("sznagy_half.json", 0), ("sznagy_half.json", 1), ("sznagy_half.json", 3),
+    ("sznagy_half.json", 8), ("cuntz_m2.json", 0), ("cuntz_m2.json", 3)])
+def test_a_result_has_six_members_at_any_degree(fixtures_dir, tmp_path, name,
+                                                degree):
+    # the member set does not grow with the degree or the generator count
+    path = str(fixtures_dir / name)
+    out = str(tmp_path / "r.npz")
+    assert main(["dilate", path, "--depth", str(degree), "--output", out]) == 0
+    with np.load(out) as npz:
+        assert npz.files == [*ARRAYS, "meta"]
+    meta, arrays = load_result(out)
+    rank, n = meta["rank"], len(parse_instance(path).t_mats) if degree else 0
+    assert arrays["isometries"].shape == (n, rank, rank)
+    assert len(meta["interior_widths"]) == degree
+    assert arrays["interiors"].shape == (rank, sum(meta["interior_widths"]))
+    assert main(["verify", path, "--result", out]) == 0
+
+
 def _tampered(fixtures_dir, tmp_path, edit, name="sznagy_half.json"):
     """``verify`` of a result of fixture ``name`` after ``edit(meta,
     arrays)``."""
@@ -207,7 +228,7 @@ def _tampered(fixtures_dir, tmp_path, edit, name="sznagy_half.json"):
 
 def test_verify_fails_on_a_perturbed_isometry(fixtures_dir, tmp_path):
     def scale_largest_entry(meta, arrays):
-        v = arrays["isometry_1"]
+        v = arrays["isometries"][0]
         i, j = np.unravel_index(np.argmax(np.abs(v)), v.shape)
         v[i, j] *= 1 + 1e-3
 
@@ -232,9 +253,10 @@ def test_verify_fails_on_an_orthonormal_interior_off_the_first(fixtures_dir,
     # interior(2) replaced by orthonormal vectors orthogonal to interior(1):
     # the generator shifts vanish there, so V(w) is not isometric on it
     def move_level_2(meta, arrays):
-        q1, q2 = arrays["interior_1"], arrays["interior_2"]
+        w1, w2 = meta["interior_widths"][:2]
+        q1 = arrays["interiors"][:, :w1]
         u, _, _ = np.linalg.svd(np.eye(len(q1)) - q1 @ q1.conj().T)
-        arrays["interior_2"] = u[:, :q2.shape[1]].copy()
+        arrays["interiors"][:, w1:w1 + w2] = u[:, :w2]
 
     rep = _tampered(fixtures_dir, tmp_path, move_level_2, "cuntz_m2.json")
     checks = {c["name"]: c for c in rep["checks"]}
@@ -257,10 +279,9 @@ def test_verify_fails_on_a_bump_of_any_stored_entry(fixtures_dir, tmp_path,
     # Every member is read by some identity: bumping one entry of any stored
     # complex array by 1e-3 fails verify.  On cuntz_m2 an isometry column or
     # an interior row outside the first interior is seen only by
-    # isometry.zero_off_interior or interior.orthonormal.  Moving any index
-    # of pi's table by one fails verify or is refused (exit 2): the suite
-    # reads pi only up to depth 1, so a table that no longer has pi's block
-    # layout is refused before it runs.
+    # isometry.zero_off_interior or interior.orthonormal.  Moving any end
+    # of a span of pi by one is refused (exit 2): the spans then overlap,
+    # leave [0, rank] or lay out another number of values than are stored.
     path = str(fixtures_dir / name)
     out = str(tmp_path / "r.npz")
     assert run_command("dilate", parse_instance(path),
@@ -280,12 +301,12 @@ def test_verify_fails_on_a_bump_of_any_stored_entry(fixtures_dir, tmp_path,
                                         sys_, phi, T, inst.tolerances)
                 except SchemaError:
                     continue
-                assert not rep.passed, (member, entry, step)
+                assert not index and not rep.passed, (member, entry, step)
 
 
 def test_a_tampered_degree_exits_2_at_once(tmp_path):
-    # the member names are checked against the degree, not the degree
-    # against every name it would allow
+    # the degree is checked against the stored interior widths before
+    # anything is built for it
     path = _point_model_instance(tmp_path)
     out = str(tmp_path / "r.npz")
     assert main(["dilate", path, "--output", out]) == 0
@@ -298,4 +319,5 @@ def test_a_tampered_degree_exits_2_at_once(tmp_path):
         code = main(["verify", path, "--result", out])
     assert time.perf_counter() - start < 0.5
     assert code == 2 and "Traceback" not in err.getvalue()
-    assert "missing member (at interior_3)" in err.getvalue()
+    assert "interior_widths must be 1000000000000 natural numbers " \
+        "(at meta/interior_widths)" in err.getvalue()
