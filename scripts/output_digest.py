@@ -21,7 +21,9 @@ A change that only moves values by rounding compares with a tolerance:
 checks that both digests have the same lines and that each pair has equal
 exit codes, errors, check names, ``passed`` and details, and values within
 the tolerance (relative above 1, absolute below); it lists every line whose
-result hash moved, and exits 1 on any other difference.
+result hash moved and, for each check whose value moved at all, the
+largest gap and the number of lines where it moved, and exits 1 on any
+other difference.
 """
 
 import argparse
@@ -111,6 +113,7 @@ def compare(path_a: str, path_b: str, tol: float) -> int:
             lines.append([json.loads(line) for line in fh if line.strip()])
     a, b = lines
     diffs, moved, worst = [], [], 0.0
+    by_check = {}       # name -> [largest value gap, lines where it moved]
     if len(a) != len(b):
         diffs.append(f"{len(a)} lines against {len(b)}")
     for n, (x, y) in enumerate(zip(a, b), start=1):
@@ -127,12 +130,17 @@ def compare(path_a: str, path_b: str, tol: float) -> int:
                 worst = max(worst, gap)
                 if not gap <= tol:
                     diffs.append(f"{where}: {name} value {u!r} against {v!r}")
+                if gap > 0:
+                    seen = by_check.setdefault(name, [0.0, 0])
+                    seen[0], seen[1] = max(seen[0], gap), seen[1] + 1
         if x.get("result_sha256") != y.get("result_sha256"):
             moved.append(where)
     for line in diffs:
         print("DIFF", line)
     for line in moved:
         print("MOVED", line)
+    for name, (gap, count) in sorted(by_check.items()):
+        print(f"CHECK {name}: largest value gap {gap:.3g} on {count} lines")
     print(f"{len(a)} lines; {len(diffs)} differences beyond tol {tol:g}; "
           f"largest value gap {worst:.3g}; {len(moved)} result hashes moved")
     return 1 if diffs else 0

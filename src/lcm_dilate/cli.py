@@ -449,15 +449,19 @@ def _nica_defects(run: _Run) -> None:
             f"exceed the cap {DEFAULT_ENUMERATION_CAP:,}",
             "--max-f" if run.flags.get("max_f") is not None else depth_at)
     sizes = range(1, min(max_f, len(pool)) + 1)
-    w = np.concatenate([np.linalg.eigvalsh((d + d.conj().transpose(0, 2, 1)) / 2.0)
-                        for d in nica_defects(T, pool, sizes[-1])])
-    scale = max(1.0, float(np.abs(w).max()))
-    combos = (combo for size in sizes for combo in itertools.combinations(pool, size))
+    least, top = [], 0.0        # each set's least eigenvalue; the largest |one|
+    for d in nica_defects(T, pool, sizes[-1]):
+        w = np.linalg.eigvalsh((d + d.conj().transpose(0, 2, 1)) / 2.0)
+        least.append(w[:, 0])
+        top = np.maximum(top, np.abs(w).max())      # a NaN stays
+    scale = max(1.0, float(top))
     # many sets tie exactly (adding a multiple of an element of F leaves the
-    # defect unchanged); the witness is the first in (size, combination) order
-    psd = run.report.at_least("nica.defects_psd", zip(w[:, 0].tolist(), combos),
+    # defect unchanged); the witness is the first in (size, combination)
+    # order, named by its index there
+    psd = run.report.at_least("nica.defects_psd", np.concatenate(least),
                               -run.instance.tolerances.psd * scale)
-    worst_F = [list(f) for f in psd.witness]
+    combos = (combo for size in sizes for combo in itertools.combinations(pool, size))
+    worst_F = [list(f) for f in next(itertools.islice(combos, psd.witness, None))]
     psd.detail = f"{count} subsets; worst F = {worst_F}"
     run.extra.update(subsets_checked=count, worst_F=worst_F)
 

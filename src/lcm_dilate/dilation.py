@@ -99,10 +99,6 @@ class IndexColumns:
     def __len__(self) -> int:
         return self.word.size
 
-    def head(self, m: int) -> "IndexColumns":
-        return IndexColumns(self.word[:m], self.atom[:m], self.value[:m],
-                            self.atoms, self.values, self.depth)
-
 
 @dataclass
 class BlockFactor:
@@ -293,10 +289,12 @@ class DilationResult:
             depth = model.shift_depth(depth, letter)
         return IndexColumns(word, x.atom, x.value, atoms, values, depth)
 
-    def _pieces(self, x: CatalogColumns) -> dict:
-        """Block b -> (columns of x touching it, their dense rows there):
-        the (block, column) pairs of the entries sorted once, and every
-        entry scattered into one buffer that the blocks split."""
+    def _apply(self, x: CatalogColumns) -> np.ndarray:
+        """B (X (x) I_h): the dilation-space images of the columns of x,
+        shape (rank, width * h).  The (block, column) pairs of the entries
+        are sorted once and every entry scattered into one buffer, which
+        the blocks split into the dense rows of the columns touching them."""
+        h = self.h
         blocks = self._block_of[x.rows]
         pairs, slot = np.unique(blocks * x.width + x.cols, return_inverse=True)
         pair_block, cols = np.divmod(pairs, x.width)    # by block, then column
@@ -306,40 +304,16 @@ class DilationResult:
         flat = np.zeros(int(size.sum()), dtype=np.complex128)
         flat[offset[blocks] + self._pos[x.rows] * width[blocks]
              + slot - start[blocks]] = x.vals
-        touched = np.flatnonzero(width)
-        return {b: (cols[s:s + w], flat[o:o + w * n].reshape(n, w))
-                for b, s, w, o, n in zip(touched.tolist(), start[touched].tolist(),
-                                         width[touched].tolist(),
-                                         offset[touched].tolist(),
-                                         self._block_len[touched].tolist())}
-
-    def _apply(self, x: CatalogColumns) -> np.ndarray:
-        """B (X (x) I_h): the dilation-space images of the columns of x,
-        shape (rank, width * h)."""
-        h = self.h
         out = np.zeros((self.rank, x.width, h), dtype=np.complex128)
-        for b, (cols, xb) in self._pieces(x).items():
+        for b in np.flatnonzero(width).tolist():
             f = self.factors[b]
             r = f.factor.shape[0]
             if r:
+                s, w, o = start[b], width[b], offset[b]
+                xb = flat[o:o + w * self._block_len[b]].reshape(-1, w)
                 b3 = f.factor.reshape(r, -1, h).transpose(0, 2, 1)
-                out[f.span][:, cols, :] = (b3 @ xb).transpose(0, 2, 1)
+                out[f.span][:, cols[s:s + w], :] = (b3 @ xb).transpose(0, 2, 1)
         return out.reshape(self.rank, x.width * h)
-
-    def _gram_form(self, x: CatalogColumns, y: CatalogColumns) -> np.ndarray:
-        """(X (x) I_h)* G (Y (x) I_h), summed block by block."""
-        h = self.h
-        out = np.zeros((x.width, y.width, h, h), dtype=np.complex128)
-        ys = self._pieces(y)
-        for b, (cx, xb) in self._pieces(x).items():
-            if b not in ys:
-                continue
-            cy, yb = ys[b]
-            nb = xb.shape[0]
-            g = self.assembly.blocks[b].matrix.reshape(nb, h, nb, h)
-            form = xb.conj().T @ g.transpose(1, 3, 0, 2) @ yb   # (h, h, cx, cy)
-            out[cx[:, None], cy] += form.transpose(2, 3, 0, 1)
-        return out.transpose(0, 2, 1, 3).reshape(x.width * h, y.width * h)
 
     def _pi_entries(self) -> tuple:
         """pi as the linear table ``scatter_pi`` reads, over the coefficients
@@ -848,58 +822,56 @@ def _check_adjoint_formula(result: DilationResult, report: ValidationReport) -> 
                    result.tolerances.identity)
 
 
-ADJOINT_PAIRS = 24   # catalog rows and interior columns the adjoint formula pairs
+ADJOINT_PAIRS = 24   # catalog rows the adjoint formula is checked on
 
 
 def _adjoint_formula_residual(result: DilationResult) -> list:
-    """Check V(p)* delta_(q,b) against the lcm formula by pairing both sides
-    with interior catalog vectors through the Gram form: one (largest
-    entry of the difference, "p=generator") case per generator.
+    """Check V(g)* delta_(q,b) against the lcm formula on the first
+    ``ADJOINT_PAIRS`` catalog rows: one (norm, "p=generator") case per
+    generator g.
 
-    Batched: with Z the interior columns and VZ their shift images,
-    <V z, u> over all pairs is U* G (VZ) and <z, V* u> is W* G Z, where the
-    columns of W carry the formula index and the contraction factor acting on
-    the original-space slot: the block of W for u = (q, b) is w (x) T(q\\r)*,
-    so its rows of W* G Z are T(q\\r) times those of (w (x) I_h)* G Z.
+    With r = lcm(g, q), V(g)* delta_(q,b) is delta_(g\\r, alpha_g^-1(b)) (x)
+    T(q\\r)*, and 0 without an lcm or off E_g.  V(g) is built on the first
+    interior Q_1 and vanishes off it, so the case is Q_1* (V(g)* B U - B W T*):
+    U the catalog rows as unit columns, W the formula indices, and T(q\\r)*
+    acting on the h slot of each column of B W.
     """
     sg = result.sys.semigroup
     model = result.sys.model
     h = result.h
-    cases = []
     catalog = result.assembly.catalog[:ADJOINT_PAIRS]
-    m = len(catalog)      # u runs over these catalog indices: unit columns
-    u = CatalogColumns(np.arange(m), np.arange(m), np.ones(m, dtype=np.complex128), m)
+    m = len(catalog)
+    bu = result._apply(CatalogColumns(np.arange(m), np.arange(m),
+                                      np.ones(m, dtype=np.complex128), m))
     unit_at = {pos: k for k, pos in enumerate(result.sys.base.unit_positions())}
+    cases = []
     for letter, gen in enumerate(sg.generators, start=1):
-        if sg.length(gen) > result.degree:
+        level = sg.length(gen)
+        if level > result.degree:
             continue
-        first = result.interiors[sg.length(gen)].columns.head(ADJOINT_PAIRS)
-        n_t = len(first)
-        z = result._expansion(first)
-        vz = result._expansion(result._shifted(gen, first))
         # alpha_gen^-1 of a catalog index: the catalog depth holds E_gen, so
         # the atom unshifts as it is; off E_gen, or without an lcm, V* u = 0
         # and its column of W is empty
-        cols, index, t_facs = [], [], []
+        cols, index = [], []
+        t_adj = np.zeros((m, h, h), dtype=np.complex128)
         for c, idx in enumerate(catalog):
             r = sg.lcm(gen, idx.q)
             atom, i, j = idx.key
             b = None if r is None else model.unshift(atom, letter)
-            if b is None:
-                t_facs.append(np.zeros((h, h)))
-            else:
+            if b is not None:
                 cols.append(c)
                 index.append((result._word_at[sg.left_divide(gen, r)],
                               result._atom_at[b], unit_at[i, j]))
-                t_facs.append(result.T(sg.left_divide(idx.q, r)))
+                t_adj[c] = result.T(sg.left_divide(idx.q, r)).conj().T
         word, atom, value = np.array(index, dtype=np.intp).reshape(-1, 3).T
         w = result._expansion(IndexColumns(
             word, np.arange(word.size), value, atom,
             result.sys.maps[letter - 1].apply_inverse(result._unit_stack),
             model.unshift_depth(result._depth, letter)))
         w = CatalogColumns(w.rows, np.array(cols, dtype=np.intp)[w.cols], w.vals, m)
-        lhs = result._gram_form(u, vz)                      # <V z, u>
-        core = result._gram_form(w, z).reshape(m, h, n_t * h)
-        rhs = (np.array(t_facs) @ core).reshape(m * h, n_t * h)
-        cases.append((float(np.abs(lhs - rhs).max()), f"p={gen}"))
-    return cases
+        bw = result._apply(w).reshape(result.rank, m, h).transpose(1, 0, 2)
+        bwt = (bw @ t_adj).transpose(1, 0, 2).reshape(result.rank, m * h)
+        q1 = result.interior_basis(level)
+        cases.append((q1.conj().T @ (result.v_word(gen).conj().T @ bu - bwt),
+                      f"p={gen}"))
+    return _normed(cases)

@@ -112,7 +112,8 @@ WITNESS_SLACK = 1e-3   # cases within this fraction of |bound| of the worst tie
 @dataclass
 class ValidationReport:
     """The checks of one run.  ``at_most`` and ``at_least`` turn a check's
-    (value, witness) cases into its record by one rule: the value is the
+    (value, witness) cases, or an array of values that each name their
+    index as witness, into its record by one rule: the value is the
     worst case, by ``np.max``, so a NaN propagates and fails (0.0 without
     cases); the check passes when the value is within the bound; the witness
     is the first case within ``WITNESS_SLACK * |bound|`` of the worst, since
@@ -140,14 +141,18 @@ class ValidationReport:
         return self._record(name, cases, bound, -1.0, detail)
 
     def _record(self, name, cases, bound, sign, detail) -> CheckRecord:
-        cases = list(cases)
+        if isinstance(cases, np.ndarray):     # a case's witness is its index
+            values, label = cases, int
+        else:
+            cases = list(cases)
+            values, label = [v for v, _ in cases], lambda k: cases[k][1]
         value, witness = 0.0, ""
-        if cases:
-            signed = sign * np.array([v for v, _ in cases], dtype=float)
+        if len(values):
+            signed = sign * np.asarray(values, dtype=float)
             worst = np.max(signed)
             near = (np.isnan(signed) if np.isnan(worst)
                     else signed >= worst - WITNESS_SLACK * abs(bound))
-            value, witness = float(sign * worst), cases[int(np.argmax(near))][1]
+            value, witness = float(sign * worst), label(int(np.argmax(near)))
         return self.add(name, sign * value <= sign * bound, value, bound,
                         str(witness) if detail is None else detail, witness)
 

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1037,6 +1038,20 @@ def test_check_nica_below_the_subset_cap_still_runs(fixtures_dir, capsys):
     path = str(fixtures_dir / "commuting_unitaries.json")
     assert main(["check-nica", path, "--depth", "4", "--max-f", "5"]) == 0
     assert "55454 subsets" in capsys.readouterr().out
+
+
+def test_check_nica_keeps_one_float_per_set(fixtures_dir, capsys):
+    # 55,454 sets of at most five: a (value, set) case per set peaked above
+    # 10 MB, one least eigenvalue per set stays near 6 MB
+    path = str(fixtures_dir / "nica_nilpotent.json")
+    tracemalloc.start()
+    try:
+        assert main(["check-nica", path, "--depth", "4", "--max-f", "5"]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "worst F" in capsys.readouterr().out
+    assert peak < 8e6, peak
 
 
 def test_jobs_below_one_exits_2_before_any_process(fixtures_dir, capsys,

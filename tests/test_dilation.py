@@ -32,6 +32,7 @@ from lcm_dilate.cpmaps import (
 from lcm_dilate.dilation import (
     Tolerances,
     _adjoint_formula_residual,
+    _check_adjoint_formula,
     _check_word_product,
     covariant_dilate,
     identity_suite,
@@ -466,3 +467,20 @@ def test_adjoint_formula_fails_when_the_contractions_are_scaled(make):
     assert max(r for r, _ in _adjoint_formula_residual(res)) <= tol
     res.T = ContractionFamily(res.sys.semigroup, [0.9 * m for m in res.T.mats])
     assert max(r for r, _ in _adjoint_formula_residual(res)) > 1e3 * tol
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cuntz_dilation(2),
+    lambda: halfline_dilation(np.array([[0.5]], dtype=complex), 3),
+], ids=["cuntz", "halfline"])
+def test_adjoint_formula_fails_on_a_perturbed_generator_shift(make):
+    # the formula is checked on V(g) itself, on all of the first interior
+    res = make()
+    g = res.sys.semigroup.generators[0]
+    q1 = res.interior_basis(1)
+    res._v_cache[g] = res.v_word(g) + 1e-6 * q1 @ q1.conj().T
+    report = ValidationReport()
+    _check_adjoint_formula(res, report)
+    (check,) = report.checks
+    assert check.name == "covariance.adjoint_formula" and not check.passed
+    assert check.detail == f"p={g}"

@@ -58,6 +58,17 @@ def test_cases_tied_within_the_slack_name_the_first():
     assert rec.witness == "z" and rec.threshold == -1e-8
 
 
+def test_an_array_of_values_is_witnessed_by_index():
+    report = ValidationReport()
+    values = [-0.5, -1.0 + 1e-13, -1.0]
+    rec = report.at_least("low", np.array(values), -1e-8)
+    assert (rec.passed, rec.value, rec.detail, rec.witness) == (False, -1.0, "1", 1)
+    pairs = report.at_least("low", list(zip(values, range(3))), -1e-8)
+    assert (pairs.value, pairs.witness) == (rec.value, rec.witness)
+    rec = report.at_most("none", np.zeros(0), 1e-8)
+    assert (rec.passed, rec.value, rec.witness) == (True, 0.0, "")
+
+
 def test_no_cases_give_zero_and_no_witness():
     report = ValidationReport()
     for rec in (report.at_most("none", [], 1e-8), report.at_least("none", [], -1e-8)):
