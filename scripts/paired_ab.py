@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time two checkouts of lcm_dilate against each other in one process.
 
-    python3 scripts/paired_ab.py PARENT CHANGE [--workload W] [--reps N]
+    python3 scripts/paired_ab.py PARENT CHANGE [--workload W] [--reps N] [--depth D]
 
 Each checkout's ``src/lcm_dilate`` is copied under its own package name
 (``lcm_dilate_parent``, ``lcm_dilate_change``) and imported side by side, so
@@ -12,6 +12,12 @@ instance once, untimed.  Then each of ``--reps`` rounds runs every
 instance's command chain on both sides, one solve at a time, the side that
 goes first alternating per instance; every command is timed on its own
 (parse plus ``run_command``, as ``perfbench/run.py`` times it).
+
+``--depth D`` runs every ``dilate`` at depth D instead of the instance's
+own, with the Gram size cap (``max_dim``) lifted so that any depth fits;
+``verify`` keeps the degree of the result it reads.  Commands other than
+``dilate`` run as the workload states them, so on a workload without
+``dilate`` the flag changes nothing.
 
 Printed per command: the median seconds of each side, the median and
 quartiles of the paired ratio change/parent, and how many pairs the change
@@ -57,13 +63,16 @@ def load_workloads(checkout: str):
     return module
 
 
-def run_chain(cli, inst, result_path: str) -> list:
-    """(command, seconds, exit code) per command of the instance's chain;
-    a failing ``dilate`` ends it, as it persists nothing to verify."""
+def run_chain(cli, inst, result_path: str, depth=None) -> list:
+    """(command, seconds, exit code) per command of the instance's chain,
+    ``dilate`` at ``depth`` unless it is None; a failing ``dilate`` ends
+    the chain, as it persists nothing to verify."""
     out = []
     for cmd in inst.chain:
         flags = dict(inst.flags.get(cmd, {}), output=result_path,
                      result=result_path)
+        if cmd == "dilate" and depth is not None:
+            flags.update(depth=depth, max_dim=sys.maxsize)
         gc.collect()
         t0 = time.perf_counter()
         code = cli.run_command(cmd, cli.parse_instance(inst.path), flags)["exit_code"]
@@ -80,9 +89,14 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", default="abelian_gram")
     ap.add_argument("--reps", type=int, default=30,
                     help="timed rounds over the instances (default 30)")
+    ap.add_argument("--depth", type=int, default=None,
+                    help="run dilate at this depth, max_dim lifted "
+                         "(default: each instance's own)")
     args = ap.parse_args(argv)
     if args.reps < 2:
         ap.error("--reps must be at least 2")
+    if args.depth is not None and args.depth < 0:
+        ap.error("--depth must be at least 0")
 
     with tempfile.TemporaryDirectory(prefix="paired_ab-") as tmp:
         pkgs, data = os.path.join(tmp, "pkgs"), os.path.join(tmp, "data")
@@ -101,7 +115,7 @@ def main(argv=None) -> int:
 
         for side in SIDES:                                  # warm both
             for inst, path in zip(insts, results[side]):
-                run_chain(clis[side], inst, path)
+                run_chain(clis[side], inst, path, args.depth)
 
         seconds = {}            # command -> side -> [seconds], paired by index
         sizes = {side: [] for side in SIDES}    # bytes of each persisted result
@@ -109,7 +123,7 @@ def main(argv=None) -> int:
         for rep in range(args.reps):
             for k, inst in enumerate(insts):
                 order = SIDES if (rep + k) % 2 == 0 else SIDES[::-1]
-                steps = {side: run_chain(clis[side], inst, results[side][k])
+                steps = {side: run_chain(clis[side], inst, results[side][k], args.depth)
                          for side in order}
                 if [c for _, _, c in steps["parent"]] != \
                         [c for _, _, c in steps["change"]]:
@@ -121,8 +135,9 @@ def main(argv=None) -> int:
                         if cmd == "dilate" and code == 0:
                             sizes[side].append(os.path.getsize(results[side][k]))
 
+    at = "" if args.depth is None else f", dilate at depth {args.depth}"
     print(f"# {args.workload} seed {SEED}: {len(insts)} instances x "
-          f"{args.reps} rounds, change / parent")
+          f"{args.reps} rounds{at}, change / parent")
     print(f"{'command':<12}{'parent p50':>12}{'change p50':>12}"
           f"{'ratio p50':>11}{'ratio IQR':>20}{'change won':>13}")
     for cmd, by_side in seconds.items():

@@ -583,12 +583,3 @@ class CornerBasis:
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    def coefficients(self, x: LevelledElement):
-        """Coordinates of x in this basis plus the relative residual: the
-        norm of the entries outside the corner over max(1, ||x||)."""
-        v = x.vec(self.depth)
-        w = np.abs(v) ** 2
-        total = w.sum()
-        w[self.positions] = 0.0
-        return v[self.positions], float(w.sum() ** 0.5 / max(1.0, total ** 0.5))

@@ -19,12 +19,11 @@ tables built once per result: each letter's word map q -> gq and atom map
 ``shift``, the children of each (atom, depth) at the catalog depth, and a
 (word, atom, i, j) -> row table.  Columns are index arrays over one stack of
 values; the shift by p composes the letter maps along p, applies the
-generator maps to the value stack, and gathers the rows in one step.  One
-SVD of each interior's image, B X_k = U S W*, gives its basis U and the
-shift V(p) = B (S_p X_k) W S^-1 U*, zero off the interior.
-
-A dilation job is deterministic end to end: fixed catalog order, eigh, and
-one SVD per interior with a fixed relative cut.
+generator maps to the value stack, and gathers the rows in one step.  An
+interior's image, B X_k = U S W*, is block diagonal by (atom, row) group and
+factored as the Gram operator is; U is its basis and V(p) = B (S_p X_k) W
+S^-1 U* is zero off it.  Both cut at ``Tolerances.rank`` times their largest
+eigenvalue, so a job is deterministic: catalog order, eigh, one relative cut.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from .systems import CHECK_TOL, RANK_CUT, LcmSystem, ValidationReport
 @dataclass(frozen=True)
 class Tolerances:
     psd: float = PSD_RTOL                  # relative PSD verdicts
-    rank: float = RANK_CUT                 # relative eigenvalue / singular value cut
+    rank: float = RANK_CUT                 # relative eigenvalue cut of factor_hermitian
     identity: float = CHECK_TOL            # residuals of verified operator identities
     covariance: float = COVARIANCE_TOL     # pair covariance at kernel construction
     corner: float = CORNER_RTOL            # corner membership residual
@@ -102,12 +101,12 @@ class IndexColumns:
 
 @dataclass
 class BlockFactor:
-    """G_b = B_b* B_b for one Gram block, above the global rank cut."""
+    """G_b = B_b* B_b for one Hermitian block, above ``factor_hermitian``'s cut."""
 
-    rows: np.ndarray          # catalog rows of the block
-    span: slice               # the block's coordinates in the dilation space
-    factor: np.ndarray        # B_b, (rank_b, len(rows) * h)
-    cofactor: np.ndarray      # right inverse of B_b, (len(rows) * h, rank_b)
+    rows: np.ndarray          # catalog rows of a Gram block, image columns of a group
+    span: slice               # its coordinates in the dilation space, or interior basis
+    factor: np.ndarray        # B_b, (rank_b, size of the block)
+    cofactor: np.ndarray      # right inverse of B_b, (size of the block, rank_b)
 
 
 @dataclass
@@ -116,9 +115,9 @@ class Interior:
 
     Columns are the indices (q, atom, depth, e_ij) with both the length of q
     and the depth bounded by degree - level, so any word of length <= level
-    maps the span into the catalog.  One SVD factors their image, B X =
-    U S W*: ``basis`` is U and ``pullback`` is W S^-1.  Level 0 is the whole
-    space, with the identity as basis and no columns.
+    maps the span into the catalog.  Their image factors as B X = U S W*, one
+    eigh per (atom, i) group: ``basis`` is U and ``pullback`` is W S^-1, block
+    diagonal by group.  Level 0 is the whole space, the identity as basis.
     """
 
     columns: Optional[IndexColumns]
@@ -425,11 +424,14 @@ def scatter_pi(table: tuple, rank: int, vec: np.ndarray) -> np.ndarray:
 
 def _interiors_for(result: DilationResult) -> dict[int, Interior]:
     """Interior k: the indices (q, atom (x) e_ij) with q of length at most
-    d = degree - k and the atom one at depth d under E_q, in catalog order,
-    and the SVD of their image.  An atom lies under E_q when its first child
-    at the catalog depth does, which the row table tells."""
-    model, units = result.sys.model, len(result._unit_stack)
-    i, j = result.sys.base.unit_positions()[0]
+    d = degree - k and the atom one at depth d under E_q (when its first
+    child at the catalog depth is, as the row table tells), in catalog
+    order.  An (atom, i) group of them expands into the Gram groups
+    (child, i) alone, so ``factor_hermitian`` factors the image group by
+    group, by Y* Y, and the basis is the image times the cofactors."""
+    model, units, h = result.sys.model, len(result._unit_stack), result.h
+    positions = np.array(result.sys.base.unit_positions())
+    i, j = positions[0]
     lengths = np.array([result.sys.semigroup.length(q) for q in result._words])
     out = {0: Interior(None, np.eye(result.rank, dtype=np.complex128), None)}
     for level in range(1, result.degree + 1):
@@ -443,10 +445,32 @@ def _interiors_for(result: DilationResult) -> dict[int, Interior]:
                                np.tile(np.arange(units), word.size), atoms,
                                result._unit_stack, depth)
         image = result._apply(result._expansion(columns))
-        u, s, wh = np.linalg.svd(image, full_matrices=False)
-        keep = int(np.sum(s > result.tolerances.rank * s.max(initial=0.0)))
-        out[level] = Interior(columns, u[:, :keep], wh[:keep].conj().T / s[:keep])
+        group = columns.atom * units + positions[columns.value, 0]
+        slots = [(np.flatnonzero(group == g)[:, None] * h + np.arange(h)).ravel()
+                 for g in sorted(set(group.tolist()))]
+        _, groups = factor_hermitian([image[:, s].conj().T @ image[:, s] for s in slots],
+                                     slots, result.tolerances.rank)
+        pullback = np.zeros((image.shape[1], groups[-1].span.stop), dtype=np.complex128)
+        for f in groups:
+            pullback[f.rows, f.span] = f.cofactor
+        out[level] = Interior(columns, image @ pullback, pullback)
     return out
+
+
+def factor_hermitian(blocks: list, rows: list, rtol: float) -> tuple[list, list]:
+    """Each Hermitian block M = U diag(w) U* by its eigh, and, from the
+    eigenvalues above ``rtol`` times the largest over all blocks, its factor
+    F = w^1/2 U*, F* F = M but for the cut, and F's right inverse U w^-1/2,
+    with spans block after block.  Returns the spectra (w, U), the factors."""
+    spectra = [np.linalg.eigh(m) for m in blocks]
+    cut = rtol * max([1e-300] + [float(w[-1]) for w, _ in spectra if w.size])
+    factors, start = [], 0
+    for r, (w, u) in zip(rows, spectra):
+        root, uk = np.sqrt(w[w > cut]), u[:, w > cut]
+        factors.append(BlockFactor(r, slice(start, start + root.size),
+                                   root[:, None] * uk.conj().T, uk * (1.0 / root)))
+        start += root.size
+    return spectra, factors
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +510,8 @@ def naimark_dilate(
                 f"the {assembly.size}-row Gram operator has a non-finite "
                 f"entry at {tuple(int(e[k]) for k in bad[0])}"
             )
-    spectra = [np.linalg.eigh(block.matrix) for block in assembly.blocks]
+    spectra, factors = factor_hermitian([b.matrix for b in assembly.blocks],
+                                        [b.rows for b in assembly.blocks], tols.rank)
     w = np.sort(np.concatenate([wb for wb, _ in spectra]))
     scale = max(1.0, float(np.abs(w).max()) if w.size else 0.0)
     # The Gram records' cases are the blocks in catalog order, which would
@@ -508,21 +533,11 @@ def naimark_dilate(
                       for b in assembly.blocks],
                    tols.identity)
 
-    lam_max = float(w[-1]) if w.size else 0.0
-    cut = tols.rank * max(lam_max, 1e-300)
-    factors, start, fdefs = [], 0, []
-    for block, (wb, ub) in zip(assembly.blocks, spectra):
-        keep = wb > cut
-        wk, uk = wb[keep], ub[:, keep]
-        factor = np.sqrt(wk)[:, None] * uk.conj().T
-        cofactor = uk * (1.0 / np.sqrt(wk))[None, :]
-        factors.append(BlockFactor(block.rows, slice(start, start + wk.size),
-                                   factor, cofactor))
-        start += wk.size
-        # the residual is Hermitian, so its norm is its largest |eigenvalue|
-        resid = np.linalg.eigvalsh(block.matrix - factor.conj().T @ factor)
-        fdefs.append((float(np.abs(resid).max()), ""))
-    report.at_most("gram.factorization", fdefs, tols.psd * scale)
+    # the residual is Hermitian, so its norm is its largest |eigenvalue|
+    resid = [np.abs(np.linalg.eigvalsh(b.matrix - f.factor.conj().T @ f.factor)).max()
+             for b, f in zip(assembly.blocks, factors)]
+    report.at_most("gram.factorization", [(float(r), "") for r in resid],
+                   tols.psd * scale)
 
     result = DilationResult(assembly, tols, w, factors, report)
     _run_checks(result, report, (
@@ -761,7 +776,7 @@ def _check_reproduces_kernel(result: DilationResult,
         for p, q in itertools.product(words, repeat=2):
             corner = result.sys.corner_basis(p, q, result.degree)
             for k, a in enumerate(corner.elements[:4]):
-                lhs = result.kernel.evaluate(p, a, q, check_corner=False)
+                lhs = result.kernel.evaluate(p, a, q)
                 rhs = lifts[p].conj().T @ result.pi(a) @ lifts[q]
                 yield lhs - rhs, f"(p={p}, q={q}, a#{k})"
     report.at_most("dilation.reproduces_kernel", _normed(residuals()),

@@ -20,18 +20,6 @@ class SchemaError(ValueError):
         super().__init__(f"{message} (at {location or '/'})")
 
 
-class CornerMembershipError(ValueError):
-    """An element handed to a kernel lies outside the required corner."""
-
-    def __init__(self, residual: float, tol: float):
-        self.residual = residual
-        self.tol = tol
-        super().__init__(
-            f"element is not in the corner subspace: projection residual "
-            f"{residual:.3e} exceeds tolerance {tol:.3e}"
-        )
-
-
 class CovarianceError(ValueError):
     """A (phi, T) pair failed the covariance relation at construction."""
 

@@ -41,7 +41,7 @@ from .errors import SpecMismatchError
 from .semigroup import Element, Semigroup, semigroup_from_json
 
 IDEAL_RTOL = 1e-9     # residual after projection onto the image subspace
-RANK_CUT = 1e-10      # relative singular-value cut for rank decisions
+RANK_CUT = 1e-10      # relative rank cut: of singular values here, of eigenvalues in dilation
 CHECK_TOL = 1e-8
 PROJECTION_TOL = 1e-10  # atom values of range projections: 0 or the unit
 

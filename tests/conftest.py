@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from lcm_dilate.algebras import BaseAlgebra, LevelledElement, PointModel, operator_norm
+from lcm_dilate.algebras import (
+    BaseAlgebra,
+    CornerBasis,
+    LevelledElement,
+    PointModel,
+    operator_norm,
+)
 from lcm_dilate.cpmaps import (
     MAX_SUBSET_SIZE,
     BaseOperatorMap,
@@ -139,6 +145,16 @@ def lcm_of(sg, elements):
             return None
         acc = sg.lcm(acc, p)
     return acc
+
+
+def corner_coefficients(corner: CornerBasis, x: LevelledElement):
+    """Coordinates of x in a corner's matrix-unit basis plus the relative
+    residual: the norm of the entries outside the corner over max(1, ||x||)."""
+    v = x.vec(corner.depth)
+    w = np.abs(v) ** 2
+    total = w.sum()
+    w[corner.positions] = 0.0
+    return v[corner.positions], float(w.sum() ** 0.5 / max(1.0, total ** 0.5))
 
 
 def zero_element(sys_: LcmSystem, depth=None) -> LevelledElement:
@@ -305,8 +321,8 @@ def check_kernel_properties(
     for p, q in itertools.combinations_with_replacement(elements, 2):
         samples = _corner_samples(sys_, p, q, depth, rng)
         for k, a in enumerate(samples):
-            kpq = kernel.evaluate(p, a, q, check_corner=False)
-            kqp = kernel.evaluate(q, a.star(), p, check_corner=False)
+            kpq = kernel.evaluate(p, a, q)
+            kqp = kernel.evaluate(q, a.star(), p)
             err = operator_norm(kpq.conj().T - kqp)
             if err > worst_h:
                 worst_h, wit_h = err, f"(p={p}, q={q}, a#{k})"
@@ -316,10 +332,8 @@ def check_kernel_properties(
         if len(samples) >= 2:
             lam = complex(rng.standard_normal() + 1j * rng.standard_normal())
             a, b = samples[0], samples[1]
-            lhs = kernel.evaluate(p, a + b * lam, q, check_corner=False)
-            rhs = kernel.evaluate(p, a, q, check_corner=False) + lam * kernel.evaluate(
-                p, b, q, check_corner=False
-            )
+            lhs = kernel.evaluate(p, a + b * lam, q)
+            rhs = kernel.evaluate(p, a, q) + lam * kernel.evaluate(p, b, q)
             worst_l = max(worst_l, operator_norm(lhs - rhs))
     report.add("kernel.hermitian", worst_h <= tol, worst_h, tol, detail=wit_h)
     report.add("kernel.norm_bound", worst_n <= tol, worst_n, tol, detail=wit_n)
@@ -338,12 +352,11 @@ def check_kernel_properties(
     for r in shifts:
         for p, q in itertools.product(short, repeat=2):
             for k, a in enumerate(_corner_samples(sys_, p, q, depth - 1, rng, 1)):
-                lhs = kernel.evaluate(p, a, q, check_corner=False)
+                lhs = kernel.evaluate(p, a, q)
                 rhs = kernel.evaluate(
                     sg.multiply(r, p),
                     sys_.apply_endo(r, a),
                     sg.multiply(r, q),
-                    check_corner=False,
                 )
                 err = operator_norm(lhs - rhs)
                 if err > worst_t:
@@ -364,11 +377,9 @@ def check_kernel_properties(
         for j in range(n):
             bi = bs[i].star()
             m_plain[i * hh:(i + 1) * hh, j * hh:(j + 1) * hh] = kernel.evaluate(
-                ps[i], bi * bs[j], ps[j], check_corner=False
-            )
+                ps[i], bi * bs[j], ps[j])
             m_squeezed[i * hh:(i + 1) * hh, j * hh:(j + 1) * hh] = kernel.evaluate(
-                ps[i], bi * (a.star() * (a * bs[j])), ps[j], check_corner=False
-            )
+                ps[i], bi * (a.star() * (a * bs[j])), ps[j])
     gap = a.norm() ** 2 * m_plain - m_squeezed
     gap = (gap + gap.conj().T) / 2.0
     min_gap = float(np.linalg.eigvalsh(gap)[0])
@@ -382,7 +393,7 @@ def check_kernel_properties(
         for i in range(n):
             for j in range(n):
                 m[i * hh:(i + 1) * hh, j * hh:(j + 1) * hh] = kernel.evaluate(
-                    ps[i], cs[i].star() * cs[j], ps[j], check_corner=False
+                    ps[i], cs[i].star() * cs[j], ps[j]
                 )
         m = (m + m.conj().T) / 2.0
         min_eig = float(np.linalg.eigvalsh(m)[0])

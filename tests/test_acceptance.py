@@ -358,8 +358,8 @@ def _assert_pullout(K, tol=1e-8):
     corner = K.sys.corner_basis(p, r, depth)
     tq = K.T(sg.left_divide(q, r)).conj().T
     for a in corner.elements[:4]:
-        lhs = K.evaluate(p, a, q, check_corner=False)
-        rhs = K.evaluate(p, a, r, check_corner=False) @ tq
+        lhs = K.evaluate(p, a, q)
+        rhs = K.evaluate(p, a, r) @ tq
         assert np.linalg.norm(lhs - rhs, 2) <= tol
 
 

@@ -70,7 +70,7 @@ def dense_gram(kernel, indices):
         ai_star = ai.star()
         for j in range(i, n):
             qj, aj = indices[j]
-            val = kernel.evaluate(qi, ai_star * aj, qj, check_corner=False)
+            val = kernel.evaluate(qi, ai_star * aj, qj)
             if i == j:
                 val = (val + val.conj().T) / 2.0
             gram[i * h:(i + 1) * h, j * h:(j + 1) * h] = val
@@ -101,7 +101,7 @@ def grouped_dense_gram(kernel, catalog):
             ai = catalog[i].element.star()
             for j in members[s:]:
                 val = kernel.evaluate(catalog[i].q, ai * catalog[j].element,
-                                      catalog[j].q, check_corner=False)
+                                      catalog[j].q)
                 if i == j:
                     val = (val + val.conj().T) / 2.0
                 gram[i * h:(i + 1) * h, j * h:(j + 1) * h] = val

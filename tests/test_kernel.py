@@ -26,11 +26,7 @@ from lcm_dilate.cpmaps import (
     state_map,
     transpose_map,
 )
-from lcm_dilate.errors import (
-    CornerMembershipError,
-    CovarianceError,
-    SpecMismatchError,
-)
+from lcm_dilate.errors import CovarianceError, SpecMismatchError
 from lcm_dilate.kernel import KernelSystem, assemble_gram
 from lcm_dilate.semigroup import FreeAbelian, FreeMonoid
 from lcm_dilate.systems import GeneratorMap, LcmSystem
@@ -90,16 +86,6 @@ def test_disjoint_ideals_give_zero():
     K = cuntz_kernel()
     a = zero_element(K.sys, 1)
     assert np.abs(K.evaluate((1,), a, (2,))).max() == 0.0
-
-
-def test_corner_membership_enforced():
-    K = cuntz_kernel()
-    outside = K.sys.apply_endo((1,), K.sys.unit())   # branch-1 unit
-    with pytest.raises(CornerMembershipError):
-        K.evaluate((2,), outside, (2,))
-    with pytest.raises(CornerMembershipError):
-        # nonzero element against disjoint ideals
-        K.evaluate((1,), outside, (2,))
 
 
 def test_covariance_validated_at_construction():
@@ -165,8 +151,8 @@ def test_pullout_identity():
         corner = K.sys.corner_basis(p, r, K.sys.model.normalize_depth(2))
         tq = K.T(sg.left_divide(q, r)).conj().T
         for a in corner.elements:
-            lhs = K.evaluate(p, a, q, check_corner=False)
-            rhs = K.evaluate(p, a, r, check_corner=False) @ tq
+            lhs = K.evaluate(p, a, q)
+            rhs = K.evaluate(p, a, r) @ tq
             assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -182,7 +168,6 @@ def test_common_multiple_blocks_are_psd():
     for i, j in itertools.product(range(len(ps)), repeat=2):
         m[i * h:(i + 1) * h, j * h:(j + 1) * h] = K.evaluate(
             ps[i], cs[i % len(cs)].star() * cs[j % len(cs)], ps[j],
-            check_corner=False,
         )
     assert np.linalg.eigvalsh((m + m.conj().T) / 2)[0] >= -1e-10
 

@@ -1,18 +1,24 @@
-"""The shift isometries against two slower constructions.
+"""The shift isometries and the interiors against slower constructions.
 
 The element oracle builds every catalog column element by element: a
-corner basis element expanded by ``CornerBasis.coefficients``, its image
+corner basis element expanded by ``corner_coefficients``, its image
 under a word p by ``LcmSystem.apply_endo``, and V(p) through a
 pseudoinverse of the interior's image, here applied with a dense factor.
 The column oracle does the library's index arithmetic one column at a
 time: one (q, atom, depth, value) tuple per column, shifted letter by
 letter by the atom rules and the generator maps, expanded child by child
 and entry by entry through a (q, atom, i, j) -> row dictionary.  The library gathers the
-same columns from integer tables and V(p) from the one SVD of each
-interior.  Expansions must be bit-equal to both oracles, before and after
+same columns from integer tables and factors each interior's image group
+by group.  Expansions must be bit-equal to both oracles, before and after
 the shift, and V(p) Q_k must agree to 1e-12 for every word p up to the
 degree.  The adjoint formula's residual on the dense factor and the
 oracle's columns must agree with the library's to 1e-12 per generator.
+
+The interiors are checked against a dense SVD of the same image under the
+same cut, for their support (each basis column inside the Gram blocks of
+one (atom, row) group), and for their widths: interior k of a degree-d
+dilation is spanned by the degree-(d - k) catalog, so its width is the rank
+of the degree-(d - k) dilation.
 """
 
 import json
@@ -20,7 +26,13 @@ import json
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, alpha_inverse, encode_matrix, zero_element
+from conftest import (
+    FIXTURES,
+    alpha_inverse,
+    corner_coefficients,
+    encode_matrix,
+    zero_element,
+)
 from lcm_dilate.algebras import PointModel
 from lcm_dilate.cli import build_pair, parse_instance
 from lcm_dilate.dilation import (
@@ -28,6 +40,7 @@ from lcm_dilate.dilation import (
     CatalogColumns,
     _adjoint_formula_residual,
     covariant_dilate,
+    naimark_dilate,
 )
 from lcm_dilate.errors import SpecMismatchError
 
@@ -54,7 +67,7 @@ def oracle_expansion(res, indices) -> np.ndarray:
     out = np.zeros((len(res.assembly.catalog), len(indices)), dtype=complex)
     for c, (q, elem) in enumerate(indices):
         corner = res.sys.corner_basis(res.sys.semigroup.identity, q, res.degree)
-        coeff, resid = corner.coefficients(elem)
+        coeff, resid = corner_coefficients(corner, elem)
         assert resid <= res.tolerances.corner
         nz = np.flatnonzero(coeff)
         out[rows[tuple(q)][nz], c] = coeff[nz]
@@ -239,14 +252,35 @@ CASES = {
 }
 
 
-@pytest.fixture(scope="module", params=list(CASES))
-def dilation(request, tmp_path_factory):
-    path = tmp_path_factory.mktemp("shift") / f"{request.param}.json"
-    path.write_text(json.dumps(CASES[request.param]()))
+def _edge_pair_doc(depth: int):
+    """T1 = [[0, 3/5], [0, 0]] and T2 = [[0, 4i/5], [0, 0]] over the
+    quarter-plane: their Nica defect is E22, exactly singular."""
+    ts = [[[0, 0.6], [0, 0]], [[0, 0.8j], [0, 0]]]
+    return {
+        "system": {"semigroup": {"kind": "free_abelian", "rank": 2},
+                   "model": {"kind": "toeplitz_abelian"}, "base": {"blocks": [1]}},
+        "T": [_cjson(t) for t in ts],
+        "phi": {"kind": "from_contractions"},
+        "depth": depth,
+    }
+
+
+EDGE_RANKS = {0: 2, 1: 7, 2: 14, 3: 23, 4: 34}    # the edge pair's ranks by degree
+
+
+def _dilate(doc, directory):
+    path = directory / "instance.json"
+    path.write_text(json.dumps(doc))
     instance = parse_instance(str(path))
     sys_, phi, T = build_pair(instance)
     res = covariant_dilate(sys_, phi, T, instance.degree)
     assert res.passed, [c.name for c in res.report.checks if not c.passed]
+    return res
+
+
+@pytest.fixture(scope="module", params=list(CASES))
+def dilation(request, tmp_path_factory):
+    res = _dilate(CASES[request.param](), tmp_path_factory.mktemp(request.param))
     assert res.degree >= 2
     return res
 
@@ -325,3 +359,58 @@ def test_a_shift_beyond_the_headroom_is_refused(dilation):
     with pytest.raises(SpecMismatchError, match=match):
         column_expansion(res, [column_shifted(res, sg.multiply(g, g), c)
                                for c in column_interior(res, 1)])
+
+
+def test_interiors_match_the_dense_svd(dilation):
+    # the oracle cuts the singular values of the same image at
+    # sigma^2 > tol_rank * sigma_max^2, the eigenvalue cut of its Gram
+    res = dilation
+    for level in range(1, res.degree + 1):
+        interior = res.interiors[level]
+        image = res._apply(res._expansion(interior.columns))
+        u, s, _ = np.linalg.svd(image, full_matrices=False)
+        keep = int(np.sum(s ** 2 > res.tolerances.rank * s.max(initial=0.0) ** 2))
+        basis = interior.basis
+        assert basis.shape[1] == keep, level
+        gap = u[:, :keep] @ u[:, :keep].conj().T - basis @ basis.conj().T
+        assert np.linalg.norm(gap, 2) <= 1e-12, level
+
+
+def test_interior_columns_stay_in_one_group(dilation):
+    # interior k's columns at depth d - k of an (atom, i) group expand into
+    # the Gram blocks (child, i) of the atom's children alone, and so does
+    # each basis column: exactly, not to rounding
+    res = dilation
+    model, top = res.sys.model, res._depth
+    span_of = {blk.key: f.span for blk, f in zip(res.assembly.blocks, res.factors)}
+    for level in range(1, res.degree + 1):
+        depth = model.normalize_depth(res.degree - level)
+        inside = []
+        for atom in model.atoms(depth):
+            kids = [atom] if depth == top else model.children(atom, depth, top)
+            for i in range(res.sys.base.dim):
+                mask = np.zeros(res.rank, dtype=bool)
+                for kid in kids:
+                    if (kid, i) in span_of:
+                        mask[span_of[kid, i]] = True
+                inside.append(mask)
+        for c, column in enumerate(res.interiors[level].basis.T):
+            support = column != 0
+            assert any(not (support & ~mask).any() for mask in inside), (level, c)
+
+
+def test_interior_widths_are_the_shallower_ranks(dilation):
+    res = dilation
+    widths = [res.interiors[k].basis.shape[1] for k in range(1, res.degree + 1)]
+    assert widths == [naimark_dilate(res.kernel, res.degree - k).rank
+                      for k in range(1, res.degree + 1)]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_edge_pair_interior_widths_are_the_shallower_ranks(degree, tmp_path):
+    res = _dilate(_edge_pair_doc(degree), tmp_path)
+    assert res.rank == EDGE_RANKS[degree]
+    widths = [res.interiors[k].basis.shape[1] for k in range(1, degree + 1)]
+    assert widths == [EDGE_RANKS[degree - k] for k in range(1, degree + 1)]
+    assert widths == [naimark_dilate(res.kernel, degree - k).rank
+                      for k in range(1, degree + 1)]
