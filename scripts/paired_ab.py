@@ -21,7 +21,11 @@ own, with the Gram size cap (``max_dim``) lifted so that any depth fits;
 
 Printed per command: the median seconds of each side, the median and
 quartiles of the paired ratio change/parent, and how many pairs the change
-won.  A ratio below 1 means the change is faster.  On workloads that
+won.  A ratio below 1 means the change is faster.  A last line ``solve``
+does the same for the summed seconds of the commands ``perfbench/run.py``
+counts as one solve (its ``SOLVE_STEPS``, read from the parent: ``dilate``
+on a chain that dilates, else ``check-cp`` + ``check-nica``), the sum whose
+median is perfbench's ``solve_s_p50``.  On workloads that
 dilate, the median size in bytes of each side's persisted results follows.
 Pairs whose exit codes differ are counted and make the exit code 1.
 """
@@ -55,9 +59,10 @@ def load_side(checkout: str, name: str, root: str):
     return importlib.import_module(f"lcm_dilate_{name}.cli")
 
 
-def load_workloads(checkout: str):
-    path = os.path.join(checkout, "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("paired_ab_workloads", path)
+def load_perfbench(checkout: str, name: str):
+    """The checkout's ``perfbench/<name>.py``, imported as ``paired_ab_<name>``."""
+    path = os.path.join(checkout, "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"paired_ab_{name}", path)
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -105,7 +110,8 @@ def main(argv=None) -> int:
         sys.path.insert(0, pkgs)
         clis = {side: load_side(path, side, pkgs)
                 for side, path in zip(SIDES, (args.parent, args.change))}
-        workloads = load_workloads(args.parent)
+        workloads = load_perfbench(args.parent, "workloads")
+        solve_steps = load_perfbench(args.parent, "run").SOLVE_STEPS
         if args.workload not in workloads.GENERATORS:
             ap.error(f"unknown workload {args.workload!r}; the known ones are "
                      f"{', '.join(sorted(workloads.GENERATORS))}")
@@ -118,6 +124,7 @@ def main(argv=None) -> int:
                 run_chain(clis[side], inst, path, args.depth)
 
         seconds = {}            # command -> side -> [seconds], paired by index
+        seconds_solve = {side: [] for side in SIDES}
         sizes = {side: [] for side in SIDES}    # bytes of each persisted result
         disagreements = 0
         for rep in range(args.reps):
@@ -129,7 +136,10 @@ def main(argv=None) -> int:
                         [c for _, _, c in steps["change"]]:
                     disagreements += 1
                     continue
+                solve = solve_steps["dilate" if "dilate" in inst.chain else "screen"]
                 for side in SIDES:
+                    seconds_solve[side].append(
+                        sum(s for cmd, s, _ in steps[side] if cmd in solve))
                     for cmd, s, code in steps[side]:
                         seconds.setdefault(cmd, {p: [] for p in SIDES})[side].append(s)
                         if cmd == "dilate" and code == 0:
@@ -140,7 +150,7 @@ def main(argv=None) -> int:
           f"{args.reps} rounds{at}, change / parent")
     print(f"{'command':<12}{'parent p50':>12}{'change p50':>12}"
           f"{'ratio p50':>11}{'ratio IQR':>20}{'change won':>13}")
-    for cmd, by_side in seconds.items():
+    for cmd, by_side in [*seconds.items(), ("solve", seconds_solve)]:
         a, b = by_side["parent"], by_side["change"]
         ratios = [y / x for x, y in zip(a, b)]
         q1, q2, q3 = statistics.quantiles(ratios, n=4)

@@ -133,24 +133,11 @@ class BaseAlgebra:
         return mat.reshape(*mat.shape[:-2], -1)[..., self._unit_flat]
 
 
-def operator_norm(mat: np.ndarray) -> float:
-    """Spectral norm; infinite when an entry is not finite, so that every
-    ``norm <= tol`` test fails on it instead of LAPACK raising.  The
-    largest singular value, as ``np.linalg.norm(mat, 2)`` returns it bit
-    for bit, without its wrapper; a zero matrix skips the SVD."""
-    if not mat.size:
-        return 0.0
-    if not np.isfinite(mat).all():
-        return float("inf")
-    if not mat.any():
-        return 0.0
-    return float(np.linalg.svd(mat, compute_uv=False)[0])
-
-
 def operator_norms(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """``operator_norm`` of each matrix, bit for bit, by one batched SVD
-    per shape and dtype: empty and all-zero matrices are 0.0 and a matrix
-    with an entry that is not finite is inf, without an SVD."""
+    """The spectral norm of each matrix, ``np.linalg.norm(mat, 2)`` bit for
+    bit, by one batched SVD per shape and dtype.  Empty and zero matrices
+    are 0.0 without an SVD; one with an entry that is not finite is inf, so
+    that every ``norm <= tol`` test fails on it instead of LAPACK raising."""
     out = np.zeros(len(mats))
     groups = defaultdict(list)
     for k, m in enumerate(mats):
@@ -544,9 +531,7 @@ class LevelledElement:
         )
 
     def norm(self) -> float:
-        if not self.coeffs:
-            return 0.0
-        return max(operator_norm(v) for v in self.coeffs.values())
+        return float(operator_norms(list(self.coeffs.values())).max(initial=0.0))
 
     # -- vectorization -----------------------------------------------------------
 

@@ -25,7 +25,6 @@ from .algebras import (
     LevelledElement,
     Memo,
     PointModel,
-    operator_norm,
     operator_norms,
 )
 from .errors import CovarianceError, ResourceCapError, SpecMismatchError
@@ -114,7 +113,7 @@ class LevelledOperatorMap(Memo):
 
     def unital_defect(self) -> float:
         one = LevelledElement.unit(self.model, self.base, self.depth)
-        return operator_norm(self.value(one) - np.eye(self.h))
+        return float(operator_norms([self.value(one) - np.eye(self.h)])[0])
 
     def selfadjoint_defect(self) -> float:
         """The largest ||phi(u*) - phi(u)*|| over the basis: the adjoint of
@@ -235,26 +234,28 @@ class ContractionFamily:
                 raise SpecMismatchError("generator contractions must share one shape")
             if not np.isfinite(m).all():
                 raise SpecMismatchError(f"generator T{i+1} has a non-finite entry")
-            if operator_norm(m) > 1.0 + CONTRACTION_SLACK:
-                raise SpecMismatchError(
-                    f"generator norm {operator_norm(m):.12f} exceeds 1"
-                )
         self._words: dict[Element, np.ndarray] = {}
         gens = semigroup.generators
-        for i, gi in enumerate(gens):
-            for j, gj in enumerate(gens[i + 1:], start=i + 1):
-                r = semigroup.lcm(gi, gj)
-                if r is None:
-                    continue
-                a, b = (self.mats[k] @ _word_product(semigroup, self.mats,
-                                                    semigroup.left_divide(g, r))
-                        for k, g in ((i, gi), (j, gj)))
-                err = operator_norm(a - b)
-                if not err <= COMMUTE_TOL:
-                    raise SpecMismatchError(
-                        f"T{i+1} and T{j+1} must agree on their common multiple "
-                        f"{r}; the two factorizations differ by {err:.3e}"
-                    )
+        pairs = [(i, j, r) for i, j in itertools.combinations(range(len(gens)), 2)
+                 if (r := semigroup.lcm(gens[i], gens[j])) is not None]
+
+        def factored(k, r):     # T(g_k) T(g_k\r)
+            return self.mats[k] @ _word_product(semigroup, self.mats,
+                                                semigroup.left_divide(gens[k], r))
+
+        # a product of generators that the norms below refuse may overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            diffs = [factored(i, r) - factored(j, r) for i, j, r in pairs]
+        norms = operator_norms(self.mats + diffs).tolist()
+        for norm in norms[:len(self.mats)]:
+            if norm > 1.0 + CONTRACTION_SLACK:
+                raise SpecMismatchError(f"generator norm {norm:.12f} exceeds 1")
+        for (i, j, r), err in zip(pairs, norms[len(self.mats):]):
+            if not err <= COMMUTE_TOL:
+                raise SpecMismatchError(
+                    f"T{i+1} and T{j+1} must agree on their common multiple "
+                    f"{r}; the two factorizations differ by {err:.3e}"
+                )
 
     def __call__(self, p: Element) -> np.ndarray:
         """T(p), evaluated once per word; the stored array is read-only, so
@@ -374,13 +375,15 @@ def build_phi_tilde(
         total = sum(
             _compressed(phi, betas, T, g, units) for g in sys.semigroup.generators
         )
-        for ui, u in enumerate(units):
-            resid = operator_norm(phi.value(u) - total[ui])
-            if resid > CONSISTENCY_RTOL * max(1.0, operator_norm(phi.value(u))):
-                raise CovarianceError(
-                    resid, CONSISTENCY_RTOL,
-                    f"stage consistency of the boundary lift at basis #{ui}",
-                )
+        values = [phi.value(u) for u in units]
+        norms = operator_norms([v - t for v, t in zip(values, total)] + values)
+        resid, scale = norms[:len(units)], np.maximum(1.0, norms[len(units):])
+        bad = np.flatnonzero(resid > CONSISTENCY_RTOL * scale)
+        if bad.size:
+            raise CovarianceError(
+                float(resid[bad[0]]), CONSISTENCY_RTOL,
+                f"stage consistency of the boundary lift at basis #{bad[0]}",
+            )
 
     def coefficients():
         # fixed by the model and the depth: a cut is p G for generators G and

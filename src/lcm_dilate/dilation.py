@@ -529,8 +529,7 @@ def naimark_dilate(
     # eigh reads one triangle, so the blocks it factors are measured too
     report.at_most("gram.hermitian_assembly",
                    [(assembly.hermiticity_defect, "")]
-                   + [(float(np.abs(b.matrix - b.matrix.conj().T).max(initial=0.0)), "")
-                      for b in assembly.blocks],
+                   + _normed((b.matrix - b.matrix.conj().T, "") for b in assembly.blocks),
                    tols.identity)
 
     # the residual is Hermitian, so its norm is its largest |eigenvalue|

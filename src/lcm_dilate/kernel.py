@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import LevelledElement, operator_norm
+from .algebras import LevelledElement, operator_norms
 from .cpmaps import ContractionFamily, LevelledOperatorMap, _combine
 from .errors import CovarianceError, ResourceCapError, SpecMismatchError
 from .semigroup import Element
@@ -69,12 +69,12 @@ class KernelSystem:
         sd = self.phi.selfadjoint_defect()
         if not sd <= tol:
             raise CovarianceError(sd, tol, "phi is not *-preserving")
-        worst = 0.0
+        residuals = []
         for g, gen in enumerate(self.sys.semigroup.generators, start=1):
             for b in self._covariance_basis(g):
                 lhs = self.T(gen) @ self.phi.value(b) @ self.T(gen).conj().T
-                rhs = self.phi.value(self.sys.apply_endo(gen, b))
-                worst = max(worst, operator_norm(lhs - rhs))
+                residuals.append(lhs - self.phi.value(self.sys.apply_endo(gen, b)))
+        worst = float(operator_norms(residuals).max(initial=0.0))
         if not worst <= tol:
             raise CovarianceError(worst, tol, "covariance on the algebra basis")
         return worst
@@ -321,7 +321,7 @@ def assemble_gram(
     ys = np.array([kernel.inner_stack(key[0], depth)[row]
                    for key, row in zip(plan.keys, plan.rows.tolist())])
     blocks: list[GramBlock] = []
-    herm_defect = 0.0
+    defects = []
     for key, members, pairs, left, middle, right in plan.groups:
         k = len(members)
         block = np.zeros((k, h, k, h), dtype=np.complex128)
@@ -339,11 +339,11 @@ def assemble_gram(
         ss, tt = pairs[:, 0], pairs[:, 1]
         adj = np.swapaxes(vals.conj(), 1, 2)
         diag = ss == tt
-        herm_defect = max(herm_defect, float(np.linalg.norm(
-            vals[diag] - adj[diag], 2, axis=(1, 2)).max()))
+        defects.extend(vals[diag] - adj[diag])
         vals[diag] = (vals[diag] + adj[diag]) / 2.0
         block[ss, :, tt, :] = vals
         off = ~diag
         block[tt[off], :, ss[off], :] = adj[off]
         blocks.append(GramBlock(key, members, block.reshape(k * h, k * h)))
-    return GramAssembly(kernel, degree, catalog, blocks, herm_defect)
+    return GramAssembly(kernel, degree, catalog, blocks,
+                        float(operator_norms(defects).max(initial=0.0)))

@@ -100,19 +100,30 @@ class Semigroup(ABC):
             frontier = grown
         return seen
 
+    @cached_property
+    def _enumerations(self) -> dict:
+        """(depth, cap) -> the list ``enumerate_up_to`` hands out."""
+        return {}
+
     def enumerate_up_to(
         self, depth: int, cap: int = DEFAULT_ENUMERATION_CAP
     ) -> list[Element]:
         """Every element of length at most ``depth``, in (length, element)
-        order: the closure of the identity, pruned above ``depth``."""
+        order: the closure of the identity, pruned above ``depth``.  Built
+        once per (depth, cap), so callers share the list and must not
+        mutate it; a cap refusal is not remembered."""
         if depth < 0:
             raise SpecMismatchError("depth must be >= 0")
-        try:
-            seen = self.closure(lambda q: self.length(q) <= depth, cap=cap)
-        except ResourceCapError:
-            raise ResourceCapError(
-                f"enumeration up to length {depth} exceeds cap {cap}") from None
-        return sorted(seen, key=lambda p: (self.length(p), p))
+        hit = self._enumerations.get((depth, cap))
+        if hit is None:
+            try:
+                seen = self.closure(lambda q: self.length(q) <= depth, cap=cap)
+            except ResourceCapError:
+                raise ResourceCapError(
+                    f"enumeration up to length {depth} exceeds cap {cap}") from None
+            hit = self._enumerations[depth, cap] = sorted(
+                seen, key=lambda p: (self.length(p), p))
+        return hit
 
     def is_foundation_set(
         self, elements: Iterable[Element], cap: int = DEFAULT_ENUMERATION_CAP

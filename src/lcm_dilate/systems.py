@@ -34,7 +34,7 @@ from .algebras import (
     Model,
     PointModel,
     ToeplitzModel,
-    operator_norm,
+    operator_norms,
 )
 from .cpmaps import BaseOperatorMap
 from .errors import SpecMismatchError
@@ -267,11 +267,10 @@ class LcmSystem(GeneratorAction, Memo):
             betas = [np.asarray(b, dtype=Complex) for b in betas]
             if len(betas) != semigroup.rank:
                 raise SpecMismatchError("need one base automorphism per generator")
-            for b in betas:
-                if b.shape != (base.dim, base.dim):
-                    raise SpecMismatchError("base automorphism has wrong shape")
-                if operator_norm(b @ b.conj().T - base.unit()) > 1e-10:
-                    raise SpecMismatchError("base automorphisms must be unitary")
+            if any(b.shape != (base.dim, base.dim) for b in betas):
+                raise SpecMismatchError("base automorphism has wrong shape")
+            if (operator_norms([b @ b.conj().T - base.unit() for b in betas]) > 1e-10).any():
+                raise SpecMismatchError("base automorphisms must be unitary")
             self.maps = [GeneratorMap(unitary=b) for b in betas]
         self._memo: dict = {}
 
@@ -396,10 +395,11 @@ class LcmSystem(GeneratorAction, Memo):
     def _validate(self, depth: int) -> ValidationReport:
         report, tol = ValidationReport(), CHECK_TOL
         name = "alpha" if isinstance(self.model, PointModel) else "beta"
-        for i, m in enumerate(self.maps, start=1):
-            if m.unitary is not None:
-                err = operator_norm(m.unitary @ m.unitary.conj().T - self.base.unit())
-                report.at_most(f"{name}[{i}].unitary", [(err, "")], tol)
+        unitaries = [(i, m.unitary) for i, m in enumerate(self.maps, start=1)
+                     if m.unitary is not None]
+        errs = operator_norms([u @ u.conj().T - self.base.unit() for _, u in unitaries])
+        for (i, _), err in zip(unitaries, errs.tolist()):
+            report.at_most(f"{name}[{i}].unitary", [(err, "")], tol)
         if name == "alpha":
             # an injective endomorphism of a fixed-dimension algebra is an
             # automorphism, so it must fix the unit

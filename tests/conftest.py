@@ -16,7 +16,6 @@ from lcm_dilate.algebras import (
     CornerBasis,
     LevelledElement,
     PointModel,
-    operator_norm,
 )
 from lcm_dilate.cpmaps import (
     MAX_SUBSET_SIZE,
@@ -63,6 +62,17 @@ def encode_matrix(m) -> list:
     """A complex matrix as the [re, im] pairs instance files hold."""
     m = np.atleast_2d(np.asarray(m, dtype=np.complex128))
     return np.stack([m.real, m.imag], -1).tolist()
+
+
+def operator_norm(mat: np.ndarray) -> float:
+    """The spectral norm one matrix at a time, the oracle of
+    ``operator_norms``: ``np.linalg.norm(mat, 2)``, inf when an entry is
+    not finite and 0 on an empty matrix."""
+    if not mat.size:
+        return 0.0
+    if not np.isfinite(mat).all():
+        return float("inf")
+    return float(np.linalg.norm(mat, 2))
 
 
 def random_matrix(rng, n: int) -> np.ndarray:

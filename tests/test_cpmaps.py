@@ -127,6 +127,11 @@ def test_contraction_family_guards():
         ContractionFamily(FA2, [up, up.T])
     # the same pair indexes a free monoid family without complaint
     ContractionFamily(FM2, [up, up.T])
+    # the lcm products of generators far above norm 1 overflow, and the
+    # norm refusal reads first, with no overflow warning
+    huge = 1e200 * np.array([[1, 1], [0, 1]], dtype=complex)
+    with pytest.raises(SpecMismatchError, match="generator norm .* exceeds 1"):
+        ContractionFamily(FA2, [huge, huge.T])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

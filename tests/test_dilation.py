@@ -6,6 +6,7 @@ from conftest import (
     compress_v,
     generator_isometries,
     load_perfbench,
+    operator_norm,
     pi_of_matrix,
     random_coisometry_pair,
     random_contraction,
@@ -16,7 +17,6 @@ from lcm_dilate.algebras import (
     BaseAlgebra,
     PointModel,
     ToeplitzModel,
-    operator_norm,
 )
 from lcm_dilate.cli import build_pair, parse_instance
 from lcm_dilate.cpmaps import (
@@ -245,6 +245,24 @@ def test_hermitian_assembly_measures_the_factored_blocks():
     assert not checks["gram.hermitian_assembly"].passed
     assert checks["gram.hermitian_assembly"].value == 0.5
     assert naimark_dilate(K, 1, assembly=good).report.passed
+
+
+def test_hermitian_assembly_is_one_spectral_norm():
+    # 0.5 at local entries (0, 1) and (0, 2): the spectral Hermitian defect
+    # is 0.5 sqrt 2 and the largest entry of it 0.5, so the per-block cases
+    # read the same norm as the assembler's
+    sys_ = LcmSystem(FA1, PointModel(1), M2,
+                     alphas=[GeneratorMap(unitary=np.eye(2))])
+    T = ContractionFamily(FA1, [np.eye(2)])
+    phi = build_phi_tilde(sys_, BaseOperatorMap(M2, M2.basis()), T, 0)
+    K = KernelSystem(sys_, phi, T)
+    good = assemble_gram(K, 1)
+    blocks = [GramBlock(b.key, b.rows, b.matrix.copy()) for b in good.blocks]
+    blocks[0].matrix[0, 1:3] += 0.5
+    bad = GramAssembly(K, 1, good.catalog, blocks, good.hermiticity_defect)
+    check = {c.name: c for c in naimark_dilate(K, 1, assembly=bad).report.checks}[
+        "gram.hermitian_assembly"]
+    assert abs(check.value - 0.5 * np.sqrt(2)) <= 1e-15
 
 
 def test_abelian_rank2_depth4_rank_invariant():

@@ -117,6 +117,18 @@ def test_enumerate_resource_guard():
         FreeMonoid(2).enumerate_up_to(10, cap=100)
 
 
+def test_enumerate_is_built_once_per_depth_and_cap():
+    sg = FreeMonoid(2)
+    elems = sg.enumerate_up_to(3)
+    assert sg.enumerate_up_to(3) is elems
+    assert sg.enumerate_up_to(3, cap=len(elems)) == elems
+    with pytest.raises(ResourceCapError):
+        sg.enumerate_up_to(3, cap=len(elems) - 1)
+    with pytest.raises(ResourceCapError):      # a refusal is not remembered
+        sg.enumerate_up_to(3, cap=len(elems) - 1)
+    assert sg.enumerate_up_to(3) is elems
+
+
 def test_foundation_examples():
     assert FM2.is_foundation_set([(1,), (2,)])
     assert not FM2.is_foundation_set([(1,)])  # (2,) witnesses
