@@ -133,24 +133,27 @@ class BaseAlgebra:
         return mat.reshape(*mat.shape[:-2], -1)[..., self._unit_flat]
 
 
-def operator_norms(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """The spectral norm of each matrix, ``np.linalg.norm(mat, 2)`` bit for
-    bit, by one batched SVD per shape and dtype.  Empty and zero matrices
-    are 0.0 without an SVD; one with an entry that is not finite is inf, so
-    that every ``norm <= tol`` test fails on it instead of LAPACK raising."""
-    out = np.zeros(len(mats))
-    groups = defaultdict(list)
-    for k, m in enumerate(mats):
-        if m.size:
+def operator_norms(mats: Union[Sequence[np.ndarray], np.ndarray]) -> np.ndarray:
+    """The spectral norm of each matrix of a list or (N, m, n) stack,
+    ``np.linalg.norm(mat, 2)`` bit for bit, by one batched SVD per shape and
+    dtype (of a stack as it is when all is finite and nonzero).  Empty and
+    zero matrices are 0.0 without an SVD; one with an entry that is not
+    finite is inf, so that every ``norm <= tol`` test fails on it instead of
+    LAPACK raising."""
+    if not isinstance(mats, np.ndarray):
+        groups, out = defaultdict(list), np.zeros(len(mats))
+        for k, m in enumerate(mats):
             groups[m.shape, m.dtype].append(k)
-    for idx in groups.values():
-        idx = np.array(idx)
-        stack = np.array([mats[k] for k in idx])
-        finite = np.isfinite(stack).all(axis=(-2, -1))
-        live = finite & stack.any(axis=(-2, -1))
-        out[idx[~finite]] = np.inf
-        if live.any():
-            out[idx[live]] = np.linalg.svd(stack[live], compute_uv=False)[:, 0]
+        for idx in groups.values():
+            out[idx] = operator_norms(np.array([mats[k] for k in idx]))
+        return out
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    live = finite & mats.any(axis=(-2, -1))
+    if mats.size and live.all():
+        return np.linalg.svd(mats, compute_uv=False)[:, 0]
+    out = np.where(finite, 0.0, np.inf)
+    if live.any():
+        out[live] = np.linalg.svd(mats[live], compute_uv=False)[:, 0]
     return out
 
 
@@ -171,6 +174,13 @@ class Memo:
         if hit is None:
             hit = self._memo[key] = make()
         return hit
+
+
+def frozen(values, dtype=None) -> np.ndarray:
+    """A read-only array of ``values``."""
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
 
 
 class _Tables(Memo):

@@ -25,6 +25,7 @@ from .algebras import (
     LevelledElement,
     Memo,
     PointModel,
+    frozen,
     operator_norms,
 )
 from .errors import CovarianceError, ResourceCapError, SpecMismatchError
@@ -62,10 +63,11 @@ def _value_stack(values, n: int) -> np.ndarray:
 
 
 def _combine(coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] values[k] over a value stack: one (1, N) x (N, h*h)
-    product, the one ``np.tensordot`` forms, so the sum is the same bits."""
+    """sum_k coeffs[..., k] values[k] over a value stack, for one coefficient row
+    or a stack: a (1, N) x (N, h*h) product per row, the same bits either way."""
     n = len(values)
-    return np.dot(coeffs.reshape(1, n), values.reshape(n, -1)).reshape(values.shape[1:])
+    return np.matmul(coeffs.reshape(-1, 1, n), values.reshape(n, -1)).reshape(
+        coeffs.shape[:-1] + values.shape[1:])
 
 
 class BaseOperatorMap:
@@ -264,17 +266,13 @@ class ContractionFamily:
         out = self._words.get(p)
         if out is None:
             self.semigroup.validate_element(p)
-            out = _word_product(self.semigroup, self.mats, p)
-            out.flags.writeable = False
-            self._words[p] = out
+            out = self._words[p] = frozen(_word_product(self.semigroup, self.mats, p))
         return out
 
     def range_operator(self, p: Element) -> np.ndarray:
         """T(p)T(p)*, read-only like T(p)."""
         tp = self(p)
-        out = tp @ tp.conj().T
-        out.flags.writeable = False
-        return out
+        return frozen(tp @ tp.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +321,8 @@ def nica_defect(T: ContractionFamily, F, cap: int = MAX_SUBSET_SIZE) -> np.ndarr
         closure |= {r for s in closure if (r := sg.lcm(s, f)) is not None}
     universe = sorted(closure, key=lambda e: (sg.length(e), e))
     levels = lcm_levels(sg, universe, sg.identity, fs, len(fs))
-    out = _signed_sums(collections.deque(levels, maxlen=1)[0],
-                       np.array([T.range_operator(s) for s in universe]))[0]
-    out.flags.writeable = False
-    return out
+    return frozen(_signed_sums(collections.deque(levels, maxlen=1)[0],
+                              np.array([T.range_operator(s) for s in universe]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +396,7 @@ def build_phi_tilde(
             for s in np.flatnonzero(row):
                 rows[r, at[sg.multiply(p, own[s])]] = row[s]
         used = np.flatnonzero(rows.any(axis=0))
-        rows = rows[:, used]
-        rows.flags.writeable = False
-        return [universe[k] for k in used], rows
+        return [universe[k] for k in used], frozen(rows[:, used])
 
     elements, rows = model.cached(("lift", d), coefficients)
     terms = np.array([_compressed(phi, betas, T, s, units) for s in elements])

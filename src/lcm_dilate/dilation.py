@@ -15,7 +15,7 @@ sum of the blocks' ranges, block after block.  Catalog vectors enter as
 scalar catalog matrices X standing for X (x) I_h, applied block by block.
 
 Catalog columns come from the atom rules by array gathers over integer
-tables built once per result: each letter's word map q -> gq and atom map
+tables built once per catalog: each letter's word map q -> gq and atom map
 ``shift``, the children of each (atom, depth) at the catalog depth, and a
 (word, atom, i, j) -> row table.  Columns are index arrays over one stack of
 values; the shift by p composes the letter maps along p, applies the
@@ -34,9 +34,10 @@ from typing import Optional
 
 import numpy as np
 
-from .algebras import BaseAlgebra, LevelledElement, operator_norms
+from .algebras import BaseAlgebra, LevelledElement, Memo, frozen, operator_norms
 from .cpmaps import (
     PSD_RTOL,
+    _combine,
     ContractionFamily,
     LevelledOperatorMap,
     is_completely_positive,
@@ -51,6 +52,7 @@ from .kernel import (
     KernelSystem,
     assemble_gram,
     check_gram_size,
+    gram_plan,
 )
 from .semigroup import Element
 from .systems import CHECK_TOL, RANK_CUT, LcmSystem, ValidationReport
@@ -125,7 +127,7 @@ class Interior:
     pullback: Optional[np.ndarray]   # (width * h, dim)
 
 
-class DilationResult:
+class DilationResult(Memo):
     """Matrices of the truncated minimal dilation plus its verification data."""
 
     def __init__(
@@ -143,54 +145,29 @@ class DilationResult:
         self.phi = assembly.kernel.phi
         self.degree = assembly.degree
         self.pi_depth = self.degree     # pi is built for the whole truncation
+        self.word_level = self.sys.semigroup.length     # v_word(p) is exact there
         self.h = assembly.h
         self.tolerances = tolerances
         self.eigenvalues = eigenvalues
         self.factors = factors
         self.rank = sum(f.factor.shape[0] for f in factors)
         self.report = report
-        catalog = assembly.catalog
-        n = len(catalog)
-        self._block_of = np.empty(n, dtype=np.intp)
-        self._pos = np.empty(n, dtype=np.intp)
+        self._block_of = np.empty(len(assembly.catalog), dtype=np.intp)
+        self._pos = np.empty(len(assembly.catalog), dtype=np.intp)
         for b, f in enumerate(factors):
             self._block_of[f.rows] = b
             self._pos[f.rows] = np.arange(len(f.rows))
         self._block_len = np.array([len(f.rows) for f in factors], dtype=np.intp)
         self._block_at = {blk.key: b for b, blk in enumerate(assembly.blocks)}
-        self._v_cache: dict[Element, np.ndarray] = {}
-        self._pi_cache: dict[bytes, np.ndarray] = {}
-
-        # The gather tables.  Words are the catalog's; atoms are every atom
-        # up to the catalog depth, those at the catalog depth first.  A
-        # letter's word and atom maps send an index outside to -1, and -1
-        # to itself (the appended last entry); the row table's appended
-        # last word has no rows.
-        sg, model = self.sys.semigroup, self.sys.model
-        self._depth = model.normalize_depth(self.degree)
-        self._words = sg.enumerate_up_to(self.degree)
-        self._word_at = {q: k for k, q in enumerate(self._words)}
-        top = model.atoms(self._depth)
-        self._atoms = list(dict.fromkeys(itertools.chain(
-            top, *(model.atoms(model.normalize_depth(d)) for d in range(self.degree)))))
-        self._atom_at = {a: k for k, a in enumerate(self._atoms)}
-        self._word_step, self._atom_step = {}, {}
-        for letter, g in enumerate(sg.generators, start=1):
-            self._word_step[letter] = np.array(
-                [self._word_at.get(sg.multiply(g, q), -1) for q in self._words] + [-1])
-            self._atom_step[letter] = np.array(
-                [self._atom_at.get(model.shift(a, letter), -1) for a in self._atoms] + [-1])
-        dim = self.sys.base.dim
-        self._rows = np.full((len(self._words) + 1, len(top), dim, dim), -1, dtype=np.intp)
-        self._rows[[self._word_at[idx.q] for idx in catalog],
-                   [self._atom_at[idx.key[0]] for idx in catalog],
-                   [idx.key[1] for idx in catalog],
-                   [idx.key[2] for idx in catalog]] = np.arange(n)
-        self._kids: dict[tuple, np.ndarray] = {}
-        self._unit_stack = np.array(self.sys.base.basis())
-        blocks = self.sys.base.blocks
-        block_id = np.repeat(np.arange(len(blocks)), blocks)
-        self._off_block = block_id[:, None] != block_id    # (i, c) across blocks
+        self._v_cache = {self.sys.semigroup.identity: np.eye(self.rank, dtype=np.complex128)}
+        # The gather tables and the memo of the index expansions off them
+        # depend on the catalog alone: results over the system's own catalog
+        # (``gram_plan``'s) share them per degree and corner tolerance.
+        own = assembly.catalog is gram_plan(self.sys, self.degree).catalog
+        vars(self).update(self.sys.cached(("catalog", self.degree, tolerances.corner),
+                                          lambda: _catalog_tables(self))
+                          if own else _catalog_tables(self))
+        top, dim = self.sys.model.atoms(self._depth), self.sys.base.dim
         # the block of group (atom, c) at each (atom, column c), or -1
         self._col_block = np.array([[self._block_at.get((a, c), -1) for c in range(dim)]
                                     for a in top], dtype=np.intp)
@@ -200,18 +177,13 @@ class DilationResult:
         self.pi_table = self._pi_entries()
 
         self.interiors = _interiors_for(self)
-        zero = model.zero_depth()
-        (atom,) = model.atoms(zero)    # the unit is one atom at depth 0
-        first = np.zeros(1, dtype=np.intp)
+        zero, first = self.sys.model.zero_depth(), np.zeros(1, dtype=np.intp)
+        (atom,) = self.sys.model.atoms(zero)    # the unit is one atom at depth 0
         self.embedding = self._apply(self._expansion(IndexColumns(
-            np.array([self._word_at[sg.identity]]), first, first,
+            np.array([self._word_at[self.sys.semigroup.identity]]), first, first,
             np.array([self._atom_at[atom]]), self.sys.base.unit()[None], zero)))
 
     # -- geometry ---------------------------------------------------------------
-
-    def word_level(self, p: Element) -> int:
-        """Interior level on which v_word(p) is exact: the length of p."""
-        return self.sys.semigroup.length(p)
 
     @property
     def passed(self) -> bool:
@@ -227,16 +199,10 @@ class DilationResult:
             )
 
     def _children(self, atom: int, depth) -> np.ndarray:
-        """The atoms at the catalog depth under an atom at ``depth``, once
-        per (atom, depth)."""
-        kids = self._kids.get((atom, depth))
-        if kids is None:
-            a = self._atoms[atom]
-            found = ([a] if depth == self._depth
-                     else self.sys.model.children(a, depth, self._depth))
-            kids = np.array([self._atom_at[k] for k in found], dtype=np.intp)
-            self._kids[atom, depth] = kids
-        return kids
+        """The atoms at the catalog depth under an atom at ``depth``."""
+        a = self._atoms[atom]
+        found = [a] if depth == self._depth else self.sys.model.children(a, depth, self._depth)
+        return np.array([self._atom_at[k] for k in found], dtype=np.intp)
 
     def _expansion(self, x: IndexColumns) -> CatalogColumns:
         """The catalog expansions of index columns, in one gather: column c
@@ -333,61 +299,64 @@ class DilationResult:
     def _check_blocks(self, vec: np.ndarray) -> None:
         """A coefficient's column at (atom, c) may carry at most the corner
         tolerance outside the base block of c: one weight per (atom, column)
-        of ``vec`` at the catalog depth."""
-        dim = self.sys.base.dim
-        w = np.abs(vec.reshape(-1, dim, dim)) ** 2
-        outside = np.where(self._off_block, w, 0.0).sum(axis=1)
-        resid = (outside / np.maximum(1.0, w.sum(axis=1))) ** 0.5
+        of ``vec`` at the catalog depth, or of each row of a stack."""
+        w = np.abs(vec.reshape(-1, *self._col_block.shape, self.sys.base.dim)) ** 2
+        outside = np.where(self._off_block, w, 0.0).sum(axis=-2)
+        resid = (outside / np.maximum(1.0, w.sum(axis=-2))) ** 0.5
         bad = np.argwhere((self._col_block >= 0) & (outside != 0)
                           & ~(resid <= self.tolerances.corner))
         if bad.size:
-            k, c = bad[0]
-            s = self._col_block[k, c]
+            s = self._col_block[tuple(bad[0][1:])]
             self._check_corner(self.assembly.catalog[self.factors[s].rows[0]].q,
-                               resid[k, c])
+                               resid[tuple(bad[0])])
 
     # -- operators ---------------------------------------------------------------
 
-    def pi(self, a: LevelledElement) -> np.ndarray:
-        """The representation matrix of an algebra element (exact on the
-        whole truncated space as long as products stay inside the catalog),
-        one ``scatter_pi`` of the table ``_pi_entries`` builds with the
-        result; over a scalar base pi(atom (x) z) is z times the projection
-        onto the block of atom."""
-        vec = a.vec(self._depth)
-        key = vec.tobytes()
-        hit = self._pi_cache.get(key)
-        if hit is not None:
-            return hit
+    def pi(self, a) -> np.ndarray:
+        """The representation matrix of an algebra element, or their stack over
+        ``vec`` rows at the catalog depth (exact while products stay inside the
+        catalog): one ``scatter_pi`` of the table ``_pi_entries`` builds; over a
+        scalar base pi(atom (x) z) is z times the projection onto atom's block."""
+        vec = a.vec(self._depth) if isinstance(a, LevelledElement) else a
         dim = self.sys.base.dim
         if vec.reshape(-1, dim, dim)[:, self._off_block].any():
             self._check_blocks(vec)
-        out = self._pi_cache[key] = scatter_pi(self.pi_table, self.rank, vec)
-        return out
+        return scatter_pi(self.pi_table, self.rank, vec)
 
-    def v_word(self, p: Element) -> np.ndarray:
+    def v_word(self, p) -> np.ndarray:
         """The shift matrix of a word, built from the interior with matching
-        headroom; correct on that interior and zero on its complement."""
-        p = tuple(p)
-        hit = self._v_cache.get(p)
-        if hit is not None:
-            return hit
-        sg = self.sys.semigroup
-        level = sg.length(p)
-        if level > self.degree:
-            raise SpecMismatchError(
-                f"word of length {level} exceeds truncation degree {self.degree}"
-            )
-        if level == 0:
-            out = np.eye(self.rank, dtype=np.complex128)
-        else:
-            sg.validate_element(p)
+        headroom; correct on that interior and zero on its complement.  Of
+        a list of words, the stack of their matrices: the words of a length
+        not built yet go through one ``_apply`` per chunk of at most
+        ``CHUNK_BYTES`` of images."""
+        if not isinstance(p, list):
+            return self.v_word([p])[0]
+        words, sg, todo = [tuple(w) for w in p], self.sys.semigroup, {}
+        for w in [w for w in dict.fromkeys(words) if w not in self._v_cache]:
+            level = sg.length(w)
+            if level > self.degree:
+                raise SpecMismatchError(f"word of length {level} exceeds truncation "
+                                        f"degree {self.degree}")
+            sg.validate_element(w)
+            todo.setdefault(level, []).append(w)
+        for level, level_words in todo.items():
             interior = self.interiors[level]
-            shifted = self._expansion(self._shifted(p, interior.columns))
-            # V(p) B X = B S_p X on the interior, and B X W S^-1 = U
-            out = (self._apply(shifted) @ interior.pullback) @ interior.basis.conj().T
-        self._v_cache[p] = out
-        return out
+            width = len(interior.columns)
+            step = max(1, CHUNK_BYTES // (16 * max(1, self.rank * width * self.h)))
+            for k in range(0, len(level_words), step):
+                chunk = level_words[k:k + step]
+                cols = [self.cached(("word", w), lambda: self._expansion(
+                    self._shifted(w, interior.columns))) for w in chunk]
+                # the chunk's shifted columns side by side, word j's at j * width
+                x = CatalogColumns(*(np.concatenate(a) for a in zip(*(
+                    (c.rows, c.cols + j * width, c.vals) for j, c in enumerate(cols)))),
+                    width * len(chunk))
+                image = self._apply(x).reshape(self.rank, len(chunk), -1).transpose(1, 0, 2)
+                # V(p) B X = B S_p X on the interior, and B X W S^-1 = U
+                out = (image @ interior.pullback) @ interior.basis.conj().T
+                self._v_cache.update(zip(chunk, out))
+        return np.array([self._v_cache[w] for w in words], np.complex128).reshape(
+            len(words), self.rank, self.rank)
 
 
 def pi_layout(spans: np.ndarray, base: BaseAlgebra, rank: int) -> tuple:
@@ -412,14 +381,42 @@ def pi_layout(spans: np.ndarray, base: BaseAlgebra, rank: int) -> tuple:
 
 def scatter_pi(table: tuple, rank: int, vec: np.ndarray) -> np.ndarray:
     """pi(a) off a table (positions, coefficient, values) and the ``vec``
-    of a at the catalog depth: zero but at the flat positions, where it is
-    a's coefficient number ``coefficient`` times ``values``."""
+    of a at the catalog depth, or the stack of pi over a stack of ``vec``
+    rows: zero but at the flat positions, where it is a's coefficient
+    number ``coefficient`` times ``values`` (and +0 where that is 0)."""
     pos, coef, vals = table
-    z = vec[coef]
-    live = z != 0
-    out = np.zeros(rank * rank, dtype=np.complex128)
-    out[pos[live]] = z[live] * vals[live]
-    return out.reshape(rank, rank)
+    z = vec[..., coef]
+    out = np.zeros(vec.shape[:-1] + (rank * rank,), dtype=np.complex128)
+    out[..., pos] = np.where(z != 0, z * vals, 0)
+    return out.reshape(vec.shape[:-1] + (rank, rank))
+
+
+def _catalog_tables(result: DilationResult) -> dict:
+    """The gather tables, as the result's attributes.  Words are the
+    catalog's; atoms are every atom up to the catalog depth, those at the
+    catalog depth first.  A letter's word and atom maps send an index
+    outside to -1, and -1 to itself (the appended last entry); the row
+    table's appended last word has no rows.  ``_memo`` starts empty."""
+    sg, model, catalog = result.sys.semigroup, result.sys.model, result.assembly.catalog
+    depth = model.normalize_depth(result.degree)
+    words = sg.enumerate_up_to(result.degree)
+    word_at = {q: k for k, q in enumerate(words)}
+    top = model.atoms(depth)
+    atoms = list(dict.fromkeys(itertools.chain(
+        top, *(model.atoms(model.normalize_depth(d)) for d in range(result.degree)))))
+    atom_at = {a: k for k, a in enumerate(atoms)}
+    word_step = {letter: frozen([word_at.get(sg.multiply(g, q), -1) for q in words] + [-1])
+                 for letter, g in enumerate(sg.generators, start=1)}
+    atom_step = {letter: frozen([atom_at.get(model.shift(a, letter), -1) for a in atoms] + [-1])
+                 for letter in word_step}
+    rows = np.full((len(words) + 1, len(top)) + (result.sys.base.dim,) * 2, -1, dtype=np.intp)
+    keys = [(word_at[idx.q], atom_at[idx.key[0]], *idx.key[1:]) for idx in catalog]
+    rows[tuple(np.array(keys, dtype=np.intp).reshape(-1, 4).T)] = np.arange(len(catalog))
+    block_id = np.repeat(np.arange(len(result.sys.base.blocks)), result.sys.base.blocks)
+    return dict(_depth=depth, _words=words, _word_at=word_at, _atoms=atoms, _atom_at=atom_at,
+                _word_step=word_step, _atom_step=atom_step, _rows=frozen(rows),
+                _unit_stack=frozen(result.sys.base.basis()),
+                _off_block=frozen(block_id[:, None] != block_id), _memo={})
 
 
 def _interiors_for(result: DilationResult) -> dict[int, Interior]:
@@ -428,14 +425,14 @@ def _interiors_for(result: DilationResult) -> dict[int, Interior]:
     child at the catalog depth is, as the row table tells), in catalog
     order.  An (atom, i) group of them expands into the Gram groups
     (child, i) alone, so ``factor_hermitian`` factors the image group by
-    group, by Y* Y, and the basis is the image times the cofactors."""
-    model, units, h = result.sys.model, len(result._unit_stack), result.h
+    group, by Y* Y, and the basis is the image times the cofactors.  The
+    columns, their expansion and each group's members are memoised."""
+    model, units = result.sys.model, len(result._unit_stack)
     positions = np.array(result.sys.base.unit_positions())
     i, j = positions[0]
     lengths = np.array([result.sys.semigroup.length(q) for q in result._words])
-    out = {0: Interior(None, np.eye(result.rank, dtype=np.complex128), None)}
-    for level in range(1, result.degree + 1):
-        d = result.degree - level
+
+    def columns_at(d: int) -> tuple:
         depth = model.normalize_depth(d)
         atoms = np.array([result._atom_at[a] for a in model.atoms(depth)])
         first = [result._children(a, depth)[0] for a in atoms.tolist()]
@@ -444,14 +441,19 @@ def _interiors_for(result: DilationResult) -> dict[int, Interior]:
         columns = IndexColumns(np.repeat(word, units), np.repeat(atom, units),
                                np.tile(np.arange(units), word.size), atoms,
                                result._unit_stack, depth)
-        image = result._apply(result._expansion(columns))
         group = columns.atom * units + positions[columns.value, 0]
-        slots = [(np.flatnonzero(group == g)[:, None] * h + np.arange(h)).ravel()
-                 for g in sorted(set(group.tolist()))]
-        _, groups = factor_hermitian([image[:, s].conj().T @ image[:, s] for s in slots],
-                                     slots, result.tolerances.rank)
-        pullback = np.zeros((image.shape[1], groups[-1].span.stop), dtype=np.complex128)
-        for f in groups:
+        return columns, result._expansion(columns), [
+            np.flatnonzero(group == g) for g in sorted(set(group.tolist()))]
+    out = {0: Interior(None, np.eye(result.rank, dtype=np.complex128), None)}
+    for level in range(1, result.degree + 1):
+        columns, expansion, groups = result.cached(
+            ("interior", level), lambda: columns_at(result.degree - level))
+        image, h = result._apply(expansion), result.h
+        slots = [(g[:, None] * h + np.arange(h)).ravel() for g in groups]
+        _, factors = factor_hermitian([image[:, s].conj().T @ image[:, s] for s in slots],
+                                      slots, result.tolerances.rank)
+        pullback = np.zeros((image.shape[1], factors[-1].span.stop), dtype=np.complex128)
+        for f in factors:
             pullback[f.rows, f.span] = f.cofactor
         out[level] = Interior(columns, image @ pullback, pullback)
     return out
@@ -528,8 +530,8 @@ def naimark_dilate(
             labels=[assembly.catalog[r].label for r in block.rows.tolist()])
     # eigh reads one triangle, so the blocks it factors are measured too
     report.at_most("gram.hermitian_assembly",
-                   [(assembly.hermiticity_defect, "")]
-                   + _normed((b.matrix - b.matrix.conj().T, "") for b in assembly.blocks),
+                   [(assembly.hermiticity_defect, "")] + [(v, "") for v in operator_norms(
+                       [b.matrix - b.matrix.conj().T for b in assembly.blocks]).tolist()],
                    tols.identity)
 
     # the residual is Hermitian, so its norm is its largest |eigenvalue|
@@ -539,13 +541,8 @@ def naimark_dilate(
                    tols.psd * scale)
 
     result = DilationResult(assembly, tols, w, factors, report)
-    _run_checks(result, report, (
-        _check_embedding, _check_representation, _check_reproduces_kernel))
+    _run_checks(result, report, (_check_representation, _check_reproduces_kernel))
     return result
-
-
-def _sample_words(sg, degree: int, max_len: int = 2) -> list[Element]:
-    return [p for p in sg.enumerate_up_to(min(degree, max_len)) if sg.length(p) >= 1]
 
 
 def stored_pi_depth(sys: LcmSystem, degree: int) -> int:
@@ -566,28 +563,114 @@ def _pi_basis(src) -> list[tuple[str, LevelledElement]]:
 # ---------------------------------------------------------------------------
 #
 # Every identity is checked by one function, over an operator source: a live
-# DilationResult or a persisted persist.StoredDilation.  A source provides
-# pi(a) for elements of depth at most ``pi_depth``, v_word(p), which is exact
-# on the interior of level word_level(p), ``embedding`` and
-# interior_basis(level), plus sys, T, phi, degree, rank and tolerances.  A
-# case whose pi argument is deeper than ``pi_depth``, or whose word needs more
-# headroom than the degree, is skipped.  Both sources scatter one pi table,
-# but only a stored one skips any: it builds V(p) as a product of generator
-# shifts, and keeps ``pi_depth`` at ``stored_pi_depth``, since its residual
-# table vouches for the deeper cases and running them made ``verify`` 16 % and
-# 45 % slower on the perfbench ``abelian_gram`` and ``free_boundary`` results.
+# DilationResult or a persisted persist.StoredDilation.  A source provides pi
+# of an element or of a stack of ``vec`` rows at the catalog depth, v_word of
+# a word or of a list of words (a stack), exact on the interior of level
+# word_level(p), ``embedding`` and interior_basis(level), plus sys, T, phi,
+# degree, pi_depth, rank and tolerances.  A stored source builds V(p) as a
+# product of generator shifts and leaves out the cases whose pi argument is
+# deeper than its ``pi_depth``, ``stored_pi_depth``: its residual table
+# vouches for them, and running them made ``verify`` 16 % and 45 % slower on
+# the perfbench ``abelian_gram`` and ``free_boundary`` results.
+#
+# The case plan (``SuitePlan``) is what the system and the degree fix: built
+# once in the system's memo, keyed on the degree, ``pi_depth`` and the
+# ``word_level`` rule, and read-only; a live result's index expansions are
+# memoised once per catalog with its gather tables.  A solve does numeric
+# work alone: pi of each record's rows as one stack, V of a list of words as
+# one stack, a corner's kernel values by one ``KernelSystem.evaluate`` of its
+# coordinate rows, and each record's residuals as stacked products.
+
+CHUNK_BYTES = 1 << 22
 
 
-def _depth(src, x: LevelledElement) -> int:
-    return src.sys.model.depth_max(x.depth)
+@dataclass(frozen=True)
+class SuitePlan:
+    """``cases`` maps a record's name to its case labels, each case's interior
+    level (0: the whole space), index columns (a word column indexes ``words``,
+    an element column the rows) and the pi arguments' ``vec`` rows, each once."""
+
+    words: list
+    cases: dict
+    kernel: list              # (p, q, depth, coordinates) per corner of reproduces_kernel
+
+
+def _plan(src) -> SuitePlan:
+    return src.sys.cached(("suite", src.degree, src.pi_depth, src.word_level.__name__),
+                          lambda: _make_plan(src))
+
+
+def _make_plan(src) -> SuitePlan:
+    """Every record's cases, as (label, level, column...) rows: a column is
+    a word, an element (its coefficient row) or an int."""
+    sys_, sg, degree, model = src.sys, src.sys.semigroup, src.degree, src.sys.model
+    top, level, n = model.normalize_depth(degree), src.word_level, sg.gen_count
+    size, words, depth = len(model.atoms(top)) * sys_.base.dim ** 2, {}, model.depth_max
+
+    def cases(rows) -> tuple:
+        vecs: dict = {}
+
+        def column(e) -> int:
+            if isinstance(e, (tuple, int)):
+                return e if isinstance(e, int) else words.setdefault(e, len(words))
+            return vecs.setdefault((v := e.vec(top)).tobytes(), (len(vecs), v))[0]
+        cols = [[column(e) for e in entries] for _, _, *entries in rows]
+        return ([r[0] for r in rows], frozen([r[1] for r in rows], np.intp),
+                frozen(np.array(cols, np.intp).reshape(len(rows), -1 if rows else 0)),
+                frozen(np.array([v for _, v in vecs.values()],
+                                np.complex128).reshape(len(vecs), size)))
+
+    basis, gens, samples = _pi_basis(src), sg.generators, sg.enumerate_up_to(min(degree, 2))[1:]
+    pairs, kernel, kcases = list(itertools.product(gens, repeat=2)), [], []
+    for p, q in itertools.product(sg.enumerate_up_to(min(degree, 1))[1:] + [sg.identity],
+                                  repeat=2):
+        corner = sys_.corner_basis(p, q, degree)
+        if len(corner):
+            r = sg.lcm(p, q)
+            d = corner.depth if r is None else model.join_depth(corner.depth, sys_.depth_of(r))
+            kernel.append((p, q, d, frozen([a.coordinates(d) for a in corner.elements[:4]])))
+            kcases += [(f"(p={p}, q={q}, a#{k})", 0, p, q, a, len(kcases) + k)
+                       for k, a in enumerate(corner.elements[:4])]
+    plan = {
+        "embedding.isometric": [("", 0)],
+        "pi.unital": [("", 0, sys_.unit())],
+        "pi.star": [(lbl, 0, b, b.star()) for lbl, b in basis],
+        "pi.multiplicative": [(f"({l1}, {l2})", 0, b1, b2, b1 * b2)
+                              for (l1, b1), (l2, b2) in itertools.product(basis[:8], repeat=2)],
+        "interior.orthonormal": [(f"level {k}", k) for k in range(1, degree + 1)],
+        **{f"isometry.V[{g}]": [("", n(gen), gen)] for g, gen in enumerate(gens, 1)},
+        "isometry.V[w]": [(f"w={p}", n(p), p) for p in sg.enumerate_up_to(degree)
+                          if 2 <= n(p) <= degree],
+        "isometry.zero_off_interior": [(f"V[{g}]", 1, gen) for g, gen in enumerate(gens, 1)],
+        # V(p) pi(a) = pi(alpha_p(a)) V(p): the level absorbs p and a's depth
+        "covariance.intertwine": [
+            (f"(p={p}, a={lbl})", level(p) + depth(a.depth), p, a, shifted)
+            for p in samples for lbl, a in basis if level(p) + depth(a.depth) <= degree
+            and depth((shifted := sys_.apply_endo(p, a)).depth) <= src.pi_depth],
+        "covariance.range_projection": [
+            (f"p={p}", level(p), p, e) for p in samples if level(p) <= degree
+            and depth((e := sys_.unit_projection(p)).depth) <= src.pi_depth],
+        "covariance.nica": [(f"(p={p}, q={q})", level(p) + level(q), p, q,
+                             -1 if (r := sg.lcm(p, q)) is None else r)
+                            for p, q in pairs if level(p) + level(q) <= degree],
+        "compression.phi": [(lbl, 0, a, k) for k, (lbl, a) in enumerate(basis)],
+        "compression.T": [(f"p={p}", 0, p) for p in sg.enumerate_up_to(degree)
+                          if level(p) <= degree],
+        "covariance.coinvariant": [(f"p={p}", level(p), p) for p in samples
+                                   if level(p) <= degree],
+        "dilation.reproduces_kernel": kcases,
+        "covariance.word_product": [(f"w={sg.multiply(g1, g2)}", 2, sg.multiply(g1, g2),
+                                     g1, g2) for g1, g2 in pairs if degree >= 2],
+    }
+    plan = {name: cases(rows) for name, rows in plan.items()}    # fills the words
+    return SuitePlan(list(words), plan, kernel)
 
 
 def identity_suite(src) -> ValidationReport:
     """Every identity that needs only the operators of ``src``, in the order
     ``covariant_dilate`` reports them."""
     return _run_checks(src, ValidationReport(), (
-        _check_embedding, _check_representation, _check_covariance,
-        _check_compressions))
+        _check_representation, _check_covariance, _check_compressions))
 
 
 def _run_checks(src, report: ValidationReport, checks) -> ValidationReport:
@@ -600,186 +683,108 @@ def _run_checks(src, report: ValidationReport, checks) -> ValidationReport:
     return report
 
 
-def _normed(cases) -> list:
-    """(operator norm, label) of each (residual matrix, label) case, the
-    norms batched by ``operator_norms``."""
-    cases = list(cases)
-    norms = operator_norms([mat for mat, _ in cases])
-    return [(v, label) for v, (_, label) in zip(norms.tolist(), cases)]
+def _adj(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m.conj(), -1, -2)
 
 
-def _check_embedding(src, report: ValidationReport) -> None:
-    emb = src.embedding
-    report.at_most("embedding.isometric",
-                   _normed([(emb.conj().T @ emb - np.eye(emb.shape[1]), "")]),
-                   src.tolerances.identity)
+def _record(src, report: ValidationReport, name: str, residual) -> None:
+    """The record ``name``: ``residual(cols, pi, q, v)`` stacks the residuals of the
+    cases with index columns ``cols`` from pi on the record's rows, their interior
+    basis q and v(word column), a V stack; per level and chunk of CHUNK_BYTES."""
+    plan = _plan(src)
+    labels, levels, cols, rows = plan.cases[name]
+    pi, norms = src.pi(rows), np.zeros(len(labels))
+    step = max(1, CHUNK_BYTES // (16 * max(1, src.rank) ** 2))
+    for level in sorted(set(levels.tolist())):
+        at, q = np.flatnonzero(levels == level), src.interior_basis(level)
+        for k in range(0, at.size, step):
+            norms[at[k:k + step]] = operator_norms(residual(
+                cols[at[k:k + step]], pi, q,
+                lambda col: src.v_word([plan.words[w] for w in col.tolist()])))
+    report.at_most(name, list(zip(norms.tolist(), labels)), src.tolerances.identity)
 
 
 def _check_representation(src, report: ValidationReport) -> None:
-    """pi is a unital *-homomorphism, the generator shifts are isometric on
-    the first interior, and they intertwine pi with the action."""
-    tol = src.tolerances.identity
-    sg = src.sys.semigroup
-
-    basis = _pi_basis(src)
-    pis = {lbl: src.pi(b) for lbl, b in basis}
-
-    report.at_most("pi.unital",
-                   _normed([(src.pi(src.sys.unit()) - np.eye(src.rank), "")]), tol)
-
-    report.at_most("pi.star", _normed((src.pi(b.star()) - pis[lbl].conj().T, lbl)
-                                      for lbl, b in basis), tol)
-
-    small = basis[: min(len(basis), 8)]
-    report.at_most("pi.multiplicative",
-                   _normed((pis[l1] @ pis[l2] - src.pi(b1 * b2), f"({l1}, {l2})")
-                           for (l1, b1), (l2, b2) in itertools.product(small, repeat=2)),
-                   tol)
-
+    """The embedding is isometric; pi is a unital *-homomorphism; the
+    interior bases are orthonormal, V(p) is isometric on the interior of
+    level gen_count(p) for every p of 1..degree generator letters (one
+    record per generator, one for the longer words) and each generator
+    shift vanishes off the first interior, as it is built to; and the
+    shifts intertwine pi with the action."""
+    eye, emb = np.eye(src.rank), src.embedding
+    _record(src, report, "embedding.isometric",
+            lambda c, pi, q, v: (_adj(emb) @ emb - np.eye(emb.shape[1]))[None])
+    _record(src, report, "pi.unital", lambda c, pi, q, v: pi[c[:, 0]] - eye)
+    _record(src, report, "pi.star", lambda c, pi, q, v: pi[c[:, 1]] - _adj(pi[c[:, 0]]))
+    _record(src, report, "pi.multiplicative",
+            lambda c, pi, q, v: pi[c[:, 0]] @ pi[c[:, 1]] - pi[c[:, 2]])
     if src.degree >= 1:
-        _check_isometries(src, report)
+        _record(src, report, "interior.orthonormal",
+                lambda c, pi, q, v: (_adj(q) @ q - np.eye(q.shape[1]))[None])
 
-    # intertwining V(p) pi(a) = pi(alpha_p(a)) V(p); the interior level must
-    # absorb both the word and the depth of a
-    def intertwine():
-        for p in _sample_words(sg, src.degree):
-            level = src.word_level(p)
-            vp = src.v_word(p)
-            for lbl, a in basis:
-                lvl = level + _depth(src, a)
-                if lvl > src.degree:
-                    continue
-                shifted = src.sys.apply_endo(p, a)
-                if _depth(src, shifted) > src.pi_depth:
-                    continue
-                qb = src.interior_basis(lvl)
-                yield ((vp @ pis[lbl] - src.pi(shifted) @ vp) @ qb, f"(p={p}, a={lbl})")
-    report.at_most("covariance.intertwine", _normed(intertwine()), tol)
+        def isometry(c, pi, q, v):
+            vq = v(c[:, 0]) @ q
+            return _adj(vq) @ vq - np.eye(q.shape[1])
+        for name in [f"isometry.V[{g}]" for g in range(1, src.sys.semigroup.rank + 1)
+                     ] + ["isometry.V[w]"] * (src.degree >= 2):
+            _record(src, report, name, isometry)
+        _record(src, report, "isometry.zero_off_interior",
+                lambda c, pi, q, v: (vp := v(c[:, 0])) - (vp @ q) @ _adj(q))
 
-
-def _check_isometries(src, report: ValidationReport) -> None:
-    """The interior bases are orthonormal; V(p) is isometric on the interior
-    of level gen_count(p) for every p of 1..degree generator letters (one
-    record per generator, one for the longer words); and each generator
-    shift vanishes off the first interior, as it is built to."""
-    tol = src.tolerances.identity
-    sg = src.sys.semigroup
-
-    def orthonormality(k):
-        qb = src.interior_basis(k)
-        return qb.conj().T @ qb - np.eye(qb.shape[1])
-
-    report.at_most("interior.orthonormal",
-                   _normed((orthonormality(k), f"level {k}")
-                           for k in range(1, src.degree + 1)), tol)
-
-    def isometry_defect(p) -> np.ndarray:
-        v, qb = src.v_word(p), src.interior_basis(sg.gen_count(p))
-        return qb.conj().T @ (v.conj().T @ v) @ qb - np.eye(qb.shape[1])
-
-    for g, gen in enumerate(sg.generators, start=1):
-        report.at_most(f"isometry.V[{g}]", _normed([(isometry_defect(gen), "")]), tol)
-    if src.degree >= 2:
-        report.at_most("isometry.V[w]", _normed((isometry_defect(p), f"w={p}")
-                                                for p in sg.enumerate_up_to(src.degree)
-                                                if 2 <= sg.gen_count(p) <= src.degree),
-                       tol)
-
-    q1 = src.interior_basis(1)
-    off = np.eye(src.rank) - q1 @ q1.conj().T
-    report.at_most("isometry.zero_off_interior",
-                   _normed((src.v_word(gen) @ off, f"V[{g}]")
-                           for g, gen in enumerate(sg.generators, start=1)), tol)
+    def intertwine(c, pi, q, v):
+        vp = v(c[:, 0])
+        return vp @ (pi[c[:, 1]] @ q) - pi[c[:, 2]] @ (vp @ q)
+    _record(src, report, "covariance.intertwine", intertwine)
 
 
 def _check_covariance(src, report: ValidationReport) -> None:
     """phi is completely positive, and the dilated range projections are the
     represented unit projections and multiply by the Nica rule."""
-    tols = src.tolerances
-    tol = tols.identity
-    sg = src.sys.semigroup
-    degree = src.degree
+    cp = is_completely_positive(src.phi, rtol=src.tolerances.psd)
+    report.at_least("phi.completely_positive", cp.cases, -src.tolerances.psd * cp.scale)
 
-    cp = is_completely_positive(src.phi, rtol=tols.psd)
-    report.at_least("phi.completely_positive", cp.cases, -tols.psd * cp.scale)
+    def range_projection(c, pi, q, v):
+        vp = v(c[:, 0])
+        return vp @ (_adj(vp) @ q) - pi[c[:, 1]] @ q
+    _record(src, report, "covariance.range_projection", range_projection)
 
-    # range projections: V(p)V(p)* = pi(E_p) on the matching interior
-    def range_projections():
-        for p in _sample_words(sg, degree):
-            level = src.word_level(p)
-            e_p = src.sys.unit_projection(p)
-            if level > degree or _depth(src, e_p) > src.pi_depth:
-                continue
-            vp = src.v_word(p)
-            qb = src.interior_basis(level)
-            yield (vp @ vp.conj().T - src.pi(e_p)) @ qb, f"p={p}"
-    report.at_most("covariance.range_projection", _normed(range_projections()), tol)
-
-    # Nica rule for the dilated range projections
-    def nica():
-        for p, q_el in itertools.product(sg.generators, repeat=2):
-            lp, lq = src.word_level(p), src.word_level(q_el)
-            if lp + lq > degree:
-                continue
-            vp, vq = src.v_word(p), src.v_word(q_el)
-            r = sg.lcm(p, q_el)
-            lhs = vp @ vp.conj().T @ vq @ vq.conj().T
-            if r is None:
-                rhs = np.zeros_like(lhs)
-            else:
-                vr = src.v_word(r)
-                rhs = vr @ vr.conj().T
-            qb = src.interior_basis(lp + lq)
-            yield (lhs - rhs) @ qb, f"(p={p}, q={q_el})"
-    report.at_most("covariance.nica", _normed(nica()), tol)
+    def nica(c, pi, q, v):
+        vp, vq, has = v(c[:, 0]), v(c[:, 1]), c[:, 2] >= 0
+        out, vr = vp @ (_adj(vp) @ (vq @ (_adj(vq) @ q))), v(c[has, 2])
+        out[has] -= vr @ (_adj(vr) @ q)
+        return out
+    _record(src, report, "covariance.nica", nica)
 
 
 def _check_compressions(src, report: ValidationReport) -> None:
     """Compressing to the embedded space gives back (phi, T), and that space
     is co-invariant."""
-    tol = src.tolerances.identity
-    sg = src.sys.semigroup
-    emb = src.embedding
-
-    report.at_most("compression.phi",
-                   _normed((emb.conj().T @ src.pi(a) @ emb - src.phi.value(a), lbl)
-                           for lbl, a in _pi_basis(src)), tol)
-    report.at_most("compression.T",
-                   _normed((emb.conj().T @ src.v_word(p) @ emb - src.T(p), f"p={p}")
-                           for p in sg.enumerate_up_to(src.degree)
-                           if src.word_level(p) <= src.degree), tol)
-
+    words, emb, phi = _plan(src).words, src.embedding, src.phi
+    values = _combine(src.sys.cached(("coordinates", src.degree, phi.depth), lambda: frozen(
+        [b.coordinates(phi.depth) for _, b in _pi_basis(src)])), phi.values)
+    _record(src, report, "compression.phi",
+            lambda c, pi, q, v: _adj(emb) @ pi[c[:, 0]] @ emb - values[c[:, 1]])
+    _record(src, report, "compression.T", lambda c, pi, q, v: _adj(emb) @ v(c[:, 0]) @ emb
+            - np.array([src.T(words[k]) for k in c[:, 0].tolist()]))
     # co-invariance: P_H V(p) vanishes on the complement of H inside interiors
-    ph = emb @ emb.conj().T
-
-    def coinvariance():
-        for p in _sample_words(sg, src.degree):
-            level = src.word_level(p)
-            if level > src.degree:
-                continue
-            qb = src.interior_basis(level)
-            yield (emb.conj().T @ src.v_word(p) @ (np.eye(src.rank) - ph) @ qb,
-                   f"p={p}")
-    report.at_most("covariance.coinvariant", _normed(coinvariance()), tol)
+    off = np.eye(src.rank) - emb @ _adj(emb)
+    _record(src, report, "covariance.coinvariant",
+            lambda c, pi, q, v: _adj(emb) @ v(c[:, 0]) @ off @ q)
 
 
-def _check_reproduces_kernel(result: DilationResult,
-                             report: ValidationReport) -> None:
+def _check_reproduces_kernel(result: DilationResult, report: ValidationReport) -> None:
     """Compressing V(p)* pi(a) V(q) to the embedded space reproduces the
-    kernel (needs the kernel, so a live result only)."""
-    sg = result.sys.semigroup
-    words = _sample_words(sg, result.degree, 1) + [sg.identity]
-    lifts = {p: result.v_word(p) @ result.embedding for p in words}
+    kernel (needs the kernel, so a live result only), one kernel stack per
+    corner."""
+    lhs = np.concatenate([result.kernel.evaluate(p, (d, x), q)
+                          for p, q, d, x in _plan(result).kernel])
 
-    def residuals():
-        for p, q in itertools.product(words, repeat=2):
-            corner = result.sys.corner_basis(p, q, result.degree)
-            for k, a in enumerate(corner.elements[:4]):
-                lhs = result.kernel.evaluate(p, a, q)
-                rhs = lifts[p].conj().T @ result.pi(a) @ lifts[q]
-                yield lhs - rhs, f"(p={p}, q={q}, a#{k})"
-    report.at_most("dilation.reproduces_kernel", _normed(residuals()),
-                   result.tolerances.identity)
+    def residual(c, pi, q, v):
+        words, at = np.unique(c[:, :2], return_inverse=True)
+        lift, at = v(words) @ result.embedding, at.reshape(-1, 2)
+        # lift(p)* pi(a) once per word and row, then per case times lift(q)
+        return lhs[c[:, 3]] - (_adj(lift)[:, None] @ pi)[at[:, 0], c[:, 2]] @ lift[at[:, 1]]
+    _record(result, report, "dilation.reproduces_kernel", residual)
 
 
 # ---------------------------------------------------------------------------
@@ -817,18 +822,8 @@ def covariant_dilate(
 def _check_word_product(result: DilationResult, report: ValidationReport) -> None:
     """Composite shifts: the per-word construction agrees with products of
     generator matrices wherever the generator chain stays inside interiors."""
-    sg = result.sys.semigroup
-
-    def residuals():
-        if result.degree < 2:
-            return
-        q2 = result.interior_basis(2)
-        for g1, g2 in itertools.product(sg.generators, repeat=2):
-            w = sg.multiply(g1, g2)
-            chained = result.v_word(g1) @ result.v_word(g2)
-            yield (result.v_word(w) - chained) @ q2, f"w={w}"
-    report.at_most("covariance.word_product", _normed(residuals()),
-                   result.tolerances.identity)
+    _record(result, report, "covariance.word_product",
+            lambda c, pi, q, v: v(c[:, 0]) @ q - v(c[:, 1]) @ (v(c[:, 2]) @ q))
 
 
 def _check_adjoint_formula(result: DilationResult, report: ValidationReport) -> None:
@@ -850,42 +845,48 @@ def _adjoint_formula_residual(result: DilationResult) -> list:
     U the catalog rows as unit columns, W the formula indices, and T(q\\r)*
     acting on the h slot of each column of B W.
     """
-    sg = result.sys.semigroup
-    model = result.sys.model
-    h = result.h
-    catalog = result.assembly.catalog[:ADJOINT_PAIRS]
-    m = len(catalog)
+    sg, h = result.sys.semigroup, result.h
+    m = min(len(result.assembly.catalog), ADJOINT_PAIRS)
     bu = result._apply(CatalogColumns(np.arange(m), np.arange(m),
                                       np.ones(m, dtype=np.complex128), m))
-    unit_at = {pos: k for k, pos in enumerate(result.sys.base.unit_positions())}
-    cases = []
+    mats, labels = [], []
     for letter, gen in enumerate(sg.generators, start=1):
         level = sg.length(gen)
         if level > result.degree:
             continue
-        # alpha_gen^-1 of a catalog index: the catalog depth holds E_gen, so
-        # the atom unshifts as it is; off E_gen, or without an lcm, V* u = 0
-        # and its column of W is empty
-        cols, index = [], []
+        w, cols, quotients = result.cached(("adjoint", letter),
+                                           lambda: _adjoint_columns(result, letter, gen, m))
         t_adj = np.zeros((m, h, h), dtype=np.complex128)
-        for c, idx in enumerate(catalog):
-            r = sg.lcm(gen, idx.q)
-            atom, i, j = idx.key
-            b = None if r is None else model.unshift(atom, letter)
-            if b is not None:
-                cols.append(c)
-                index.append((result._word_at[sg.left_divide(gen, r)],
-                              result._atom_at[b], unit_at[i, j]))
-                t_adj[c] = result.T(sg.left_divide(idx.q, r)).conj().T
-        word, atom, value = np.array(index, dtype=np.intp).reshape(-1, 3).T
-        w = result._expansion(IndexColumns(
-            word, np.arange(word.size), value, atom,
-            result.sys.maps[letter - 1].apply_inverse(result._unit_stack),
-            model.unshift_depth(result._depth, letter)))
-        w = CatalogColumns(w.rows, np.array(cols, dtype=np.intp)[w.cols], w.vals, m)
+        t_adj[cols] = _adj(np.array([result.T(q) for q in quotients]).reshape(-1, h, h))
         bw = result._apply(w).reshape(result.rank, m, h).transpose(1, 0, 2)
         bwt = (bw @ t_adj).transpose(1, 0, 2).reshape(result.rank, m * h)
         q1 = result.interior_basis(level)
-        cases.append((q1.conj().T @ (result.v_word(gen).conj().T @ bu - bwt),
-                      f"p={gen}"))
-    return _normed(cases)
+        mats.append(q1.conj().T @ (result.v_word(gen).conj().T @ bu - bwt))
+        labels.append(f"p={gen}")
+    return list(zip(operator_norms(mats).tolist(), labels))
+
+
+def _adjoint_columns(result: DilationResult, letter: int, gen, m: int) -> tuple:
+    """W of the first m catalog rows for one generator, the rows with a
+    column and their quotients q\\r.  alpha_gen^-1 of a catalog index: the
+    catalog depth holds E_gen, so the atom unshifts as it is; off E_gen, or
+    without an lcm, V* u = 0 and its column of W is empty."""
+    sg, model = result.sys.semigroup, result.sys.model
+    unit_at = {pos: k for k, pos in enumerate(result.sys.base.unit_positions())}
+    cols, index, quotients = [], [], []
+    for c, idx in enumerate(result.assembly.catalog[:m]):
+        r = sg.lcm(gen, idx.q)
+        atom, i, j = idx.key
+        b = None if r is None else model.unshift(atom, letter)
+        if b is not None:
+            cols.append(c)
+            index.append((result._word_at[sg.left_divide(gen, r)],
+                          result._atom_at[b], unit_at[i, j]))
+            quotients.append(sg.left_divide(idx.q, r))
+    word, atom, value = np.array(index, dtype=np.intp).reshape(-1, 3).T
+    w = result._expansion(IndexColumns(
+        word, np.arange(word.size), value, atom,
+        result.sys.maps[letter - 1].apply_inverse(result._unit_stack),
+        model.unshift_depth(result._depth, letter)))
+    cols = frozen(cols, np.intp)
+    return CatalogColumns(w.rows, cols[w.cols], w.vals, m), cols, quotients

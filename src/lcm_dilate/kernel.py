@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import LevelledElement, operator_norms
+from .algebras import LevelledElement, frozen, operator_norms
 from .cpmaps import ContractionFamily, LevelledOperatorMap, _combine
 from .errors import CovarianceError, ResourceCapError, SpecMismatchError
 from .semigroup import Element
@@ -91,35 +91,37 @@ class KernelSystem:
 
     # -- evaluation ---------------------------------------------------------------
 
-    def evaluate(self, p: Element, a: LevelledElement, q: Element) -> np.ndarray:
+    def evaluate(self, p: Element, a, q: Element) -> np.ndarray:
         """K(p, a, q) for a in the corner E_p . A . E_q, which is not checked;
-        0 when pP and qP are disjoint."""
+        0 when pP and qP are disjoint.  Of a stack of elements, given as
+        (depth holding E_lcm(p,q), coordinate rows there), the stack of values."""
         sg = self.sys.semigroup
         p, q = tuple(p), tuple(q)
         sg.validate_element(p)
         sg.validate_element(q)
         r = sg.lcm(p, q)
+        if isinstance(a, LevelledElement) and r is not None:
+            # E_p E_q = E_r, so the depth of E_r holds both projections
+            depth = self.sys.model.join_depth(a.depth, self.sys.depth_of(r))
+            a = depth, a.coordinates(depth)
         if r is None:
-            return np.zeros((self.h, self.h), dtype=np.complex128)
-        # E_p E_q = E_r, so the depth of E_r holds both projections
-        depth = self.sys.model.join_depth(a.depth, self.sys.depth_of(r))
+            shape = () if isinstance(a, LevelledElement) else a[1].shape[:-1]
+            return np.zeros(shape + (self.h, self.h), dtype=np.complex128)
         # the middle factor phi(inv_r(a)): a's coordinates on the stack
-        middle = _combine(a.coordinates(depth), self.inner_stack(r, depth))
+        middle = _combine(a[1], self.inner_stack(r, a[0]))
         return _sandwich(self.T(sg.left_divide(p, r)), middle,
                          self.T(sg.left_divide(q, r)))
 
     def inner_stack(self, r: Element, depth) -> np.ndarray:
         """phi(inv_r(b)) for every basis element b at ``depth`` (which holds
-        E_r), one read-only (N, h, h) stack per (r, depth): row k is row k
-        of ``inverse_matrix`` combined with phi's value stack, the product
-        ``LevelledOperatorMap.value`` forms."""
+        E_r), one read-only (N, h, h) stack per (r, depth): ``inverse_matrix``
+        combined with phi's value stack by one ``_combine``, each row the bits
+        ``LevelledOperatorMap.value`` gives that row."""
         key = (tuple(r), depth)
         hit = self._stacks.get(key)
         if hit is None:
             m = self.sys.inverse_matrix(r, depth, self.phi.depth)
-            hit = self._stacks[key] = np.array(
-                [_combine(row, self.phi.values) for row in m])
-            hit.flags.writeable = False
+            hit = self._stacks[key] = frozen(_combine(m, self.phi.values))
         return hit
 
 
@@ -229,12 +231,6 @@ class GramPlan:
     rows: np.ndarray
 
 
-def _frozen(values, *shape) -> np.ndarray:
-    out = np.array(values, dtype=np.intp).reshape(-1, *shape)
-    out.flags.writeable = False
-    return out
-
-
 def check_gram_size(sys_: LcmSystem, h: int, degree: int, max_dim: int) -> None:
     """Refuse a Gram operator of more than ``max_dim`` rows at ``degree``,
     counted from the number of atoms under each E_q before any corner or
@@ -285,11 +281,12 @@ def gram_plan(sys_: LcmSystem, degree: int) -> GramPlan:
                     left.append(word_at.setdefault(d1, len(word_at)))
                     middle.append(key_at.setdefault(ykey, len(key_at)))
                     right.append(word_at.setdefault(d2, len(word_at)))
-            groups.append((key, _frozen(members), _frozen(pairs, 2),
-                           _frozen(left), _frozen(middle), _frozen(right)))
+            groups.append((key, frozen(members, np.intp),
+                           frozen(pairs, np.intp).reshape(-1, 2),
+                           *(frozen(x, np.intp) for x in (left, middle, right))))
         atom_rows, n = sys_.model.atom_rows(degree), sys_.base.linear_dim
         unit_at = {ij: k for k, ij in enumerate(sys_.base.unit_positions())}
-        rows = _frozen([atom_rows[k[1]] * n + unit_at[k[2:]] for k in key_at])
+        rows = frozen([atom_rows[k[1]] * n + unit_at[k[2:]] for k in key_at], np.intp)
         return GramPlan(catalog, groups, list(word_at), list(key_at), rows)
     return sys_.model.cached(("gram", sg, sys_.base, degree), make)
 

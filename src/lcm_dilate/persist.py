@@ -33,11 +33,11 @@ import zlib
 
 import numpy as np
 
+from .algebras import LevelledElement
 from .cpmaps import ContractionFamily
 from .dilation import (DilationResult, Tolerances, identity_suite, pi_layout,
                        scatter_pi, stored_pi_depth)
 from .errors import SchemaError
-from .semigroup import Element
 from .serialize import decode_checks, load_json
 from .systems import LcmSystem, ValidationReport
 
@@ -63,8 +63,7 @@ def result_payload(result: DilationResult, instance_hash: str) -> dict:
     }
     out = {
         "embedding": result.embedding,
-        "isometries": np.array([result.v_word(g) for g in gens],
-                               dtype=np.complex128).reshape(len(gens), rank, rank),
+        "isometries": result.v_word(list(gens)),
         "interiors": np.hstack([np.zeros((rank, 0), dtype=np.complex128), *bases]),
         "pi_spans": result.pi_spans,
         "pi_values": result.pi_table[2],
@@ -210,12 +209,13 @@ def _pi_table(arrays: dict, sys: LcmSystem, depth, rank: int) -> tuple:
 class StoredDilation:
     """A persisted dilation as an operator source for the identity suite.
 
-    pi scatters the stored table as the live result does; the suite reads
-    it up to ``pi_depth``.  v_word(p) is the product of the stored
-    generator isometries along p, exact on the interior of level
-    gen_count(p).  Every member is checked on construction, each array for
-    the dtype and shape its role fixes, and refused with a ``SchemaError``
-    at its location; so is any other member.
+    pi scatters the stored table as the live result does, for an element
+    or a stack of coefficient rows; the suite reads it up to ``pi_depth``.
+    v_word(p) is the product of the stored generator isometries along p,
+    exact on the interior of level gen_count(p), and of a list of words the
+    stack of their products.  Every member is checked on construction, each
+    array for the dtype and shape its role fixes, and refused with a
+    ``SchemaError`` at its location; so is any other member.
     """
 
     def __init__(self, meta: dict, arrays: dict, sys: LcmSystem, phi,
@@ -228,6 +228,8 @@ class StoredDilation:
         if unexpected:
             raise SchemaError("unexpected member", unexpected[0])
         self.pi_depth = stored_pi_depth(sys, self.degree)
+        # a product of k generator shifts is exact on the interior of level k
+        self.word_level = sys.semigroup.gen_count
         n = sys.semigroup.rank if self.degree >= 1 else 0
         self.embedding = _array(arrays, "embedding", (rank, T.h))
         self.isometries = _array(arrays, "isometries", (n, rank, rank))
@@ -245,24 +247,20 @@ class StoredDilation:
         return self.interiors[level]
 
     def pi(self, x) -> np.ndarray:
-        return scatter_pi(self.pi_table, self.rank, x.vec(self._depth))
+        vec = x.vec(self._depth) if isinstance(x, LevelledElement) else x
+        return scatter_pi(self.pi_table, self.rank, vec)
 
-    def word_level(self, p: Element) -> int:
-        """A product of k generator shifts is exact on the interior of level k."""
-        return self.sys.semigroup.gen_count(p)
-
-    def v_word(self, p: Element) -> np.ndarray:
+    def v_word(self, p) -> np.ndarray:
         """The product along the word of p, left to right, memoised on the
-        prefixes of the word."""
-        word = self.sys.semigroup.as_word(p)
-        k = len(word)
-        while word[:k] not in self._products:
-            k -= 1
-        out = self._products[word[:k]]
-        for i in range(k, len(word)):
-            out = out @ self.isometries[word[i] - 1]
-            self._products[word[:i + 1]] = out
-        return out
+        prefixes of the word; of a list of words, the stack of products."""
+        if isinstance(p, list):
+            return np.array([self.v_word(w) for w in p], np.complex128).reshape(
+                len(p), self.rank, self.rank)
+        word, out = tuple(self.sys.semigroup.as_word(p)), self._products
+        for k in range(len(word)):
+            if word[:k + 1] not in out:
+                out[word[:k + 1]] = out[word[:k]] @ self.isometries[word[k] - 1]
+        return out[word]
 
 
 def verify_result(meta: dict, arrays: dict, sys: LcmSystem, phi,

@@ -16,6 +16,7 @@ from lcm_dilate.algebras import (
     CornerBasis,
     LevelledElement,
     PointModel,
+    operator_norms,
 )
 from lcm_dilate.cpmaps import (
     MAX_SUBSET_SIZE,
@@ -25,11 +26,12 @@ from lcm_dilate.cpmaps import (
     _compressed,
     _signed_sums,
     build_phi_tilde,
+    is_completely_positive,
 )
-from lcm_dilate.dilation import DilationResult, Tolerances, naimark_dilate
+from lcm_dilate.dilation import DilationResult, Tolerances, _pi_basis, naimark_dilate
 from lcm_dilate.errors import ResourceCapError, SpecMismatchError
 from lcm_dilate.kernel import GramAssembly, GramBlock, KernelSystem, assemble_gram
-from lcm_dilate.semigroup import FreeAbelian, lcm_levels
+from lcm_dilate.semigroup import Element, FreeAbelian, lcm_levels
 from lcm_dilate.systems import GeneratorMap, LcmSystem, ValidationReport
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -518,3 +520,231 @@ def alpha_inverse(sys_: LcmSystem, p, x: LevelledElement) -> LevelledElement:
     for letter in sys_.semigroup.as_word(p):
         x = apply_generator_inverse(sys_, letter, x)
     return x
+
+
+# ---------------------------------------------------------------------------
+# the identity suite case by case: the oracle of the planned suite
+# ---------------------------------------------------------------------------
+#
+# The per-case suite as ``dilation`` ran it before its case plan: one loop
+# per record, pi and V(p) one element and one word at a time, each residual
+# built on its own.  ``oracle_run`` runs checks as ``dilation._run_checks``
+# does; ``ORACLE_SUITE`` are those of ``identity_suite``.
+
+
+def oracle_sample_words(sg, degree: int, max_len: int = 2) -> list[Element]:
+    return [p for p in sg.enumerate_up_to(min(degree, max_len)) if sg.length(p) >= 1]
+
+
+def oracle_depth(src, x: LevelledElement) -> int:
+    return src.sys.model.depth_max(x.depth)
+
+
+def oracle_normed(cases) -> list:
+    """(operator norm, label) of each (residual matrix, label) case, the
+    norms batched by ``operator_norms``."""
+    cases = list(cases)
+    norms = operator_norms([mat for mat, _ in cases])
+    return [(v, label) for v, (_, label) in zip(norms.tolist(), cases)]
+
+
+def oracle_check_embedding(src, report: ValidationReport) -> None:
+    emb = src.embedding
+    report.at_most("embedding.isometric",
+                   oracle_normed([(emb.conj().T @ emb - np.eye(emb.shape[1]), "")]),
+                   src.tolerances.identity)
+
+
+def oracle_check_representation(src, report: ValidationReport) -> None:
+    """pi is a unital *-homomorphism, the generator shifts are isometric on
+    the first interior, and they intertwine pi with the action."""
+    tol = src.tolerances.identity
+    sg = src.sys.semigroup
+
+    basis = _pi_basis(src)
+    pis = {lbl: src.pi(b) for lbl, b in basis}
+
+    report.at_most("pi.unital",
+                   oracle_normed([(src.pi(src.sys.unit()) - np.eye(src.rank), "")]), tol)
+
+    report.at_most("pi.star", oracle_normed((src.pi(b.star()) - pis[lbl].conj().T, lbl)
+                                      for lbl, b in basis), tol)
+
+    small = basis[: min(len(basis), 8)]
+    report.at_most("pi.multiplicative",
+                   oracle_normed((pis[l1] @ pis[l2] - src.pi(b1 * b2), f"({l1}, {l2})")
+                           for (l1, b1), (l2, b2) in itertools.product(small, repeat=2)),
+                   tol)
+
+    if src.degree >= 1:
+        oracle_check_isometries(src, report)
+
+    # intertwining V(p) pi(a) = pi(alpha_p(a)) V(p); the interior level must
+    # absorb both the word and the depth of a
+    def intertwine():
+        for p in oracle_sample_words(sg, src.degree):
+            level = src.word_level(p)
+            vp = src.v_word(p)
+            for lbl, a in basis:
+                lvl = level + oracle_depth(src, a)
+                if lvl > src.degree:
+                    continue
+                shifted = src.sys.apply_endo(p, a)
+                if oracle_depth(src, shifted) > src.pi_depth:
+                    continue
+                qb = src.interior_basis(lvl)
+                yield ((vp @ pis[lbl] - src.pi(shifted) @ vp) @ qb, f"(p={p}, a={lbl})")
+    report.at_most("covariance.intertwine", oracle_normed(intertwine()), tol)
+
+
+def oracle_check_isometries(src, report: ValidationReport) -> None:
+    """The interior bases are orthonormal; V(p) is isometric on the interior
+    of level gen_count(p) for every p of 1..degree generator letters (one
+    record per generator, one for the longer words); and each generator
+    shift vanishes off the first interior, as it is built to."""
+    tol = src.tolerances.identity
+    sg = src.sys.semigroup
+
+    def orthonormality(k):
+        qb = src.interior_basis(k)
+        return qb.conj().T @ qb - np.eye(qb.shape[1])
+
+    report.at_most("interior.orthonormal",
+                   oracle_normed((orthonormality(k), f"level {k}")
+                           for k in range(1, src.degree + 1)), tol)
+
+    def isometry_defect(p) -> np.ndarray:
+        v, qb = src.v_word(p), src.interior_basis(sg.gen_count(p))
+        return qb.conj().T @ (v.conj().T @ v) @ qb - np.eye(qb.shape[1])
+
+    for g, gen in enumerate(sg.generators, start=1):
+        report.at_most(f"isometry.V[{g}]", oracle_normed([(isometry_defect(gen), "")]), tol)
+    if src.degree >= 2:
+        report.at_most("isometry.V[w]", oracle_normed((isometry_defect(p), f"w={p}")
+                                                for p in sg.enumerate_up_to(src.degree)
+                                                if 2 <= sg.gen_count(p) <= src.degree),
+                       tol)
+
+    q1 = src.interior_basis(1)
+    off = np.eye(src.rank) - q1 @ q1.conj().T
+    report.at_most("isometry.zero_off_interior",
+                   oracle_normed((src.v_word(gen) @ off, f"V[{g}]")
+                           for g, gen in enumerate(sg.generators, start=1)), tol)
+
+
+def oracle_check_covariance(src, report: ValidationReport) -> None:
+    """phi is completely positive, and the dilated range projections are the
+    represented unit projections and multiply by the Nica rule."""
+    tols = src.tolerances
+    tol = tols.identity
+    sg = src.sys.semigroup
+    degree = src.degree
+
+    cp = is_completely_positive(src.phi, rtol=tols.psd)
+    report.at_least("phi.completely_positive", cp.cases, -tols.psd * cp.scale)
+
+    # range projections: V(p)V(p)* = pi(E_p) on the matching interior
+    def range_projections():
+        for p in oracle_sample_words(sg, degree):
+            level = src.word_level(p)
+            e_p = src.sys.unit_projection(p)
+            if level > degree or oracle_depth(src, e_p) > src.pi_depth:
+                continue
+            vp = src.v_word(p)
+            qb = src.interior_basis(level)
+            yield (vp @ vp.conj().T - src.pi(e_p)) @ qb, f"p={p}"
+    report.at_most("covariance.range_projection", oracle_normed(range_projections()), tol)
+
+    # Nica rule for the dilated range projections
+    def nica():
+        for p, q_el in itertools.product(sg.generators, repeat=2):
+            lp, lq = src.word_level(p), src.word_level(q_el)
+            if lp + lq > degree:
+                continue
+            vp, vq = src.v_word(p), src.v_word(q_el)
+            r = sg.lcm(p, q_el)
+            lhs = vp @ vp.conj().T @ vq @ vq.conj().T
+            if r is None:
+                rhs = np.zeros_like(lhs)
+            else:
+                vr = src.v_word(r)
+                rhs = vr @ vr.conj().T
+            qb = src.interior_basis(lp + lq)
+            yield (lhs - rhs) @ qb, f"(p={p}, q={q_el})"
+    report.at_most("covariance.nica", oracle_normed(nica()), tol)
+
+
+def oracle_check_compressions(src, report: ValidationReport) -> None:
+    """Compressing to the embedded space gives back (phi, T), and that space
+    is co-invariant."""
+    tol = src.tolerances.identity
+    sg = src.sys.semigroup
+    emb = src.embedding
+
+    report.at_most("compression.phi",
+                   oracle_normed((emb.conj().T @ src.pi(a) @ emb - src.phi.value(a), lbl)
+                           for lbl, a in _pi_basis(src)), tol)
+    report.at_most("compression.T",
+                   oracle_normed((emb.conj().T @ src.v_word(p) @ emb - src.T(p), f"p={p}")
+                           for p in sg.enumerate_up_to(src.degree)
+                           if src.word_level(p) <= src.degree), tol)
+
+    # co-invariance: P_H V(p) vanishes on the complement of H inside interiors
+    ph = emb @ emb.conj().T
+
+    def coinvariance():
+        for p in oracle_sample_words(sg, src.degree):
+            level = src.word_level(p)
+            if level > src.degree:
+                continue
+            qb = src.interior_basis(level)
+            yield (emb.conj().T @ src.v_word(p) @ (np.eye(src.rank) - ph) @ qb,
+                   f"p={p}")
+    report.at_most("covariance.coinvariant", oracle_normed(coinvariance()), tol)
+
+
+def oracle_check_reproduces_kernel(result: DilationResult,
+                             report: ValidationReport) -> None:
+    """Compressing V(p)* pi(a) V(q) to the embedded space reproduces the
+    kernel (needs the kernel, so a live result only)."""
+    sg = result.sys.semigroup
+    words = oracle_sample_words(sg, result.degree, 1) + [sg.identity]
+    lifts = {p: result.v_word(p) @ result.embedding for p in words}
+
+    def residuals():
+        for p, q in itertools.product(words, repeat=2):
+            corner = result.sys.corner_basis(p, q, result.degree)
+            for k, a in enumerate(corner.elements[:4]):
+                lhs = result.kernel.evaluate(p, a, q)
+                rhs = lifts[p].conj().T @ result.pi(a) @ lifts[q]
+                yield lhs - rhs, f"(p={p}, q={q}, a#{k})"
+    report.at_most("dilation.reproduces_kernel", oracle_normed(residuals()),
+                   result.tolerances.identity)
+
+
+def oracle_check_word_product(result: DilationResult, report: ValidationReport) -> None:
+    """Composite shifts: the per-word construction agrees with products of
+    generator matrices wherever the generator chain stays inside interiors."""
+    sg = result.sys.semigroup
+
+    def residuals():
+        if result.degree < 2:
+            return
+        q2 = result.interior_basis(2)
+        for g1, g2 in itertools.product(sg.generators, repeat=2):
+            w = sg.multiply(g1, g2)
+            chained = result.v_word(g1) @ result.v_word(g2)
+            yield (result.v_word(w) - chained) @ q2, f"w={w}"
+    report.at_most("covariance.word_product", oracle_normed(residuals()),
+                   result.tolerances.identity)
+
+
+ORACLE_SUITE = (oracle_check_embedding, oracle_check_representation,
+                oracle_check_covariance, oracle_check_compressions)
+
+
+def oracle_run(src, report: ValidationReport, checks) -> ValidationReport:
+    with np.errstate(over="ignore", invalid="ignore"):
+        for check in checks:
+            check(src, report)
+    return report
