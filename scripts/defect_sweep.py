@@ -2,10 +2,10 @@
 """Scale sweep for a commuting nilpotent pair on the quarter-plane.
 
 The pair T1 = [[0, s], [0, 0]], T2 = [[0, i s], [0, 0]] commutes for every
-scale s; the subset defects (and with them dilatability) flip from positive
-to violated as s grows.  The sweep prints the worst defect eigenvalue, the
-extension verdict, and the Gram verdict side by side: all three must flip at
-the same scale.
+scale s; the Nica defects of the generator subsets (and with them
+dilatability) flip from positive to violated as s grows.  The sweep prints
+the worst defect eigenvalue, the extension verdict, and the Gram verdict side
+by side: all three must flip at the same scale.
 
 Usage: defect_sweep.py [steps]
 """
@@ -22,7 +22,7 @@ from lcm_dilate.cpmaps import (  # noqa: E402
     ContractionFamily,
     extend_phi_T,
     is_completely_positive,
-    nica_defects,
+    nica_defect,
 )
 from lcm_dilate.kernel import KernelSystem, assemble_gram  # noqa: E402
 from lcm_dilate.semigroup import FreeAbelian  # noqa: E402
@@ -33,7 +33,7 @@ def main() -> int:
     steps = int(sys.argv[1]) if len(sys.argv) > 1 else 12
     sg = FreeAbelian(2)
     sys_ = LcmSystem(sg, ToeplitzModel(sg), BaseAlgebra((1,)))
-    pool = [p for p in sg.enumerate_up_to(2) if max(p) >= 1]
+    subsets = [[(1, 0)], [(0, 1)], [(1, 0), (0, 1)]]    # of the generators
 
     print(f"{'scale':>7} {'worst defect':>13} {'extension':>10} {'gram min':>12}")
     mismatches = 0
@@ -41,8 +41,8 @@ def main() -> int:
         t1 = np.array([[0, s], [0, 0]], dtype=complex)
         t2 = np.array([[0, 1j * s], [0, 0]], dtype=complex)
         T = ContractionFamily(sg, [t1, t2])
-        worst = min(0.0, *(float(np.linalg.eigvalsh(defects)[:, 0].min())
-                           for defects in nica_defects(T, pool, 3)))
+        worst = min(0.0, *(float(np.linalg.eigvalsh(nica_defect(T, G))[0])
+                           for G in subsets))
         phi = extend_phi_T(sys_, T, 2)
         accepted = is_completely_positive(phi).is_cp
         w = assemble_gram(KernelSystem(sys_, phi, T, validate=False),

@@ -22,9 +22,12 @@ PLAN = [
     ("sznagy_half.json", "dilate", 0),
     ("cuntz_m2.json", "validate", 0),
     ("cuntz_m2.json", "check-cp", 0),
+    ("cuntz_m2.json", "check-nica", 0),
     ("cuntz_m2.json", "dilate", 0),
+    ("commuting_unitaries.json", "check-nica", 0),
     ("commuting_unitaries.json", "dilate", 0),
     ("transpose_m2.json", "check-cp", 1),
+    ("transpose_m2.json", "check-nica", 0),
     ("transpose_m2.json", "dilate", 1),
     ("nica_nilpotent.json", "check-nica", 1),
     ("nica_nilpotent.json", "dilate", 1),

@@ -4,7 +4,7 @@ Subcommands
 -----------
 validate    structural checks of the dynamical system (ideals, lcm rule)
 check-cp    complete positivity of the instance's map (Choi blocks)
-check-nica  inclusion-exclusion defects over all small subsets up to a depth
+check-nica  Nica defects over the nonempty sets of generators
 dilate      build, verify, and persist the truncated minimal dilation
 verify      re-check a persisted dilation against its instance
 report      render a persisted report or result as text
@@ -38,8 +38,7 @@ from .cpmaps import (
     diagonal_compression_map,
     extend_phi_T,
     is_completely_positive,
-    nica_defect,  # unused here: perfbench's tracer patches cli.nica_defect
-    nica_defects,
+    nica_defect,
     state_map,
     transpose_map,
 )
@@ -67,8 +66,6 @@ from .serialize import decode_checks, decode_matrix, load_json, report_hash, sha
 from .systems import TOEPLITZ_KINDS, ValidationReport, build_system
 
 REPORT_FORMAT = "lcm-dilate-report-v1"
-
-DEFAULT_MAX_F = 4
 
 PHI_KINDS = ("from_contractions", "base_values", "state", "diagonal", "transpose")
 MODEL_KINDS = (*TOEPLITZ_KINDS, "matrix", "stage")
@@ -430,40 +427,37 @@ def _complete_positivity(run: _Run) -> None:
 
 
 def _nica_defects(run: _Run) -> None:
-    max_f = run.flags.get("max_f")
-    max_f = DEFAULT_MAX_F if max_f is None else max_f
+    """The Nica defect of every nonempty set of generators, in combination
+    order.  A dilation exists exactly when these are positive (Brehmer's
+    condition on N^k, row contractivity on the free monoid), and a dilation
+    makes the defect of every finite set positive, so no larger set can
+    change the verdict."""
     if not run.instance.t_mats:
         raise SchemaError("check-nica needs T", "/T")
+    if run.depth < 1:
+        raise SchemaError(
+            f"depth {run.depth} leaves no generator to form subsets from",
+            "/depth" if run.flags.get("depth") is None else "--depth")
     sg = build_system(run.instance.system_config).semigroup
+    # counted before any defect is built: sum_G 2^|G| = 3^k - 1 terms
+    terms = 3 ** sg.rank - 1
+    if terms > DEFAULT_ENUMERATION_CAP:
+        raise SchemaError(
+            f"rank {sg.rank}: the generator subsets need {terms:,} "
+            f"inclusion-exclusion terms, over the cap "
+            f"{DEFAULT_ENUMERATION_CAP:,}", "/system/semigroup/rank")
     T = ContractionFamily(sg, run.instance.t_mats)
-    pool = [p for p in sg.enumerate_up_to(run.depth) if sg.length(p) >= 1]
-    depth_at = "/depth" if run.flags.get("depth") is None else "--depth"
-    if not pool:
-        raise SchemaError(
-            f"depth {run.depth} leaves no element to form subsets from", depth_at)
-    # counted before any subset is built
-    count = sum(math.comb(len(pool), k) for k in range(1, max_f + 1))
-    if count > DEFAULT_ENUMERATION_CAP:
-        raise SchemaError(
-            f"{count:,} subsets of {len(pool)} elements up to size {max_f} "
-            f"exceed the cap {DEFAULT_ENUMERATION_CAP:,}",
-            "--max-f" if run.flags.get("max_f") is not None else depth_at)
-    sizes = range(1, min(max_f, len(pool)) + 1)
-    least, top = [], 0.0        # each set's least eigenvalue; the largest |one|
-    for d in nica_defects(T, pool, sizes[-1]):
-        w = np.linalg.eigvalsh((d + d.conj().transpose(0, 2, 1)) / 2.0)
-        least.append(w[:, 0])
-        top = np.maximum(top, np.abs(w).max())      # a NaN stays
-    scale = max(1.0, float(top))
-    # many sets tie exactly (adding a multiple of an element of F leaves the
-    # defect unchanged); the witness is the first in (size, combination)
-    # order, named by its index there
-    psd = run.report.at_least("nica.defects_psd", np.concatenate(least),
+    subsets = [G for size in range(1, sg.rank + 1)
+               for G in itertools.combinations(sg.generators, size)]
+    d = np.array([nica_defect(T, G) for G in subsets])
+    w = np.linalg.eigvalsh((d + d.conj().transpose(0, 2, 1)) / 2.0)
+    scale = max(1.0, float(np.abs(w).max()))
+    psd = run.report.at_least("nica.defects_psd", w[:, 0],
                               -run.instance.tolerances.psd * scale)
-    combos = (combo for size in sizes for combo in itertools.combinations(pool, size))
-    worst_F = [list(f) for f in next(itertools.islice(combos, psd.witness, None))]
-    psd.detail = f"{count} subsets; worst F = {worst_F}"
-    run.extra.update(subsets_checked=count, worst_F=worst_F)
+    worst_F = [list(g) for g in subsets[psd.witness]]
+    n = len(subsets)
+    psd.detail = f"{n} generator subset{'s' * (n > 1)}; worst F = {worst_F}"
+    run.extra.update(subsets_checked=n, worst_F=worst_F)
 
 
 def _dilate(run: _Run) -> None:
@@ -520,10 +514,11 @@ COMMANDS = {
 def run_command(command: str, instance: Instance, flags: dict) -> dict:
     """Programmatic entry point used by the CLI and tests: run the stages of
     ``command``, turning a non-covariant pair or a non-positive Gram operator
-    into a failed check, and report once."""
+    into a failed check, and report once.  Flags a command does not read
+    are ignored."""
     if command not in COMMANDS:
         raise SchemaError(f"unknown command {command!r}")
-    for key, least in (("max_f", 1), ("max_dim", 1), ("depth", 0)):
+    for key, least in (("max_dim", 1), ("depth", 0)):
         value = flags.get(key)
         if value is not None and value < least:
             flag = "--" + key.replace("_", "-")
@@ -589,11 +584,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common(sub.add_parser("validate", help="structural system checks"))
     common(sub.add_parser("check-cp", help="complete positivity of phi"))
-    nica = sub.add_parser("check-nica", help="inclusion-exclusion defects")
-    common(nica)
-    nica.add_argument("--max-f", type=int, default=None,
-                      help="largest subset size to enumerate "
-                           f"(default {DEFAULT_MAX_F})")
+    common(sub.add_parser(
+        "check-nica", help="Nica defects of the nonempty sets of generators"))
     dil = sub.add_parser("dilate", help="construct and verify the dilation")
     common(dil)
     dil.add_argument("--output", default=None,
@@ -660,7 +652,6 @@ def main(argv=None) -> int:
         "max_dim": args.max_dim,
         "output": getattr(args, "output", None),
         "result": getattr(args, "result", None),
-        "max_f": getattr(args, "max_f", None),
     }
     if args.jobs < 1:
         exc = SchemaError(f"--jobs must be at least 1, got {args.jobs}", "--jobs")

@@ -29,7 +29,7 @@ from .algebras import (
     operator_norms,
 )
 from .errors import CovarianceError, ResourceCapError, SpecMismatchError
-from .semigroup import BLOCK_ROWS, Element, Semigroup, lcm_levels
+from .semigroup import Element, Semigroup, lcm_levels
 
 if TYPE_CHECKING:   # systems imports this module for its maps
     from .systems import LcmSystem
@@ -188,13 +188,18 @@ def is_completely_positive(phi: LevelledOperatorMap, rtol: float = PSD_RTOL) -> 
     ``phi.completely_positive`` record.
     """
     def make() -> CPReport:
-        scale = 1.0
-        cases = []
-        for label, choi in phi.choi_blocks():
+        blocks = phi.choi_blocks()
+        least, top = np.empty(len(blocks)), np.empty(len(blocks))
+        by_shape = collections.defaultdict(list)
+        for k, (_, choi) in enumerate(blocks):
+            by_shape[choi.shape].append(k)
+        for ks in by_shape.values():    # one eigh per stack of one shape
+            stack = np.array([blocks[k][1] for k in ks])
             # halve first: the sum of two entries near the float maximum overflows
-            w, _ = np.linalg.eigh(choi / 2 + choi.conj().T / 2)
-            scale = max(scale, float(np.abs(w).max()))
-            cases.append((float(w[0]), label))
+            w, _ = np.linalg.eigh(stack / 2 + stack.conj().swapaxes(1, 2) / 2)
+            least[ks], top[ks] = w[:, 0], np.abs(w).max(axis=1)
+        scale = float(np.fmax.reduce(top, initial=1.0))     # a NaN is skipped
+        cases = [(float(m), label) for m, (label, _) in zip(least, blocks)]
         min_eig = float(np.min([m for m, _ in cases])) if cases else 0.0
         violations = [(k, m) for k, (m, _) in enumerate(cases)
                       if not m >= -rtol * scale]
@@ -286,29 +291,14 @@ def _signed_sums(rows: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return out.view(Complex).reshape((len(rows),) + terms.shape[1:])
 
 
-def nica_defects(T: ContractionFamily, pool, max_size: int):
-    """The defect of every set of 1..``max_size`` elements of ``pool`` in
-    (size, ``itertools.combinations``) order, as (sets, h, h) stacks of at
-    most ``BLOCK_ROWS`` sets.  The sums run over the identity and the pool,
-    which must hold every lcm of its elements (those up to a length do)."""
-    sg = T.semigroup
-    universe = [sg.identity, *pool]
-    ranges = np.array([T.range_operator(s) for s in universe])
-    levels = lcm_levels(sg, universe, sg.identity, pool, max_size)
-    next(levels)                    # the empty set
-    for rows in levels:
-        for lo in range(0, len(rows), BLOCK_ROWS):
-            yield _signed_sums(rows[lo:lo + BLOCK_ROWS], ranges)
-
-
 def nica_defect(T: ContractionFamily, F, cap: int = MAX_SUBSET_SIZE) -> np.ndarray:
     """sum over U of (-1)^|U| T(vU) T(vU)* with vU the least common multiple
     of U; subsets without a common multiple contribute nothing.
 
     Hermitian by construction.  Nonnegativity of these operators over all
-    finite F is the dilation obstruction tested by `check-nica`.  One set
-    of ``nica_defects``' sums, over the lcm-closure of the identity and F;
-    the returned array is read-only."""
+    finite F is the dilation obstruction; `check-nica` tests it on the sets
+    of generators, which decide it.  One ``lcm_levels`` row over the
+    lcm-closure of the identity and F; the returned array is read-only."""
     sg = T.semigroup
     fs = list(dict.fromkeys(map(tuple, F)))
     for f in fs:

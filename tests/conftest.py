@@ -31,7 +31,7 @@ from lcm_dilate.cpmaps import (
 from lcm_dilate.dilation import DilationResult, Tolerances, _pi_basis, naimark_dilate
 from lcm_dilate.errors import ResourceCapError, SpecMismatchError
 from lcm_dilate.kernel import GramAssembly, GramBlock, KernelSystem, assemble_gram
-from lcm_dilate.semigroup import Element, FreeAbelian, lcm_levels
+from lcm_dilate.semigroup import BLOCK_ROWS, Element, FreeAbelian, lcm_levels
 from lcm_dilate.systems import GeneratorMap, LcmSystem, ValidationReport
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -282,6 +282,22 @@ def last_level(sg, universe, head, F) -> np.ndarray:
     """The coefficient row of E_head prod_{f in F} (1 - E_f), one row."""
     *_, rows = lcm_levels(sg, universe, head, F, len(F))
     return rows
+
+
+def nica_defects(T: ContractionFamily, pool, max_size: int):
+    """The defect of every set of 1..``max_size`` elements of ``pool`` in
+    (size, ``itertools.combinations``) order, as (sets, h, h) stacks of at
+    most ``BLOCK_ROWS`` sets.  The sums run over the identity and the pool,
+    which must hold every lcm of its elements (those up to a length do).
+    The pool screen, the oracle for ``check-nica``'s generator subsets."""
+    sg = T.semigroup
+    universe = [sg.identity, *pool]
+    ranges = np.array([T.range_operator(s) for s in universe])
+    levels = lcm_levels(sg, universe, sg.identity, pool, max_size)
+    next(levels)                    # the empty set
+    for rows in levels:
+        for lo in range(0, len(rows), BLOCK_ROWS):
+            yield _signed_sums(rows[lo:lo + BLOCK_ROWS], ranges)
 
 
 CHECK_TOL = 1e-8

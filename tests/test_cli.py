@@ -32,8 +32,7 @@ from lcm_dilate.persist import load_result
 from lcm_dilate.serialize import report_hash
 from lcm_dilate.systems import LcmSystem
 
-FLAGS = {"depth": None, "max_dim": None, "output": None, "result": None,
-         "max_f": None}
+FLAGS = {"depth": None, "max_dim": None, "output": None, "result": None}
 
 
 def _load(fixtures_dir, name):
@@ -978,8 +977,6 @@ def test_max_dim_refuses_before_the_covariance_check(fixtures_dir, tmp_path, cap
 
 
 @pytest.mark.parametrize("command,name,flag,value", [
-    ("check-nica", "sznagy_half.json", "--max-f", "0"),
-    ("check-nica", "sznagy_half.json", "--max-f", "-1"),
     ("check-nica", "sznagy_half.json", "--depth", "0"),
     ("dilate", "cuntz_m2.json", "--max-dim", "0"),
     ("validate", "sznagy_half.json", "--depth", "-1"),
@@ -1017,41 +1014,59 @@ def test_a_model_over_the_wrong_monoid_exits_2_at_the_model_kind(
         assert "(at /system/model/kind)" in err, (command, err)
 
 
-def test_check_nica_refuses_too_many_subsets_before_building_one(
-        fixtures_dir, capsys, monkeypatch):
-    def no_defects(*args):
-        raise AssertionError("a subset was built")
-
-    monkeypatch.setattr(cli_module, "nica_defects", no_defects)
-    path = str(fixtures_dir / "commuting_unitaries.json")
-    # 48 elements up to depth 6: 1,925,356 subsets of at most five
-    assert main(["check-nica", path, "--depth", "6", "--max-f", "5"]) == 2
+@pytest.mark.parametrize("value", ["4", "0", "-1"])
+def test_the_removed_subset_size_flag_exits_2_through_argparse(
+        fixtures_dir, capsys, value):
+    path = str(fixtures_dir / "sznagy_half.json")
+    assert main(["check-nica", path, "--max-f", value]) == 2
     err = capsys.readouterr().err
-    assert "1,925,356 subsets" in err and "(at --max-f)" in err
+    assert "unrecognized arguments: --max-f" in err
     assert "Traceback" not in err
-    # the depth alone, with the default subset size, names the depth
-    assert main(["check-nica", path, "--depth", "9"]) == 2
-    assert "(at --depth)" in capsys.readouterr().err
+
+
+def test_check_nica_refuses_too_many_subsets_before_building_one(
+        tmp_path, capsys, monkeypatch):
+    def no_defect(*args):
+        raise AssertionError("a defect was built")
+
+    monkeypatch.setattr(cli_module, "nica_defect", no_defect)
+    # rank 12: 4,095 generator subsets, sum_G 2^|G| = 3^12 - 1 = 531,440 terms
+    path = tmp_path / "rank12.json"
+    path.write_text(json.dumps({
+        "system": {"semigroup": {"kind": "free_monoid", "rank": 12},
+                   "model": {"kind": "toeplitz_free"}},
+        "T": [[[0.25]]] * 12,
+    }))
+    assert main(["check-nica", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "rank 12" in err and "531,440" in err
+    assert "(at /system/semigroup/rank)" in err
+    assert "Traceback" not in err
 
 
 def test_check_nica_below_the_subset_cap_still_runs(fixtures_dir, capsys):
+    # the screen of every small set refused these depths on its set count;
+    # the generator subsets do not grow with the depth
     path = str(fixtures_dir / "commuting_unitaries.json")
-    assert main(["check-nica", path, "--depth", "4", "--max-f", "5"]) == 0
-    assert "55454 subsets" in capsys.readouterr().out
+    for depth in ("6", "9"):
+        assert main(["check-nica", path, "--depth", depth]) == 0
+        assert "3 generator subsets" in capsys.readouterr().out
 
 
 def test_check_nica_keeps_one_float_per_set(fixtures_dir, capsys):
-    # 55,454 sets of at most five: a (value, set) case per set peaked above
-    # 10 MB, one least eigenvalue per set stays near 6 MB
+    # one least eigenvalue per generator subset, whatever the depth: a deep
+    # run keeps no more than a shallow one
     path = str(fixtures_dir / "nica_nilpotent.json")
-    tracemalloc.start()
-    try:
-        assert main(["check-nica", path, "--depth", "4", "--max-f", "5"]) == 1
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert "worst F" in capsys.readouterr().out
-    assert peak < 8e6, peak
+    peaks = []
+    for depth in ("1", "12"):
+        tracemalloc.start()
+        try:
+            assert main(["check-nica", path, "--depth", depth]) == 1
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert "3 generator subsets; worst F" in capsys.readouterr().out
+    assert peaks[1] < 1.5 * peaks[0] < 1e6, peaks
 
 
 def test_jobs_below_one_exits_2_before_any_process(fixtures_dir, capsys,
@@ -1142,7 +1157,7 @@ def test_run_fixtures_main_reports_a_wrong_verdict(monkeypatch, capsys):
 # the experiment scripts run to their agreement line
 @pytest.mark.parametrize("args,last_line", [
     (("defect_sweep.py", "4"), "all three verdicts agree at every scale"),
-    (("run_fixtures.py",), "14/14 fixture verdicts reproduced"),
+    (("run_fixtures.py",), "17/17 fixture verdicts reproduced"),
 ])
 def test_experiment_script_agrees(args, last_line):
     script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / args[0]

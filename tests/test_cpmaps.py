@@ -70,6 +70,38 @@ def test_cp_blockwise_domain():
     assert [label for _, label in rep.cases] == ["block0", "block1"]
 
 
+def _per_block_choi_test(phi, rtol):
+    """(cases, scale, violations) of the Choi test one block at a time."""
+    scale, cases = 1.0, []
+    for label, choi in phi.choi_blocks():
+        w, _ = np.linalg.eigh(choi / 2 + choi.conj().T / 2)
+        scale = max(scale, float(np.abs(w).max()))
+        cases.append((float(w[0]), label))
+    violations = [(k, m) for k, (m, _) in enumerate(cases)
+                  if not m >= -rtol * scale]
+    return cases, scale, violations
+
+
+def test_stacked_choi_test_is_the_per_block_loop_bit_for_bit():
+    # base blocks (2, 1): Choi blocks of two shapes, interleaved atom by atom
+    rng = np.random.default_rng(24)
+    alg = BaseAlgebra((2, 1))
+    sys_ = LcmSystem(FA2, ToeplitzModel(FA2), alg)
+    T = ContractionFamily(FA2, commuting_contraction_pair(rng, h=3))
+    maps = [on_point(random_ucp_map(rng, alg, 3)),
+            build_phi_tilde(sys_, random_ucp_map(rng, alg, 3), T, 2),
+            # not CP, with eigenvalues above one so the scale counts
+            build_phi_tilde(sys_, BaseOperatorMap(alg, [7 * u.T for u in alg.basis()]),
+                            T, 2)]
+    for phi in maps:
+        rep = is_completely_positive(phi, rtol=1e-8)
+        cases, scale, violations = _per_block_choi_test(phi, 1e-8)
+        assert (rep.cases, rep.scale, rep.violations) == (cases, scale, violations)
+        assert rep.is_cp == (not violations)
+    bad = is_completely_positive(maps[2], rtol=1e-8)
+    assert bad.violations and bad.scale > 1
+
+
 def test_cp_matches_bruteforce_positivity_oracle():
     """phi is CP iff (phi (x) id_2) keeps random PSD matrices PSD; the Choi
     verdict must agree with that oracle on CP and non-CP samples."""

@@ -1,7 +1,7 @@
 """The inclusion-exclusion by integer lcm coefficients against the sums it
 replaces.
 
-The oracles live inside this module only:
+The oracles live inside this module, but for the last:
 
 * the per-subset sum: every subset's lcm computed from scratch
   (``signed_lcms``) and every signed term added in turn (``signed_sum``);
@@ -9,32 +9,39 @@ The oracles live inside this module only:
   inclusion-exclusion over the point coordinates, on free atoms
   L(w) - sum_g L(wg) at a defect atom (a word shorter than the depth) and
   L(w) at a leaf cylinder, with
-  L(p) = T(p) phi(beta_p^{-1}(u)) T(p)*.
+  L(p) = T(p) phi(beta_p^{-1}(u)) T(p)*;
+* the pool screen, the defect of every small set up to a depth
+  (``conftest.nica_defects``), that ``check-nica``'s generator subsets are
+  checked against.
 """
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conftest
 from conftest import (
     FIXTURES,
     atom_values,
     box,
     commuting_contraction_pair,
+    encode_matrix,
     ewf_projection,
     last_level,
     lcm_closure,
     lcm_of,
+    nica_defects,
     phi_F,
     random_coisometry_pair,
     random_contraction,
     random_ucp_map,
     random_unitary,
 )
-from lcm_dilate import cpmaps, semigroup
+from lcm_dilate import cli, semigroup
 from lcm_dilate.algebras import (
     BaseAlgebra,
     LevelledElement,
@@ -47,7 +54,6 @@ from lcm_dilate.cpmaps import (
     _signed_sums,
     build_phi_tilde,
     nica_defect,
-    nica_defects,
     state_map,
 )
 from lcm_dilate.errors import ResourceCapError, SpecMismatchError
@@ -373,7 +379,7 @@ def test_batched_defects_match_the_per_subset_oracle(sg, depth, monkeypatch):
     for F, d in zip(sets, got):
         assert_close(d, oracle_defect(T, F), rtol=1e-14)
     # the blocks a level is cut into do not move a bit
-    monkeypatch.setattr(cpmaps, "BLOCK_ROWS", 7)
+    monkeypatch.setattr(conftest, "BLOCK_ROWS", 7)
     monkeypatch.setattr(semigroup, "BLOCK_ROWS", 5)
     assert np.array_equal(np.concatenate(list(nica_defects(T, pool, 5))), got)
 
@@ -400,25 +406,31 @@ def test_an_lcm_outside_the_universe_is_refused_not_dropped():
 
 
 # ---------------------------------------------------------------------------
-# check-nica: shared work and the witness rule
+# check-nica: the generator subsets against the pool screen
 # ---------------------------------------------------------------------------
 
 
-def test_check_nica_shares_lcms_across_nested_sets(monkeypatch):
-    calls = []
-    original = FreeAbelian.lcm
+def generator_subsets(sg) -> list:
+    return [G for k in range(1, sg.rank + 1)
+            for G in itertools.combinations(sg.generators, k)]
 
-    def counting_lcm(self, p, q):
-        calls.append(1)
-        return original(self, p, q)
 
-    monkeypatch.setattr(FreeAbelian, "lcm", counting_lcm)
+def test_check_nica_builds_one_defect_per_generator_subset(monkeypatch):
+    built = []
+
+    def counting(T, F, *args):
+        built.append(tuple(F))
+        return nica_defect(T, F, *args)
+
+    monkeypatch.setattr(cli, "nica_defect", counting)
     inst = parse_instance(str(FIXTURES / "commuting_unitaries.json"))
+    # a subset-size key is read by nothing and changes nothing
     report = run_command("check-nica", inst, {"depth": 3, "max_f": 4})
-    pool = [p for p in FreeAbelian(2).enumerate_up_to(3) if max(p) >= 1]
-    sets = [F for k in range(1, 5) for F in itertools.combinations(pool, k)]
-    assert report["extra"]["subsets_checked"] == len(sets) == 1940
-    assert 10 * len(calls) <= sum(2 ** len(F) for F in sets)
+    assert built == [((1, 0),), ((0, 1),), ((1, 0), (0, 1))]
+    assert report["extra"]["subsets_checked"] == 3
+    # timing is outside the hash, so equal hashes are equal reports
+    assert report["report_hash"] == run_command("check-nica", inst,
+                                                {"depth": 3})["report_hash"]
 
 
 @pytest.mark.parametrize("name,depth", [
@@ -431,11 +443,7 @@ def test_check_nica_witness_is_the_first_set_near_the_worst(name, depth):
     flags = {} if depth is None else {"depth": depth}
     report = run_command("check-nica", inst, flags)
     T = ContractionFamily(build_system(inst.system_config).semigroup, inst.t_mats)
-    sg = T.semigroup
-    pool = [p for p in sg.enumerate_up_to(depth or inst.degree)
-            if sg.length(p) >= 1]
-    sets = [F for k in range(1, min(4, len(pool)) + 1)
-            for F in itertools.combinations(pool, k)]
+    sets = generator_subsets(T.semigroup)
     eigs = [np.linalg.eigvalsh((d + d.conj().T) / 2.0)
             for d in (oracle_defect(T, F) for F in sets)]
     least = [float(w[0]) for w in eigs]
@@ -445,4 +453,58 @@ def test_check_nica_witness_is_the_first_set_near_the_worst(name, depth):
     witness = next(F for F, x in zip(sets, least) if x <= worst + tol)
     (check,) = report["checks"]
     assert report["extra"]["worst_F"] == [list(f) for f in witness]
+    assert report["extra"]["subsets_checked"] == len(sets)
     assert abs(check["value"] - worst) <= 1e-12 * scale
+
+
+def _nilpotent_pair(s):
+    t = np.array([[0, s], [0, 0]], dtype=complex)
+    return [t, 1j * t]
+
+
+def _unitary_pair(seed):
+    rng = np.random.default_rng(seed)
+    return [random_unitary(rng, 2), random_unitary(rng, 2)]
+
+
+# (label, semigroup, model kind, T, whether the pair dilates); every verdict
+# is clear of the tolerance band but for the co-isometric pairs, whose
+# defect at both generators is zero
+NICA_PAIRS = [
+    *((f"nilpotent-{s}", FreeAbelian(2), "toeplitz_abelian",
+       _nilpotent_pair(s), s < 2 ** -0.5) for s in (0.5, 0.7, 0.72, 0.9)),
+    *((f"commuting-{seed}-{c}", FreeAbelian(2), "toeplitz_abelian",
+       [c * t for t in commuting_contraction_pair(np.random.default_rng(seed))],
+       ok) for seed in (4, 9) for c, ok in ((0.5, True), (1.0, False))),
+    *((f"free-unitaries-{c}", FreeMonoid(2), "toeplitz_free",
+       [c * u for u in _unitary_pair(5)], c < 2 ** -0.5)
+      for c in (0.5, 0.7, 0.72, 0.9)),
+    *((f"coisometric-{seed}", FreeMonoid(2), "boundary_free",
+       random_coisometry_pair(np.random.default_rng(seed), 2), True)
+      for seed in (6, 7)),
+]
+
+
+@pytest.mark.parametrize("label,sg,kind,mats,dilates", NICA_PAIRS,
+                         ids=[case[0] for case in NICA_PAIRS])
+def test_generator_subsets_give_the_pool_screens_verdict(
+        tmp_path, label, sg, kind, mats, dilates):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({
+        "system": {"semigroup": {"kind": sg.kind, "rank": sg.rank},
+                   "model": {"kind": kind}},
+        "T": [encode_matrix(m) for m in mats],
+    }))
+    inst = parse_instance(str(path))
+    T = ContractionFamily(sg, mats)
+    for depth in range(1, 5):
+        (check,) = run_command("check-nica", inst, {"depth": depth})["checks"]
+        assert check["passed"] == dilates, depth
+        pool = [p for p in sg.enumerate_up_to(depth) if sg.length(p) >= 1]
+        w = np.concatenate([np.linalg.eigvalsh((d + d.conj().transpose(0, 2, 1)) / 2)
+                            for d in nica_defects(T, pool, 4)])
+        worst, scale = float(w[:, 0].min()), max(1.0, float(np.abs(w).max()))
+        if abs(worst) > inst.tolerances.psd * scale:
+            assert check["passed"] == (worst > 0), depth
+        if check["passed"]:
+            assert abs(check["value"] - worst) <= 1e-12, depth
